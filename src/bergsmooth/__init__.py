@@ -37,7 +37,6 @@ from .flow import (
     CollarChart,
     antiderivative,
     build_chart,
-    flow,
     hitting_time,
 )
 from .operators import (

@@ -38,35 +38,61 @@ def flow(field: VectorField, t: float, x, n_steps: int = DEFAULT_M_STEPS,
          escape_bound: float | None = 1.0, clamp_radius: float | None = None):
     """Flow map of a real field by fixed-step RK4.
 
-    n_steps is the step count per unit time.  If the defining function along
-    the trajectory exceeds escape_bound the curve has left the controlled
-    chart and a FlowEscapeError is raised; pass None to disable (the
-    hitting-time bisection probes past the boundary on purpose, with
+    n_steps is a floor on the steps per unit time: the flow takes
+    ceil(|t| n_steps) equal steps, at least one.  If the defining function
+    along the trajectory exceeds escape_bound the curve has left the
+    controlled chart and a FlowEscapeError is raised; pass None to disable
+    (the hitting-time bisection probes past the boundary on purpose, with
     clamp_radius freezing curves once they are unambiguously outside).
     """
-    x = np.asarray(x, dtype=complex)
-    if t == 0.0:
-        return x.copy()
-    n = max(1, int(math.ceil(abs(t) * n_steps)))
-    h = t / n
-    state = x.copy()
+    return _rk4(field, t, np.asarray(x, dtype=complex), n_steps, escape_bound, clamp_radius)
+
+
+def _rk4(field, t, x, n_steps, escape_bound=None, clamp_radius=None):
+    """RK4 from x for time t, a float or one time per point: ceil(|t| n_steps)
+    equal steps, at least one, none at t = 0."""
+    if not isinstance(t, np.ndarray):
+        if t == 0.0:
+            return x.copy()
+        n = max(1, int(math.ceil(abs(t) * n_steps)))
+        h = t / n
+        for _ in range(n):
+            x = _rk4_step(field, x, h, escape_bound, clamp_radius)
+        return x
+    tail = x.shape[t.ndim:]
+    t = t.ravel()
+    n = np.where(t == 0.0, 0, np.maximum(1, np.ceil(np.abs(t) * n_steps).astype(int)))
+    h = (t / np.maximum(n, 1)).reshape((-1,) + (1,) * len(tail))
+    state = x.reshape((t.size,) + tail).copy()
+    for k in range(n.max(initial=0)):
+        on = n > k
+        state[on] = _rk4_step(field, state[on], h[on], escape_bound, clamp_radius)
+    return state.reshape(x.shape)
+
+
+def _rk4_step(field, x, h, escape_bound, clamp_radius):
+    """One RK4 step of size h (a float or per-point sizes), then clamp and escape test."""
     vel = field.velocity
-    for _ in range(n):
-        k1 = vel(state)
-        k2 = vel(state + 0.5 * h * k1)
-        k3 = vel(state + 0.5 * h * k2)
-        k4 = vel(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if clamp_radius is not None:
-            r = field.domain.radius(state)
-            far = r > clamp_radius
-            if np.any(far):
-                scale = np.where(far, clamp_radius / np.maximum(r, 1e-300), 1.0)
-                state = state * (scale[..., None] if field.domain.kind == "ball2" else scale)
-        if escape_bound is not None:
-            if np.any(field.domain.defining_function(state) > escape_bound):
-                raise FlowEscapeError("integral curve left the chart")
-    return state
+    k1 = vel(x)
+    k2 = vel(x + 0.5 * h * k1)
+    k3 = vel(x + 0.5 * h * k2)
+    k4 = vel(x + h * k3)
+    x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if clamp_radius is not None:
+        r = field.domain.radius(x)
+        far = r > clamp_radius
+        if np.any(far):
+            scale = np.where(far, clamp_radius / np.maximum(r, 1e-300), 1.0)
+            x = x * (scale[..., None] if field.domain.kind == "ball2" else scale)
+    if escape_bound is not None:
+        if np.any(field.domain.defining_function(x) > escape_bound):
+            raise FlowEscapeError("integral curve left the chart")
+    return x
+
+
+def _value_shape(domain, points):
+    """Shape of one value per point: points in C^2 carry a trailing axis of 2."""
+    return points.shape[:points.ndim + 1 - domain.complex_dimension]
 
 
 @dataclass(frozen=True)
@@ -196,7 +222,7 @@ def hitting_time(chart: CollarChart, x, n_steps: int = DEFAULT_M_STEPS,
                  tol: float = 1e-10, max_time: float = 2.0):
     """Boundary hitting time by bisection on the defining function along the flow."""
     x = np.asarray(x, dtype=complex)
-    scalar = (x.ndim == 0) or (chart.domain.kind == "ball2" and x.ndim == 1)
+    scalar = _value_shape(chart.domain, x) == ()
     pts = x[None, ...] if scalar else x
     rho0 = chart.domain.defining_function(pts)
     if np.any(rho0 > 1e-12):
@@ -205,27 +231,16 @@ def hitting_time(chart: CollarChart, x, n_steps: int = DEFAULT_M_STEPS,
         flow(chart.field, max_time, pts, n_steps, escape_bound=None, clamp_radius=4.0))
     if np.any(hi_val < 0):
         raise NotInCollarError("no boundary crossing within the time window")
-    lo = np.zeros(pts.shape[:-1] if chart.domain.kind == "ball2" else pts.shape)
+    lo = np.zeros_like(rho0)
     hi = np.full_like(lo, max_time)
     while np.max(hi - lo) > tol:
         mid = 0.5 * (lo + hi)
-        val = _defining_at_times(chart, mid, pts, n_steps)
-        below = val < 0
+        moved = _rk4(chart.field, mid, pts, n_steps, clamp_radius=4.0)
+        below = chart.domain.defining_function(moved) < 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
     t = 0.5 * (lo + hi)
     return float(t[0]) if scalar else t
-
-
-def _defining_at_times(chart, times, pts, n_steps):
-    """Defining function of per-point flows, batched over distinct times."""
-    out = np.empty_like(times)
-    for tv in np.unique(times):
-        sel = times == tv
-        moved = flow(chart.field, float(tv), pts[sel], n_steps,
-                     escape_bound=None, clamp_radius=4.0)
-        out[sel] = chart.domain.defining_function(moved)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +249,21 @@ def _defining_at_times(chart, times, pts, n_steps):
 
 
 def trajectories(chart: CollarChart, points, s_values, n_steps: int = DEFAULT_M_STEPS):
-    """RK4 positions along the backward flow at each (sorted descending) time."""
+    """RK4 positions along the backward flow at each (sorted descending) time.
+
+    Each gap between successive times takes ceil(gap * n_steps) steps, at least
+    one, so n_steps is a floor on the rate: the 128 Gauss nodes of 32 panels per
+    unit time get 128 steps per unit time for every n_steps up to 94."""
     points = np.asarray(points, dtype=complex)
     s = np.asarray(s_values, dtype=float)
     order = np.argsort(-s)
+    spans = np.diff(s[order], prepend=0.0)
     out = np.empty((len(s),) + points.shape, dtype=complex)
     state = points
-    prev = 0.0
-    vel = chart.field.velocity
-    for idx in order:
-        target = s[idx]
-        span = target - prev
+    for idx, span in zip(order.tolist(), spans.tolist()):
         if span != 0.0:
-            n = max(1, int(math.ceil(abs(span) * n_steps)))
-            h = span / n
-            for _ in range(n):
-                k1 = vel(state)
-                k2 = vel(state + 0.5 * h * k1)
-                k3 = vel(state + 0.5 * h * k2)
-                k4 = vel(state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = _rk4(chart.field, span, state, n_steps)
         out[idx] = state
-        prev = target
     return out
 
 
@@ -293,37 +301,41 @@ def _chain_kernel(depth: int, u):
     raise ParameterError("chain depth up to 3 is supported")
 
 
+def _collar_quadrature(chart, points, q_panels, m_steps, term, depth=1):
+    """Gauss quadrature along the backward trajectories of the collar points, zero
+    off the collar: on each [-(j+1), -j], j < depth, term(s, pts, pos, t) gives the
+    node weight factors and the (node, point) values at the positions pos of the
+    live points pts with hit times t."""
+    points = np.asarray(points, dtype=complex)
+    t = chart.hit_time(points)
+    live = np.isfinite(t) & (t < 1.0)
+    out = np.zeros(t.shape, dtype=complex)
+    if not np.any(live):
+        return out
+    pts = points[live]
+    total = 0.0
+    for j in range(depth):
+        s, weights = _panel_nodes(-(j + 1.0), -float(j), q_panels)
+        factor, values = term(s, pts, trajectories(chart, pts, s, m_steps), t[live])
+        total = total + np.tensordot(weights * factor, values, axes=(0, 0))
+    out[live] = total
+    return out
+
+
 def antideriv_chain(chart: CollarChart, w, points, depth: int = 1,
-                    q_panels: int = DEFAULT_Q_PANELS, m_steps: int = DEFAULT_M_STEPS,
-                    use_exact_flow: bool = False):
+                    q_panels: int = DEFAULT_Q_PANELS, m_steps: int = DEFAULT_M_STEPS):
     """depth-fold anti-differentiation of a collar-supported function.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
-    whenever w vanishes off the collar, which the cutoff guarantees.
-    Returns values at points, zero outside the collar.
+    whenever w vanishes off the collar, which the cutoff guarantees.  m_steps is
+    a floor on the RK4 steps per unit time (see trajectories).  Returns values
+    at points, zero outside the collar.
     """
-    points = np.asarray(points, dtype=complex)
-    values = np.zeros(points.shape if chart.domain.kind != "ball2"
-                      else points.shape[:-1], dtype=complex)
-    t = chart.hit_time(points)
-    live = np.isfinite(t) & (t < 1.0)
-    if not np.any(live):
-        return values
-    pts_live = points[live] if chart.domain.kind != "ball2" else points[live, :]
-    total = np.zeros(pts_live.shape if chart.domain.kind != "ball2"
-                     else pts_live.shape[:-1], dtype=complex)
-    for j in range(depth):
-        s_nodes, s_weights = _panel_nodes(-(j + 1.0), -float(j), q_panels)
-        kern = _chain_kernel(depth, s_nodes)
-        if use_exact_flow:
-            pos = chart.exact_trajectories(pts_live, s_nodes)
-        else:
-            pos = trajectories(chart, pts_live, s_nodes, m_steps)
-        wv = np.asarray(w(pos), dtype=complex)
-        total = total + np.tensordot(s_weights * kern, wv, axes=(0, 0))
-    values[live] = total
-    return values
+    def term(s, pts, pos, t):
+        return _chain_kernel(depth, s), np.asarray(w(pos), dtype=complex)
+
+    return _collar_quadrature(chart, points, q_panels, m_steps, term, depth)
 
 
 def antiderivative(g, chart: CollarChart, points, mask="cutoff",
@@ -361,17 +373,7 @@ def flow_moment_apply(chart: CollarChart, mu: int, g, points,
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.
     """
-    points = np.asarray(points, dtype=complex)
-    out = np.zeros(points.shape if chart.domain.kind != "ball2"
-                   else points.shape[:-1], dtype=float)
-    t = chart.hit_time(points)
-    live = np.isfinite(t) & (t < 1.0)
-    if not np.any(live):
-        return out
-    pts_live = points[live] if chart.domain.kind != "ball2" else points[live, :]
-    s_nodes, s_weights = _panel_nodes(-1.0, 0.0, q_panels)
-    pos = trajectories(chart, pts_live, s_nodes, m_steps)
-    gv = np.abs(np.asarray(g(pos)))
-    tt = t[live][None, :] - s_nodes[:, None]
-    out[live] = np.tensordot(s_weights, tt**mu * gv, axes=(0, 0)).real
-    return out
+    def term(s, pts, pos, t):
+        return 1.0, (t[None, :] - s[:, None]) ** mu * np.abs(np.asarray(g(pos)))
+
+    return _collar_quadrature(chart, points, q_panels, m_steps, term).real

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError
 from .finitediff import partial_callable
-from .flow import CollarChart, antideriv_chain, flow_moment_apply, trajectories, _panel_nodes
+from .flow import (CollarChart, antideriv_chain, flow_moment_apply, _collar_quadrature,
+                   _value_shape)
 from .functions import SmoothFunction, apply_field
 from .geometry import VectorField
 
@@ -286,8 +287,7 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
     """
     points = np.asarray(points, dtype=complex)
     if isinstance(expr, OpSum):
-        out = np.zeros(points.shape if chart.domain.kind != "ball2"
-                       else points.shape[:-1], dtype=complex)
+        out = np.zeros(_value_shape(chart.domain, points), dtype=complex)
         for c, term in expr.terms:
             out = out + c * apply_op(term, g, points, chart, q_panels, m_steps)
         return out
@@ -334,24 +334,13 @@ def _chain_closure(chart, operand, depth, q_panels, m_steps):
 
 
 def _kernel_closure(chart, operand, node, q_panels, m_steps):
-    def ev(p):
-        p = np.asarray(p, dtype=complex)
-        out = np.zeros(p.shape if chart.domain.kind != "ball2" else p.shape[:-1],
-                       dtype=complex)
-        t = chart.hit_time(p)
-        live = np.isfinite(t) & (t < 1.0)
-        if not np.any(live):
-            return out
-        pts = p[live]
-        s_nodes, s_weights = _panel_nodes(-1.0, 0.0, q_panels)
-        pos = trajectories(chart, pts, s_nodes, m_steps)
+    def term(s, pts, pos, t):
         vals = np.asarray(operand.fn(pos), dtype=complex)
-        wk = s_weights * s_nodes**node.mu
         if node.gamma is not None:
-            vals = vals * np.asarray(node.gamma(s_nodes[:, None], pts[None, :]))
-        out[live] = np.tensordot(wk, vals, axes=(0, 0))
-        return out
-    return ev
+            vals = vals * np.asarray(node.gamma(s[:, None], pts[None, :]))
+        return s**node.mu, vals
+
+    return lambda p: _collar_quadrature(chart, p, q_panels, m_steps, term)
 
 
 def _diff_closure(operand, beta):

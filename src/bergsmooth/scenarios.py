@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -74,7 +74,6 @@ class ScenarioConfig:
     q_panels: int = 32
     seed: int = 20260808
     output_dir: str = "reports"
-    tolerances: dict = dc_field(default_factory=dict)
 
     @staticmethod
     def from_dict(data: dict) -> "ScenarioConfig":
@@ -86,6 +85,10 @@ class ScenarioConfig:
         if "scenario" not in data:
             raise ParameterError("config needs a 'scenario' field")
         cfg = ScenarioConfig(**data)
+        for f in fields(cfg):
+            value = getattr(cfg, f.name)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
         if cfg.scenario not in SCENARIOS:
             raise ParameterError(f"unknown scenario {cfg.scenario!r}; "
                                  f"choose from {', '.join(SCENARIOS)}")
@@ -94,8 +97,11 @@ class ScenarioConfig:
                 raise ParameterError(f"{name} must lie in 0..3")
         if cfg.n_r < 4 or cfg.n_theta < 4 or cfg.basis_size < 1:
             raise ParameterError("grid and basis sizes out of range")
-        if any(t <= 0 for t in cfg.tolerances.values()):
-            raise ParameterError("tolerances must be positive")
+        if cfg.q_panels < 1 or cfg.m_steps < 1:
+            raise ParameterError("q_panels and m_steps must be at least 1")
+        if not 0.0 < cfg.rho < 1.0:
+            raise ParameterError(f"rho must lie in (0, 1), got {cfg.rho!r}")
+        _domain(cfg)  # an unknown domain kind raises here, not mid-run
         return cfg
 
     @staticmethod

@@ -1,3 +1,6 @@
+import math
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +33,118 @@ def annulus_chart(annulus):
 @pytest.fixture(scope="module")
 def ball_chart(ball2):
     return build_chart(ball2)
+
+
+def collar_points(chart, rng, n=12):
+    """Seeded points with hit times in (0.05, 0.95); in C^2 for the ball."""
+    t = rng.uniform(0.05, 0.95, n)
+    if chart.domain.kind == "annulus":
+        r = np.concatenate([chart.flow_radius(-t[::2], 1.0),
+                            chart.flow_radius(-t[1::2], chart.domain.rho)])
+    else:
+        r = np.exp(-chart.rate * t)
+    if chart.domain.kind == "ball2":
+        v = rng.normal(size=(n, 4))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        return (v[:, :2] + 1j * v[:, 2:]) * r[:, None]
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
+
+
+# --- references: the RK4 loops as written before the shared stepper --------
+
+
+def reference_flow(field, t, x, n_steps, clamp_radius=None):
+    x = np.asarray(x, dtype=complex)
+    if t == 0.0:
+        return x.copy()
+    n = max(1, int(math.ceil(abs(t) * n_steps)))
+    h = t / n
+    state = x.copy()
+    vel = field.velocity
+    for _ in range(n):
+        k1 = vel(state)
+        k2 = vel(state + 0.5 * h * k1)
+        k3 = vel(state + 0.5 * h * k2)
+        k4 = vel(state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if clamp_radius is not None:
+            r = field.domain.radius(state)
+            far = r > clamp_radius
+            if np.any(far):
+                scale = np.where(far, clamp_radius / np.maximum(r, 1e-300), 1.0)
+                state = state * (scale[..., None] if field.domain.kind == "ball2" else scale)
+    return state
+
+
+def reference_trajectories(chart, points, s_values, n_steps):
+    points = np.asarray(points, dtype=complex)
+    s = np.asarray(s_values, dtype=float)
+    order = np.argsort(-s)
+    out = np.empty((len(s),) + points.shape, dtype=complex)
+    state = points
+    prev = 0.0
+    vel = chart.field.velocity
+    for idx in order:
+        target = s[idx]
+        span = target - prev
+        if span != 0.0:
+            n = max(1, int(math.ceil(abs(span) * n_steps)))
+            h = span / n
+            for _ in range(n):
+                k1 = vel(state)
+                k2 = vel(state + 0.5 * h * k1)
+                k3 = vel(state + 0.5 * h * k2)
+                k4 = vel(state + h * k3)
+                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out[idx] = state
+        prev = target
+    return out
+
+
+def reference_hitting_time(chart, pts, n_steps, tol=1e-10, max_time=2.0):
+    """Bisection flowing the points of each distinct time together."""
+    lo = np.zeros(chart.domain.radius(pts).shape)
+    hi = np.full_like(lo, max_time)
+    while np.max(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        val = np.empty_like(mid)
+        for tv in np.unique(mid):
+            sel = mid == tv
+            moved = reference_flow(chart.field, float(tv), pts[sel], n_steps, clamp_radius=4.0)
+            val[sel] = chart.domain.defining_function(moved)
+        below = val < 0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("n_steps", [64, 7])
+def test_stepper_bitwise_matches_reference_loops(disk_chart, annulus_chart, ball_chart,
+                                                 n_steps):
+    rng = np.random.default_rng(4)
+    gx, _ = np.polynomial.legendre.leggauss(4)
+    edges = np.linspace(-2.0, 0.0, 9)
+    gauss = (0.5 * (edges[:-1] + edges[1:])[:, None] + 0.125 * gx[None, :]).ravel()
+    s = np.concatenate([gauss, [0.0, -1.0, -1.0, -2.0, 0.0], -2.0 * rng.uniform(size=5)])
+    for chart in (disk_chart, annulus_chart, ball_chart):
+        pts = collar_points(chart, rng)
+        assert np.array_equal(trajectories(chart, pts, s, n_steps),
+                              reference_trajectories(chart, pts, s, n_steps))
+        for t in (-1.3, 0.0, 0.4, 2.0):
+            assert np.array_equal(
+                flow(chart.field, t, pts, n_steps, escape_bound=None, clamp_radius=4.0),
+                reference_flow(chart.field, t, pts, n_steps, clamp_radius=4.0))
+        assert np.array_equal(hitting_time(chart, pts, n_steps),
+                              reference_hitting_time(chart, pts, n_steps))
+
+
+def test_flow_submodule_not_shadowed():
+    import bergsmooth
+    import bergsmooth.flow as flow_module
+
+    assert isinstance(bergsmooth.flow, types.ModuleType)
+    assert isinstance(flow_module, types.ModuleType)
+    assert flow_module.flow is flow
 
 
 def masked_ng(chart, w):
@@ -95,6 +210,14 @@ def test_hitting_time_annulus_both_bands(annulus_chart):
     pts = np.array([0.95 + 0.0j, 0.55j])
     t = hitting_time(annulus_chart, pts)
     np.testing.assert_allclose(t, annulus_chart.hit_time(pts), atol=1e-8)
+
+
+def test_hitting_time_ball(ball_chart, rng):
+    pts = collar_points(ball_chart, rng, n=16)
+    np.testing.assert_allclose(hitting_time(ball_chart, pts), ball_chart.hit_time(pts),
+                               atol=1e-8, rtol=0)
+    assert hitting_time(ball_chart, pts[3]) == pytest.approx(
+        ball_chart.hit_time(pts[3]), abs=1e-8)
 
 
 def test_hitting_time_not_in_collar(annulus_chart):

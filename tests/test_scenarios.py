@@ -1,10 +1,13 @@
 import json
 import filecmp
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import bergsmooth
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
     ReportBundle,
@@ -32,6 +35,15 @@ def test_config_validation():
         ScenarioConfig.from_dict({"scenario": "duality", "bogus": 1})
     with pytest.raises(ParameterError):
         ScenarioConfig.from_dict({"scenario": "duality", "tolerances": {"a": -1.0}})
+
+
+def run_cli(*args):
+    """The command-line entry point in a fresh interpreter, importing this package."""
+    src = str(Path(bergsmooth.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    return subprocess.run([sys.executable, "-m", "bergsmooth.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def test_empty_bundle_report(tmp_path):
@@ -64,8 +76,7 @@ def test_scenario_deterministic(tmp_path):
 
 
 def test_cli_list():
-    out = subprocess.run([sys.executable, "-m", "bergsmooth.cli", "list"],
-                         capture_output=True, text=True)
+    out = run_cli("list")
     assert out.returncode == 0
     assert "ftc" in out.stdout
 
@@ -73,8 +84,7 @@ def test_cli_list():
 def test_cli_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    out = subprocess.run([sys.executable, "-m", "bergsmooth.cli", "run", "ftc",
-                          "--config", str(bad)], capture_output=True, text=True)
+    out = run_cli("run", "ftc", "--config", str(bad))
     assert out.returncode == 2
 
 
@@ -82,9 +92,8 @@ def test_cli_runs_and_reports(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "conj-smoothing", "n_r": 16,
                                    "n_theta": 32, "basis_size": 16}))
-    out = subprocess.run([sys.executable, "-m", "bergsmooth.cli", "run",
-                          "conj-smoothing", "--config", str(cfgfile),
-                          "--out", str(tmp_path / "rep")], capture_output=True, text=True)
+    out = run_cli("run", "conj-smoothing", "--config", str(cfgfile),
+                  "--out", str(tmp_path / "rep"))
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "rep" / "summary.txt").exists()
     assert (tmp_path / "rep" / "config_echo.json").exists()
@@ -94,6 +103,17 @@ def test_cli_runs_and_reports(tmp_path):
 def test_cli_scenario_mismatch(tmp_path):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "duality"}))
-    out = subprocess.run([sys.executable, "-m", "bergsmooth.cli", "run", "ftc",
-                          "--config", str(cfgfile)], capture_output=True, text=True)
+    out = run_cli("run", "ftc", "--config", str(cfgfile))
     assert out.returncode == 2
+
+
+@pytest.mark.parametrize("field", [{"rho": 1.5}, {"rho": 0.0}, {"q_panels": 0},
+                                   {"m_steps": 0}, {"n_r": True}, {"seed": 1.5},
+                                   {"domain_kind": "cube"}])
+def test_cli_out_of_range_config(tmp_path, field):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"scenario": "ftc", **field}))
+    out = run_cli("run", "ftc", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert not (tmp_path / "rep").exists()
