@@ -20,14 +20,7 @@ from .flow import CollarChart, antideriv_chain
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField
 from .norms import weighted_negative_norm
-from .operators import (
-    OperatorExpr,
-    commutator,
-    compose,
-    field_op,
-    kernel_op,
-    op_sum,
-)
+from .operators import commutator, compose, field_op, iterated_commutator, kernel_op, op_sum
 
 __all__ = [
     "DecompositionResult",
@@ -152,23 +145,14 @@ def power_expansion(k: int, chart: CollarChart, fld: VectorField) -> dict:
         for m in range(1, ell + 1):
             collected[m].append((1.0, compose(A, prev[m - 1])))
             for j in range(m):
-                cxm = _iterated(A, fld, m - j)
+                cxm = iterated_commutator(A, fld, m - j)
                 collected[j].append((float(math.comb(m, j)), compose(cxm, prev[m - 1])))
         prev = {}
         for m in range(ell + 1):
-            expr = op_sum(*collected[m]) if len(collected[m]) > 1 else collected[m][0][1]
-            if len(collected[m]) == 1 and collected[m][0][0] != 1.0:
-                expr = op_sum(*collected[m])
-            prev[m] = expr
-            out[(ell, m)] = expr
+            terms = collected[m]
+            prev[m] = out[(ell, m)] = (terms[0][1] if len(terms) == 1 and terms[0][0] == 1.0
+                                       else op_sum(*terms))
     return out
-
-
-def _iterated(A, fld, order):
-    cur = A
-    for _ in range(order):
-        cur = commutator(cur, field_op(fld))
-    return cur
 
 
 # ---------------------------------------------------------------------------

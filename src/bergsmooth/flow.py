@@ -137,14 +137,6 @@ class CollarChart:
                 out)
         return out
 
-    def in_collar(self, points):
-        t = self.hit_time(points)
-        return np.isfinite(t) & (t < 1.0)
-
-    def in_neighborhood(self, points):
-        t = self.hit_time(points)
-        return np.isfinite(t) & (t < 2.0)
-
     # --- cutoff -----------------------------------------------------------
 
     def cutoff(self, points):

@@ -112,12 +112,6 @@ class Poly2(SmoothFunction):
             p = p._der(1)
         return p(points)
 
-    def dz(self, points):
-        return 0.5 * (self.partial((1, 0), points) - 1j * self.partial((0, 1), points))
-
-    def dzbar(self, points):
-        return 0.5 * (self.partial((1, 0), points) + 1j * self.partial((0, 1), points))
-
     @staticmethod
     def random(rng, degree=3, scale=1.0):
         c = (rng.normal(size=(degree + 1, degree + 1))
@@ -140,11 +134,6 @@ class Holo1(SmoothFunction):
 
     def __call__(self, points):
         return self._deriv(0)(np.asarray(points))
-
-    def z_derivative(self, order=1):
-        base = self._deriv
-        return Holo1(lambda j, base=base, order=order: base(j + order),
-                     label=f"{self.label}^({order})")
 
     def dz(self, points):
         return self._deriv(1)(np.asarray(points))
@@ -312,7 +301,14 @@ def apply_field(field, f, points, h=fd.FD_STEP):
     b = np.asarray(field.zbar(points))
     if field.domain.kind == "ball2":
         raise NotImplementedError("field application on the ball is analytic-only")
-    if hasattr(f, "dz") and isinstance(f, SmoothFunction):
+    if isinstance(f, SmoothFunction):
         return a * f.dz(points) + b * f.dzbar(points)
     fz, fzb = fd.dz_callable(f, points, h)
     return a * fz + b * fzb
+
+
+def _partial(f, beta, points):
+    """D^beta f: tracked derivatives when f is a SmoothFunction, finite differences otherwise."""
+    if isinstance(f, SmoothFunction):
+        return np.asarray(f.partial(beta, points), dtype=complex)
+    return fd.partial_callable(f, points, beta)

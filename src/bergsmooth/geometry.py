@@ -7,7 +7,7 @@ points in C^2 are complex arrays whose last axis has length 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np

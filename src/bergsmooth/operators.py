@@ -17,10 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError
-from .finitediff import partial_callable
 from .flow import (CollarChart, antideriv_chain, flow_moment_apply, _collar_quadrature,
                    _value_shape)
-from .functions import SmoothFunction, apply_field
+from .functions import _partial, apply_field
 from .geometry import VectorField
 
 __all__ = [
@@ -162,13 +161,6 @@ class OpSum(OperatorExpr):
             tag = tag.union(t.tag)
         return tag
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
-
-ZERO_OP = OpSum(())
-
 
 def kernel_op(gamma=None, mu: int = 0) -> Antideriv:
     if mu < 0:
@@ -212,10 +204,9 @@ def commutator(expr_a: OperatorExpr, expr_x: OperatorExpr) -> OpSum:
     commuting with a pure differential monomial trades one derivative for the
     weight gain.
     """
-    if isinstance(expr_x, FieldPower) and expr_x.power == 1:
-        tag = ClassTag(tuple(sorted(set(_normalize_mems(expr_a.tag.memberships)))))
-    elif isinstance(expr_x, DiffMonomial):
-        b = sum(expr_x.beta)
+    first_order_field = isinstance(expr_x, FieldPower) and expr_x.power == 1
+    if first_order_field or isinstance(expr_x, DiffMonomial):
+        b = 1 if first_order_field else sum(expr_x.beta)
         mems = []
         for alpha, nu in expr_a.tag.memberships:
             mems.append((alpha, nu + max(b - 1, 0)))
@@ -230,16 +221,6 @@ def commutator(expr_a: OperatorExpr, expr_x: OperatorExpr) -> OpSum:
                  tag_override=tag)
 
 
-def _normalize_mems(mems):
-    out = []
-    for alpha, nu in mems:
-        out.append((alpha, nu))
-        for j in range(len(alpha)):
-            bumped = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-            out.append((bumped, nu + 1))
-    return out
-
-
 def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> OperatorExpr:
     """order-fold commutator [...[A, X], X]."""
     cur = expr_a
@@ -251,25 +232,6 @@ def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> O
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
-
-
-class _Operand:
-    """A function-in-flight during expression evaluation."""
-
-    def __init__(self, fn, analytic=False):
-        self.fn = fn
-        self.analytic = analytic and isinstance(fn, SmoothFunction)
-
-    def __call__(self, points):
-        return np.asarray(self.fn(points), dtype=complex)
-
-    def diff(self, beta, points):
-        if self.analytic:
-            return np.asarray(self.fn.partial(beta, points), dtype=complex)
-        return partial_callable(self.fn, points, beta)
-
-    def field_applied(self, fld, points):
-        return apply_field(fld, self.fn, points)
 
 
 def _plain(expr) -> bool:
@@ -292,10 +254,10 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
             out = out + c * apply_op(term, g, points, chart, q_panels, m_steps)
         return out
     if isinstance(expr, AbsFlowMoment):
-        gg = g if callable(g) else (lambda p: np.asarray(g(p)))
-        return flow_moment_apply(chart, expr.mu, gg, points, q_panels, m_steps).astype(complex)
+        return flow_moment_apply(chart, expr.mu, g, points, q_panels, m_steps).astype(complex)
     factors = expr.factors if isinstance(expr, Compose) else (expr,)
-    operand = _Operand(g, analytic=True)
+    # factors act right to left; fn is the function the remaining ones act on
+    fn = g
     i = len(factors)
     while i > 0:
         f = factors[i - 1]
@@ -303,56 +265,34 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
             depth = 1
             while i - depth > 0 and _plain(factors[i - depth - 1]) and depth < 3:
                 depth += 1
-            operand = _Operand(_chain_closure(chart, operand, depth, q_panels, m_steps))
+            fn = lambda p, fn=fn, depth=depth: antideriv_chain(
+                chart, fn, p, depth=depth, q_panels=q_panels, m_steps=m_steps)
             i -= depth
-        elif isinstance(f, Antideriv):
-            operand = _Operand(_kernel_closure(chart, operand, f, q_panels, m_steps))
-            i -= 1
+            continue
+        if isinstance(f, Antideriv):
+            fn = _kernel_closure(chart, fn, f, q_panels, m_steps)
         elif isinstance(f, DiffMonomial):
-            operand = _Operand(_diff_closure(operand, f.beta))
-            i -= 1
+            fn = lambda p, fn=fn, beta=f.beta: _partial(fn, beta, np.asarray(p, dtype=complex))
         elif isinstance(f, FieldPower):
             for _ in range(f.power):
-                operand = _Operand(_field_closure(operand, f.fld))
-            i -= 1
+                fn = lambda p, fn=fn, fld=f.fld: apply_field(
+                    fld, fn, np.asarray(p, dtype=complex))
         elif isinstance(f, OpSum):
-            inner = f
-            operand = _Operand(
-                lambda p, inner=inner, op=operand: apply_op(
-                    inner, op.fn, p, chart, q_panels, m_steps))
-            i -= 1
+            fn = lambda p, fn=fn, inner=f: apply_op(inner, fn, p, chart, q_panels, m_steps)
         else:
             raise ContractError(f"cannot evaluate factor {f!r}")
-    return operand(points)
+        i -= 1
+    return np.asarray(fn(points), dtype=complex)
 
 
-def _chain_closure(chart, operand, depth, q_panels, m_steps):
-    def ev(p):
-        return antideriv_chain(chart, operand.fn, p, depth=depth,
-                               q_panels=q_panels, m_steps=m_steps)
-    return ev
-
-
-def _kernel_closure(chart, operand, node, q_panels, m_steps):
+def _kernel_closure(chart, fn, node, q_panels, m_steps):
     def term(s, pts, pos, t):
-        vals = np.asarray(operand.fn(pos), dtype=complex)
+        vals = np.asarray(fn(pos), dtype=complex)
         if node.gamma is not None:
             vals = vals * np.asarray(node.gamma(s[:, None], pts[None, :]))
         return s**node.mu, vals
 
     return lambda p: _collar_quadrature(chart, p, q_panels, m_steps, term)
-
-
-def _diff_closure(operand, beta):
-    def ev(p):
-        return operand.diff(beta, np.asarray(p, dtype=complex))
-    return ev
-
-
-def _field_closure(operand, fld):
-    def ev(p):
-        return operand.field_applied(fld, np.asarray(p, dtype=complex))
-    return ev
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +363,10 @@ def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
     k = expr.tag.s_gain
     nu = expr.tag.s_deriv
     values = apply_op(expr, g, nodes, chart, q_panels, m_steps)
-    operand = _Operand(g, analytic=True)
     dg = []
     for total in range(nu + 1):
         for bx in range(total + 1):
-            dg.append(operand.diff((bx, total - bx), nodes))
+            dg.append(_partial(g, (bx, total - bx), nodes))
     out = []
     for ell in ells:
         numer = _weighted_norm(values, weights, t, ell)

@@ -82,6 +82,13 @@ def test_criterion_9_product_bound(cfg):
     _grade(checks)
 
 
+@pytest.mark.parametrize("seed", [906978376, 1417112032, 1498377115])
+def test_criterion_9_no_rounding_failure(seed):
+    # seeds where the two sides, rounded from different factors, differed by an ulp
+    checks, _ = check_product_bound(ScenarioConfig(scenario="conj-smoothing", seed=seed))
+    _grade(checks)
+
+
 def test_total_runtime_target():
     elapsed = time.perf_counter() - _T0
     print(f"[INFO] acceptance suite runtime so far: {elapsed:.1f}s (target < 300s)")

@@ -123,6 +123,16 @@ def test_power_expansion_tags_order_two(chart):
             assert len(alpha) == ell
 
 
+def test_power_expansion_exact_tags_order_two(chart):
+    x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                    name="dx")
+    ops = power_expansion(2, chart, x)
+    assert ops[(2, 0)].tag.memberships == (
+        ((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 2), ((2, 0), 2))
+    assert ops[(2, 1)].tag.memberships == (((0, 0), 0), ((0, 1), 1), ((1, 0), 1))
+    assert ops[(2, 2)].tag.memberships == (((0, 0), 0),)
+
+
 def test_power_expansion_operational_identity(chart, rng):
     # (kernel o X)^2 equals sum_m X^m o G[2, m] applied to a collar function,
     # with a generic field that does not commute with the kernel

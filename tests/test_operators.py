@@ -104,6 +104,12 @@ def test_commutator_tag_field():
     assert set(tag.memberships) == {((2,), 0), ((3,), 1)}
 
 
+def test_commutator_tag_diff_one():
+    # a first-order monomial tags like a first-order field
+    tag = commutator(kernel_op(None, 1), diff_op((1, 0))).tag
+    assert tag.memberships == (((1,), 0), ((2,), 1))
+
+
 def test_commutator_tag_diff_two():
     # second-order monomial: A^1_{0,1} + A^1_{1,2}
     tag = commutator(kernel_op(), diff_op((1, 1))).tag

@@ -109,7 +109,7 @@ def test_cli_scenario_mismatch(tmp_path):
 
 @pytest.mark.parametrize("field", [{"rho": 1.5}, {"rho": 0.0}, {"q_panels": 0},
                                    {"m_steps": 0}, {"n_r": True}, {"seed": 1.5},
-                                   {"domain_kind": "cube"}])
+                                   {"domain_kind": "cube"}, {"k1": 1}])
 def test_cli_out_of_range_config(tmp_path, field):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "ftc", **field}))
