@@ -19,13 +19,11 @@ from .geometry import Domain, QuadratureGrid
 __all__ = [
     "OrthonormalBasis",
     "CoefficientVector",
-    "GridFunction",
     "build_basis",
     "project",
     "synthesize",
     "kernel_eval",
     "gram_matrix",
-    "coefficients_to_csv_rows",
 ]
 
 
@@ -93,18 +91,6 @@ class CoefficientVector:
         return float(np.linalg.norm(self.coeffs))
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    grid: QuadratureGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        if len(self.values) != len(self.grid.nodes):
-            raise ContractError("value count does not match grid size")
-        if not np.all(np.isfinite(self.values)):
-            raise ContractError("grid function has non-finite values")
-
-
 def _planar_norm(domain: Domain, k: int) -> float:
     if domain.kind == "disk":
         if k < 0:
@@ -145,10 +131,6 @@ def build_basis(domain: Domain, n_b: int) -> OrthonormalBasis:
 
 
 def _values_on(f, grid: QuadratureGrid):
-    if isinstance(f, GridFunction):
-        if f.grid is not grid and f.grid.nodes.shape != grid.nodes.shape:
-            raise ContractError("grid function lives on a different grid")
-        return f.values
     if callable(f):
         return np.asarray(f(grid.nodes), dtype=complex)
     values = np.asarray(f, dtype=complex)
@@ -238,9 +220,3 @@ def _annulus_truncation(rho: float, t_abs: float, tol: float, cap: int = 4000):
         if kp > cap:
             raise ParameterError("kernel truncation bound unattainable this close to the boundary")
     return kp, km
-
-
-def coefficients_to_csv_rows(coeffs: CoefficientVector):
-    header = ["index", "re", "im"]
-    rows = [[k, c.real, c.imag] for k, c in enumerate(coeffs.coeffs)]
-    return header, rows

@@ -34,11 +34,12 @@ def main(argv=None) -> int:
             print(s)
         return 0
     try:
+        data = {}
         if args.config is not None:
             with open(args.config, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        else:
-            data = {}
+        if not isinstance(data, dict):
+            raise ParameterError("config must be a JSON object")
         data.setdefault("scenario", args.scenario)
         if data["scenario"] != args.scenario:
             raise ParameterError("config scenario disagrees with the command line")
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             data["output_dir"] = args.out
         cfg = ScenarioConfig.from_dict(data)
-    except (OSError, json.JSONDecodeError, ParameterError, TypeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     bundle = run_scenario(cfg)

@@ -17,15 +17,16 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .flow import CollarChart, antideriv_chain
-from .functions import Holo1, RadialHolo
+from .functions import Holo1, RadialHolo, smoothstep_prime
 from .geometry import VectorField
-from .norms import weighted_negative_norm
+from .norms import _default_grid, weighted_negative_norm
 from .operators import commutator, compose, field_op, iterated_commutator, kernel_op, op_sum
 
 __all__ = [
     "DecompositionResult",
     "cr_reduction",
     "cutoff_times",
+    "matched_tangential",
     "reproduction_residual",
     "power_expansion",
     "decompose",
@@ -74,7 +75,6 @@ def cr_reduction(h: Holo1, chart: CollarChart, fld: VectorField | None = None) -
 
     def factor(r):
         t = chart.hit_time_radial(np.asarray(r, dtype=float))
-        from .functions import smoothstep_prime
         return 2.0 * smoothstep_prime((0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5)
 
     return RadialHolo([(factor, h)])
@@ -170,12 +170,6 @@ class DecompositionResult:
     weighted_norm: float       # ||d^k h||
     norm_ratios: tuple         # component norms over the weighted norm
 
-    def csv_rows(self):
-        header = ["component", "norm", "ratio", "residual"]
-        rows = [[j, n, r, self.residual]
-                for j, (n, r) in enumerate(zip(self.component_norms, self.norm_ratios))]
-        return header, rows
-
     def values_csv_rows(self):
         """Per-component value dump at the evaluation points."""
         header = ["component", "re_z", "im_z", "re_value", "im_value"]
@@ -254,7 +248,6 @@ def decompose(h: Holo1, k: int, chart: CollarChart, fld: VectorField | None = No
         recon = recon + (-chart.rate) ** m * rotation_fd(c, points, order=m, step=fd_step)
     residual = float(np.max(np.abs(zh(points) - recon)))
 
-    from .norms import _default_grid
     qgrid = grid if grid is not None else _default_grid(chart.domain)
     norms = tuple(
         float(np.sqrt(np.sum(qgrid.weights

@@ -23,7 +23,6 @@ __all__ = [
     "build_chart",
     "flow",
     "hitting_time",
-    "antiderivative",
     "trajectories",
     "antideriv_chain",
     "flow_moment_apply",
@@ -328,34 +327,6 @@ def antideriv_chain(chart: CollarChart, w, points, depth: int = 1,
         return _chain_kernel(depth, s), np.asarray(w(pos), dtype=complex)
 
     return _collar_quadrature(chart, points, q_panels, m_steps, term, depth)
-
-
-def antiderivative(g, chart: CollarChart, points, mask="cutoff",
-                   q_panels: int = DEFAULT_Q_PANELS, m_steps: int = DEFAULT_M_STEPS):
-    """Integral of g along the backward unit-time flow, zero outside the collar.
-
-    g must vanish off the closed collar; this is enforced by pre-multiplying
-    with a support mask: "cutoff" (the chart cutoff), "neighborhood" (a smooth
-    cutoff at the edge of the controlled neighborhood), or None when the
-    caller guarantees the support.  Returns values at the given points.
-    """
-    masked = _masked(g, chart, mask)
-    return antideriv_chain(chart, masked, points, depth=1,
-                           q_panels=q_panels, m_steps=m_steps)
-
-
-def _masked(g, chart, mask):
-    if mask is None:
-        return g
-    if mask == "cutoff":
-        return lambda p: chart.cutoff(p) * np.asarray(g(p))
-    if mask == "neighborhood":
-        def nb(p):
-            t = chart.hit_time(p)
-            m = smoothstep((1.9 - np.where(np.isfinite(t), t, 10.0)) / 0.4)
-            return m * np.asarray(g(p))
-        return nb
-    raise ParameterError(f"unknown support mask {mask!r}")
 
 
 def flow_moment_apply(chart: CollarChart, mu: int, g, points,

@@ -67,15 +67,11 @@ class SmoothFunction:
     def partial(self, beta, points, h=fd.FD_STEP):
         return fd.partial_callable(self, points, beta, h)
 
-    def dz(self, points):
+    def wirtinger(self, points):
+        """(df/dz, df/dzbar) from one pair of cartesian partials."""
         fx = self.partial((1, 0), points)
         fy = self.partial((0, 1), points)
-        return 0.5 * (fx - 1j * fy)
-
-    def dzbar(self, points):
-        fx = self.partial((1, 0), points)
-        fy = self.partial((0, 1), points)
-        return 0.5 * (fx + 1j * fy)
+        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 class Poly2(SmoothFunction):
@@ -135,11 +131,9 @@ class Holo1(SmoothFunction):
     def __call__(self, points):
         return self._deriv(0)(np.asarray(points))
 
-    def dz(self, points):
-        return self._deriv(1)(np.asarray(points))
-
-    def dzbar(self, points):
-        return np.zeros_like(np.asarray(points, dtype=complex))
+    def wirtinger(self, points):
+        points = np.asarray(points)
+        return self._deriv(1)(points), np.zeros_like(points, dtype=complex)
 
     def partial(self, beta, points, h=None):
         j = beta[0] + beta[1]
@@ -233,9 +227,8 @@ class AngularFamily(SmoothFunction):
 class RadialHolo(SmoothFunction):
     """Sum of products u_i(|z|) * h_i(z) with h_i tracked holomorphic.
 
-    Closed under the rotation field (which differentiates only the holomorphic
-    factor) and under radial fields F(|z|) d/dr, which is what the collar
-    calculus needs.
+    Closed under the rotation field, which differentiates only the holomorphic
+    factor.
     """
 
     def __init__(self, pairs):
@@ -254,18 +247,9 @@ class RadialHolo(SmoothFunction):
         """Exact d/dtheta: the theta-derivative of u(r) h(z) is u(r) * i z h'(z)."""
         return RadialHolo([(u, _i_z_dh(h)) for u, h in self.pairs])
 
-    def radial_field_applied(self, rate_fn, rate_over_r_fn):
-        """Apply F(r) d/dr: F u' h + (F/r) u * z h'(z), with u' by differences."""
-        new = []
-        for u, h in self.pairs:
-            du = _radial_derivative(u)
-            new.append((lambda r, u=u, du=du, F=rate_fn: F(r) * du(r), h))
-            new.append((lambda r, u=u, q=rate_over_r_fn: q(r) * u(r), _z_dh(h)))
-        return RadialHolo(new)
 
-
-def _z_dh(h):
-    """The tracked holomorphic function z * h'(z)."""
+def _i_z_dh(h):
+    """The tracked holomorphic function i z h'(z)."""
     def deriv(j):
         # d^j/dz^j [z h'] = z h^(j+1) + j h^(j)
         def ev(z, j=j):
@@ -273,21 +257,9 @@ def _z_dh(h):
             out = z * h._deriv(j + 1)(z)
             if j > 0:
                 out = out + j * h._deriv(j)(z)
-            return out
+            return 1j * out
         return ev
-    return Holo1(deriv, label=f"z*({h.label})'")
-
-
-def _i_z_dh(h):
-    g = _z_dh(h)
-    return Holo1(lambda j: (lambda z, j=j: 1j * g._deriv(j)(np.asarray(z))),
-                 label=f"i*{g.label}")
-
-
-def _radial_derivative(u, h=1e-5):
-    def du(r):
-        return (u(r - 2 * h) - 8 * u(r - h) + 8 * u(r + h) - u(r + 2 * h)) / (12 * h)
-    return du
+    return Holo1(deriv, label=f"i*z*({h.label})'")
 
 
 def apply_field(field, f, points, h=fd.FD_STEP):
@@ -301,9 +273,8 @@ def apply_field(field, f, points, h=fd.FD_STEP):
     b = np.asarray(field.zbar(points))
     if field.domain.kind == "ball2":
         raise NotImplementedError("field application on the ball is analytic-only")
-    if isinstance(f, SmoothFunction):
-        return a * f.dz(points) + b * f.dzbar(points)
-    fz, fzb = fd.dz_callable(f, points, h)
+    fz, fzb = (f.wirtinger(points) if isinstance(f, SmoothFunction)
+               else fd.dz_callable(f, points, h))
     return a * fz + b * fzb
 
 

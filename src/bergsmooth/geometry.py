@@ -25,9 +25,7 @@ __all__ = [
     "polar_eval_grid",
     "canonical_fields",
     "transversality_measure",
-    "complex_structure",
     "boundary_samples",
-    "grid_to_csv_rows",
 ]
 
 # Inward flow-time-2 landing radius for the transverse field, per domain.
@@ -145,9 +143,6 @@ class QuadratureGrid:
     domain: Domain
     nodes: np.ndarray          # (npts,) complex, or (npts, 2) for ball2
     weights: np.ndarray        # (npts,) positive
-    n_r: int
-    n_theta: int
-    boundary_margin: float     # evaluation-grid inset, not used for integration
 
     def integrate(self, values):
         return np.sum(self.weights * np.asarray(values))
@@ -164,7 +159,7 @@ def _gauss_on(a: float, b: float, n: int):
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
-def quadrature_grid(domain: Domain, n_r: int, n_theta: int, delta: float = 1e-3) -> QuadratureGrid:
+def quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
     """Tensor quadrature grid over the open domain.
 
     Exact (up to rounding) for radial polynomials of degree <= 2*n_r - 1 and
@@ -192,7 +187,7 @@ def quadrature_grid(domain: Domain, n_r: int, n_theta: int, delta: float = 1e-3)
         z2 = r2 * np.exp(1j * B)
         nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
         weights = (W1 * WS * WA * WB * R1 * (1.0 - R1**2) * S).ravel()
-    return QuadratureGrid(domain, nodes, weights, n_r, n_theta, delta)
+    return QuadratureGrid(domain, nodes, weights)
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,6 @@ class PolarEvalGrid:
     domain: Domain
     r: np.ndarray
     theta: np.ndarray
-    delta: float
 
     @property
     def dr(self) -> float:
@@ -250,21 +244,7 @@ def polar_eval_grid(domain: Domain, n_r: int, n_theta: int, delta: float = 1e-3,
         r_inner = domain.rho + delta if domain.kind == "annulus" else 0.05
     r = np.linspace(r_inner, 1.0 - delta, n_r)
     theta = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    return PolarEvalGrid(domain, r, theta, delta)
-
-
-def grid_to_csv_rows(grid: QuadratureGrid):
-    """Rows (coordinates..., weight) for CSV export."""
-    rows = []
-    if grid.domain.kind == "ball2":
-        for p, w in zip(grid.nodes, grid.weights):
-            rows.append([p[0].real, p[0].imag, p[1].real, p[1].imag, w])
-        header = ["re_z1", "im_z1", "re_z2", "im_z2", "weight"]
-    else:
-        for p, w in zip(grid.nodes, grid.weights):
-            rows.append([p.real, p.imag, w])
-        header = ["re_z", "im_z", "weight"]
-    return header, rows
+    return PolarEvalGrid(domain, r, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +295,6 @@ class VectorField:
         if self.domain.kind == "ball2":
             return np.sum(a * np.conj(gz) + b * gz, axis=-1)
         return a * np.conj(gz) + b * gz
-
-
-def complex_structure(fld: VectorField) -> VectorField:
-    """Rotate a real field by the complex-structure map (coefficients times i)."""
-    if not fld.real:
-        raise ContractError("complex structure rotation is defined for real fields")
-    zc = fld.z_coeffs
-    return VectorField(fld.domain, lambda p, zc=zc: 1j * zc(p),
-                       real=True, name=f"J({fld.name})")
 
 
 def collar_rate(domain: Domain) -> float:

@@ -23,6 +23,7 @@ from .geometry import (
     PolarEvalGrid,
     QuadratureGrid,
     boundary_distance,
+    boundary_samples,
     polar_eval_grid,
     quadrature_grid,
 )
@@ -188,7 +189,6 @@ def _values(h, grid):
 
 def _sup_grid_nodes(domain: Domain, n_r: int, n_th: int, delta: float):
     if domain.kind == "ball2":
-        from .geometry import boundary_samples
         sphere = boundary_samples(domain, 4 * n_th)
         r = np.linspace(0.0, 1.0 - delta, n_r)
         return (r[:, None, None] * sphere[None, :, :]).reshape(-1, 2)

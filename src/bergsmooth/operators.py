@@ -6,7 +6,7 @@ where alpha is the tuple of kernel time-weight exponents (its length is the
 number of kernel factors) and nu counts differentiations.  The tag of a
 commutator is assigned from the commutator calculus, not recomputed; its
 numerical content is the uniform-in-weight ratio bound measured by
-weighted_ratio.
+weighted_ratio_sweep.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ __all__ = [
     "commutator",
     "iterated_commutator",
     "apply_op",
-    "weighted_ratio",
     "weighted_ratio_sweep",
     "collar_ratio_grid",
     "hardy_line_case",
@@ -375,13 +374,6 @@ def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
             raise DegenerateInputError("weighted denominator vanishes identically")
         out.append(numer / denom)
     return out
-
-
-def weighted_ratio(expr: OperatorExpr, g, ell: int, chart: CollarChart,
-                   grid=None, q_panels: int = 32, m_steps: int = 64) -> float:
-    if ell > 8:
-        raise ParameterError("weight exponents up to 8 are supported")
-    return weighted_ratio_sweep(expr, g, [ell], chart, grid, q_panels, m_steps)[0]
 
 
 def hardy_line_case(n_quad: int = 64):

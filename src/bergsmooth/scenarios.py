@@ -9,6 +9,7 @@ the same code.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, asdict, fields
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bergman import build_basis, project
-from .decompose import decompose, reproduction_residual
+from .decompose import _component_closures, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import antideriv_chain, build_chart
 from .functions import AngularFamily, Holo1, Poly2
@@ -28,11 +29,7 @@ from .geometry import (
     polar_eval_grid,
     quadrature_grid,
 )
-from .norms import (
-    directional_sobolev_norm,
-    duality_sup,
-    sobolev_norm,
-)
+from .norms import NormReport, directional_sobolev_norm, duality_sup, sobolev_norm
 from .operators import abs_moment_op, collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
 
 SCENARIOS = ("ftc", "hardy", "decomposition", "conj-smoothing", "partial-smoothing",
@@ -40,6 +37,10 @@ SCENARIOS = ("ftc", "hardy", "decomposition", "conj-smoothing", "partial-smoothi
 
 __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
            "emit_report", "SCENARIOS"]
+
+# accepted JSON types per config field type; bool is never a number here
+_FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
+                "str": (str, "a string")}
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,9 @@ class ScenarioConfig:
         cfg = ScenarioConfig(**data)
         for f in fields(cfg):
             value = getattr(cfg, f.name)
-            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
-                raise ParameterError(f"{f.name} must be an integer, got {value!r}")
+            types, noun = _FIELD_TYPES[f.type]
+            if isinstance(value, bool) or not isinstance(value, types):
+                raise ParameterError(f"{f.name} must be {noun}, got {value!r}")
         if cfg.scenario not in SCENARIOS:
             raise ParameterError(f"unknown scenario {cfg.scenario!r}; "
                                  f"choose from {', '.join(SCENARIOS)}")
@@ -96,6 +98,12 @@ class ScenarioConfig:
             raise ParameterError("q_panels and m_steps must be at least 1")
         if not 0.0 < cfg.rho < 1.0:
             raise ParameterError(f"rho must lie in (0, 1), got {cfg.rho!r}")
+        if not 0.0 < cfg.delta < 0.5:
+            raise ParameterError(f"delta must lie in (0, 0.5), got {cfg.delta!r}")
+        if cfg.seed < 0:
+            raise ParameterError(f"seed must be nonnegative, got {cfg.seed!r}")
+        if not cfg.output_dir or "\0" in cfg.output_dir:
+            raise ParameterError(f"output_dir must be a nonempty path, got {cfg.output_dir!r}")
         _domain(cfg)  # an unknown domain kind raises here, not mid-run
         return cfg
 
@@ -293,7 +301,6 @@ def check_decomposition(cfg: ScenarioConfig):
                               "the singular family", env_worst <= 10.0, env_worst, 10.0))
 
     # Sobolev norms of the components are stable under evaluation refinement
-    from .decompose import _component_closures
     growth_worst = 0.0
     for k in (1, 2):
         closures = _component_closures(Holo1.inverse_power(0.9, 0.75), k, chart,
@@ -322,7 +329,7 @@ def check_decomposition(cfg: ScenarioConfig):
 def check_conj_disk(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     dom = make_domain("disk")
-    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta, cfg.delta)
+    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     basis = build_basis(dom, cfg.basis_size)
     rows = []
     worst = 0.0
@@ -342,7 +349,7 @@ def check_conj_disk(cfg: ScenarioConfig):
 def check_conj_annulus(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     dom = make_domain("annulus", rho=cfg.rho)
-    grids = {res: quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res, cfg.delta)
+    grids = {res: quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res)
              for res in (1, 2)}
     basis = build_basis(dom, cfg.basis_size)
     checks, rows = [], []
@@ -392,7 +399,7 @@ def check_conj_annulus(cfg: ScenarioConfig):
 def check_product_bound(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     dom = _domain(cfg) if cfg.domain_kind != "ball2" else make_domain("disk")
-    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta, cfg.delta)
+    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     n = dom.complex_dimension
     d = boundary_distance(dom, grid.nodes)
     k = cfg.k
@@ -436,7 +443,7 @@ def check_partial_smoothing(cfg: ScenarioConfig):
 
     t_norms = []
     for res in (1, 2):
-        grid = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res, cfg.delta)
+        grid = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res)
         t_norms.append(directional_sobolev_norm(fam, fields["T0"], 3, grid=grid))
     t_drift = abs(t_norms[1] - t_norms[0]) / t_norms[0]
     checks.append(CheckResult("C7", "tangential norm of order 3 drift under grid "
@@ -453,7 +460,7 @@ def check_partial_smoothing(cfg: ScenarioConfig):
     checks.append(CheckResult("C7", "full first-order norm estimate growth per "
                               "grid doubling", min_growth > 0.30, min_growth, 0.30))
 
-    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta, cfg.delta)
+    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     basis = build_basis(dom, cfg.basis_size)
     cv = project(f, basis, grid)
     off = np.abs(np.concatenate([cv.coeffs[:3], cv.coeffs[4:]]))
@@ -463,13 +470,12 @@ def check_partial_smoothing(cfg: ScenarioConfig):
 
     bf_norms = []
     for res in (1, 2):
-        g2 = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res, cfg.delta)
+        g2 = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res)
         cvr = project(f, basis, g2)
         bf_norms.append(sobolev_norm(cvr, 3, dom, grid=g2))
     bf_drift = abs(bf_norms[1] - bf_norms[0]) / bf_norms[0]
     checks.append(CheckResult("C7", "projection Sobolev-3 norm drift under grid "
                               "doubling", bf_drift < 0.02, bf_drift, 0.02))
-    from .norms import NormReport
     reports = [
         NormReport(t_norms[0], "HkT", {"k": 3, "grid": f"{cfg.n_r}x{cfg.n_theta}"}),
         NormReport(t_norms[1], "HkT", {"k": 3, "grid": f"{2 * cfg.n_r}x{2 * cfg.n_theta}"}),
@@ -491,7 +497,7 @@ def check_partial_smoothing(cfg: ScenarioConfig):
 def check_duality(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     dom = make_domain("disk")
-    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta, cfg.delta)
+    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     bases = {nb: build_basis(dom, nb) for nb in (cfg.basis_size, 2 * cfg.basis_size)}
     rows = []
     c_emp = {nb: 0.0 for nb in bases}
@@ -556,8 +562,6 @@ def _format_cell(x):
 
 def emit_report(bundle: ReportBundle, output_dir: str):
     """Write summary.txt, one CSV per table, and the config echo; stable order."""
-    import os
-
     os.makedirs(output_dir, exist_ok=True)
     paths = []
     for name in sorted(bundle.tables):

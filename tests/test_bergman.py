@@ -3,7 +3,6 @@ import pytest
 
 from bergsmooth.bergman import (
     build_basis,
-    coefficients_to_csv_rows,
     gram_matrix,
     kernel_eval,
     project,
@@ -170,11 +169,3 @@ def test_kernel_series_consistency(disk, rng):
         floor = 1e-14 * abs(exact)  # rounding floor once the tail is subnormal
         assert errs[1] <= max(errs[0], floor)
         assert errs[2] <= max(errs[1], floor)
-
-
-def test_coefficient_csv(disk_basis):
-    from bergsmooth.bergman import CoefficientVector
-    cv = CoefficientVector(disk_basis, np.arange(32, dtype=complex))
-    header, rows = coefficients_to_csv_rows(cv)
-    assert header == ["index", "re", "im"]
-    assert rows[3] == [3, 3.0, 0.0]

@@ -13,13 +13,9 @@ from bergsmooth.errors import (
 )
 from bergsmooth.flow import build_chart, flow
 from bergsmooth.functions import Holo1
-from bergsmooth.geometry import (
-    boundary_samples,
-    grid_to_csv_rows,
-    quadrature_grid,
-)
+from bergsmooth.geometry import boundary_samples, quadrature_grid
 from bergsmooth.norms import duality_sup, sobolev_norm
-from bergsmooth.operators import abs_moment_op, kernel_op, weighted_ratio
+from bergsmooth.operators import kernel_op
 
 
 def test_defining_function_vanishes_on_boundary(disk, annulus, ball2):
@@ -73,23 +69,6 @@ def test_duality_conditioning_error(disk):
     assert err.value.truncation == 64
 
 
-def test_weighted_ratio_weight_cap(disk):
-    chart = build_chart(disk)
-    with pytest.raises(ParameterError):
-        weighted_ratio(abs_moment_op(0), lambda p: chart.cutoff(p), 9, chart)
-
-
 def test_sobolev_order_cap(disk):
     with pytest.raises(ParameterError):
         sobolev_norm(Holo1.constant(1.0), 4, disk)
-
-
-def test_grid_csv_rows(disk, ball2):
-    g = quadrature_grid(disk, 4, 8)
-    header, rows = grid_to_csv_rows(g)
-    assert header == ["re_z", "im_z", "weight"]
-    assert len(rows) == 32
-    gb = quadrature_grid(ball2, 4, 4)
-    header_b, rows_b = grid_to_csv_rows(gb)
-    assert header_b == ["re_z1", "im_z1", "re_z2", "im_z2", "weight"]
-    assert len(rows_b[0]) == 5

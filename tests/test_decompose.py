@@ -199,10 +199,3 @@ def test_component_norm_stability_under_refinement(chart, disk):
     for nb, nf in zip(base.component_norms, fine.component_norms):
         assert nf <= 1.5 * nb
         assert nb <= 1.5 * nf
-
-
-def test_result_csv(chart):
-    res = decompose(H_SET["z"], 1, chart)
-    header, rows = res.csv_rows()
-    assert header == ["component", "norm", "ratio", "residual"]
-    assert len(rows) == 2

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from bergsmooth.errors import NotInCollarError
 from bergsmooth.flow import (
     antideriv_chain,
-    antiderivative,
     build_chart,
     flow,
     flow_moment_apply,
     hitting_time,
     trajectories,
 )
-from bergsmooth.functions import Poly2
+from bergsmooth.functions import Poly2, smoothstep
 from bergsmooth.geometry import boundary_samples, polar_eval_grid
 
 
@@ -147,6 +146,11 @@ def test_flow_submodule_not_shadowed():
     assert flow_module.flow is flow
 
 
+def cutoff_masked(chart, g):
+    """g times the chart cutoff, so that it vanishes off the collar."""
+    return lambda p: chart.cutoff(p) * np.asarray(g(p))
+
+
 def masked_ng(chart, w):
     """Analytic application of the transverse field to cutoff * w."""
     def ng(p):
@@ -179,8 +183,12 @@ def test_flow_group_property(s, t, r, th):
     chart = build_chart(__import__("bergsmooth.geometry", fromlist=["make_domain"])
                         .make_domain("disk"))
     x = np.array([r * np.exp(1j * th)])
-    one = flow(chart.field, s, flow(chart.field, t, x, 64), 64)
-    two = flow(chart.field, s + t, x, 64)
+    # outward flows from r = 0.9 for times up to 0.8 leave the chart, where
+    # flow raises by contract (test_flow_escape_error); the group property
+    # is a property of the RK4 map, so the escape test is off here
+    one = flow(chart.field, s, flow(chart.field, t, x, 64, escape_bound=None), 64,
+               escape_bound=None)
+    two = flow(chart.field, s + t, x, 64, escape_bound=None)
     assert abs(one[0] - two[0]) < 1e-9
 
 
@@ -273,21 +281,9 @@ def test_cutoff_derivatives_bounded(disk_chart):
 
 def test_antiderivative_zero(disk_chart):
     pts = np.array([0.9 + 0.0j, 0.6 + 0.3j])
-    out = antiderivative(lambda p: np.zeros_like(p), disk_chart, pts)
+    out = antideriv_chain(disk_chart, cutoff_masked(disk_chart, lambda p: np.zeros_like(p)),
+                          pts, depth=1)
     assert np.all(out == 0)
-
-
-def test_ftc_identity_tracked_product(disk_chart):
-    # the transverse field applied to the tracked pair (cutoff profile, h)
-    # feeds the reproduction identity directly
-    from bergsmooth.decompose import cutoff_times
-    from bergsmooth.functions import Holo1
-    zh = cutoff_times(disk_chart, Holo1.from_coeffs([0.4, 1.0, 0.2j]))
-    ng = zh.radial_field_applied(disk_chart.speed, disk_chart.speed_over_r)
-    r = np.exp(-disk_chart.rate * np.linspace(0.02, 1.3, 12))
-    pts = (r[:, None] * np.exp(1j * np.linspace(0, 2 * np.pi, 8, endpoint=False))).ravel()
-    back = antideriv_chain(disk_chart, ng, pts, depth=1)
-    assert np.max(np.abs(back - zh(pts))) < 1e-6
 
 
 def test_ftc_identity(disk_chart, annulus_chart, rng):
@@ -307,11 +303,19 @@ def test_ftc_identity(disk_chart, annulus_chart, rng):
 
 def test_antiderivative_radial_closed_form(disk_chart):
     # plain |z| masked to the controlled neighborhood: on points whose whole
-    # trajectory stays where the mask is 1, the integral is |z|(1-e^{-c})/c
+    # trajectory stays where the mask is 1, the integral is |z|(1-e^{-c})/c.
+    # The integrand reaches hit time 1.4 (0.4 plus the unit flow time), past
+    # the collar {hit time < 1} off which antideriv_chain's contract says it
+    # vanishes: a quadrature that skips nodes past the collar (ROADMAP,
+    # support-aware trajectory quadrature) must take this test into account.
     c = disk_chart.rate
+
+    def neighborhood_masked(p):
+        t = disk_chart.hit_time(p)
+        return smoothstep((1.9 - np.where(np.isfinite(t), t, 10.0)) / 0.4) * np.abs(p)
+
     pts = np.exp(-c * np.array([0.05, 0.2, 0.4])).astype(complex)
-    out = antiderivative(lambda p: np.abs(p).astype(complex), disk_chart, pts,
-                         mask="neighborhood")
+    out = antideriv_chain(disk_chart, neighborhood_masked, pts, depth=1)
     expect = np.abs(pts) * (1 - np.exp(-c)) / c
     np.testing.assert_allclose(out, expect, atol=1e-9)
 
@@ -341,6 +345,7 @@ def test_support_mask_dependence(disk_chart, rng):
     w = Poly2.random(rng, degree=2)
     bump_inside = lambda p: np.where(np.abs(p) < 0.4, 7.0, 0.0)
     pts = np.exp(-disk_chart.rate * np.linspace(0.02, 0.9, 9)).astype(complex)
-    a = antiderivative(w, disk_chart, pts)
-    b = antiderivative(lambda p: w(p) + bump_inside(p), disk_chart, pts)
+    a = antideriv_chain(disk_chart, cutoff_masked(disk_chart, w), pts, depth=1)
+    b = antideriv_chain(disk_chart, cutoff_masked(disk_chart, lambda p: w(p) + bump_inside(p)),
+                        pts, depth=1)
     np.testing.assert_allclose(a, b, atol=1e-13)

@@ -9,7 +9,6 @@ from bergsmooth.geometry import (
     boundary_samples,
     canonical_fields,
     collar_rate,
-    complex_structure,
     make_domain,
     quadrature_grid,
     transversality_measure,
@@ -176,10 +175,3 @@ def test_transversality_measure_examples(disk, ball2):
 def test_transversality_requires_tangential(disk):
     with pytest.raises(ContractError):
         transversality_measure(canonical_fields(disk)["N"], disk)
-
-
-def test_complex_structure_rotates(disk):
-    t0 = canonical_fields(disk)["T0"]
-    j = complex_structure(t0)
-    z = 0.4 + 0.1j
-    assert j.z_coeffs(z) == pytest.approx(1j * t0.z_coeffs(z))

@@ -1,20 +1,32 @@
-import json
+import dataclasses
 import filecmp
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergsmooth
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
+    SCENARIOS,
     ReportBundle,
     ScenarioConfig,
     emit_report,
     run_scenario,
 )
+
+FIELDS = tuple(ScenarioConfig.__dataclass_fields__)
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=6)
 
 
 def test_config_roundtrip(tmp_path):
@@ -35,6 +47,21 @@ def test_config_validation():
         ScenarioConfig.from_dict({"scenario": "duality", "bogus": 1})
     with pytest.raises(ParameterError):
         ScenarioConfig.from_dict({"scenario": "duality", "tolerances": {"a": -1.0}})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), JSON_VALUES, max_size=5)
+       | JSON_VALUES,
+       st.sampled_from(SCENARIOS + (None,)))
+def test_config_from_arbitrary_json(data, scenario):
+    # any JSON value in any field gives a config or a ParameterError, never another error
+    if isinstance(data, dict) and scenario is not None:
+        data.setdefault("scenario", scenario)
+    try:
+        cfg = ScenarioConfig.from_dict(data)
+    except ParameterError:
+        return
+    assert ScenarioConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def run_cli(*args):
@@ -109,11 +136,24 @@ def test_cli_scenario_mismatch(tmp_path):
 
 @pytest.mark.parametrize("field", [{"rho": 1.5}, {"rho": 0.0}, {"q_panels": 0},
                                    {"m_steps": 0}, {"n_r": True}, {"seed": 1.5},
-                                   {"domain_kind": "cube"}, {"k1": 1}])
+                                   {"domain_kind": "cube"}, {"k1": 1}, {"seed": -1},
+                                   {"output_dir": 5}, {"delta": "x"}, {"rho": "0.5"},
+                                   {"delta": 0.5}, {"output_dir": ""}])
 def test_cli_out_of_range_config(tmp_path, field):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "ftc", **field}))
-    out = run_cli("run", "ftc", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    out_args = () if "output_dir" in field else ("--out", str(tmp_path / "rep"))
+    out = run_cli("run", "ftc", "--config", str(cfgfile), *out_args)
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error:")
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("content", [b"[1]", b"null", b"\xff\xfe{}"])
+def test_cli_unusable_config_file(tmp_path, content):
+    # valid JSON that is not an object, and a file that is not UTF-8
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_bytes(content)
+    out = run_cli("run", "ftc", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
