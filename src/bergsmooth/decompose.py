@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ContractError, ParameterError
 from .flow import CollarChart, antideriv_chain
 from .functions import Holo1, RadialHolo, smoothstep_prime
-from .geometry import VectorField
+from .geometry import VectorField, polar_eval_grid
 from .norms import _default_grid, weighted_negative_norm
 from .operators import commutator, compose, field_op, iterated_commutator, kernel_op, op_sum
 
@@ -34,12 +34,10 @@ __all__ = [
 ]
 
 
-def _require_rotation_chart(chart: CollarChart, fld: VectorField | None):
+def _require_rotation_chart(chart: CollarChart):
     if chart.domain.kind != "disk":
         raise ContractError("the decomposition pipeline runs on the rotation-invariant "
                             "planar chart")
-    if fld is not None and fld.name not in ("T0", "T1"):
-        raise ContractError("the conjugate field must be the canonical rotation field")
 
 
 def matched_tangential(chart: CollarChart) -> VectorField:
@@ -61,7 +59,7 @@ def cutoff_times(chart: CollarChart, h: Holo1) -> RadialHolo:
     return RadialHolo([(zeta, h)])
 
 
-def cr_reduction(h: Holo1, chart: CollarChart, fld: VectorField | None = None) -> RadialHolo:
+def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     """(N - i Tbar)[cutoff * h], reduced to (N - i Tbar)[cutoff] * h.
 
     For holomorphic h the transverse and rotation derivatives of h cancel
@@ -71,7 +69,7 @@ def cr_reduction(h: Holo1, chart: CollarChart, fld: VectorField | None = None) -
     hitting time.  The result is supported where the cutoff transitions,
     strictly inside the domain.
     """
-    _require_rotation_chart(chart, fld)
+    _require_rotation_chart(chart)
 
     def factor(r):
         t = chart.hit_time_radial(np.asarray(r, dtype=float))
@@ -80,8 +78,8 @@ def cr_reduction(h: Holo1, chart: CollarChart, fld: VectorField | None = None) -
     return RadialHolo([(factor, h)])
 
 
-def reproduction_residual(h: Holo1, k: int, chart: CollarChart, fld: VectorField | None = None,
-                   points=None, q_panels: int = 32, m_steps: int = 64) -> float:
+def reproduction_residual(h: Holo1, k: int, chart: CollarChart,
+                          q_panels: int = 32, m_steps: int = 64) -> float:
     """Sup over evaluation points of the k-step reproduction defect of cutoff * h.
 
     The identity iterates the transverse-flow reproduction: k applications of
@@ -92,9 +90,8 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart, fld: VectorField
     """
     if k < 1 or k > 3:
         raise ParameterError("reproduction identity implemented for orders 1 to 3")
-    _require_rotation_chart(chart, fld)
-    if points is None:
-        points = _default_eval_points(chart)
+    _require_rotation_chart(chart)
+    points = _default_eval_points(chart)
     zh = cutoff_times(chart, h)
     target = zh(points)
     # conjugate tangential field: -rate times the rotation action
@@ -106,7 +103,7 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart, fld: VectorField
     acc = tbar**k * antideriv_chain(chart, tk, points, depth=k,
                                     q_panels=q_panels, m_steps=m_steps)
     # corrections: i^j kernel^{j+1} [Tbar^j reduced-defect]
-    cr = cr_reduction(h, chart, fld)
+    cr = cr_reduction(h, chart)
     tj = cr
     for j in range(k):
         acc = acc + tbar**j * antideriv_chain(chart, tj, points, depth=j + 1,
@@ -115,11 +112,8 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart, fld: VectorField
     return float(np.max(np.abs(target - acc)))
 
 
-def _default_eval_points(chart: CollarChart, n_r: int = 28, n_th: int = 40):
-    r_lo = 0.35 if chart.domain.kind == "disk" else 0.45
-    r = np.linspace(r_lo, 1.0 - 2e-3, n_r)
-    th = np.linspace(0.0, 2 * np.pi, n_th, endpoint=False)
-    return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+def _default_eval_points(chart: CollarChart):
+    return polar_eval_grid(chart.domain, 28, 40, delta=2e-3, r_inner=0.35).nodes().ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +174,10 @@ class DecompositionResult:
         return header, rows
 
 
-def rotation_fd(fn, points, order: int = 1, step: float = 2e-2):
+_ROTATION_STEP = 2.5e-3
+
+
+def rotation_fd(fn, points, order: int = 1):
     """Rotation-field derivative of a closure by angular finite differences.
 
     The stencil rotates the evaluation points, so the radius (and the collar
@@ -188,11 +185,11 @@ def rotation_fd(fn, points, order: int = 1, step: float = 2e-2):
     """
     if order == 0:
         return np.asarray(fn(points), dtype=complex)
-    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * _ROTATION_STEP)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * _ROTATION_STEP
     out = np.zeros(np.shape(points), dtype=complex)
     for c, o in zip(coeff, offs):
-        out = out + c * rotation_fd(fn, points * np.exp(1j * o), order - 1, step)
+        out = out + c * rotation_fd(fn, points * np.exp(1j * o), order - 1)
     return out
 
 
@@ -222,9 +219,8 @@ def _component_closures(h: Holo1, k: int, chart: CollarChart,
     return (h0, h1, h2)
 
 
-def decompose(h: Holo1, k: int, chart: CollarChart, fld: VectorField | None = None,
-              points=None, grid=None, q_panels: int = 32, m_steps: int = 64,
-              fd_step: float = 2.5e-3) -> DecompositionResult:
+def decompose(h: Holo1, k: int, chart: CollarChart, points=None, grid=None,
+              q_panels: int = 32, m_steps: int = 64) -> DecompositionResult:
     """Split cutoff * h into conjugate-field derivatives of controlled pieces.
 
     Components are evaluated on the given points; the identity residual
@@ -235,24 +231,21 @@ def decompose(h: Holo1, k: int, chart: CollarChart, fld: VectorField | None = No
     """
     if k < 1 or k > 2:
         raise ParameterError("components implemented for orders 1 and 2")
-    _require_rotation_chart(chart, fld)
+    _require_rotation_chart(chart)
     if points is None:
         points = _default_eval_points(chart)
     closures = _component_closures(h, k, chart, q_panels, m_steps)
     comps = tuple(np.asarray(c(points), dtype=complex) for c in closures)
 
     zh = cutoff_times(chart, h)
-    recon = np.zeros_like(comps[0])
-    for m, c in enumerate(closures):
+    recon = comps[0]
+    for m, c in enumerate(closures[1:], start=1):
         # the conjugate tangential field is -rate times the rotation action
-        recon = recon + (-chart.rate) ** m * rotation_fd(c, points, order=m, step=fd_step)
+        recon = recon + (-chart.rate) ** m * rotation_fd(c, points, order=m)
     residual = float(np.max(np.abs(zh(points) - recon)))
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)
-    norms = tuple(
-        float(np.sqrt(np.sum(qgrid.weights
-                             * np.abs(np.asarray(c(qgrid.nodes), dtype=complex)) ** 2)))
-        for c in closures)
+    norms = tuple(qgrid.norm(np.asarray(c(qgrid.nodes), dtype=complex)) for c in closures)
     wk = weighted_negative_norm(h, k, chart.domain, qgrid)
     ratios = tuple(n / wk if wk > 0 else 0.0 for n in norms)
     return DecompositionResult(k, np.asarray(points), comps, residual, norms, wk, ratios)

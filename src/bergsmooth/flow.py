@@ -153,13 +153,6 @@ class CollarChart:
 
     # --- radial flow closed forms ------------------------------------------
 
-    def speed(self, r):
-        """Radial speed dr/dt of the transverse flow at radius r."""
-        if self.domain.kind in ("disk", "ball2"):
-            return self.rate * r
-        a = 1.0 + self.domain.rho**2
-        return self.rate * r * (2.0 * r**2 - a)
-
     def speed_over_r(self, r):
         if self.domain.kind in ("disk", "ball2"):
             return self.rate * np.ones_like(np.asarray(r, dtype=float))

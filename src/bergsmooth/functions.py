@@ -109,10 +109,10 @@ class Poly2(SmoothFunction):
         return p(points)
 
     @staticmethod
-    def random(rng, degree=3, scale=1.0):
+    def random(rng, degree=3):
         c = (rng.normal(size=(degree + 1, degree + 1))
              + 1j * rng.normal(size=(degree + 1, degree + 1)))
-        damp = np.array([[scale * 0.5 ** (i + j) for j in range(degree + 1)]
+        damp = np.array([[0.5 ** (i + j) for j in range(degree + 1)]
                          for i in range(degree + 1)])
         return Poly2(c * damp)
 

@@ -266,7 +266,6 @@ class VectorField:
     zbar_coeffs: Callable | None = None
     tangential: bool = False
     real: bool = False
-    type10: bool = False
     name: str = "field"
 
     def zbar(self, points):
@@ -323,7 +322,7 @@ def canonical_fields(domain: Domain) -> dict:
     def zero(p):
         return np.zeros_like(np.asarray(p))
 
-    L_n = VectorField(domain, ln_coeffs, zbar_coeffs=zero, type10=True, name="L_n")
+    L_n = VectorField(domain, ln_coeffs, zbar_coeffs=zero, name="L_n")
     T0 = VectorField(domain, lambda p: 1j * domain.defining_gradient_z(p),
                      tangential=True, real=True, name="T0")
     T1 = VectorField(domain, T0.z_coeffs, tangential=True, real=True, name="T1")

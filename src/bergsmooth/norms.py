@@ -66,7 +66,7 @@ def _multi_indices(k: int):
 
 
 def sobolev_norm(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
-                 eval_grid: PolarEvalGrid | None = None, mode: str | None = None) -> float:
+                 eval_grid: PolarEvalGrid | None = None) -> float:
     """Sobolev norm of order k: cartesian partials up to order k in L^2.
 
     Holomorphic data (coefficient vectors, tracked holomorphic functions) is
@@ -78,11 +78,7 @@ def sobolev_norm(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
         raise ParameterError(f"orders up to {MAX_ORDER} are supported")
     if grid is None:
         grid = _default_grid(domain)
-    if mode is None:
-        analytic = isinstance(f, (CoefficientVector, Holo1))
-    else:
-        analytic = mode == "analytic"
-    if analytic:
+    if isinstance(f, (CoefficientVector, Holo1)):
         return _sobolev_analytic(f, k, domain, grid)
     if domain.kind == "ball2":
         raise ContractError("finite-difference norms are planar only")
@@ -176,15 +172,15 @@ def weighted_negative_norm(h, k: int, domain: Domain,
     """L^2 norm of (boundary distance)^k times h, the order -k stand-in."""
     if grid is None:
         grid = _default_grid(domain)
-    vals = _values(h, grid)
+    vals = _values(h, grid.nodes)
     d = boundary_distance(domain, grid.nodes)
     return float(np.sqrt(np.sum(grid.weights * d ** (2 * k) * np.abs(vals) ** 2)))
 
 
-def _values(h, grid):
+def _values(h, nodes):
     if isinstance(h, CoefficientVector):
-        return synthesize(h, grid.nodes)
-    return np.asarray(h(grid.nodes), dtype=complex)
+        return synthesize(h, nodes)
+    return np.asarray(h(nodes), dtype=complex)
 
 
 def _sup_grid_nodes(domain: Domain, n_r: int, n_th: int, delta: float):
@@ -192,20 +188,15 @@ def _sup_grid_nodes(domain: Domain, n_r: int, n_th: int, delta: float):
         sphere = boundary_samples(domain, 4 * n_th)
         r = np.linspace(0.0, 1.0 - delta, n_r)
         return (r[:, None, None] * sphere[None, :, :]).reshape(-1, 2)
-    r = np.linspace(0.0, 1.0 - delta, n_r) if domain.kind == "disk" else \
-        np.linspace(domain.rho + delta, 1.0 - delta, n_r)
-    th = np.linspace(0.0, 2 * np.pi, n_th, endpoint=False)
-    return (r[:, None] * np.exp(1j * th)[None, :]).ravel()
+    r_inner = 0.0 if domain.kind == "disk" else None
+    return polar_eval_grid(domain, n_r, n_th, delta, r_inner=r_inner).nodes().ravel()
 
 
 def sup_weighted_norm(h, m: int, domain: Domain, n_r: int = 200, n_th: int = 128,
                       delta: float = 1e-3) -> float:
     """Max over a dense evaluation grid of |h| times d^(m + 2n)."""
     pts = _sup_grid_nodes(domain, n_r, n_th, delta)
-    if isinstance(h, CoefficientVector):
-        vals = synthesize(h, pts)
-    else:
-        vals = np.asarray(h(pts), dtype=complex)
+    vals = _values(h, pts)
     power = m + 2 * domain.complex_dimension
     d = boundary_distance(domain, pts)
     return float(np.max(np.abs(vals) * d**power))

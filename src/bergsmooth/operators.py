@@ -20,7 +20,7 @@ from .errors import ContractError, DegenerateInputError, ParameterError
 from .flow import (CollarChart, antideriv_chain, flow_moment_apply, _collar_quadrature,
                    _value_shape)
 from .functions import _partial, apply_field
-from .geometry import VectorField
+from .geometry import PolarEvalGrid, VectorField
 
 __all__ = [
     "OperatorExpr",
@@ -299,49 +299,25 @@ def _kernel_closure(chart, fn, node, q_panels, m_steps):
 # ---------------------------------------------------------------------------
 
 
-def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48,
-                      inset: float = 8e-3):
+def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48):
     """Uniform polar nodes covering the collar, with trapezoid weights.
 
     Inset from the boundary so finite-difference stencils on closures stay
     interior; returns (nodes, weights, hit_times).
     """
     dom = chart.domain
+    if dom.kind == "ball2":
+        raise ContractError("ratio grids are planar")
+    inset = 8e-3
     th = np.linspace(0, 2 * np.pi, n_th, endpoint=False)
-    bands = []
-    if dom.kind in ("disk", "ball2"):
-        bands.append((np.exp(-chart.rate), 1.0 - inset))
-    else:
-        r_out = _annulus_time_one_radius(chart, outer=True)
-        r_in = _annulus_time_one_radius(chart, outer=False)
-        bands.append((r_out, 1.0 - inset))
-        bands.append((dom.rho + inset, r_in))
-    nodes = []
-    weights = []
-    for r_lo, r_hi in bands:
-        r = np.linspace(r_lo, r_hi, n_r)
-        dr = r[1] - r[0]
-        w_r = np.full(n_r, dr)
-        w_r[0] *= 0.5
-        w_r[-1] *= 0.5
-        R, TH = np.meshgrid(r, th, indexing="ij")
-        W = np.outer(w_r * r, np.full(n_th, 2 * np.pi / n_th))
-        if dom.kind == "ball2":
-            raise ContractError("ratio grids are planar")
-        nodes.append((R * np.exp(1j * TH)).ravel())
-        weights.append(W.ravel())
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
+    # the collar {hit time < 1} ends at the time-one radius of each boundary circle
+    bands = [(float(chart.flow_radius(-1.0, 1.0)), 1.0 - inset)]
+    if dom.kind == "annulus":
+        bands.append((dom.rho + inset, float(chart.flow_radius(-1.0, dom.rho))))
+    grids = [PolarEvalGrid(dom, np.linspace(lo, hi, n_r), th) for lo, hi in bands]
+    nodes = np.concatenate([g.nodes().ravel() for g in grids])
+    weights = np.concatenate([g.weights().ravel() for g in grids])
     return nodes, weights, chart.hit_time(nodes)
-
-
-def _annulus_time_one_radius(chart, outer: bool):
-    a = 1.0 + chart.domain.rho**2
-    E = np.exp(2 * a * chart.rate)
-    if outer:
-        return float(np.sqrt(a * E / (2 * E - (2 - a))))
-    rho2 = chart.domain.rho**2
-    return float(np.sqrt(a * E * rho2 / ((a - 2 * rho2) + 2 * rho2 * E)))
 
 
 def _weighted_norm(values, weights, t, power):
@@ -350,14 +326,12 @@ def _weighted_norm(values, weights, t, power):
 
 
 def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
-                         grid=None, q_panels: int = 32, m_steps: int = 64):
+                         grid, q_panels: int = 32, m_steps: int = 64):
     """Ratios ||t^l expr(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l.
 
     k and nu come from the expression's class tag; the expression values are
     computed once and reweighted across the sweep.
     """
-    if grid is None:
-        grid = collar_ratio_grid(chart)
     nodes, weights, t = grid
     k = expr.tag.s_gain
     nu = expr.tag.s_deriv
@@ -376,13 +350,13 @@ def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
     return out
 
 
-def hardy_line_case(n_quad: int = 64):
+def hardy_line_case():
     """The closed one-dimensional case: f = 1 on [0, 1], weight exponent 0.
 
     Returns (lhs_squared, rhs_squared): the integral of (integral_x^1 1)^2
     equals 1/3, and 4 times the integral of t^2 equals 4/3.
     """
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = np.polynomial.legendre.leggauss(64)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     lhs2 = float(np.sum(w * (1.0 - x) ** 2))

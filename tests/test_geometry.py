@@ -168,7 +168,7 @@ def test_transversality_measure_examples(disk, ball2):
     y = VectorField(ball2,
                     lambda p: np.stack([np.conj(p[..., 1]), -np.conj(p[..., 0])], axis=-1),
                     zbar_coeffs=lambda p: np.zeros_like(p),
-                    tangential=True, type10=True)
+                    tangential=True)
     assert transversality_measure(y, ball2) == pytest.approx(0.0, abs=1e-14)
 
 

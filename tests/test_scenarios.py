@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergsmooth
+from bergsmooth import cli
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
     SCENARIOS,
@@ -29,11 +30,9 @@ JSON_VALUES = st.recursive(
     max_leaves=6)
 
 
-def test_config_roundtrip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"scenario": "duality", "seed": 7, "n_r": 16,
-                                "n_theta": 32, "basis_size": 16}))
-    cfg = ScenarioConfig.from_json(str(path))
+def test_config_roundtrip():
+    cfg = ScenarioConfig.from_dict({"scenario": "duality", "seed": 7, "n_r": 16,
+                                    "n_theta": 32, "basis_size": 16})
     assert cfg.scenario == "duality"
     assert cfg.seed == 7
 
@@ -138,7 +137,8 @@ def test_cli_scenario_mismatch(tmp_path):
                                    {"m_steps": 0}, {"n_r": True}, {"seed": 1.5},
                                    {"domain_kind": "cube"}, {"k1": 1}, {"seed": -1},
                                    {"output_dir": 5}, {"delta": "x"}, {"rho": "0.5"},
-                                   {"delta": 0.5}, {"output_dir": ""}])
+                                   {"delta": 0.5}, {"output_dir": ""},
+                                   {"domain_kind": "ball2"}])
 def test_cli_out_of_range_config(tmp_path, field):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"scenario": "ftc", **field}))
@@ -157,3 +157,44 @@ def test_cli_unusable_config_file(tmp_path, content):
     out = run_cli("run", "ftc", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error:")
+
+
+def _rejected(data, scenario):
+    """Whether the CLI must refuse this config file for this scenario."""
+    if not isinstance(data, dict):
+        return True
+    merged = {"scenario": scenario, **data}
+    if merged["scenario"] != scenario:
+        return True
+    try:
+        ScenarioConfig.from_dict(merged)
+    except ParameterError:
+        return True
+    return False
+
+
+# a known field and one of the default field values or domain kinds, which
+# often make a valid config; then arbitrary JSON, which seldom does
+CLI_CONFIGS = (
+    st.dictionaries(st.sampled_from(FIELDS), st.sampled_from(
+        tuple(dataclasses.asdict(ScenarioConfig("ftc")).values()) + ("annulus", "ball2")),
+        max_size=4)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=4), JSON_VALUES, max_size=5)
+    | JSON_VALUES)
+
+
+@settings(max_examples=200, deadline=None)
+@given(CLI_CONFIGS, st.sampled_from(SCENARIOS))
+def test_cli_exit_code_from_arbitrary_json(tmp_path_factory, data, scenario):
+    # exit 2 exactly for a config the CLI must refuse, and no exception escapes;
+    # a valid config reaches the (stubbed) runner, whose empty report passes
+    path = tmp_path_factory.mktemp("cfg") / "cfg.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_scenario",
+                   lambda cfg: ran.append(cfg) or ReportBundle(cfg.scenario, {}, [], {}))
+        mp.setattr(cli, "emit_report", lambda bundle, out: [])
+        code = cli.main(["run", scenario, "--config", str(path)])
+    assert code == (2 if _rejected(data, scenario) else 0)
+    assert len(ran) == (code == 0)
