@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, ParameterError
 from .flow import CollarChart, antideriv_chain
-from .functions import Holo1, RadialHolo, smoothstep_prime
+from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
 from .norms import _default_grid, weighted_negative_norm
 from .operators import commutator, compose, field_op, iterated_commutator, kernel_op, op_sum
@@ -71,10 +71,7 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     """
     _require_rotation_chart(chart)
 
-    def factor(r):
-        t = chart.hit_time_radial(np.asarray(r, dtype=float))
-        return 2.0 * smoothstep_prime((0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5)
-
+    factor = lambda r: -chart.cutoff_time_derivative(chart.hit_time_radial(r))
     return RadialHolo([(factor, h)])
 
 
@@ -156,13 +153,11 @@ def power_expansion(k: int, chart: CollarChart, fld: VectorField) -> dict:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    order: int
     points: np.ndarray
     components: tuple          # arrays of component values on the points
     residual: float            # sup | cutoff*h - sum Tbar^m component_m |
     component_norms: tuple
-    weighted_norm: float       # ||d^k h||
-    norm_ratios: tuple         # component norms over the weighted norm
+    norm_ratios: tuple         # component norms over the weighted norm ||d^k h||
 
     def values_csv_rows(self):
         """Per-component value dump at the evaluation points."""
@@ -248,4 +243,4 @@ def decompose(h: Holo1, k: int, chart: CollarChart, points=None, grid=None,
     norms = tuple(qgrid.norm(np.asarray(c(qgrid.nodes), dtype=complex)) for c in closures)
     wk = weighted_negative_norm(h, k, chart.domain, qgrid)
     ratios = tuple(n / wk if wk > 0 else 0.0 for n in norms)
-    return DecompositionResult(k, np.asarray(points), comps, residual, norms, wk, ratios)
+    return DecompositionResult(np.asarray(points), comps, residual, norms, ratios)

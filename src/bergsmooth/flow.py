@@ -140,16 +140,15 @@ class CollarChart:
 
     def cutoff(self, points):
         """Smooth cutoff, identically 1 for hit time <= 1/4 and 0 for >= 3/4."""
-        t = self.hit_time(points)
-        return smoothstep((0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5)
+        return self.cutoff_of_time(self.hit_time(points))
 
     def cutoff_of_time(self, t):
-        return smoothstep((0.75 - t) / 0.5)
+        """The cutoff profile at hit times t."""
+        return smoothstep(_cutoff_argument(t))
 
-    def cutoff_time_derivative(self, points):
-        """d(cutoff)/dt at the points' hit times."""
-        t = self.hit_time(points)
-        return -2.0 * smoothstep_prime((0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5)
+    def cutoff_time_derivative(self, t):
+        """d(cutoff)/dt at hit times t."""
+        return -2.0 * smoothstep_prime(_cutoff_argument(t))
 
     # --- radial flow closed forms ------------------------------------------
 
@@ -189,6 +188,12 @@ class CollarChart:
         if self.domain.kind == "ball2":
             return (radii[..., None] / safe[..., None]) * points
         return (radii / safe) * points
+
+
+def _cutoff_argument(t):
+    """The smoothstep argument of the cutoff at hit times t, with infinite times
+    (the center of the disk and ball) moved to a finite time past the collar."""
+    return (0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5
 
 
 def build_chart(domain: Domain, fields=None) -> CollarChart:

@@ -308,29 +308,20 @@ def collar_rate(domain: Domain) -> float:
 
 
 def canonical_fields(domain: Domain) -> dict:
-    """The distinguished fields: complex normal, rotation field, transverse field.
+    """The distinguished fields: the rotation field and the transverse field.
 
-    Returns {"L_n", "T0", "T1", "N"}.  T1 equals T0 on model domains.  N is the
-    complex-structure rotation of T1, oriented outward and rescaled so that the
-    inward boundary-to-collar-edge flow time is 2.
+    Returns {"T0", "N"}.  T0 has z-coefficients i times the defining gradient.
+    N is the complex-structure rotation of T0, oriented outward and rescaled so
+    that the inward boundary-to-collar-edge flow time is 2.
     """
     c = collar_rate(domain)
-
-    def ln_coeffs(p):
-        return domain.defining_gradient_z(p)
-
-    def zero(p):
-        return np.zeros_like(np.asarray(p))
-
-    L_n = VectorField(domain, ln_coeffs, zbar_coeffs=zero, name="L_n")
     T0 = VectorField(domain, lambda p: 1j * domain.defining_gradient_z(p),
                      tangential=True, real=True, name="T0")
-    T1 = VectorField(domain, T0.z_coeffs, tangential=True, real=True, name="T1")
-    # J T1 has z-coefficients i*(i d rho) = -d rho, which points inward on the
+    # J T0 has z-coefficients i*(i d rho) = -d rho, which points inward on the
     # outer circle; flip the sign so the hit time is positive inside.
     N = VectorField(domain, lambda p: c * domain.defining_gradient_z(p),
                     real=True, name="N")
-    return {"L_n": L_n, "T0": T0, "T1": T1, "N": N}
+    return {"T0": T0, "N": N}
 
 
 def transversality_measure(fld: VectorField, domain: Domain, n_samples: int = 128) -> float:

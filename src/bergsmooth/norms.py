@@ -10,7 +10,6 @@ constants drop out or are reported empirically.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .geometry import (
 )
 
 __all__ = [
-    "NormReport",
     "sobolev_norm",
     "directional_sobolev_norm",
     "weighted_negative_norm",
@@ -39,18 +37,6 @@ __all__ = [
 ]
 
 MAX_ORDER = 3
-
-
-@dataclass(frozen=True)
-class NormReport:
-    value: float
-    kind: str
-    parameters: dict = dc_field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value) and self.value >= 0):
-            if not self.parameters.get("divergent", False):
-                raise ContractError("norm must be finite and nonnegative unless flagged")
 
 
 @functools.lru_cache(maxsize=8)
@@ -131,14 +117,16 @@ def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None,
                              eval_grid: PolarEvalGrid | None = None) -> float:
     """Norm built from powers of a single tangential field.
 
-    Separated angular sums with the canonical rotation field go through the
-    exact diagonal action; anything else uses repeated directional finite
-    differences on an inset evaluation grid.
+    Separated angular sums along the rotation field (a real field with
+    z-coefficients exactly i times the defining gradient on the grid nodes) go
+    through the exact diagonal action; anything else, a multiple of it included,
+    uses repeated directional finite differences on an inset evaluation grid.
     """
     domain = fld.domain
     if grid is None:
         grid = _default_grid(domain)
-    if isinstance(f, AngularFamily) and fld.name in ("T0", "T1"):
+    if (isinstance(f, AngularFamily) and fld.real and np.array_equal(
+            fld.z_coeffs(grid.nodes), 1j * domain.defining_gradient_z(grid.nodes))):
         q = rotation_multiplier(domain)
         total = 0.0
         cur = f

@@ -29,11 +29,8 @@ from .geometry import (
     polar_eval_grid,
     quadrature_grid,
 )
-from .norms import NormReport, directional_sobolev_norm, duality_sup, sobolev_norm
+from .norms import directional_sobolev_norm, duality_sup, sobolev_norm
 from .operators import abs_moment_op, collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
-
-SCENARIOS = ("ftc", "hardy", "decomposition", "conj-smoothing", "partial-smoothing",
-             "duality")
 
 __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
            "emit_report", "SCENARIOS"]
@@ -154,6 +151,15 @@ def _band_limited(rng, n_terms=11, decay=0.65):
     return Holo1.from_coeffs(c)
 
 
+def _refinement(value_at, levels=(1, 2)):
+    """A refinement study: value_at(level) at each level and, for each step a -> b
+    between neighbouring levels, the ratio b / a and the relative drift |b - a| / a.
+    Levels may run finest first, which makes the ratio coarse over fine."""
+    values = [value_at(level) for level in levels]
+    steps = list(zip(values, values[1:]))
+    return values, [b / a for a, b in steps], [abs(b - a) / a for a, b in steps]
+
+
 # ---------------------------------------------------------------------------
 # C1: reproduction of cutoff functions through the transverse flow
 # ---------------------------------------------------------------------------
@@ -176,7 +182,7 @@ def check_ftc(cfg: ScenarioConfig):
                 wx = w.partial((1, 0), p)
                 wy = w.partial((0, 1), p)
                 radial = chart.speed_over_r(r) * (p.real * wx + p.imag * wy)
-                return (-chart.cutoff_time_derivative(p) * w(p)
+                return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
                         + chart.cutoff(p) * radial)
 
             g = chart.cutoff(pts) * w(pts)
@@ -253,10 +259,10 @@ def check_reproduction(cfg: ScenarioConfig):
     ratio_min = np.inf
     h = Holo1.from_coeffs([0.3, 1.0])
     for k in tol:
-        base = reproduction_residual(h, k, chart, q_panels=cfg.q_panels, m_steps=cfg.m_steps)
-        fine = reproduction_residual(h, k, chart, q_panels=2 * cfg.q_panels,
-                              m_steps=2 * cfg.m_steps)
-        ratio_min = min(ratio_min, base / fine)
+        _, (drop,), _ = _refinement(lambda res: reproduction_residual(
+            h, k, chart, q_panels=res * cfg.q_panels, m_steps=res * cfg.m_steps),
+            levels=(2, 1))
+        ratio_min = min(ratio_min, drop)
     checks.append(CheckResult("C3", "residual drop per resolution doubling",
                               ratio_min >= 4.0, ratio_min, 4.0))
     return checks, {"reproduction_residuals": (["h", "order", "residual", "tolerance"], rows)}
@@ -303,12 +309,13 @@ def check_decomposition(cfg: ScenarioConfig):
         closures = _component_closures(Holo1.inverse_power(0.9, 0.75), k, chart,
                                        cfg.q_panels, cfg.m_steps)
         for closure in closures:
-            vals = []
-            for n_r, n_th in ((48, 96), (96, 192)):
-                egrid = polar_eval_grid(dom, n_r, n_th, r_inner=0.4)
+            def norm_at(res):
+                egrid = polar_eval_grid(dom, 48 * res, 96 * res, r_inner=0.4)
                 samples = np.asarray(closure(egrid.nodes().ravel())).reshape(egrid.shape)
-                vals.append(sobolev_norm(samples, k, dom, eval_grid=egrid))
-            growth_worst = max(growth_worst, vals[1] / vals[0])
+                return sobolev_norm(samples, k, dom, eval_grid=egrid)
+
+            _, (growth,), _ = _refinement(norm_at)
+            growth_worst = max(growth_worst, growth)
     checks.append(CheckResult("C4", "component Sobolev norms under grid doubling",
                               growth_worst <= 1.5, growth_worst, 1.5))
     header = ["h", "order", "component", "norm", "ratio", "residual"]
@@ -365,12 +372,11 @@ def check_conj_annulus(cfg: ScenarioConfig):
     drift_worst = 0.0
     for m in (1, 2, 3):
         for k in (0, 1, 2):
-            vals = []
-            for res in (1, 2):
-                cv = project(lambda z: np.conj(z) ** m, basis, grids[res])
-                vals.append(sobolev_norm(cv, k, dom, grid=grids[res]))
-            rows.append([m, k, vals[0], vals[1]])
-            drift_worst = max(drift_worst, abs(vals[1] - vals[0]) / vals[0])
+            vals, _, (drift,) = _refinement(lambda res: sobolev_norm(
+                project(lambda z: np.conj(z) ** m, basis, grids[res]), k, dom,
+                grid=grids[res]))
+            rows.append([m, k, *vals])
+            drift_worst = max(drift_worst, drift)
     checks.append(CheckResult("C6", "projected conjugate-power norms drift under "
                               "grid doubling", drift_worst <= 1e-2, drift_worst, 1e-2))
 
@@ -435,53 +441,38 @@ def check_partial_smoothing(cfg: ScenarioConfig):
     fields = canonical_fields(dom)
     profile = lambda r: np.abs(2.0 * r - 1.0) ** 0.3
     f = AngularFamily([(3, profile)])
-    checks, rows = [], []
+    grids = {res: quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res) for res in (1, 2)}
+    basis = build_basis(dom, cfg.basis_size)
+    projections = {res: project(f, basis, grid) for res, grid in grids.items()}
+    checks = []
 
-    t_norms = []
-    for res in (1, 2):
-        grid = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res)
-        t_norms.append(directional_sobolev_norm(f, fields["T0"], 3, grid=grid))
-    t_drift = abs(t_norms[1] - t_norms[0]) / t_norms[0]
+    t_norms, _, (t_drift,) = _refinement(lambda res: directional_sobolev_norm(
+        f, fields["T0"], 3, grid=grids[res]))
     checks.append(CheckResult("C7", "tangential norm of order 3 drift under grid "
                               "doubling", t_drift < 0.02, t_drift, 0.02))
 
-    h1 = []
-    for res in (1, 2, 4):
-        egrid = polar_eval_grid(dom, 64 * res, 128 * res, delta=cfg.delta)
-        h1.append(sobolev_norm(f, 1, dom, eval_grid=egrid))
-    growths = [h1[i + 1] / h1[i] - 1.0 for i in range(2)]
-    for res, v in zip((1, 2, 4), h1):
-        rows.append([res, v])
-    min_growth = min(growths)
+    h1, h1_ratios, _ = _refinement(lambda res: sobolev_norm(
+        f, 1, dom, eval_grid=polar_eval_grid(dom, 64 * res, 128 * res, delta=cfg.delta)),
+        levels=(1, 2, 4))
+    min_growth = min(ratio - 1.0 for ratio in h1_ratios)
     checks.append(CheckResult("C7", "full first-order norm estimate growth per "
                               "grid doubling", min_growth > 0.30, min_growth, 0.30))
 
-    grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
-    basis = build_basis(dom, cfg.basis_size)
-    cv = project(f, basis, grid)
-    off = np.abs(np.concatenate([cv.coeffs[:3], cv.coeffs[4:]]))
+    off = np.abs(np.concatenate([projections[1].coeffs[:3], projections[1].coeffs[4:]]))
     checks.append(CheckResult("C7", "projection concentrates on the cubic mode "
                               "(off-mode coefficients)", float(np.max(off)) < 1e-9,
                               float(np.max(off)), 1e-9))
 
-    bf_norms = []
-    for res in (1, 2):
-        g2 = quadrature_grid(dom, cfg.n_r * res, cfg.n_theta * res)
-        cvr = project(f, basis, g2)
-        bf_norms.append(sobolev_norm(cvr, 3, dom, grid=g2))
-    bf_drift = abs(bf_norms[1] - bf_norms[0]) / bf_norms[0]
+    bf_norms, _, (bf_drift,) = _refinement(lambda res: sobolev_norm(
+        projections[res], 3, dom, grid=grids[res]))
     checks.append(CheckResult("C7", "projection Sobolev-3 norm drift under grid "
                               "doubling", bf_drift < 0.02, bf_drift, 0.02))
-    reports = [
-        NormReport(t_norms[0], "HkT", {"k": 3, "grid": f"{cfg.n_r}x{cfg.n_theta}"}),
-        NormReport(t_norms[1], "HkT", {"k": 3, "grid": f"{2 * cfg.n_r}x{2 * cfg.n_theta}"}),
-        NormReport(h1[0], "Hk", {"k": 1, "grid": "64x128", "divergent": True}),
-        NormReport(h1[2], "Hk", {"k": 1, "grid": "256x512", "divergent": True}),
-        NormReport(bf_norms[0], "Hk", {"k": 3, "grid": f"{cfg.n_r}x{cfg.n_theta}"}),
-    ]
-    norm_rows = [[r.kind, r.parameters["k"], r.value, r.parameters["grid"]]
-                 for r in reports]
-    return checks, {"partial_smoothing": (["quantity", "value"], rows),
+    grid_1, grid_2 = f"{cfg.n_r}x{cfg.n_theta}", f"{2 * cfg.n_r}x{2 * cfg.n_theta}"
+    norm_rows = [["HkT", 3, t_norms[0], grid_1], ["HkT", 3, t_norms[1], grid_2],
+                 ["Hk", 1, h1[0], "64x128"], ["Hk", 1, h1[2], "256x512"],
+                 ["Hk", 3, bf_norms[0], grid_1]]
+    return checks, {"partial_smoothing": (["quantity", "value"],
+                                          [[res, v] for res, v in zip((1, 2, 4), h1)]),
                     "norm_reports": (["kind", "k", "value", "grid"], norm_rows)}
 
 
@@ -494,24 +485,27 @@ def check_duality(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     dom = make_domain("disk")
     grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
-    bases = {nb: build_basis(dom, nb) for nb in (cfg.basis_size, 2 * cfg.basis_size)}
     rows = []
-    c_emp = {nb: 0.0 for nb in bases}
     fs = [_band_limited(rng) for _ in range(20)]
-    for k in (1, 2):
-        for i, f in enumerate(fs):
-            nk = sobolev_norm(f, k, dom, grid=grid)
-            for nb, basis in bases.items():
-                ds = duality_sup(f, k, basis, grid)
-                c_emp[nb] = max(c_emp[nb], nk / ds)
-                if nb == cfg.basis_size:
-                    rows.append([k, i, ds, nk, nk / ds])
-    drift = c_emp[2 * cfg.basis_size] / c_emp[cfg.basis_size]
+    nks = {(k, i): sobolev_norm(f, k, dom, grid=grid) for k in (1, 2)
+           for i, f in enumerate(fs)}
+
+    def constant_at(nb):
+        basis = build_basis(dom, nb)
+        c = 0.0
+        for (k, i), nk in nks.items():
+            ds = duality_sup(fs[i], k, basis, grid)
+            c = max(c, nk / ds)
+            if nb == cfg.basis_size:
+                rows.append([k, i, ds, nk, nk / ds])
+        return c
+
+    c_emp, (drift,), _ = _refinement(constant_at, levels=(cfg.basis_size,
+                                                          2 * cfg.basis_size))
     drift = max(drift, 1.0 / drift)
     checks = [
         CheckResult("C8", "empirical duality constant (finite, single constant "
-                    "across the family)", np.isfinite(c_emp[cfg.basis_size]),
-                    c_emp[cfg.basis_size], float("inf")),
+                    "across the family)", np.isfinite(c_emp[0]), c_emp[0], float("inf")),
         CheckResult("C8", "duality constant drift under basis doubling",
                     drift < 2.0, drift, 2.0),
     ]
@@ -532,6 +526,9 @@ _SCENARIO_CHECKS = {
     "partial-smoothing": (check_partial_smoothing,),
     "duality": (check_duality,),
 }
+
+
+SCENARIOS = tuple(_SCENARIO_CHECKS)
 
 
 def run_scenario(cfg: ScenarioConfig) -> ReportBundle:

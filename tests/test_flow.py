@@ -158,7 +158,8 @@ def masked_ng(chart, w):
         wx = w.partial((1, 0), p)
         wy = w.partial((0, 1), p)
         radial = chart.speed_over_r(r) * (p.real * wx + p.imag * wy)
-        return -chart.cutoff_time_derivative(p) * w(p) + chart.cutoff(p) * radial
+        return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
+                + chart.cutoff(p) * radial)
     return ng
 
 

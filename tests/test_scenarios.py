@@ -1,7 +1,7 @@
 import dataclasses
-import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergsmooth
-from bergsmooth import cli
+from bergsmooth import cli, scenarios
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
     SCENARIOS,
     ReportBundle,
     ScenarioConfig,
+    _refinement,
     emit_report,
     run_scenario,
 )
@@ -90,15 +91,53 @@ def test_duality_scenario_table_schema(tmp_path):
     assert bundle.all_passed
 
 
-def test_scenario_deterministic(tmp_path):
-    cfg = ScenarioConfig.from_dict({"scenario": "hardy", "seed": 11,
-                                    "q_panels": 8, "m_steps": 16})
+# the two summary lines of ftc that read the wall clock: C1's runtime and the
+# pass count that includes its verdict
+CLOCK_LINES = re.compile(r"^(\[(PASS|FAIL)\] C1: flow reproduction runtime \(s\).*"
+                         r"|criteria: \d+/\d+ passed)$", re.M)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_scenario_deterministic(tmp_path, scenario):
+    cfg = ScenarioConfig.from_dict({"scenario": scenario, "seed": 11, "q_panels": 8,
+                                    "m_steps": 16, "n_r": 16, "n_theta": 32,
+                                    "basis_size": 16})
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     emit_report(run_scenario(cfg), str(out1))
     emit_report(run_scenario(cfg), str(out2))
-    for name in ("hardy_ratios.csv", "summary.txt"):
-        assert filecmp.cmp(out1 / name, out2 / name, shallow=False), name
+    names = sorted(os.listdir(out1))
+    assert names == sorted(os.listdir(out2))
+    assert "summary.txt" in names and any(n.endswith(".csv") for n in names)
+    for name in names:
+        first, second = ((out / name).read_text() for out in (out1, out2))
+        if scenario == "ftc" and name == "summary.txt":
+            first, second = (CLOCK_LINES.sub("<clock>", text) for text in (first, second))
+        assert first == second, name
+
+
+def test_refinement_values_ratios_and_drifts():
+    values, ratios, drifts = _refinement(lambda res: 10.0 / res**2, levels=(1, 2, 4))
+    assert values == [10.0, 2.5, 0.625]
+    assert ratios == [0.25, 0.25]
+    assert drifts == [0.75, 0.75]
+    # finest first, the ratio is coarse over fine
+    values, ratios, drifts = _refinement(lambda res: 10.0 / res**2, levels=(2, 1))
+    assert values == [2.5, 10.0]
+    assert ratios == [4.0]
+    assert drifts == [3.0]
+
+
+def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):
+    calls = {"quadrature_grid": 0, "project": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(scenarios, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(scenarios, name, counted)
+    scenarios.check_partial_smoothing(ScenarioConfig.from_dict(
+        {"scenario": "partial-smoothing", "n_r": 16, "n_theta": 32, "basis_size": 16}))
+    assert calls == {"quadrature_grid": 2, "project": 2}
 
 
 def test_cli_list():
