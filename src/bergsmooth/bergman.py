@@ -87,9 +87,6 @@ class CoefficientVector:
         if len(self.coeffs) != self.basis.size:
             raise ContractError("coefficient count does not match basis size")
 
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
-
 
 def _planar_norm(domain: Domain, k: int) -> float:
     if domain.kind == "disk":
@@ -210,13 +207,13 @@ def annulus_kernel_tail_bound(rho: float, t_abs: float, kp: int, km: int) -> flo
     return tail_pos + tail_neg
 
 
-def _annulus_truncation(rho: float, t_abs: float, tol: float, cap: int = 4000):
+def _annulus_truncation(rho: float, t_abs: float, tol: float):
     if t_abs >= 1.0 or t_abs <= rho**2:
         raise ParameterError("annulus kernel series needs rho^2 < |z wbar| < 1")
     kp = km = 8
     while annulus_kernel_tail_bound(rho, t_abs, kp, km) > tol:
         kp += 8
         km += 8
-        if kp > cap:
+        if kp > 4000:
             raise ParameterError("kernel truncation bound unattainable this close to the boundary")
     return kp, km

@@ -75,8 +75,7 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     return RadialHolo([(factor, h)])
 
 
-def reproduction_residual(h: Holo1, k: int, chart: CollarChart,
-                          q_panels: int = 32, m_steps: int = 64) -> float:
+def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:
     """Sup over evaluation points of the k-step reproduction defect of cutoff * h.
 
     The identity iterates the transverse-flow reproduction: k applications of
@@ -97,14 +96,12 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart,
     tk = zh
     for _ in range(k):
         tk = tk.rotation_applied()
-    acc = tbar**k * antideriv_chain(chart, tk, points, depth=k,
-                                    q_panels=q_panels, m_steps=m_steps)
+    acc = tbar**k * antideriv_chain(chart, tk, points, depth=k)
     # corrections: i^j kernel^{j+1} [Tbar^j reduced-defect]
     cr = cr_reduction(h, chart)
     tj = cr
     for j in range(k):
-        acc = acc + tbar**j * antideriv_chain(chart, tj, points, depth=j + 1,
-                                              q_panels=q_panels, m_steps=m_steps)
+        acc = acc + tbar**j * antideriv_chain(chart, tj, points, depth=j + 1)
         tj = tj.rotation_applied()
     return float(np.max(np.abs(target - acc)))
 
@@ -188,8 +185,7 @@ def rotation_fd(fn, points, order: int = 1):
     return out
 
 
-def _component_closures(h: Holo1, k: int, chart: CollarChart,
-                        q_panels: int, m_steps: int):
+def _component_closures(h: Holo1, k: int, chart: CollarChart):
     """Component value closures for orders one and two.
 
     On the rotation-invariant charts the commutator coefficients vanish and
@@ -201,8 +197,7 @@ def _component_closures(h: Holo1, k: int, chart: CollarChart,
     cr = cr_reduction(h, chart)
 
     def chain(w, depth):
-        return lambda p, w=w, depth=depth: antideriv_chain(
-            chart, w, p, depth=depth, q_panels=q_panels, m_steps=m_steps)
+        return lambda p, w=w, depth=depth: antideriv_chain(chart, w, p, depth=depth)
 
     if k == 1:
         h0 = chain(cr, 1)
@@ -214,8 +209,8 @@ def _component_closures(h: Holo1, k: int, chart: CollarChart,
     return (h0, h1, h2)
 
 
-def decompose(h: Holo1, k: int, chart: CollarChart, points=None, grid=None,
-              q_panels: int = 32, m_steps: int = 64) -> DecompositionResult:
+def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
+              grid=None) -> DecompositionResult:
     """Split cutoff * h into conjugate-field derivatives of controlled pieces.
 
     Components are evaluated on the given points; the identity residual
@@ -229,7 +224,7 @@ def decompose(h: Holo1, k: int, chart: CollarChart, points=None, grid=None,
     _require_rotation_chart(chart)
     if points is None:
         points = _default_eval_points(chart)
-    closures = _component_closures(h, k, chart, q_panels, m_steps)
+    closures = _component_closures(h, k, chart)
     comps = tuple(np.asarray(c(points), dtype=complex) for c in closures)
 
     zh = cutoff_times(chart, h)

@@ -101,12 +101,16 @@ class CollarChart:
     The chart is built on the rescaled outward transverse field, so the
     hitting time is positive inside, zero on the boundary, and the collar
     {hit time < 1} sits inside the neighborhood {hit time < 2} where the
-    field is controlled.
+    field is controlled.  It also carries the trajectory resolution of every
+    computation along the flow: q_panels Gauss panels per unit time, and
+    m_steps, a floor on the RK4 steps per unit time (see trajectories).
     """
 
     domain: Domain
     field: VectorField
     rate: float
+    q_panels: int = DEFAULT_Q_PANELS
+    m_steps: int = DEFAULT_M_STEPS
 
     # --- hitting time, closed form per model domain -----------------------
 
@@ -196,10 +200,10 @@ def _cutoff_argument(t):
     return (0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5
 
 
-def build_chart(domain: Domain, fields=None) -> CollarChart:
-    if fields is None:
-        fields = canonical_fields(domain)
-    return CollarChart(domain, fields["N"], collar_rate(domain))
+def build_chart(domain: Domain, q_panels: int = DEFAULT_Q_PANELS,
+                m_steps: int = DEFAULT_M_STEPS) -> CollarChart:
+    return CollarChart(domain, canonical_fields(domain)["N"], collar_rate(domain),
+                       q_panels, m_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +211,9 @@ def build_chart(domain: Domain, fields=None) -> CollarChart:
 # ---------------------------------------------------------------------------
 
 
-def hitting_time(chart: CollarChart, x, n_steps: int = DEFAULT_M_STEPS,
-                 tol: float = 1e-10, max_time: float = 2.0):
-    """Boundary hitting time by bisection on the defining function along the flow."""
+def hitting_time(chart: CollarChart, x):
+    """Boundary hitting time by bisection on the defining function along the flow,
+    RK4 at the chart's m_steps, to a tolerance of 1e-10 within the time window [0, 2]."""
     x = np.asarray(x, dtype=complex)
     scalar = _value_shape(chart.domain, x) == ()
     pts = x[None, ...] if scalar else x
@@ -217,14 +221,14 @@ def hitting_time(chart: CollarChart, x, n_steps: int = DEFAULT_M_STEPS,
     if np.any(rho0 > 1e-12):
         raise ContractError("hitting time needs points in the closed domain")
     hi_val = chart.domain.defining_function(
-        flow(chart.field, max_time, pts, n_steps, escape_bound=None, clamp_radius=4.0))
+        flow(chart.field, 2.0, pts, chart.m_steps, escape_bound=None, clamp_radius=4.0))
     if np.any(hi_val < 0):
         raise NotInCollarError("no boundary crossing within the time window")
     lo = np.zeros_like(rho0)
-    hi = np.full_like(lo, max_time)
-    while np.max(hi - lo) > tol:
+    hi = np.full_like(lo, 2.0)
+    while np.max(hi - lo) > 1e-10:
         mid = 0.5 * (lo + hi)
-        moved = _rk4(chart.field, mid, pts, n_steps, clamp_radius=4.0)
+        moved = _rk4(chart.field, mid, pts, chart.m_steps, clamp_radius=4.0)
         below = chart.domain.defining_function(moved) < 0
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
@@ -237,12 +241,13 @@ def hitting_time(chart: CollarChart, x, n_steps: int = DEFAULT_M_STEPS,
 # ---------------------------------------------------------------------------
 
 
-def trajectories(chart: CollarChart, points, s_values, n_steps: int = DEFAULT_M_STEPS):
+def trajectories(chart: CollarChart, points, s_values, n_steps: int):
     """RK4 positions along the backward flow at each (sorted descending) time.
 
     Each gap between successive times takes ceil(gap * n_steps) steps, at least
     one, so n_steps is a floor on the rate: the 128 Gauss nodes of 32 panels per
-    unit time get 128 steps per unit time for every n_steps up to 94."""
+    unit time get 128 steps per unit time for every n_steps up to 94.  The
+    chart's quadrature passes its own m_steps."""
     points = np.asarray(points, dtype=complex)
     s = np.asarray(s_values, dtype=float)
     order = np.argsort(-s)
@@ -290,11 +295,11 @@ def _chain_kernel(depth: int, u):
     raise ParameterError("chain depth up to 3 is supported")
 
 
-def _collar_quadrature(chart, points, q_panels, m_steps, term, depth=1):
-    """Gauss quadrature along the backward trajectories of the collar points, zero
-    off the collar: on each [-(j+1), -j], j < depth, term(s, pts, pos, t) gives the
-    node weight factors and the (node, point) values at the positions pos of the
-    live points pts with hit times t."""
+def _collar_quadrature(chart, points, term, depth=1):
+    """Gauss quadrature along the backward trajectories of the collar points at the
+    chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth,
+    term(s, pts, pos, t) gives the node weight factors and the (node, point) values
+    at the positions pos of the live points pts with hit times t."""
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
     live = np.isfinite(t) & (t < 1.0)
@@ -304,31 +309,28 @@ def _collar_quadrature(chart, points, q_panels, m_steps, term, depth=1):
     pts = points[live]
     total = 0.0
     for j in range(depth):
-        s, weights = _panel_nodes(-(j + 1.0), -float(j), q_panels)
-        factor, values = term(s, pts, trajectories(chart, pts, s, m_steps), t[live])
+        s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
+        factor, values = term(s, pts, trajectories(chart, pts, s, chart.m_steps), t[live])
         total = total + np.tensordot(weights * factor, values, axes=(0, 0))
     out[live] = total
     return out
 
 
-def antideriv_chain(chart: CollarChart, w, points, depth: int = 1,
-                    q_panels: int = DEFAULT_Q_PANELS, m_steps: int = DEFAULT_M_STEPS):
+def antideriv_chain(chart: CollarChart, w, points, depth: int = 1):
     """depth-fold anti-differentiation of a collar-supported function.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
-    whenever w vanishes off the collar, which the cutoff guarantees.  m_steps is
-    a floor on the RK4 steps per unit time (see trajectories).  Returns values
-    at points, zero outside the collar.
+    whenever w vanishes off the collar, which the cutoff guarantees.  Returns
+    values at points, zero outside the collar.
     """
     def term(s, pts, pos, t):
         return _chain_kernel(depth, s), np.asarray(w(pos), dtype=complex)
 
-    return _collar_quadrature(chart, points, q_panels, m_steps, term, depth)
+    return _collar_quadrature(chart, points, term, depth)
 
 
-def flow_moment_apply(chart: CollarChart, mu: int, g, points,
-                      q_panels: int = DEFAULT_Q_PANELS, m_steps: int = DEFAULT_M_STEPS):
+def flow_moment_apply(chart: CollarChart, mu: int, g, points):
     """The Hardy majorant: integral of (hit time at the flow point)^mu * |g o flow|.
 
     The hitting time along the trajectory is the base hitting time minus the
@@ -337,4 +339,4 @@ def flow_moment_apply(chart: CollarChart, mu: int, g, points,
     def term(s, pts, pos, t):
         return 1.0, (t[None, :] - s[:, None]) ** mu * np.abs(np.asarray(g(pos)))
 
-    return _collar_quadrature(chart, points, q_panels, m_steps, term).real
+    return _collar_quadrature(chart, points, term).real

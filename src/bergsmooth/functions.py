@@ -64,8 +64,8 @@ class SmoothFunction:
     def __call__(self, points):
         raise NotImplementedError
 
-    def partial(self, beta, points, h=fd.FD_STEP):
-        return fd.partial_callable(self, points, beta, h)
+    def partial(self, beta, points):
+        return fd.partial_callable(self, points, beta)
 
     def wirtinger(self, points):
         """(df/dz, df/dzbar) from one pair of cartesian partials."""
@@ -100,7 +100,7 @@ class Poly2(SmoothFunction):
         k = np.arange(1, c.shape[1])
         return Poly2(c[:, 1:] * k[None, :])
 
-    def partial(self, beta, points, h=None):
+    def partial(self, beta, points):
         p = self
         for _ in range(beta[0]):
             p = p._der(0)
@@ -135,7 +135,7 @@ class Holo1(SmoothFunction):
         points = np.asarray(points)
         return self._deriv(1)(points), np.zeros_like(points, dtype=complex)
 
-    def partial(self, beta, points, h=None):
+    def partial(self, beta, points):
         j = beta[0] + beta[1]
         return (1j) ** beta[1] * self._deriv(j)(np.asarray(points))
 
@@ -213,15 +213,10 @@ class AngularFamily(SmoothFunction):
             out = out + u(r) * np.exp(1j * m * th)
         return out
 
-    def rotation_applied(self, multiplier_fn=None):
-        """d/dtheta term-by-term; an optional radial multiplier q(r) rides along."""
-        new = []
-        for m, u in self.terms:
-            if multiplier_fn is None:
-                new.append((m, lambda r, u=u, m=m: 1j * m * u(r)))
-            else:
-                new.append((m, lambda r, u=u, m=m: 1j * m * multiplier_fn(r) * u(r)))
-        return AngularFamily(new)
+    def rotation_applied(self, multiplier_fn):
+        """d/dtheta term-by-term, with the radial multiplier q(r) riding along."""
+        return AngularFamily([(m, lambda r, u=u, m=m: 1j * m * multiplier_fn(r) * u(r))
+                              for m, u in self.terms])
 
 
 class RadialHolo(SmoothFunction):

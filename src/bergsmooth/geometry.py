@@ -83,8 +83,8 @@ class Domain:
             return np.sqrt(np.sum(np.abs(points) ** 2, axis=-1))
         return np.abs(points)
 
-    def contains(self, points, tol=1e-12):
-        return self.defining_function(points) < tol
+    def contains(self, points):
+        return self.defining_function(points) < 1e-12
 
     def __str__(self):
         if self.kind == "annulus":
@@ -226,9 +226,6 @@ class PolarEvalGrid:
         W = np.outer(w_r * self.r, np.full(self.theta.size, self.dtheta))
         return W
 
-    def integrate(self, samples):
-        return np.sum(self.weights() * np.asarray(samples))
-
     def norm(self, samples):
         return float(np.sqrt(np.sum(self.weights() * np.abs(samples) ** 2)))
 
@@ -279,13 +276,6 @@ class VectorField:
             raise ContractError(f"field {self.name!r} is not real; it has no flow")
         return self.z_coeffs(points)
 
-    def scale(self, points):
-        """Pointwise magnitude of the coefficient vector, for tolerance scaling."""
-        a = np.asarray(self.z_coeffs(points))
-        if self.domain.kind == "ball2":
-            return np.sqrt(np.sum(np.abs(a) ** 2, axis=-1))
-        return np.abs(a)
-
     def applied_to_defining(self, points):
         """The field applied to the defining function (exact, using d rho)."""
         gz = self.domain.defining_gradient_z(points)
@@ -324,15 +314,15 @@ def canonical_fields(domain: Domain) -> dict:
     return {"T0": T0, "N": N}
 
 
-def transversality_measure(fld: VectorField, domain: Domain, n_samples: int = 128) -> float:
-    """Minimum over boundary samples of |a|, the rotation-field component of fld.
+def transversality_measure(fld: VectorField, domain: Domain) -> float:
+    """Minimum over 128 boundary samples of |a|, the rotation-field component of fld.
 
     A positive value certifies that the tangential field is transversal to the
     complex tangent space of the boundary.
     """
     if not fld.tangential:
         raise ContractError("transversality is defined for tangential fields")
-    p = boundary_samples(domain, n_samples)
+    p = boundary_samples(domain, 128)
     n = domain.defining_gradient_z(p)
     az = np.asarray(fld.z_coeffs(p))
     if domain.kind == "ball2":

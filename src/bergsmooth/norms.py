@@ -113,8 +113,7 @@ def rotation_multiplier(domain: Domain):
     return lambda r: np.ones_like(np.asarray(r, dtype=float))
 
 
-def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None,
-                             eval_grid: PolarEvalGrid | None = None) -> float:
+def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None) -> float:
     """Norm built from powers of a single tangential field.
 
     Separated angular sums along the rotation field (a real field with
@@ -137,10 +136,9 @@ def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None,
         return float(np.sqrt(total))
     if domain.kind == "ball2":
         raise ContractError("directional finite differences are planar only")
-    if eval_grid is None:
-        # inset must clear the widest stencil excursion (2 steps of the
-        # first-derivative stencil per differentiation level)
-        eval_grid = polar_eval_grid(domain, 96, 128, delta=(2 * k + 1) * 2.5e-3)
+    # inset must clear the widest stencil excursion (2 steps of the
+    # first-derivative stencil per differentiation level)
+    eval_grid = polar_eval_grid(domain, 96, 128, delta=(2 * k + 1) * 2.5e-3)
     pts = eval_grid.nodes().ravel()
 
     def power(j, points):
@@ -190,16 +188,17 @@ def sup_weighted_norm(h, m: int, domain: Domain, n_r: int = 200, n_th: int = 128
     return float(np.max(np.abs(vals) * d**power))
 
 
-def duality_sup(f, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> float:
-    """sup |(f, h)| over the truncated basis ball { ||d^{k1} h|| <= 1 }.
+def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> list:
+    """sup |(f, h)| over the truncated basis ball { ||d^{k1} h|| <= 1 }, for each f in fs.
 
     Exact in the truncated space: with v the projection coefficients of f and
     G the distance-weighted Gram matrix, the value is sqrt(v* G^{-1} v),
-    via a symmetric positive-definite factorization.
+    via a symmetric positive-definite factorization made once for all of fs.
     """
-    v = project(f, basis, grid).coeffs if not isinstance(f, CoefficientVector) else f.coeffs
+    vs = [f.coeffs if isinstance(f, CoefficientVector) else project(f, basis, grid).coeffs
+          for f in fs]
     if k1 == 0:
-        return float(np.linalg.norm(v))
+        return [float(np.linalg.norm(v)) for v in vs]
     d = boundary_distance(basis.domain, grid.nodes)
     G = gram_matrix(basis, grid, weight=d ** (2 * k1))
     G = 0.5 * (G + np.conj(G.T))
@@ -209,5 +208,4 @@ def duality_sup(f, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> fl
         raise ConditioningError(
             f"weighted Gram matrix not positive definite at truncation {basis.size}",
             truncation=basis.size) from exc
-    y = np.linalg.solve(L, v)
-    return float(np.linalg.norm(y))
+    return [float(np.linalg.norm(np.linalg.solve(L, v))) for v in vs]

@@ -12,7 +12,6 @@ weighted_ratio_sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
 
 import numpy as np
 
@@ -97,9 +96,8 @@ class OperatorExpr:
 
 @dataclass(frozen=True)
 class Antideriv(OperatorExpr):
-    """Kernel operator: integral of s^mu gamma(s, x) g(flow(s, x)) over [-1, 0]."""
+    """Kernel operator: integral of s^mu g(flow(s, x)) over [-1, 0]."""
 
-    gamma: Callable | None = None   # gamma(s_values, points) -> (S, P); None means 1
     mu: int = 0
 
     def _structural_tag(self):
@@ -161,10 +159,10 @@ class OpSum(OperatorExpr):
         return tag
 
 
-def kernel_op(gamma=None, mu: int = 0) -> Antideriv:
+def kernel_op(mu: int = 0) -> Antideriv:
     if mu < 0:
         raise ParameterError("kernel weight exponent must be nonnegative")
-    return Antideriv(gamma, mu)
+    return Antideriv(mu)
 
 
 def diff_op(beta) -> DiffMonomial:
@@ -234,26 +232,25 @@ def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> O
 
 
 def _plain(expr) -> bool:
-    return isinstance(expr, Antideriv) and expr.gamma is None and expr.mu == 0
+    return isinstance(expr, Antideriv) and expr.mu == 0
 
 
-def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
-             q_panels: int = 32, m_steps: int = 64):
+def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
     """Evaluate an operator expression applied to g at the given points.
 
     Differential factors use tracked derivatives when g has them and finite
     differences otherwise; kernel factors integrate along RK4 backward
-    trajectories; runs of plain kernel factors collapse to a single B-spline
-    kernel by the flow group property.
+    trajectories at the chart's resolution; runs of plain kernel factors collapse
+    to a single B-spline kernel by the flow group property.
     """
     points = np.asarray(points, dtype=complex)
     if isinstance(expr, OpSum):
         out = np.zeros(_value_shape(chart.domain, points), dtype=complex)
         for c, term in expr.terms:
-            out = out + c * apply_op(term, g, points, chart, q_panels, m_steps)
+            out = out + c * apply_op(term, g, points, chart)
         return out
     if isinstance(expr, AbsFlowMoment):
-        return flow_moment_apply(chart, expr.mu, g, points, q_panels, m_steps).astype(complex)
+        return flow_moment_apply(chart, expr.mu, g, points).astype(complex)
     factors = expr.factors if isinstance(expr, Compose) else (expr,)
     # factors act right to left; fn is the function the remaining ones act on
     fn = g
@@ -264,12 +261,11 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
             depth = 1
             while i - depth > 0 and _plain(factors[i - depth - 1]) and depth < 3:
                 depth += 1
-            fn = lambda p, fn=fn, depth=depth: antideriv_chain(
-                chart, fn, p, depth=depth, q_panels=q_panels, m_steps=m_steps)
+            fn = lambda p, fn=fn, depth=depth: antideriv_chain(chart, fn, p, depth=depth)
             i -= depth
             continue
         if isinstance(f, Antideriv):
-            fn = _kernel_closure(chart, fn, f, q_panels, m_steps)
+            fn = _kernel_closure(chart, fn, f)
         elif isinstance(f, DiffMonomial):
             fn = lambda p, fn=fn, beta=f.beta: _partial(fn, beta, np.asarray(p, dtype=complex))
         elif isinstance(f, FieldPower):
@@ -277,21 +273,18 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart,
                 fn = lambda p, fn=fn, fld=f.fld: apply_field(
                     fld, fn, np.asarray(p, dtype=complex))
         elif isinstance(f, OpSum):
-            fn = lambda p, fn=fn, inner=f: apply_op(inner, fn, p, chart, q_panels, m_steps)
+            fn = lambda p, fn=fn, inner=f: apply_op(inner, fn, p, chart)
         else:
             raise ContractError(f"cannot evaluate factor {f!r}")
         i -= 1
     return np.asarray(fn(points), dtype=complex)
 
 
-def _kernel_closure(chart, fn, node, q_panels, m_steps):
+def _kernel_closure(chart, fn, node):
     def term(s, pts, pos, t):
-        vals = np.asarray(fn(pos), dtype=complex)
-        if node.gamma is not None:
-            vals = vals * np.asarray(node.gamma(s[:, None], pts[None, :]))
-        return s**node.mu, vals
+        return s**node.mu, np.asarray(fn(pos), dtype=complex)
 
-    return lambda p: _collar_quadrature(chart, p, q_panels, m_steps, term)
+    return lambda p: _collar_quadrature(chart, p, term)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +318,7 @@ def _weighted_norm(values, weights, t, power):
     return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
 
 
-def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
-                         grid, q_panels: int = 32, m_steps: int = 64):
+def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart, grid):
     """Ratios ||t^l expr(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l.
 
     k and nu come from the expression's class tag; the expression values are
@@ -335,7 +327,7 @@ def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart,
     nodes, weights, t = grid
     k = expr.tag.s_gain
     nu = expr.tag.s_deriv
-    values = apply_op(expr, g, nodes, chart, q_panels, m_steps)
+    values = apply_op(expr, g, nodes, chart)
     dg = []
     for total in range(nu + 1):
         for bx in range(total + 1):

@@ -171,7 +171,7 @@ def check_ftc(cfg: ScenarioConfig):
     t_start = time.perf_counter()
     worst = 0.0
     for dom in (make_domain("disk"), make_domain("annulus", rho=cfg.rho)):
-        chart = build_chart(dom)
+        chart = build_chart(dom, cfg.q_panels, cfg.m_steps)
         grid = polar_eval_grid(dom, 24, 48, r_inner=0.3 if dom.kind == "disk" else None)
         pts = grid.nodes().ravel()
         for i in range(10):
@@ -186,8 +186,7 @@ def check_ftc(cfg: ScenarioConfig):
                         + chart.cutoff(p) * radial)
 
             g = chart.cutoff(pts) * w(pts)
-            ag = antideriv_chain(chart, ng, pts, depth=1,
-                                 q_panels=cfg.q_panels, m_steps=cfg.m_steps)
+            ag = antideriv_chain(chart, ng, pts, depth=1)
             err = float(np.max(np.abs(g - ag)))
             rows.append([str(dom), i, err])
             worst = max(worst, err)
@@ -206,7 +205,7 @@ def check_ftc(cfg: ScenarioConfig):
 
 def check_hardy(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
-    chart = build_chart(make_domain("disk"))
+    chart = build_chart(make_domain("disk"), cfg.q_panels, cfg.m_steps)
     grid = collar_ratio_grid(chart, n_r=24, n_th=48)
     rows = []
     worst_excess = -np.inf
@@ -215,8 +214,7 @@ def check_hardy(cfg: ScenarioConfig):
         sweep_max = np.zeros(9)
         for _ in range(20):
             g = _seeded_masked(chart, rng)
-            ratios = weighted_ratio_sweep(expr, g, range(9), chart, grid,
-                                          q_panels=cfg.q_panels, m_steps=cfg.m_steps)
+            ratios = weighted_ratio_sweep(expr, g, range(9), chart, grid)
             sweep_max = np.maximum(sweep_max, ratios)
         for ell, r in enumerate(sweep_max):
             bound = 2.0 / (2 * ell + 1)
@@ -243,14 +241,15 @@ _H_SET = (("one", lambda: Holo1.constant(1.0)),
 
 
 def check_reproduction(cfg: ScenarioConfig):
-    chart = build_chart(make_domain("disk"))
+    dom = make_domain("disk")
+    charts = {res: build_chart(dom, res * cfg.q_panels, res * cfg.m_steps) for res in (1, 2)}
     tol = {1: 1e-6, 2: 1e-5, 3: 1e-4}
     rows, checks = [], []
     worst = {k: 0.0 for k in tol}
     for name, mk in _H_SET:
         h = mk()
         for k in tol:
-            r = reproduction_residual(h, k, chart, q_panels=cfg.q_panels, m_steps=cfg.m_steps)
+            r = reproduction_residual(h, k, charts[1])
             rows.append([name, k, r, tol[k]])
             worst[k] = max(worst[k], r)
     for k in tol:
@@ -259,9 +258,8 @@ def check_reproduction(cfg: ScenarioConfig):
     ratio_min = np.inf
     h = Holo1.from_coeffs([0.3, 1.0])
     for k in tol:
-        _, (drop,), _ = _refinement(lambda res: reproduction_residual(
-            h, k, chart, q_panels=res * cfg.q_panels, m_steps=res * cfg.m_steps),
-            levels=(2, 1))
+        _, (drop,), _ = _refinement(lambda res: reproduction_residual(h, k, charts[res]),
+                                    levels=(2, 1))
         ratio_min = min(ratio_min, drop)
     checks.append(CheckResult("C3", "residual drop per resolution doubling",
                               ratio_min >= 4.0, ratio_min, 4.0))
@@ -270,14 +268,14 @@ def check_reproduction(cfg: ScenarioConfig):
 
 def check_decomposition(cfg: ScenarioConfig):
     dom = make_domain("disk")
-    chart = build_chart(dom)
+    chart = build_chart(dom, cfg.q_panels, cfg.m_steps)
     rows, checks = [], []
     tol = {1: 1e-5, 2: 1e-4}
     worst = {k: 0.0 for k in tol}
     for name, mk in _H_SET:
         h = mk()
         for k in tol:
-            res = decompose(h, k, chart, q_panels=cfg.q_panels, m_steps=cfg.m_steps)
+            res = decompose(h, k, chart)
             worst[k] = max(worst[k], res.residual)
             for j, (n, r) in enumerate(zip(res.component_norms, res.norm_ratios)):
                 rows.append([name, k, j, n, r, res.residual])
@@ -291,8 +289,7 @@ def check_decomposition(cfg: ScenarioConfig):
     for k in (1, 2):
         ratios = {j: [] for j in range(k + 1)}
         for a in (0.9, 0.99, 0.999):
-            res = decompose(Holo1.inverse_power(a, 0.75), k, chart,
-                            q_panels=cfg.q_panels, m_steps=cfg.m_steps)
+            res = decompose(Holo1.inverse_power(a, 0.75), k, chart)
             for j, r in enumerate(res.norm_ratios):
                 ratios[j].append(r)
                 rows.append([f"pole_{a}", k, j, res.component_norms[j], r, res.residual])
@@ -306,8 +303,7 @@ def check_decomposition(cfg: ScenarioConfig):
     # Sobolev norms of the components are stable under evaluation refinement
     growth_worst = 0.0
     for k in (1, 2):
-        closures = _component_closures(Holo1.inverse_power(0.9, 0.75), k, chart,
-                                       cfg.q_panels, cfg.m_steps)
+        closures = _component_closures(Holo1.inverse_power(0.9, 0.75), k, chart)
         for closure in closures:
             def norm_at(res):
                 egrid = polar_eval_grid(dom, 48 * res, 96 * res, r_inner=0.4)
@@ -371,10 +367,11 @@ def check_conj_annulus(cfg: ScenarioConfig):
     # Sobolev norms of projected conjugate powers: finite, refinement-stable
     drift_worst = 0.0
     for m in (1, 2, 3):
+        cvs = {res: project(lambda z: np.conj(z) ** m, basis, grid)
+               for res, grid in grids.items()}
         for k in (0, 1, 2):
             vals, _, (drift,) = _refinement(lambda res: sobolev_norm(
-                project(lambda z: np.conj(z) ** m, basis, grids[res]), k, dom,
-                grid=grids[res]))
+                cvs[res], k, dom, grid=grids[res]))
             rows.append([m, k, *vals])
             drift_worst = max(drift_worst, drift)
     checks.append(CheckResult("C6", "projected conjugate-power norms drift under "
@@ -492,9 +489,11 @@ def check_duality(cfg: ScenarioConfig):
 
     def constant_at(nb):
         basis = build_basis(dom, nb)
+        cvs = [project(f, basis, grid) for f in fs]
+        sups = {k: duality_sup(cvs, k, basis, grid) for k in (1, 2)}
         c = 0.0
         for (k, i), nk in nks.items():
-            ds = duality_sup(fs[i], k, basis, grid)
+            ds = sups[k][i]
             c = max(c, nk / ds)
             if nb == cfg.basis_size:
                 rows.append([k, i, ds, nk, nk / ds])

@@ -34,7 +34,7 @@ def test_defining_gradient_nonvanishing_on_boundary(disk, annulus, ball2):
 
 
 def test_expressions_immutable():
-    op = kernel_op(None, 1)
+    op = kernel_op(1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         op.mu = 2
 
@@ -65,7 +65,7 @@ def test_duality_conditioning_error(disk):
     basis = build_basis(disk, 64)
     grid = quadrature_grid(disk, 4, 8)
     with pytest.raises(ConditioningError) as err:
-        duality_sup(lambda z: np.ones_like(z), 1, basis, grid)
+        duality_sup([lambda z: np.ones_like(z)], 1, basis, grid)
     assert err.value.truncation == 64
 
 

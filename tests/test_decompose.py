@@ -90,8 +90,8 @@ def test_reproduction_residual_examples(chart):
 def test_reproduction_residual_refines_fourfold(chart):
     h = Holo1.from_coeffs([0.3, 1.0])
     for k in (1, 2, 3):
-        coarse = reproduction_residual(h, k, chart, q_panels=4, m_steps=6)
-        fine = reproduction_residual(h, k, chart, q_panels=8, m_steps=12)
+        coarse = reproduction_residual(h, k, build_chart(chart.domain, 4, 6))
+        fine = reproduction_residual(h, k, build_chart(chart.domain, 8, 12))
         assert coarse >= 4.0 * fine
 
 

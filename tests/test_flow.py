@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import types
 
@@ -133,7 +134,7 @@ def test_stepper_bitwise_matches_reference_loops(disk_chart, annulus_chart, ball
             assert np.array_equal(
                 flow(chart.field, t, pts, n_steps, escape_bound=None, clamp_radius=4.0),
                 reference_flow(chart.field, t, pts, n_steps, clamp_radius=4.0))
-        assert np.array_equal(hitting_time(chart, pts, n_steps),
+        assert np.array_equal(hitting_time(dataclasses.replace(chart, m_steps=n_steps), pts),
                               reference_hitting_time(chart, pts, n_steps))
 
 
@@ -297,8 +298,7 @@ def test_ftc_identity(disk_chart, annulus_chart, rng):
         for _ in range(3):
             w = Poly2.random(rng, degree=3)
             g = chart.cutoff(pts) * w(pts)
-            ag = antideriv_chain(chart, masked_ng(chart, w), pts, depth=1,
-                                 q_panels=32, m_steps=64)
+            ag = antideriv_chain(chart, masked_ng(chart, w), pts, depth=1)
             assert np.max(np.abs(g - ag)) < 1e-6
 
 

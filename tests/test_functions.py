@@ -9,9 +9,9 @@ def test_apply_field_takes_two_partials(disk, monkeypatch):
     calls = []
     exact = Poly2.partial
 
-    def counted(self, beta, points, h=None):
+    def counted(self, beta, points):
         calls.append(tuple(beta))
-        return exact(self, beta, points, h)
+        return exact(self, beta, points)
 
     monkeypatch.setattr(Poly2, "partial", counted)
     w = Poly2([[0.3, 1j, 0.2], [1.0, -0.5, 0.0], [0.25j, 0.0, 0.0]])

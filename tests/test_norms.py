@@ -158,27 +158,26 @@ def test_pointwise_product_bound(disk, disk_grid, rng):
 def test_duality_sup_unweighted(disk, disk_basis, disk_grid, rng):
     f = Holo1.from_coeffs(rng.normal(size=5) + 1j * rng.normal(size=5))
     v = project(f, disk_basis, disk_grid)
-    assert duality_sup(f, 0, disk_basis, disk_grid) == pytest.approx(
-        float(np.linalg.norm(v.coeffs)), rel=1e-12)
+    assert duality_sup([f], 0, disk_basis, disk_grid) == [pytest.approx(
+        float(np.linalg.norm(v.coeffs)), rel=1e-12)]
 
 
 def test_duality_sup_orthogonal_input(disk, disk_basis, disk_grid):
-    assert duality_sup(lambda z: np.conj(z), 1, disk_basis, disk_grid) < 1e-9
+    assert duality_sup([lambda z: np.conj(z)], 1, disk_basis, disk_grid)[0] < 1e-9
 
 
 def test_duality_sup_e0_weighted(disk, disk_basis, disk_grid):
     # 1x1 diagonal block: G_00 = 2 int (1-r)^2 r dr = 1/6, so the sup is sqrt 6
     e0 = lambda z: np.full_like(z, 1 / np.sqrt(np.pi))
-    assert duality_sup(e0, 1, disk_basis, disk_grid) == pytest.approx(
-        np.sqrt(6.0), rel=1e-10)
+    assert duality_sup([e0], 1, disk_basis, disk_grid) == [pytest.approx(
+        np.sqrt(6.0), rel=1e-10)]
 
 
 def test_duality_sup_invariance(disk, disk_basis, disk_grid, rng):
     f = Holo1.from_coeffs(rng.normal(size=6) + 1j * rng.normal(size=6))
-    base = duality_sup(f, 1, disk_basis, disk_grid)
     perturbed = lambda z: f(z) + 0.7 * np.conj(z) ** 2
-    assert duality_sup(perturbed, 1, disk_basis, disk_grid) == pytest.approx(
-        base, abs=1e-9)
+    base, moved = duality_sup([f, perturbed], 1, disk_basis, disk_grid)
+    assert moved == pytest.approx(base, abs=1e-9)
 
 
 @settings(max_examples=20, deadline=None)

@@ -50,11 +50,12 @@ def test_plain_kernel_matches_antiderivative(chart, collar_pts, rng):
 
 
 def test_kernel_weight_equivalence(chart, collar_pts, rng):
-    # gamma(s, x) = s with exponent 0 is the same kernel as exponent 1
+    # the depth-2 B-spline is -s on [-1, 0], and a cutoff-masked g vanishes on the
+    # trajectory past s = -1, so the s-weighted kernel is minus the double antiderivative
     w = Poly2.random(rng, degree=2)
     g = masked(chart, w)
-    a = apply_op(kernel_op(lambda s, x: s * np.ones_like(x), 0), g, collar_pts, chart)
-    b = apply_op(kernel_op(None, 1), g, collar_pts, chart)
+    a = apply_op(kernel_op(1), g, collar_pts, chart)
+    b = -antideriv_chain(chart, g, collar_pts, depth=2)
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -99,13 +100,13 @@ def test_commutator_with_itself_vanishes(chart, collar_pts, rng):
 
 def test_commutator_tag_field():
     # [A^1_{mu,0}, X] sits in A^1_{mu,0} + A^1_{mu+1,1}
-    tag = commutator(kernel_op(None, 2), field_op(None)).tag
+    tag = commutator(kernel_op(2), field_op(None)).tag
     assert set(tag.memberships) == {((2,), 0), ((3,), 1)}
 
 
 def test_commutator_tag_diff_one():
     # a first-order monomial tags like a first-order field
-    tag = commutator(kernel_op(None, 1), diff_op((1, 0))).tag
+    tag = commutator(kernel_op(1), diff_op((1, 0))).tag
     assert tag.memberships == (((1,), 0), ((2,), 1))
 
 
@@ -122,7 +123,7 @@ def test_iterated_commutator_tag():
 
 
 def test_compose_tag_concatenates():
-    tag = compose(kernel_op(None, 1), kernel_op(None, 0), diff_op((0, 1))).tag
+    tag = compose(kernel_op(1), kernel_op(0), diff_op((0, 1))).tag
     assert tag.memberships == (((1, 0), 1),)
     assert tag.s_gain == 3 and tag.s_deriv == 1
 
@@ -165,7 +166,7 @@ def test_sclass_uniformity(chart, ratio_grid, rng):
                     name="dx")
     exprs = [
         kernel_op(),
-        kernel_op(None, 1),
+        kernel_op(1),
         compose(kernel_op(), kernel_op()),
         commutator(kernel_op(), field_op(x)),
         commutator(kernel_op(), diff_op((2, 0))),

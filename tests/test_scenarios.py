@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergsmooth
-from bergsmooth import cli, scenarios
+from bergsmooth import cli, norms, scenarios
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
     SCENARIOS,
@@ -138,6 +138,25 @@ def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):
     scenarios.check_partial_smoothing(ScenarioConfig.from_dict(
         {"scenario": "partial-smoothing", "n_r": 16, "n_theta": 32, "basis_size": 16}))
     assert calls == {"quadrature_grid": 2, "project": 2}
+
+
+@pytest.mark.parametrize("check, scenario, expected", [
+    ("check_conj_annulus", "conj-smoothing", {"project": 17, "gram_matrix": 0}),
+    ("check_duality", "duality", {"project": 40, "gram_matrix": 4}),
+])
+def test_one_projection_per_input_and_one_gram_per_order(monkeypatch, check, scenario,
+                                                         expected):
+    # C6 projects each conjugate power once per grid; C8 projects each sample once
+    # per basis and factors one weighted Gram matrix per (order, basis)
+    calls = {"project": 0, "gram_matrix": 0}
+    for mod, name in ((scenarios, "project"), (norms, "project"), (norms, "gram_matrix")):
+        def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counted)
+    getattr(scenarios, check)(ScenarioConfig.from_dict(
+        {"scenario": scenario, "n_r": 16, "n_theta": 32, "basis_size": 16}))
+    assert calls == expected
 
 
 def test_cli_list():

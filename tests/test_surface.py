@@ -3,6 +3,7 @@ package itself or kept on purpose, as named oracles or calculus entry points."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 import types
 from pathlib import Path
@@ -77,3 +78,17 @@ def test_every_public_name_is_used_or_kept():
             if public not in used:
                 unused.append(f"{name}.{public}")
     assert sorted(unused) == sorted(ORACLES + CALCULUS)
+
+
+def test_only_build_chart_takes_the_trajectory_resolution():
+    # q_panels and m_steps belong to the collar chart; classes (the chart itself,
+    # the scenario config) are exempt
+    takers = []
+    for name in SUBMODULES:
+        mod = importlib.import_module(f"bergsmooth.{name}")
+        for public in getattr(mod, "__all__", ()):
+            obj = getattr(mod, public)
+            if (isinstance(obj, types.FunctionType)
+                    and {"q_panels", "m_steps"} & set(inspect.signature(obj).parameters)):
+                takers.append(f"{name}.{public}")
+    assert takers == ["flow.build_chart"]

@@ -1,9 +1,17 @@
-"""The test runner's own configuration: a failing test reports as a failure."""
+"""The test runner's own configuration, and the benchmark tracer's contract with
+the package: a failing test reports as a failure, and a traced run counts work
+in every layer it touches."""
 
+import importlib
 import tomllib
+import types
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+PYPROJECT = REPO / "pyproject.toml"
+TRACER = REPO / "perfbench" / "tracer.py"
 
 pytest_plugins = ["pytester"]
 
@@ -30,3 +38,35 @@ def test_failing_property_test_does_not_end_the_session(pytester):
     result = pytester.runpytest_subprocess("-p", "no:cacheprovider")
     result.assert_outcomes(failed=1, passed=1)
     assert "INTERNALERROR" not in result.stdout.str()
+
+
+def _load_tracer():
+    """The benchmark's tracer module, executed from its source without writing bytecode."""
+    mod = types.ModuleType("perfbench_tracer")
+    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), mod.__dict__)
+    return mod
+
+
+def test_benchmark_tracer_counts_each_layer():
+    # the tracer reads arguments by name and wraps methods from each class's own
+    # __dict__, so a renamed parameter or a moved method breaks only traced runs
+    geometry, flow, functions, operators, bergman = (
+        importlib.import_module(f"bergsmooth.{name}")
+        for name in ("geometry", "flow", "functions", "operators", "bergman"))
+    tracer = _load_tracer().Tracer()
+    tracer.install()
+    try:
+        disk = geometry.make_domain("disk")
+        chart = flow.build_chart(disk, 4, 8)
+        w = functions.Poly2([[1.0, 0.5], [0.25j, 0.0]])
+        g = lambda p: chart.cutoff(p) * w(p)
+        pts = np.exp(-chart.rate * np.array([0.1, 0.5]) + 1j * np.array([0.3, 2.0]))
+        flow.antideriv_chain(chart, g, pts, depth=2)
+        flow.hitting_time(chart, pts)
+        operators.apply_op(operators.kernel_op(1), g, pts, chart)
+        bergman.project(w, bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8))
+    finally:
+        tracer.uninstall()
+    for counter in ("flow.trajectories.calls", "flow.hitting_time.calls", "functions.evals",
+                    "bergman.basis_evals"):
+        assert tracer.count[counter] > 0, counter
