@@ -187,7 +187,6 @@ class CollarChart:
         r = self.domain.radius(points)
         safe = np.maximum(r, 1e-300)
         s = np.asarray(s_values, dtype=float)
-        shape = (len(s),) + points.shape
         radii = self.flow_radius(s.reshape((-1,) + (1,) * r.ndim), r)
         if self.domain.kind == "ball2":
             return (radii[..., None] / safe[..., None]) * points
@@ -226,7 +225,7 @@ def hitting_time(chart: CollarChart, x):
         raise NotInCollarError("no boundary crossing within the time window")
     lo = np.zeros_like(rho0)
     hi = np.full_like(lo, 2.0)
-    while np.max(hi - lo) > 1e-10:
+    while np.max(hi - lo, initial=0.0) > 1e-10:
         mid = 0.5 * (lo + hi)
         moved = _rk4(chart.field, mid, pts, chart.m_steps, clamp_radius=4.0)
         below = chart.domain.defining_function(moved) < 0
@@ -273,7 +272,8 @@ def _panel_nodes(a: float, b: float, n_panels: int):
 
 
 def _chain_kernel(depth: int, u):
-    """Kernel of the depth-fold plain anti-differentiation, supported on [-depth, 0].
+    """Kernel of the depth-fold plain anti-differentiation, supported on [-depth, 0],
+    for depth 1, 2 or 3.
 
     This is the length/area of {s in [-1,0]^depth : sum s_i = u}: the
     B-spline of order depth.
@@ -283,60 +283,80 @@ def _chain_kernel(depth: int, u):
         return np.ones_like(v)
     if depth == 2:
         return 1.0 - np.abs(v - 1.0)
-    if depth == 3:
-        out = np.zeros_like(v)
-        m1 = v <= 1.0
-        m2 = (v > 1.0) & (v <= 2.0)
-        m3 = v > 2.0
-        out[m1] = 0.5 * v[m1] ** 2
-        out[m2] = 0.5 * (-2.0 * v[m2] ** 2 + 6.0 * v[m2] - 3.0)
-        out[m3] = 0.5 * (3.0 - v[m3]) ** 2
-        return out
-    raise ParameterError("chain depth up to 3 is supported")
+    out = np.zeros_like(v)
+    m1 = v <= 1.0
+    m2 = (v > 1.0) & (v <= 2.0)
+    m3 = v > 2.0
+    out[m1] = 0.5 * v[m1] ** 2
+    out[m2] = 0.5 * (-2.0 * v[m2] ** 2 + 6.0 * v[m2] - 3.0)
+    out[m3] = 0.5 * (3.0 - v[m3]) ** 2
+    return out
 
 
-def _collar_quadrature(chart, points, term, depth=1):
+def _collar_quadrature(chart, points, kernel, integrand, depth=1, support=np.inf):
     """Gauss quadrature along the backward trajectories of the collar points at the
-    chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth,
-    term(s, pts, pos, t) gives the node weight factors and the (node, point) values
-    at the positions pos of the live points pts with hit times t."""
+    chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth, the
+    node weight factors kernel(s) against integrand(pos, tau), the values at the
+    positions pos of the live points with hit times tau = t - s there.
+
+    The integrand is taken to vanish where tau >= support: a panel with no pair
+    below the bound is not swept, and in a panel with some, only the points with
+    a live node are flowed and only the live pairs evaluated.  Where the
+    integrand is indeed zero past the bound, the sum is the one over every
+    pair, bit for bit.
+    """
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
     live = np.isfinite(t) & (t < 1.0)
     out = np.zeros(t.shape, dtype=complex)
     if not np.any(live):
         return out
-    pts = points[live]
+    pts, t = points[live], t[live]
     total = 0.0
     for j in range(depth):
+        if j + t.min() >= support:
+            break
         s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
-        factor, values = term(s, pts, trajectories(chart, pts, s, chart.m_steps), t[live])
-        total = total + np.tensordot(weights * factor, values, axes=(0, 0))
+        tau = t[None, :] - s[:, None]
+        if t.max() + j + 1 < support:
+            # every pair is live: no mask and no gathered copies of the positions
+            values = integrand(trajectories(chart, pts, s, chart.m_steps), tau)
+        else:
+            need = tau < support
+            cols = need.any(axis=0)
+            pos = trajectories(chart, pts[cols], s, chart.m_steps)
+            live_values = integrand(pos[need[:, cols]], tau[need])
+            values = np.zeros(tau.shape, dtype=live_values.dtype)
+            values[need] = live_values
+        total = total + np.tensordot(weights * kernel(s), values, axes=(0, 0))
     out[live] = total
     return out
 
 
-def antideriv_chain(chart: CollarChart, w, points, depth: int = 1):
+def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: float = 1.0):
     """depth-fold anti-differentiation of a collar-supported function.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
-    whenever w vanishes off the collar, which the cutoff guarantees.  Returns
-    values at points, zero outside the collar.
+    whenever w vanishes off the collar, which the cutoff guarantees.  w is
+    evaluated only where the hit time is below support, 1 (the collar) by that
+    contract; pass a larger bound, or np.inf, for a w that reaches further.
+    Returns values at points, zero outside the collar.  depth is 1, 2 or 3.
     """
-    def term(s, pts, pos, t):
-        return _chain_kernel(depth, s), np.asarray(w(pos), dtype=complex)
-
-    return _collar_quadrature(chart, points, term, depth)
+    if depth not in (1, 2, 3):
+        raise ParameterError("chain depth 1 to 3 is supported")
+    return _collar_quadrature(chart, points, lambda s: _chain_kernel(depth, s),
+                              lambda pos, tau: np.asarray(w(pos), dtype=complex),
+                              depth, support)
 
 
 def flow_moment_apply(chart: CollarChart, mu: int, g, points):
-    """The Hardy majorant: integral of (hit time at the flow point)^mu * |g o flow|.
+    """The Hardy majorant: integral of (hit time at the flow point)^mu * |g o flow|,
+    for a g that vanishes off the collar (hit time >= 1), where it is not evaluated.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.
     """
-    def term(s, pts, pos, t):
-        return 1.0, (t[None, :] - s[:, None]) ** mu * np.abs(np.asarray(g(pos)))
-
-    return _collar_quadrature(chart, points, term).real
+    return _collar_quadrature(chart, points, lambda s: 1.0,
+                              lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos))),
+                              support=1.0).real

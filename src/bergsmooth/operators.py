@@ -261,7 +261,10 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
             depth = 1
             while i - depth > 0 and _plain(factors[i - depth - 1]) and depth < 3:
                 depth += 1
-            fn = lambda p, fn=fn, depth=depth: antideriv_chain(chart, fn, p, depth=depth)
+            # fn may be a finite-difference stencil of collar-supported closures,
+            # which leaks past the collar: no support bound
+            fn = (lambda p, fn=fn, depth=depth:
+                  antideriv_chain(chart, fn, p, depth=depth, support=np.inf))
             i -= depth
             continue
         if isinstance(f, Antideriv):
@@ -281,10 +284,8 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
 
 
 def _kernel_closure(chart, fn, node):
-    def term(s, pts, pos, t):
-        return s**node.mu, np.asarray(fn(pos), dtype=complex)
-
-    return lambda p: _collar_quadrature(chart, p, term)
+    return lambda p: _collar_quadrature(chart, p, lambda s: s**node.mu,
+                                        lambda pos, tau: np.asarray(fn(pos), dtype=complex))
 
 
 # ---------------------------------------------------------------------------

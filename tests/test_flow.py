@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergsmooth.errors import NotInCollarError
+from bergsmooth.errors import NotInCollarError, ParameterError
 from bergsmooth.flow import (
+    _collar_quadrature,
     antideriv_chain,
     build_chart,
     flow,
@@ -306,9 +307,8 @@ def test_antiderivative_radial_closed_form(disk_chart):
     # plain |z| masked to the controlled neighborhood: on points whose whole
     # trajectory stays where the mask is 1, the integral is |z|(1-e^{-c})/c.
     # The integrand reaches hit time 1.4 (0.4 plus the unit flow time), past
-    # the collar {hit time < 1} off which antideriv_chain's contract says it
-    # vanishes: a quadrature that skips nodes past the collar (ROADMAP,
-    # support-aware trajectory quadrature) must take this test into account.
+    # the collar {hit time < 1}, and the mask vanishes only from hit time 1.9
+    # on, so the call passes that reach as its support bound, 2.
     c = disk_chart.rate
 
     def neighborhood_masked(p):
@@ -316,7 +316,7 @@ def test_antiderivative_radial_closed_form(disk_chart):
         return smoothstep((1.9 - np.where(np.isfinite(t), t, 10.0)) / 0.4) * np.abs(p)
 
     pts = np.exp(-c * np.array([0.05, 0.2, 0.4])).astype(complex)
-    out = antideriv_chain(disk_chart, neighborhood_masked, pts, depth=1)
+    out = antideriv_chain(disk_chart, neighborhood_masked, pts, depth=1, support=2.0)
     expect = np.abs(pts) * (1 - np.exp(-c)) / c
     np.testing.assert_allclose(out, expect, atol=1e-9)
 
@@ -350,3 +350,105 @@ def test_support_mask_dependence(disk_chart, rng):
     b = antideriv_chain(disk_chart, cutoff_masked(disk_chart, lambda p: w(p) + bump_inside(p)),
                         pts, depth=1)
     np.testing.assert_allclose(a, b, atol=1e-13)
+
+
+# --- the support bound: pairs past the collar are neither flowed to nor evaluated
+
+
+def points_at_hit_times(chart, times, rng):
+    """Points with the given hit times in seeded directions (both bands on the
+    annulus), and the center (infinite hit time) on the disk and ball."""
+    t = np.asarray(times, dtype=float)
+    if chart.domain.kind == "annulus":
+        r = np.concatenate([chart.flow_radius(-t, 1.0), chart.flow_radius(-t, chart.domain.rho)])
+    else:
+        r = np.append(np.exp(-chart.rate * t), 0.0)
+    if chart.domain.kind == "ball2":
+        v = rng.normal(size=(r.size, 4))
+        v /= np.linalg.norm(v, axis=1)[:, None]
+        return (v[:, :2] + 1j * v[:, 2:]) * r[:, None]
+    return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
+
+
+SUPPORT_TIMES = [-0.02, -0.005, 0.0, 0.03, 0.2, 0.45, 0.7, 0.8, 0.97, 1.0, 1.2]
+
+
+@pytest.fixture(params=["disk", "annulus", "ball"])
+def support_case(request, disk_chart, annulus_chart, ball_chart, rng):
+    """A chart, an integrand to mask (a Poly2 in the plane) and points with hit
+    times just outside the domain, at 0, across (0, 1), at and past 1 and, on
+    the disk and ball, infinite."""
+    chart = {"disk": disk_chart, "annulus": annulus_chart, "ball": ball_chart}[request.param]
+    pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
+    t = chart.hit_time(pts)
+    assert np.min(t) < -0.015 and np.any(np.abs(t) < 1e-12) and np.any(t >= 1.0)
+    if request.param == "ball":
+        w = lambda p: 1.0 + p[..., 0] * np.conj(p[..., 1])
+    else:
+        w = Poly2.random(rng, degree=2)
+    return chart, w, pts
+
+
+def sharp_masked(chart, w):
+    """w up to hit time 1 - 1e-6, zero from there on: unlike the cutoff, it is
+    nonzero right up to the collar's edge, less RK4's error along a trajectory."""
+    return lambda p: np.where(chart.hit_time(p) < 1.0 - 1e-6, w(p), 0.0)
+
+
+@pytest.mark.parametrize("mask", [cutoff_masked, sharp_masked])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_support_skip_is_exact(support_case, depth, mask):
+    chart, w, pts = support_case
+    g = mask(chart, w)
+    skipped = antideriv_chain(chart, g, pts, depth=depth)
+    assert np.array_equal(skipped, antideriv_chain(chart, g, pts, depth=depth, support=np.inf))
+    assert np.any(skipped != 0)
+    # points outside the domain only: every pair of the first panel is live
+    outside = pts[chart.hit_time(pts) < 0]
+    assert np.array_equal(antideriv_chain(chart, g, outside, depth=depth),
+                          antideriv_chain(chart, g, outside, depth=depth, support=np.inf))
+
+
+@pytest.mark.parametrize("mask", [cutoff_masked, sharp_masked])
+@pytest.mark.parametrize("mu", [0, 1])
+def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
+    chart, w, pts = support_case
+    g = mask(chart, w)
+    everywhere = _collar_quadrature(chart, pts, lambda s: 1.0,
+                                    lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos))),
+                                    support=np.inf).real
+    assert np.array_equal(flow_moment_apply(chart, mu, g, pts), everywhere)
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
+def test_integrand_evaluated_only_inside_the_collar(disk_chart, annulus_chart, ball_chart,
+                                                     kind, rng):
+    chart = {"disk": disk_chart, "annulus": annulus_chart, "ball": ball_chart}[kind]
+    pts = collar_points(chart, rng)
+    seen = []
+
+    def w(p):
+        seen.append(np.array(p))
+        return chart.cutoff(p) * (1.0 + (p[..., 0] if kind == "ball" else p))
+
+    antideriv_chain(chart, w, pts, depth=2)
+    positions = np.concatenate(seen)
+    assert np.max(chart.hit_time(positions)) < 1.0 + 1e-6
+    # 2 panels of 4 * q_panels Gauss nodes per point
+    assert len(positions) < 2 * 4 * chart.q_panels * len(pts) / 2
+
+
+@pytest.mark.parametrize("depth", [0, -1, 4])
+def test_chain_depth_outside_one_to_three_raises_first(disk_chart, depth):
+    calls = []
+    with pytest.raises(ParameterError):
+        antideriv_chain(disk_chart, lambda p: calls.append(p) or np.ones_like(p),
+                        np.array([0.9 + 0.0j]), depth=depth)
+    assert calls == []
+
+
+def test_hitting_time_of_no_points(disk_chart, ball_chart):
+    for chart, pts in ((disk_chart, np.array([], complex)),
+                       (ball_chart, np.zeros((0, 2), complex))):
+        t = hitting_time(chart, pts)
+        assert t.shape == (0,) and t.dtype == float

@@ -62,11 +62,14 @@ def test_benchmark_tracer_counts_each_layer():
         g = lambda p: chart.cutoff(p) * w(p)
         pts = np.exp(-chart.rate * np.array([0.1, 0.5]) + 1j * np.array([0.3, 2.0]))
         flow.antideriv_chain(chart, g, pts, depth=2)
+        # the collar points' second panel lies past the collar: one sweep of each
+        starts = tracer.count["flow.trajectory_starts"]
         flow.hitting_time(chart, pts)
         operators.apply_op(operators.kernel_op(1), g, pts, chart)
         bergman.project(w, bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8))
     finally:
         tracer.uninstall()
+    assert starts == len(pts)
     for counter in ("flow.trajectories.calls", "flow.hitting_time.calls", "functions.evals",
                     "bergman.basis_evals"):
         assert tracer.count[counter] > 0, counter
