@@ -293,7 +293,7 @@ def _chain_kernel(depth: int, u):
     return out
 
 
-def _collar_quadrature(chart, points, kernel, integrand, depth=1, support=np.inf):
+def _collar_quadrature(chart, points, kernel, integrand, depth=1, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth, the
     node weight factors kernel(s) against integrand(pos, tau), the values at the
@@ -304,11 +304,18 @@ def _collar_quadrature(chart, points, kernel, integrand, depth=1, support=np.inf
     a live node are flowed and only the live pairs evaluated.  Where the
     integrand is indeed zero past the bound, the sum is the one over every
     pair, bit for bit.
+
+    With orders, the values carry a trailing axis, one entry per derivative
+    order |beta|, and the node weight of entry b is further multiplied by
+    R_s**orders[b]: on a linear flow the RK4 map is p -> R_s p, R_s real, so
+    this is the chain rule for D^beta of the integral.  R_s is read off the
+    sweep itself, the derivative of the discrete map.
     """
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
     live = np.isfinite(t) & (t < 1.0)
-    out = np.zeros(t.shape, dtype=complex)
+    trailing = () if orders is None else (len(orders),)
+    out = np.zeros(t.shape + trailing, dtype=complex)
     if not np.any(live):
         return out
     pts, t = points[live], t[live]
@@ -320,15 +327,26 @@ def _collar_quadrature(chart, points, kernel, integrand, depth=1, support=np.inf
         tau = t[None, :] - s[:, None]
         if t.max() + j + 1 < support:
             # every pair is live: no mask and no gathered copies of the positions
-            values = integrand(trajectories(chart, pts, s, chart.m_steps), tau)
+            start = pts
+            pos = trajectories(chart, start, s, chart.m_steps)
+            values = integrand(pos, tau)
         else:
             need = tau < support
             cols = need.any(axis=0)
-            pos = trajectories(chart, pts[cols], s, chart.m_steps)
+            start = pts[cols]
+            pos = trajectories(chart, start, s, chart.m_steps)
             live_values = integrand(pos[need[:, cols]], tau[need])
-            values = np.zeros(tau.shape, dtype=live_values.dtype)
+            values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
             values[need] = live_values
-        total = total + np.tensordot(weights * kernel(s), values, axes=(0, 0))
+        node_weights = weights * kernel(s)
+        if orders is None:
+            total = total + np.tensordot(node_weights, values, axes=(0, 0))
+        else:
+            # R_s of the swept map p -> R_s p, read at the start point of largest modulus
+            ref = int(np.argmax(np.abs(start)))
+            factor = (pos[:, ref] / start[ref]).real
+            jet_weights = node_weights[:, None] * factor[:, None] ** np.asarray(orders)
+            total = total + np.einsum("nb,npb->pb", jet_weights, values)
     out[live] = total
     return out
 
@@ -347,7 +365,7 @@ def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: floa
         raise ParameterError("chain depth 1 to 3 is supported")
     return _collar_quadrature(chart, points, lambda s: _chain_kernel(depth, s),
                               lambda pos, tau: np.asarray(w(pos), dtype=complex),
-                              depth, support)
+                              depth, support=support)
 
 
 def flow_moment_apply(chart: CollarChart, mu: int, g, points):

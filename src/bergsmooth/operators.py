@@ -11,14 +11,15 @@ weighted_ratio_sweep.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError
-from .flow import (CollarChart, antideriv_chain, flow_moment_apply, _collar_quadrature,
+from .flow import (CollarChart, flow_moment_apply, _chain_kernel, _collar_quadrature,
                    _value_shape)
-from .functions import _partial, apply_field
+from .functions import _partial
 from .geometry import PolarEvalGrid, VectorField
 
 __all__ = [
@@ -238,54 +239,154 @@ def _plain(expr) -> bool:
 def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
     """Evaluate an operator expression applied to g at the given points.
 
-    Differential factors use tracked derivatives when g has them and finite
-    differences otherwise; kernel factors integrate along RK4 backward
-    trajectories at the chart's resolution; runs of plain kernel factors collapse
-    to a single B-spline kernel by the flow group property.
+    Factors are evaluated left to right as jet requests: each asks the factors
+    to its right for the values and cartesian partials D^beta, |beta| <= n,
+    that it needs.  A differential monomial shifts the indices, a field power
+    applies a D_z + b D_zbar by Leibniz's rule, and a kernel factor integrates
+    the jet along RK4 backward trajectories at the chart's resolution, each
+    partial of order |beta| weighted by R_s^|beta|, the derivative of the RK4
+    map p -> R_s p of the linear disk flow (the chain rule).  Runs of plain
+    kernel factors collapse to one B-spline kernel of depth <= 3 by the flow
+    group property.  Finite differences are taken only at the leaves: of g
+    when it has no tracked partials (a SmoothFunction's are used), and of
+    the field coefficients.  Leaf jets are shared within the call between
+    requests that reach g through the same kernels.
+
+    A kernel evaluates its integrand only where the hit time is below 1, so g
+    must vanish off the collar wherever a kernel acts on it, the contract of
+    antideriv_chain.  On the annulus the flow is not linear, and a derivative
+    factor acting through a kernel factor raises ContractError.
     """
     points = np.asarray(points, dtype=complex)
-    if isinstance(expr, OpSum):
-        out = np.zeros(_value_shape(chart.domain, points), dtype=complex)
-        for c, term in expr.terms:
-            out = out + c * apply_op(term, g, points, chart)
-        return out
     if isinstance(expr, AbsFlowMoment):
         return flow_moment_apply(chart, expr.mu, g, points).astype(complex)
-    factors = expr.factors if isinstance(expr, Compose) else (expr,)
-    # factors act right to left; fn is the function the remaining ones act on
-    fn = g
-    i = len(factors)
-    while i > 0:
-        f = factors[i - 1]
-        if _plain(f):
-            depth = 1
-            while i - depth > 0 and _plain(factors[i - depth - 1]) and depth < 3:
-                depth += 1
-            # fn may be a finite-difference stencil of collar-supported closures,
-            # which leaks past the collar: no support bound
-            fn = (lambda p, fn=fn, depth=depth:
-                  antideriv_chain(chart, fn, p, depth=depth, support=np.inf))
-            i -= depth
-            continue
+    if chart.domain.kind == "annulus" and _derivative_through_kernel(expr)[0]:
+        raise ContractError("a derivative through a flow kernel needs the linear flow "
+                            "of the disk; the annulus flow is not linear")
+    return _Jets(chart, g).jet((expr,), points, 0)[..., 0]
+
+
+def _derivative_through_kernel(expr):
+    """(some product term of expr has a derivative factor left of a kernel factor,
+    expr has a derivative factor, expr has a kernel factor)."""
+    if isinstance(expr, Antideriv):
+        return False, False, True
+    if isinstance(expr, (DiffMonomial, FieldPower)):
+        return False, True, False
+    if isinstance(expr, OpSum):
+        parts = [_derivative_through_kernel(t) for _, t in expr.terms]
+        return tuple(any(p[i] for p in parts) for i in range(3))
+    through = deriv = kern = False
+    for f in expr.factors if isinstance(expr, Compose) else ():
+        t, d, k = _derivative_through_kernel(f)
+        through = through or t or (deriv and k)
+        deriv, kern = deriv or d, kern or k
+    return through, deriv, kern
+
+
+def _betas(order: int):
+    """The multi-indices |beta| <= order along a jet's trailing axis, by total order
+    and then by the y order, so a jet of lower order is a prefix."""
+    return [(total - by, by) for total in range(order + 1) for by in range(total + 1)]
+
+
+def _index(beta) -> int:
+    total = beta[0] + beta[1]
+    return total * (total + 1) // 2 + beta[1]
+
+
+class _Jets:
+    """The jets of one apply_op call, with the leaf jets of g keyed by kernel path:
+    the depths of the kernel groups between the top and the leaf.  Within one
+    call the points are fixed, so the path fixes the leaf positions (a kernel
+    of weight mu > 0 sweeps the nodes of a plain one).  Each leaf jet is kept
+    at the highest order requested so far."""
+
+    def __init__(self, chart: CollarChart, g):
+        self.chart = chart
+        self.g = g
+        self.leaves = {}
+
+    def jet(self, factors, points, order, path=()):
+        """D^beta of (factors[0] o ... o factors[-1])(g) at points, |beta| <= order,
+        along a trailing axis laid out by _betas."""
+        if not factors:
+            return self.leaf(points, order, path)
+        f, rest = factors[0], factors[1:]
+        if isinstance(f, Compose):
+            return self.jet(f.factors + rest, points, order, path)
+        if isinstance(f, OpSum):
+            out = np.zeros(_value_shape(self.chart.domain, points) + (len(_betas(order)),),
+                           dtype=complex)
+            for c, term in f.terms:
+                out = out + c * self.jet((term,) + rest, points, order, path)
+            return out
         if isinstance(f, Antideriv):
-            fn = _kernel_closure(chart, fn, f)
-        elif isinstance(f, DiffMonomial):
-            fn = lambda p, fn=fn, beta=f.beta: _partial(fn, beta, np.asarray(p, dtype=complex))
-        elif isinstance(f, FieldPower):
-            for _ in range(f.power):
-                fn = lambda p, fn=fn, fld=f.fld: apply_field(
-                    fld, fn, np.asarray(p, dtype=complex))
-        elif isinstance(f, OpSum):
-            fn = lambda p, fn=fn, inner=f: apply_op(inner, fn, p, chart)
+            return self.kernel(factors, points, order, path)
+        if isinstance(f, DiffMonomial):
+            inner = self.jet(rest, points, order + sum(f.beta), path)
+            return inner[..., [_index((bx + f.beta[0], by + f.beta[1]))
+                               for bx, by in _betas(order)]]
+        if isinstance(f, FieldPower):
+            if f.fld.domain.kind == "ball2":
+                raise NotImplementedError("field application on the ball is analytic-only")
+            top = order + f.power - 1
+            jet = self.jet(rest, points, top + 1, path)
+            coeffs = [np.stack([_partial(c, beta, points) for beta in _betas(top)], axis=-1)
+                      for c in (f.fld.z_coeffs, f.fld.zbar)]
+            for n in range(top, order - 1, -1):
+                jet = _field_jet(*coeffs, jet, n)
+            return jet
+        raise ContractError(f"cannot evaluate factor {f!r}")
+
+    def kernel(self, factors, points, order, path):
+        """A kernel factor, or the leftmost group of a run of plain kernels: runs
+        collapse in groups of at most three from the right."""
+        f = factors[0]
+        if _plain(f):
+            run = 1
+            while run < len(factors) and _plain(factors[run]):
+                run += 1
+            depth = run % 3 or 3
+            kern = lambda s: _chain_kernel(depth, s)
         else:
-            raise ContractError(f"cannot evaluate factor {f!r}")
-        i -= 1
-    return np.asarray(fn(points), dtype=complex)
+            depth = 1
+            kern = lambda s: s**f.mu
+        rest, key = factors[depth:], path + (depth,)
+
+        def integrand(pos, tau):
+            inner = self.jet(rest, pos, order, key)
+            return inner if order else inner[..., 0]
+        orders = [sum(beta) for beta in _betas(order)] if order else None
+        out = _collar_quadrature(self.chart, points, kern, integrand, depth, support=1.0,
+                                 orders=orders)
+        return out if order else out[..., None]
+
+    def leaf(self, points, order, path):
+        betas = _betas(order)
+        have = self.leaves.get(path)
+        if have is None:
+            have = np.zeros(_value_shape(self.chart.domain, points) + (0,), dtype=complex)
+        if have.shape[-1] < len(betas):
+            more = [_partial(self.g, beta, points) for beta in betas[have.shape[-1]:]]
+            have = self.leaves[path] = np.concatenate([have, np.stack(more, axis=-1)], axis=-1)
+        return have[..., :len(betas)]
 
 
-def _kernel_closure(chart, fn, node):
-    return lambda p: _collar_quadrature(chart, p, lambda s: s**node.mu,
-                                        lambda pos, tau: np.asarray(fn(pos), dtype=complex))
+def _field_jet(a, b, jet, n):
+    """Jet of order n of a D_z f + b D_zbar f from the jet of f of order n + 1 and
+    the coefficient jets of order >= n, by Leibniz's rule."""
+    out = np.zeros(jet.shape[:-1] + (len(_betas(n)),), dtype=complex)
+    for gx, gy in _betas(n):
+        for dx in range(gx + 1):
+            for dy in range(gy + 1):
+                rx, ry = gx - dx, gy - dy
+                fx, fy = jet[..., _index((rx + 1, ry))], jet[..., _index((rx, ry + 1))]
+                fz, fzb = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+                d = _index((dx, dy))
+                out[..., _index((gx, gy))] += (math.comb(gx, dx) * math.comb(gy, dy)
+                                               * (a[..., d] * fz + b[..., d] * fzb))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from bergsmooth.decompose import (
 )
 from bergsmooth.errors import ContractError, ParameterError
 from bergsmooth.flow import build_chart
-from bergsmooth.functions import Holo1, apply_field
+from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op
 
@@ -133,15 +133,13 @@ def test_power_expansion_exact_tags_order_two(chart):
     assert ops[(2, 2)].tag.memberships == (((0, 0), 0),)
 
 
-def test_power_expansion_operational_identity(chart, rng):
-    # (kernel o X)^2 equals sum_m X^m o G[2, m] applied to a collar function,
-    # with a generic field that does not commute with the kernel
+def _order_two_identity(chart, g):
+    """Both sides of (kernel o X)^2 = sum_m X^m o G[2, m] applied to g at twelve
+    collar points, with a generic field X = d/dx that does not commute with the
+    kernel."""
     x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
                     name="dx")
     ops = power_expansion(2, chart, x)
-    from bergsmooth.functions import Poly2
-    w = Poly2.random(rng, degree=2)
-    g = lambda p: chart.cutoff(p) * w(p)
     r = np.exp(-chart.rate * np.linspace(0.05, 0.6, 4))
     pts = (r[:, None] * np.exp(1j * np.array([0.5, 2.7, 4.4]))[None, :]).ravel()
     ax = compose(kernel_op(), field_op(x))
@@ -150,7 +148,28 @@ def test_power_expansion_operational_identity(chart, rng):
     for m in (0, 1, 2):
         term = compose(field_op(x, m), ops[(2, m)]) if m else ops[(2, m)]
         rhs = rhs + apply_op(term, g, pts, chart)
+    return lhs, rhs
+
+
+def test_power_expansion_operational_identity(chart, rng):
+    # the identity applied to a collar function
+    w = Poly2.random(rng, degree=2)
+    lhs, rhs = _order_two_identity(chart, lambda p: chart.cutoff(p) * w(p))
     assert np.max(np.abs(lhs - rhs)) < 1e-4
+
+
+def test_power_expansion_identity_point_evaluations(chart, rng):
+    # derivatives through kernels are jets, so only g's own partials are finite
+    # differences: the identity evaluates g at fewer than 12 M points (nested
+    # finite differences of trajectory integrals took 110.6 M)
+    w = Poly2.random(rng, degree=2)
+    evaluated = []
+
+    def g(p):
+        evaluated.append(np.size(p))
+        return chart.cutoff(p) * w(p)
+    _order_two_identity(chart, g)
+    assert sum(evaluated) < 12_000_000
 
 
 def test_decompose_residuals(chart):

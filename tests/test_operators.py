@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from bergsmooth.errors import DegenerateInputError
+from bergsmooth import finitediff, flow
+from bergsmooth.errors import ContractError, DegenerateInputError
 from bergsmooth.flow import antideriv_chain, build_chart
-from bergsmooth.functions import Poly2
+from bergsmooth.functions import Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import (
     abs_moment_op,
@@ -77,6 +78,68 @@ def test_ftc_through_expression(chart, collar_pts, rng):
     g = masked(chart, w)
     out = apply_op(compose(kernel_op(), field_op(chart.field)), g, collar_pts, chart)
     np.testing.assert_allclose(out, g(collar_pts), atol=1e-6)
+
+
+@pytest.mark.parametrize("mu", [0, 1])
+@pytest.mark.parametrize("factor", ["dx", "N", "N^2", "d_yy"])
+def test_jets_match_finite_differences_of_operator(chart, collar_pts, rng, factor, mu):
+    # a derivative through a kernel is taken by the chain rule on jets; compare it
+    # with finite differences, at the default step, of the numerical kernel
+    # output.  The bound is relative: second derivatives of the steep cutoff
+    # reach about 20 at these points
+    g = masked(chart, Poly2.random(rng, degree=2))
+    numerical = lambda p: apply_op(kernel_op(mu), g, p, chart)
+    dx = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                     name="dx")
+    x, honest = {
+        "dx": (field_op(dx), lambda: finitediff.partial_callable(numerical, collar_pts, (1, 0))),
+        "N": (field_op(chart.field), lambda: apply_field(chart.field, numerical, collar_pts)),
+        # the outer N differentiates the inner one's coefficients: Leibniz's rule
+        "N^2": (field_op(chart.field, 2),
+                lambda: apply_field(chart.field,
+                                    lambda p: apply_field(chart.field, numerical, p),
+                                    collar_pts)),
+        "d_yy": (diff_op((0, 2)),
+                 lambda: finitediff.partial_callable(numerical, collar_pts, (0, 2))),
+    }[factor]
+    jets = apply_op(compose(x, kernel_op(mu)), g, collar_pts, chart)
+    reference = honest()
+    assert np.max(np.abs(jets - reference)) <= 1e-6 * np.max(np.abs(reference))
+
+
+@pytest.fixture(scope="module")
+def annulus_chart(annulus):
+    return build_chart(annulus)
+
+
+def _annulus_collar_points(chart):
+    t = np.linspace(0.02, 0.9, 6)
+    r = np.concatenate([chart.flow_radius(-t, 1.0), chart.flow_radius(-t, chart.domain.rho)])
+    return (r[:, None] * np.exp(1j * np.linspace(0, 2 * np.pi, 5, endpoint=False))).ravel()
+
+
+@pytest.mark.parametrize("which", ["diff", "field", "commutator"])
+def test_annulus_derivative_through_kernel_raises(annulus_chart, rng, monkeypatch, which):
+    # the annulus flow is not linear, so no chain rule through its kernels: the
+    # expression is refused before any trajectory is swept
+    monkeypatch.setattr(flow, "trajectories", lambda *a, **k: pytest.fail("swept"))
+    n = field_op(annulus_chart.field)
+    expr = {"diff": compose(diff_op((1, 0)), kernel_op()),
+            "field": compose(n, kernel_op(1)),
+            "commutator": commutator(kernel_op(), n)}[which]
+    g = masked(annulus_chart, Poly2.random(rng, degree=2))
+    with pytest.raises(ContractError):
+        apply_op(expr, g, _annulus_collar_points(annulus_chart), annulus_chart)
+
+
+def test_annulus_kernel_of_field_evaluates(annulus_chart, rng):
+    # no derivative to the left of the kernel: the field acts on g at the leaves
+    g = masked(annulus_chart, Poly2.random(rng, degree=2))
+    pts = _annulus_collar_points(annulus_chart)
+    out = apply_op(compose(kernel_op(), field_op(annulus_chart.field)), g, pts, annulus_chart)
+    direct = antideriv_chain(annulus_chart,
+                             lambda p: apply_field(annulus_chart.field, g, p), pts)
+    np.testing.assert_allclose(out, direct, atol=1e-13)
 
 
 def test_commutator_is_definition(chart, collar_pts, rng):

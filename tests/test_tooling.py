@@ -66,10 +66,19 @@ def test_benchmark_tracer_counts_each_layer():
         starts = tracer.count["flow.trajectory_starts"]
         flow.hitting_time(chart, pts)
         operators.apply_op(operators.kernel_op(1), g, pts, chart)
+        # a derivative through a kernel goes by jets, still through the public
+        # trajectories and the integrand classes
+        evals, sweeps = tracer.count["functions.evals"], tracer.count["flow.trajectories.calls"]
+        dx = geometry.VectorField(disk, lambda p: np.full_like(p, 1.0 + 0.0j), real=True)
+        operators.apply_op(operators.compose(operators.field_op(dx), operators.kernel_op(),
+                                             operators.field_op(dx)), g, pts, chart)
+        jet_evals = tracer.count["functions.evals"] - evals
+        jet_sweeps = tracer.count["flow.trajectories.calls"] - sweeps
         bergman.project(w, bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8))
     finally:
         tracer.uninstall()
     assert starts == len(pts)
+    assert jet_evals > 0 and jet_sweeps > 0
     for counter in ("flow.trajectories.calls", "flow.hitting_time.calls", "functions.evals",
                     "bergman.basis_evals"):
         assert tracer.count[counter] > 0, counter
