@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .flow import CollarChart, antideriv_chain
+from .flow import CUTOFF_END, CollarChart, antideriv_chain, antideriv_chains
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
 from .norms import _default_grid, weighted_negative_norm
@@ -82,7 +82,9 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:
     (kernel o conjugate-field) on cutoff * h plus flow corrections built from
     the reduced transverse defect of the cutoff.  Conjugate-field derivatives
     are taken analytically on the tracked data (the rotation field commutes
-    with the radial flow kernel on these charts).
+    with the radial flow kernel on these charts).  Every term carries the cutoff
+    or its derivative, so each is integrated only up to the cutoff's end, and all
+    of them in one sweep of the evaluation points.
     """
     if k < 1 or k > 3:
         raise ParameterError("reproduction identity implemented for orders 1 to 3")
@@ -96,13 +98,16 @@ def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:
     tk = zh
     for _ in range(k):
         tk = tk.rotation_applied()
-    acc = tbar**k * antideriv_chain(chart, tk, points, depth=k)
+    chains = [(tk, k)]
     # corrections: i^j kernel^{j+1} [Tbar^j reduced-defect]
-    cr = cr_reduction(h, chart)
-    tj = cr
+    tj = cr_reduction(h, chart)
     for j in range(k):
-        acc = acc + tbar**j * antideriv_chain(chart, tj, points, depth=j + 1)
+        chains.append((tj, j + 1))
         tj = tj.rotation_applied()
+    main, *corrections = antideriv_chains(chart, chains, points, support=CUTOFF_END)
+    acc = tbar**k * main
+    for j, correction in enumerate(corrections):
+        acc = acc + tbar**j * correction
     return float(np.max(np.abs(target - acc)))
 
 
@@ -173,20 +178,30 @@ def rotation_fd(fn, points, order: int = 1):
     """Rotation-field derivative of a closure by angular finite differences.
 
     The stencil rotates the evaluation points, so the radius (and the collar
-    time) is preserved exactly; applied recursively for higher orders.
+    time) is preserved exactly.  Higher orders nest the stencil: the points are
+    rotated once per order level, fn is called once, on all 4**order rotated
+    copies stacked, and the stencil sums are taken innermost level first, in
+    the order of the nested recursion, so the result is bit for bit the one of
+    evaluating each copy on its own.
     """
-    if order == 0:
-        return np.asarray(fn(points), dtype=complex)
     coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * _ROTATION_STEP)
     offs = np.array([-2.0, -1.0, 1.0, 2.0]) * _ROTATION_STEP
-    out = np.zeros(np.shape(points), dtype=complex)
-    for c, o in zip(coeff, offs):
-        out = out + c * rotation_fd(fn, points * np.exp(1j * o), order - 1)
-    return out
+    stacked = points
+    for _ in range(order):
+        # a new leading axis per level, the latest level (innermost stencil) first
+        stacked = np.stack([stacked * np.exp(1j * o) for o in offs])
+    values = np.asarray(fn(stacked), dtype=complex)
+    for _ in range(order):
+        out = np.zeros(values.shape[1:], dtype=complex)
+        for c, v in zip(coeff, values):
+            out = out + c * v
+        values = out
+    return values
 
 
-def _component_closures(h: Holo1, k: int, chart: CollarChart):
-    """Component value closures for orders one and two.
+def _components(h: Holo1, chart: CollarChart):
+    """The components of orders one and two, each as (input, depth, combine):
+    combine(kernel^depth[input]) is the component.
 
     On the rotation-invariant charts the commutator coefficients vanish and
     the components collapse to iterated flow kernels of the tracked inputs:
@@ -195,18 +210,24 @@ def _component_closures(h: Holo1, k: int, chart: CollarChart):
     """
     zh = cutoff_times(chart, h)
     cr = cr_reduction(h, chart)
+    same, times_i, minus = (lambda v: v), (lambda v: 1j * v), (lambda v: -v)
+    return {1: ((cr, 1, same), (zh, 1, times_i)),
+            2: ((cr, 1, same), (cr, 2, times_i), (zh, 2, minus))}
 
-    def chain(w, depth):
-        return lambda p, w=w, depth=depth: antideriv_chain(chart, w, p, depth=depth)
 
-    if k == 1:
-        h0 = chain(cr, 1)
-        h1 = lambda p: 1j * chain(zh, 1)(p)
-        return (h0, h1)
-    h0 = chain(cr, 1)
-    h1 = lambda p: 1j * chain(cr, 2)(p)
-    h2 = lambda p: -chain(zh, 2)(p)
-    return (h0, h1, h2)
+def _component_values(components, chart: CollarChart, points):
+    """Values at points of components (input, depth, combine), in one sweep of the
+    points: a chain that several components share is integrated once.  Every input
+    carries the cutoff or its derivative, so the chains end at the cutoff's end."""
+    chains = list(dict.fromkeys((w, depth) for w, depth, _ in components))
+    values = dict(zip(chains, antideriv_chains(chart, chains, points, support=CUTOFF_END)))
+    return [combine(values[w, depth]) for w, depth, combine in components]
+
+
+def _component_fn(component, chart: CollarChart):
+    """One component as a closure of the points."""
+    w, depth, combine = component
+    return lambda p: combine(antideriv_chain(chart, w, p, depth=depth, support=CUTOFF_END))
 
 
 def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
@@ -217,25 +238,28 @@ def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
     re-differentiates the computed components by rotation finite differences
     (honest derivatives of the numerical output, not of the construction).
     Component norms are quadrature collar norms, reported against the
-    distance-weighted norm of h.
+    distance-weighted norm of h.  Each point set is swept once: the points and
+    the quadrature nodes for all components together, and the rotation stencil
+    of each differentiated component stacked into one set.
     """
     if k < 1 or k > 2:
         raise ParameterError("components implemented for orders 1 and 2")
     _require_rotation_chart(chart)
     if points is None:
         points = _default_eval_points(chart)
-    closures = _component_closures(h, k, chart)
-    comps = tuple(np.asarray(c(points), dtype=complex) for c in closures)
+    components = _components(h, chart)[k]
+    comps = tuple(_component_values(components, chart, points))
 
     zh = cutoff_times(chart, h)
     recon = comps[0]
-    for m, c in enumerate(closures[1:], start=1):
+    for m, component in enumerate(components[1:], start=1):
         # the conjugate tangential field is -rate times the rotation action
-        recon = recon + (-chart.rate) ** m * rotation_fd(c, points, order=m)
+        recon = recon + (-chart.rate) ** m * rotation_fd(_component_fn(component, chart),
+                                                         points, order=m)
     residual = float(np.max(np.abs(zh(points) - recon)))
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)
-    norms = tuple(qgrid.norm(np.asarray(c(qgrid.nodes), dtype=complex)) for c in closures)
+    norms = tuple(qgrid.norm(v) for v in _component_values(components, chart, qgrid.nodes))
     wk = weighted_negative_norm(h, k, chart.domain, qgrid)
     ratios = tuple(n / wk if wk > 0 else 0.0 for n in norms)
     return DecompositionResult(np.asarray(points), comps, residual, norms, ratios)

@@ -25,6 +25,7 @@ __all__ = [
     "hitting_time",
     "trajectories",
     "antideriv_chain",
+    "antideriv_chains",
     "flow_moment_apply",
 ]
 
@@ -193,10 +194,15 @@ class CollarChart:
         return (radii / safe) * points
 
 
+# The cutoff is exactly 0 from this hit time on, and so is every product with it
+# or with its derivative: the support bound of the quadrature of such integrands.
+CUTOFF_END = 0.75
+
+
 def _cutoff_argument(t):
     """The smoothstep argument of the cutoff at hit times t, with infinite times
     (the center of the disk and ball) moved to a finite time past the collar."""
-    return (0.75 - np.where(np.isfinite(t), t, 10.0)) / 0.5
+    return (CUTOFF_END - np.where(np.isfinite(t), t, 10.0)) / 0.5
 
 
 def build_chart(domain: Domain, q_panels: int = DEFAULT_Q_PANELS,
@@ -293,17 +299,24 @@ def _chain_kernel(depth: int, u):
     return out
 
 
-def _collar_quadrature(chart, points, kernel, integrand, depth=1, *, support, orders=None):
+def _collar_quadrature(chart, points, kernel=None, integrand=None, depth=1, *, support,
+                       orders=None, terms=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth, the
     node weight factors kernel(s) against integrand(pos, tau), the values at the
     positions pos of the live points with hit times tau = t - s there.
 
-    The integrand is taken to vanish where tau >= support: a panel with no pair
+    One term is kernel, integrand and depth, and its values are returned.  Pass
+    instead terms, a sequence of (kernel, integrand, depth), for a list of values,
+    one per term: each panel is swept once for all the terms deep enough to reach
+    it, and an integrand listed in several terms (the same object) is evaluated
+    once per panel.  Each term sums its own panels in its own order, so a term's
+    values are bit for bit the ones it gets alone.
+
+    The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
-    a live node are flowed and only the live pairs evaluated.  Where the
-    integrand is indeed zero past the bound, the sum is the one over every
-    pair, bit for bit.
+    a live node are flowed and only the live pairs evaluated.  Where an integrand
+    is indeed zero past the bound, the sum is the one over every pair, bit for bit.
 
     With orders, the values carry a trailing axis, one entry per derivative
     order |beta|, and the node weight of entry b is further multiplied by
@@ -311,16 +324,19 @@ def _collar_quadrature(chart, points, kernel, integrand, depth=1, *, support, or
     this is the chain rule for D^beta of the integral.  R_s is read off the
     sweep itself, the derivative of the discrete map.
     """
+    if terms is None:
+        return _collar_quadrature(chart, points, support=support, orders=orders,
+                                  terms=[(kernel, integrand, depth)])[0]
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
     live = np.isfinite(t) & (t < 1.0)
     trailing = () if orders is None else (len(orders),)
-    out = np.zeros(t.shape + trailing, dtype=complex)
+    outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
     if not np.any(live):
-        return out
+        return outs
     pts, t = points[live], t[live]
-    total = 0.0
-    for j in range(depth):
+    totals = [0.0] * len(terms)
+    for j in range(max((term[2] for term in terms), default=0)):
         if j + t.min() >= support:
             break
         s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
@@ -329,26 +345,56 @@ def _collar_quadrature(chart, points, kernel, integrand, depth=1, *, support, or
             # every pair is live: no mask and no gathered copies of the positions
             start = pts
             pos = trajectories(chart, start, s, chart.m_steps)
-            values = integrand(pos, tau)
+            evaluate = lambda integrand: integrand(pos, tau)
         else:
             need = tau < support
             cols = need.any(axis=0)
             start = pts[cols]
             pos = trajectories(chart, start, s, chart.m_steps)
-            live_values = integrand(pos[need[:, cols]], tau[need])
-            values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
-            values[need] = live_values
-        node_weights = weights * kernel(s)
-        if orders is None:
-            total = total + np.tensordot(node_weights, values, axes=(0, 0))
-        else:
+            live_pos, live_tau = pos[need[:, cols]], tau[need]
+
+            def evaluate(integrand):
+                live_values = integrand(live_pos, live_tau)
+                values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
+                values[need] = live_values
+                return values
+        if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))
             factor = (pos[:, ref] / start[ref]).real
-            jet_weights = node_weights[:, None] * factor[:, None] ** np.asarray(orders)
-            total = total + np.einsum("nb,npb->pb", jet_weights, values)
-    out[live] = total
-    return out
+            powers = factor[:, None] ** np.asarray(orders)
+        # the terms that reach this panel, by integrand
+        reach = {}
+        for i, (_, integrand, depth) in enumerate(terms):
+            if depth > j:
+                reach.setdefault(integrand, []).append(i)
+        for integrand, members in reach.items():
+            values = evaluate(integrand)
+            for i in members:
+                node_weights = weights * terms[i][0](s)
+                if orders is None:
+                    totals[i] = totals[i] + np.tensordot(node_weights, values, axes=(0, 0))
+                else:
+                    totals[i] = totals[i] + np.einsum("nb,npb->pb",
+                                                      node_weights[:, None] * powers, values)
+    for out, total in zip(outs, totals):
+        out[live] = total
+    return outs
+
+
+def _chain_terms(chains):
+    """Quadrature terms of depth-fold anti-differentiation for (w, depth) chains,
+    one integrand per distinct w."""
+    integrands = {}
+    terms = []
+    for w, depth in chains:
+        if depth not in (1, 2, 3):
+            raise ParameterError("chain depth 1 to 3 is supported")
+        if id(w) not in integrands:
+            integrands[id(w)] = lambda pos, tau, w=w: np.asarray(w(pos), dtype=complex)
+        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)],
+                      depth))
+    return terms
 
 
 def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: float = 1.0):
@@ -358,14 +404,20 @@ def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: floa
     collapse to a single integral against a B-spline kernel; this is exact
     whenever w vanishes off the collar, which the cutoff guarantees.  w is
     evaluated only where the hit time is below support, 1 (the collar) by that
-    contract; pass a larger bound, or np.inf, for a w that reaches further.
+    contract; pass a larger bound, or np.inf, for a w that reaches further, and
+    CUTOFF_END for a w that carries the cutoff or its derivative as a factor.
     Returns values at points, zero outside the collar.  depth is 1, 2 or 3.
     """
-    if depth not in (1, 2, 3):
-        raise ParameterError("chain depth 1 to 3 is supported")
-    return _collar_quadrature(chart, points, lambda s: _chain_kernel(depth, s),
-                              lambda pos, tau: np.asarray(w(pos), dtype=complex),
-                              depth, support=support)
+    return _collar_quadrature(chart, points, support=support,
+                              terms=_chain_terms([(w, depth)]))[0]
+
+
+def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
+    """antideriv_chain of each (w, depth) in chains, all at the same points and
+    support bound, in one sweep of each panel; a w listed at several depths is
+    evaluated once per panel.  Returns one array per chain, each bit for bit the
+    one antideriv_chain gives."""
+    return _collar_quadrature(chart, points, support=support, terms=_chain_terms(chains))
 
 
 def flow_moment_apply(chart: CollarChart, mu: int, g, points):

@@ -8,9 +8,10 @@ from bergsmooth.decompose import (
     matched_tangential,
     power_expansion,
     reproduction_residual,
+    rotation_fd,
 )
 from bergsmooth.errors import ContractError, ParameterError
-from bergsmooth.flow import build_chart
+from bergsmooth.flow import CUTOFF_END, antideriv_chain, build_chart
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op
@@ -218,3 +219,27 @@ def test_component_norm_stability_under_refinement(chart, disk):
     for nb, nf in zip(base.component_norms, fine.component_norms):
         assert nf <= 1.5 * nb
         assert nb <= 1.5 * nf
+
+
+def reference_rotation_fd(fn, points, order):
+    """The rotation stencil as a nested loop, one call of fn per rotated copy."""
+    if order == 0:
+        return np.asarray(fn(points), dtype=complex)
+    step = 2.5e-3
+    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    out = np.zeros(np.shape(points), dtype=complex)
+    for c, o in zip(coeff, offs):
+        out = out + c * reference_rotation_fd(fn, points * np.exp(1j * o), order - 1)
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_stacked_rotation_fd_matches_nested_loop(chart, band_points, order):
+    zh = cutoff_times(chart, Holo1.from_coeffs([0.5, 1.0, 0.25j]))
+    chain = lambda p: antideriv_chain(chart, zh, p, depth=2, support=CUTOFF_END)
+    for fn in (zh, chain):
+        calls = []
+        stacked = rotation_fd(lambda p: calls.append(np.shape(p)) or fn(p), band_points, order)
+        assert calls == [(4,) * order + band_points.shape]
+        assert np.array_equal(stacked, reference_rotation_fd(fn, band_points, order))

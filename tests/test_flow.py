@@ -7,18 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bergsmooth.flow as flow_module
+from bergsmooth.decompose import cr_reduction, cutoff_times
 from bergsmooth.errors import NotInCollarError, ParameterError
 from bergsmooth.flow import (
+    CUTOFF_END,
     _collar_quadrature,
     antideriv_chain,
+    antideriv_chains,
     build_chart,
     flow,
     flow_moment_apply,
     hitting_time,
     trajectories,
 )
-from bergsmooth.functions import Poly2, smoothstep
+from bergsmooth.functions import Holo1, Poly2, smoothstep
 from bergsmooth.geometry import boundary_samples, polar_eval_grid
+from bergsmooth.scenarios import _transverse_of_cutoff_times
 
 
 @pytest.fixture(scope="module")
@@ -418,6 +423,55 @@ def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
                                     lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos))),
                                     support=np.inf).real
     assert np.array_equal(flow_moment_apply(chart, mu, g, pts), everywhere)
+
+
+@pytest.mark.parametrize("support", [1.0, CUTOFF_END])
+def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch):
+    chart, w, pts = support_case
+    g = cutoff_masked(chart, w)
+    other = cutoff_masked(chart, lambda p: 2.0 - np.asarray(w(p)))
+    alone = [antideriv_chain(chart, f, pts, depth=d, support=support)
+             for f, d in ((g, 1), (other, 2), (g, 3))]
+    evaluated, sweeps = [], []
+    trajectories_ = flow_module.trajectories
+    monkeypatch.setattr(flow_module, "trajectories",
+                        lambda *args: sweeps.append(1) or trajectories_(*args))
+
+    def counted(p):
+        evaluated.append(1)
+        return g(p)
+    batch = antideriv_chains(chart, [(counted, 1), (other, 2), (counted, 3)], pts,
+                             support=support)
+    for one, together in zip(alone, batch):
+        assert np.array_equal(one, together)
+        assert np.any(together != 0)
+    # g, listed at depths 1 and 3, is evaluated once on each panel swept
+    assert len(evaluated) == len(sweeps) == (2 if support == 1.0 else 1)
+
+
+@pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_cutoff_end_bound_is_exact(disk, annulus, kind, resolution, rng):
+    # integrands carrying the cutoff or its derivative are exactly 0 from the
+    # cutoff's end on, also at the positions RK4 reaches on a coarse chart
+    chart = build_chart({"disk": disk, "annulus": annulus}[kind], *resolution)
+    pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
+    h = Holo1.from_coeffs([0.3, 1.0, 0.5j])
+    zh = cutoff_times(chart, h)
+    carried = [_transverse_of_cutoff_times(chart, Poly2.random(rng, degree=3)), zh,
+               zh.rotation_applied()]
+    if kind == "disk":
+        carried.append(cr_reduction(h, chart))
+    for w in carried:
+        for depth in (1, 2, 3):
+            at_end = antideriv_chain(chart, w, pts, depth=depth, support=CUTOFF_END)
+            assert np.array_equal(at_end, antideriv_chain(chart, w, pts, depth=depth,
+                                                          support=np.inf))
+            assert np.any(at_end != 0)
+    # an integrand that lives past the cutoff's end does see the bound
+    sharp = sharp_masked(chart, Poly2.random(rng, degree=2))
+    assert not np.array_equal(antideriv_chain(chart, sharp, pts, support=CUTOFF_END),
+                              antideriv_chain(chart, sharp, pts, support=np.inf))
 
 
 @pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
