@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .flow import CUTOFF_END, CollarChart, antideriv_chain, antideriv_chains
+from .flow import CUTOFF_END, CollarChart, antideriv_chains
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
 from .norms import _default_grid, weighted_negative_norm
@@ -224,12 +224,6 @@ def _component_values(components, chart: CollarChart, points):
     return [combine(values[w, depth]) for w, depth, combine in components]
 
 
-def _component_fn(component, chart: CollarChart):
-    """One component as a closure of the points."""
-    w, depth, combine = component
-    return lambda p: combine(antideriv_chain(chart, w, p, depth=depth, support=CUTOFF_END))
-
-
 def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
               grid=None) -> DecompositionResult:
     """Split cutoff * h into conjugate-field derivatives of controlled pieces.
@@ -254,8 +248,8 @@ def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
     recon = comps[0]
     for m, component in enumerate(components[1:], start=1):
         # the conjugate tangential field is -rate times the rotation action
-        recon = recon + (-chart.rate) ** m * rotation_fd(_component_fn(component, chart),
-                                                         points, order=m)
+        fn = lambda p: _component_values([component], chart, p)[0]
+        recon = recon + (-chart.rate) ** m * rotation_fd(fn, points, order=m)
     residual = float(np.max(np.abs(zh(points) - recon)))
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)

@@ -24,7 +24,6 @@ __all__ = [
     "flow",
     "hitting_time",
     "trajectories",
-    "antideriv_chain",
     "antideriv_chains",
     "flow_moment_apply",
 ]
@@ -299,19 +298,17 @@ def _chain_kernel(depth: int, u):
     return out
 
 
-def _collar_quadrature(chart, points, kernel=None, integrand=None, depth=1, *, support,
-                       orders=None, terms=None):
+def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
-    chart's resolution, zero off the collar: on each [-(j+1), -j], j < depth, the
-    node weight factors kernel(s) against integrand(pos, tau), the values at the
-    positions pos of the live points with hit times tau = t - s there.
+    chart's resolution, zero off the collar, for terms, a sequence of (kernel,
+    integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
+    kernel(s) against integrand(pos, tau), the values at the positions pos of the
+    live points with hit times tau = t - s there.
 
-    One term is kernel, integrand and depth, and its values are returned.  Pass
-    instead terms, a sequence of (kernel, integrand, depth), for a list of values,
-    one per term: each panel is swept once for all the terms deep enough to reach
-    it, and an integrand listed in several terms (the same object) is evaluated
-    once per panel.  Each term sums its own panels in its own order, so a term's
-    values are bit for bit the ones it gets alone.
+    Returns one array of values per term.  Each panel is swept once for all the
+    terms deep enough to reach it, and an integrand listed in several terms (the
+    same object) is evaluated once per panel.  Each term sums its own panels in
+    its own order, so a term's values are bit for bit the ones it gets alone.
 
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
@@ -324,9 +321,6 @@ def _collar_quadrature(chart, points, kernel=None, integrand=None, depth=1, *, s
     this is the chain rule for D^beta of the integral.  R_s is read off the
     sweep itself, the derivative of the discrete map.
     """
-    if terms is None:
-        return _collar_quadrature(chart, points, support=support, orders=orders,
-                                  terms=[(kernel, integrand, depth)])[0]
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
     live = np.isfinite(t) & (t < 1.0)
@@ -397,8 +391,10 @@ def _chain_terms(chains):
     return terms
 
 
-def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: float = 1.0):
-    """depth-fold anti-differentiation of a collar-supported function.
+def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
+    """depth-fold anti-differentiation of collar-supported functions, for each
+    (w, depth) in chains, all at the same points, in one sweep of each panel; a w
+    listed at several depths is evaluated once per panel.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
@@ -406,27 +402,23 @@ def antideriv_chain(chart: CollarChart, w, points, depth: int = 1, support: floa
     evaluated only where the hit time is below support, 1 (the collar) by that
     contract; pass a larger bound, or np.inf, for a w that reaches further, and
     CUTOFF_END for a w that carries the cutoff or its derivative as a factor.
-    Returns values at points, zero outside the collar.  depth is 1, 2 or 3.
+    Returns one array of values at points per chain, zero outside the collar,
+    each bit for bit the one its chain gets alone.  depth is 1, 2 or 3.
     """
-    return _collar_quadrature(chart, points, support=support,
-                              terms=_chain_terms([(w, depth)]))[0]
+    return _collar_quadrature(chart, points, _chain_terms(chains), support=support)
 
 
-def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
-    """antideriv_chain of each (w, depth) in chains, all at the same points and
-    support bound, in one sweep of each panel; a w listed at several depths is
-    evaluated once per panel.  Returns one array per chain, each bit for bit the
-    one antideriv_chain gives."""
-    return _collar_quadrature(chart, points, support=support, terms=_chain_terms(chains))
-
-
-def flow_moment_apply(chart: CollarChart, mu: int, g, points):
-    """The Hardy majorant: integral of (hit time at the flow point)^mu * |g o flow|,
-    for a g that vanishes off the collar (hit time >= 1), where it is not evaluated.
+def flow_moment_apply(chart: CollarChart, moments, points):
+    """The Hardy majorants: for each (mu, g) in moments, the integral of
+    (hit time at the flow point)^mu * |g o flow|, for a g that vanishes off the
+    collar (hit time >= 1), where it is not evaluated.  All in one sweep of each
+    panel; returns one real array per pair, each bit for bit the one its pair
+    gets alone.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.
     """
-    return _collar_quadrature(chart, points, lambda s: 1.0,
-                              lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos))),
-                              support=1.0).real
+    terms = [(lambda s: 1.0,
+              lambda pos, tau, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1)
+             for mu, g in moments]
+    return [out.real for out in _collar_quadrature(chart, points, terms, support=1.0)]

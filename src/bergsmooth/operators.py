@@ -17,10 +17,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError
-from .flow import (CollarChart, flow_moment_apply, _chain_kernel, _collar_quadrature,
-                   _value_shape)
+from .flow import CollarChart, _chain_kernel, _collar_quadrature, _value_shape
 from .functions import _partial
 from .geometry import PolarEvalGrid, VectorField
+from .norms import _multi_indices
 
 __all__ = [
     "OperatorExpr",
@@ -29,11 +29,9 @@ __all__ = [
     "FieldPower",
     "Compose",
     "OpSum",
-    "AbsFlowMoment",
     "kernel_op",
     "diff_op",
     "field_op",
-    "abs_moment_op",
     "compose",
     "op_sum",
     "commutator",
@@ -123,20 +121,6 @@ class FieldPower(OperatorExpr):
 
 
 @dataclass(frozen=True)
-class AbsFlowMoment(OperatorExpr):
-    """Majorant kernel: integral of (hit time at flow point)^mu |g o flow|.
-
-    Nonlinear (absolute value inside); used standalone as a test majorant,
-    never composed.
-    """
-
-    mu: int = 0
-
-    def _structural_tag(self):
-        return ClassTag((((self.mu,), 0),))
-
-
-@dataclass(frozen=True)
 class Compose(OperatorExpr):
     factors: tuple = ()
 
@@ -172,12 +156,6 @@ def diff_op(beta) -> DiffMonomial:
 
 def field_op(fld: VectorField, power: int = 1) -> FieldPower:
     return FieldPower(fld, power)
-
-
-def abs_moment_op(mu: int) -> AbsFlowMoment:
-    if mu < 0:
-        raise ParameterError("moment exponent must be nonnegative")
-    return AbsFlowMoment(mu)
 
 
 def compose(*factors) -> Compose:
@@ -254,12 +232,10 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
 
     A kernel evaluates its integrand only where the hit time is below 1, so g
     must vanish off the collar wherever a kernel acts on it, the contract of
-    antideriv_chain.  On the annulus the flow is not linear, and a derivative
+    antideriv_chains.  On the annulus the flow is not linear, and a derivative
     factor acting through a kernel factor raises ContractError.
     """
     points = np.asarray(points, dtype=complex)
-    if isinstance(expr, AbsFlowMoment):
-        return flow_moment_apply(chart, expr.mu, g, points).astype(complex)
     if chart.domain.kind == "annulus" and _derivative_through_kernel(expr)[0]:
         raise ContractError("a derivative through a flow kernel needs the linear flow "
                             "of the disk; the annulus flow is not linear")
@@ -358,8 +334,8 @@ class _Jets:
             inner = self.jet(rest, pos, order, key)
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _betas(order)] if order else None
-        out = _collar_quadrature(self.chart, points, kern, integrand, depth, support=1.0,
-                                 orders=orders)
+        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)], support=1.0,
+                                 orders=orders)[0]
         return out if order else out[..., None]
 
     def leaf(self, points, order, path):
@@ -420,20 +396,17 @@ def _weighted_norm(values, weights, t, power):
     return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
 
 
-def weighted_ratio_sweep(expr: OperatorExpr, g, ells, chart: CollarChart, grid):
-    """Ratios ||t^l expr(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l.
+def weighted_ratio_sweep(values, tag: ClassTag, g, ells, grid):
+    """Ratios ||t^l A(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l, from the
+    values of A(g) on the grid nodes (apply_op of an expression, or the Hardy
+    majorants of flow.flow_moment_apply).
 
-    k and nu come from the expression's class tag; the expression values are
-    computed once and reweighted across the sweep.
+    k and nu come from A's class tag; the values are reweighted across the sweep.
     """
     nodes, weights, t = grid
-    k = expr.tag.s_gain
-    nu = expr.tag.s_deriv
-    values = apply_op(expr, g, nodes, chart)
-    dg = []
-    for total in range(nu + 1):
-        for bx in range(total + 1):
-            dg.append(_partial(g, (bx, total - bx), nodes))
+    k = tag.s_gain
+    nu = tag.s_deriv
+    dg = [_partial(g, beta, nodes) for beta in _multi_indices(nu)]
     out = []
     for ell in ells:
         numer = _weighted_norm(values, weights, t, ell)

@@ -11,7 +11,7 @@ from bergsmooth.decompose import (
     rotation_fd,
 )
 from bergsmooth.errors import ContractError, ParameterError
-from bergsmooth.flow import CUTOFF_END, antideriv_chain, build_chart
+from bergsmooth.flow import CUTOFF_END, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op
@@ -237,7 +237,7 @@ def reference_rotation_fd(fn, points, order):
 @pytest.mark.parametrize("order", [1, 2])
 def test_stacked_rotation_fd_matches_nested_loop(chart, band_points, order):
     zh = cutoff_times(chart, Holo1.from_coeffs([0.5, 1.0, 0.25j]))
-    chain = lambda p: antideriv_chain(chart, zh, p, depth=2, support=CUTOFF_END)
+    chain = lambda p: antideriv_chains(chart, [(zh, 2)], p, support=CUTOFF_END)[0]
     for fn in (zh, chain):
         calls = []
         stacked = rotation_fd(lambda p: calls.append(np.shape(p)) or fn(p), band_points, order)

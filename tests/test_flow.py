@@ -13,7 +13,6 @@ from bergsmooth.errors import NotInCollarError, ParameterError
 from bergsmooth.flow import (
     CUTOFF_END,
     _collar_quadrature,
-    antideriv_chain,
     antideriv_chains,
     build_chart,
     flow,
@@ -289,8 +288,8 @@ def test_cutoff_derivatives_bounded(disk_chart):
 
 def test_antiderivative_zero(disk_chart):
     pts = np.array([0.9 + 0.0j, 0.6 + 0.3j])
-    out = antideriv_chain(disk_chart, cutoff_masked(disk_chart, lambda p: np.zeros_like(p)),
-                          pts, depth=1)
+    zero = cutoff_masked(disk_chart, lambda p: np.zeros_like(p))
+    out = antideriv_chains(disk_chart, [(zero, 1)], pts)[0]
     assert np.all(out == 0)
 
 
@@ -304,7 +303,7 @@ def test_ftc_identity(disk_chart, annulus_chart, rng):
         for _ in range(3):
             w = Poly2.random(rng, degree=3)
             g = chart.cutoff(pts) * w(pts)
-            ag = antideriv_chain(chart, masked_ng(chart, w), pts, depth=1)
+            ag = antideriv_chains(chart, [(masked_ng(chart, w), 1)], pts)[0]
             assert np.max(np.abs(g - ag)) < 1e-6
 
 
@@ -321,7 +320,7 @@ def test_antiderivative_radial_closed_form(disk_chart):
         return smoothstep((1.9 - np.where(np.isfinite(t), t, 10.0)) / 0.4) * np.abs(p)
 
     pts = np.exp(-c * np.array([0.05, 0.2, 0.4])).astype(complex)
-    out = antideriv_chain(disk_chart, neighborhood_masked, pts, depth=1, support=2.0)
+    out = antideriv_chains(disk_chart, [(neighborhood_masked, 1)], pts, support=2.0)[0]
     expect = np.abs(pts) * (1 - np.exp(-c)) / c
     np.testing.assert_allclose(out, expect, atol=1e-9)
 
@@ -330,9 +329,9 @@ def test_chain_collapse_matches_nesting(disk_chart, rng):
     w = Poly2.random(rng, degree=2)
     masked = lambda p: disk_chart.cutoff(p) * w(p)
     pts = np.exp(-disk_chart.rate * np.linspace(0.02, 0.9, 7)).astype(complex)
-    inner = lambda p: antideriv_chain(disk_chart, masked, p, depth=1)
-    nested = antideriv_chain(disk_chart, inner, pts, depth=1)
-    collapsed = antideriv_chain(disk_chart, masked, pts, depth=2)
+    inner = lambda p: antideriv_chains(disk_chart, [(masked, 1)], p)[0]
+    nested = antideriv_chains(disk_chart, [(inner, 1)], pts)[0]
+    collapsed = antideriv_chains(disk_chart, [(masked, 2)], pts)[0]
     np.testing.assert_allclose(nested, collapsed, atol=1e-8)
 
 
@@ -341,8 +340,8 @@ def test_flow_moment_dominates_plain(disk_chart, rng):
     w = Poly2.random(rng, degree=2)
     nonneg = lambda p: np.abs(w(p)) * disk_chart.cutoff(p)
     pts = np.exp(-disk_chart.rate * np.linspace(0.02, 0.9, 9)).astype(complex)
-    b0 = flow_moment_apply(disk_chart, 0, nonneg, pts)
-    a0 = antideriv_chain(disk_chart, nonneg, pts, depth=1)
+    b0 = flow_moment_apply(disk_chart, [(0, nonneg)], pts)[0]
+    a0 = antideriv_chains(disk_chart, [(nonneg, 1)], pts)[0]
     np.testing.assert_allclose(b0, a0.real, atol=1e-12)
 
 
@@ -351,9 +350,10 @@ def test_support_mask_dependence(disk_chart, rng):
     w = Poly2.random(rng, degree=2)
     bump_inside = lambda p: np.where(np.abs(p) < 0.4, 7.0, 0.0)
     pts = np.exp(-disk_chart.rate * np.linspace(0.02, 0.9, 9)).astype(complex)
-    a = antideriv_chain(disk_chart, cutoff_masked(disk_chart, w), pts, depth=1)
-    b = antideriv_chain(disk_chart, cutoff_masked(disk_chart, lambda p: w(p) + bump_inside(p)),
-                        pts, depth=1)
+    a = antideriv_chains(disk_chart, [(cutoff_masked(disk_chart, w), 1)], pts)[0]
+    b = antideriv_chains(disk_chart,
+                         [(cutoff_masked(disk_chart, lambda p: w(p) + bump_inside(p)), 1)],
+                         pts)[0]
     np.testing.assert_allclose(a, b, atol=1e-13)
 
 
@@ -405,13 +405,13 @@ def sharp_masked(chart, w):
 def test_support_skip_is_exact(support_case, depth, mask):
     chart, w, pts = support_case
     g = mask(chart, w)
-    skipped = antideriv_chain(chart, g, pts, depth=depth)
-    assert np.array_equal(skipped, antideriv_chain(chart, g, pts, depth=depth, support=np.inf))
+    skipped = antideriv_chains(chart, [(g, depth)], pts)[0]
+    assert np.array_equal(skipped, antideriv_chains(chart, [(g, depth)], pts, support=np.inf)[0])
     assert np.any(skipped != 0)
     # points outside the domain only: every pair of the first panel is live
     outside = pts[chart.hit_time(pts) < 0]
-    assert np.array_equal(antideriv_chain(chart, g, outside, depth=depth),
-                          antideriv_chain(chart, g, outside, depth=depth, support=np.inf))
+    assert np.array_equal(antideriv_chains(chart, [(g, depth)], outside)[0],
+                          antideriv_chains(chart, [(g, depth)], outside, support=np.inf)[0])
 
 
 @pytest.mark.parametrize("mask", [cutoff_masked, sharp_masked])
@@ -419,10 +419,10 @@ def test_support_skip_is_exact(support_case, depth, mask):
 def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
     chart, w, pts = support_case
     g = mask(chart, w)
-    everywhere = _collar_quadrature(chart, pts, lambda s: 1.0,
-                                    lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos))),
-                                    support=np.inf).real
-    assert np.array_equal(flow_moment_apply(chart, mu, g, pts), everywhere)
+    integrand = lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos)))
+    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1)],
+                                    support=np.inf)[0].real
+    assert np.array_equal(flow_moment_apply(chart, [(mu, g)], pts)[0], everywhere)
 
 
 @pytest.mark.parametrize("support", [1.0, CUTOFF_END])
@@ -430,7 +430,7 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
     chart, w, pts = support_case
     g = cutoff_masked(chart, w)
     other = cutoff_masked(chart, lambda p: 2.0 - np.asarray(w(p)))
-    alone = [antideriv_chain(chart, f, pts, depth=d, support=support)
+    alone = [antideriv_chains(chart, [(f, d)], pts, support=support)[0]
              for f, d in ((g, 1), (other, 2), (g, 3))]
     evaluated, sweeps = [], []
     trajectories_ = flow_module.trajectories
@@ -447,6 +447,14 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
         assert np.any(together != 0)
     # g, listed at depths 1 and 3, is evaluated once on each panel swept
     assert len(evaluated) == len(sweeps) == (2 if support == 1.0 else 1)
+    # the Hardy majorants batch the same way: g at two weights, other at one
+    moments = [(0, g), (1, g), (1, other)]
+    alone = [flow_moment_apply(chart, [moment], pts)[0] for moment in moments]
+    del sweeps[:]
+    for one, together in zip(alone, flow_moment_apply(chart, moments, pts)):
+        assert np.array_equal(one, together)
+        assert np.any(together != 0)
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])
@@ -464,14 +472,14 @@ def test_cutoff_end_bound_is_exact(disk, annulus, kind, resolution, rng):
         carried.append(cr_reduction(h, chart))
     for w in carried:
         for depth in (1, 2, 3):
-            at_end = antideriv_chain(chart, w, pts, depth=depth, support=CUTOFF_END)
-            assert np.array_equal(at_end, antideriv_chain(chart, w, pts, depth=depth,
-                                                          support=np.inf))
+            at_end = antideriv_chains(chart, [(w, depth)], pts, support=CUTOFF_END)[0]
+            assert np.array_equal(at_end, antideriv_chains(chart, [(w, depth)], pts,
+                                                           support=np.inf)[0])
             assert np.any(at_end != 0)
     # an integrand that lives past the cutoff's end does see the bound
     sharp = sharp_masked(chart, Poly2.random(rng, degree=2))
-    assert not np.array_equal(antideriv_chain(chart, sharp, pts, support=CUTOFF_END),
-                              antideriv_chain(chart, sharp, pts, support=np.inf))
+    assert not np.array_equal(antideriv_chains(chart, [(sharp, 1)], pts, support=CUTOFF_END)[0],
+                              antideriv_chains(chart, [(sharp, 1)], pts, support=np.inf)[0])
 
 
 @pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
@@ -485,7 +493,7 @@ def test_integrand_evaluated_only_inside_the_collar(disk_chart, annulus_chart, b
         seen.append(np.array(p))
         return chart.cutoff(p) * (1.0 + (p[..., 0] if kind == "ball" else p))
 
-    antideriv_chain(chart, w, pts, depth=2)
+    antideriv_chains(chart, [(w, 2)], pts)
     positions = np.concatenate(seen)
     assert np.max(chart.hit_time(positions)) < 1.0 + 1e-6
     # 2 panels of 4 * q_panels Gauss nodes per point
@@ -496,8 +504,8 @@ def test_integrand_evaluated_only_inside_the_collar(disk_chart, annulus_chart, b
 def test_chain_depth_outside_one_to_three_raises_first(disk_chart, depth):
     calls = []
     with pytest.raises(ParameterError):
-        antideriv_chain(disk_chart, lambda p: calls.append(p) or np.ones_like(p),
-                        np.array([0.9 + 0.0j]), depth=depth)
+        antideriv_chains(disk_chart, [(lambda p: calls.append(p) or np.ones_like(p), depth)],
+                         np.array([0.9 + 0.0j]))
     assert calls == []
 
 

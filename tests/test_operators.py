@@ -3,11 +3,10 @@ import pytest
 
 from bergsmooth import finitediff, flow
 from bergsmooth.errors import ContractError, DegenerateInputError
-from bergsmooth.flow import antideriv_chain, build_chart
+from bergsmooth.flow import antideriv_chains, build_chart, flow_moment_apply
 from bergsmooth.functions import Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import (
-    abs_moment_op,
     apply_op,
     collar_ratio_grid,
     commutator,
@@ -46,7 +45,7 @@ def test_plain_kernel_matches_antiderivative(chart, collar_pts, rng):
     w = Poly2.random(rng, degree=2)
     g = masked(chart, w)
     via_expr = apply_op(kernel_op(), g, collar_pts, chart)
-    direct = antideriv_chain(chart, g, collar_pts, depth=1)
+    direct = antideriv_chains(chart, [(g, 1)], collar_pts)[0]
     np.testing.assert_allclose(via_expr, direct, atol=1e-13)
 
 
@@ -56,7 +55,7 @@ def test_kernel_weight_equivalence(chart, collar_pts, rng):
     w = Poly2.random(rng, degree=2)
     g = masked(chart, w)
     a = apply_op(kernel_op(1), g, collar_pts, chart)
-    b = -antideriv_chain(chart, g, collar_pts, depth=2)
+    b = -antideriv_chains(chart, [(g, 2)], collar_pts)[0]
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -137,8 +136,8 @@ def test_annulus_kernel_of_field_evaluates(annulus_chart, rng):
     g = masked(annulus_chart, Poly2.random(rng, degree=2))
     pts = _annulus_collar_points(annulus_chart)
     out = apply_op(compose(kernel_op(), field_op(annulus_chart.field)), g, pts, annulus_chart)
-    direct = antideriv_chain(annulus_chart,
-                             lambda p: apply_field(annulus_chart.field, g, p), pts)
+    direct = antideriv_chains(annulus_chart,
+                              [(lambda p: apply_field(annulus_chart.field, g, p), 1)], pts)[0]
     np.testing.assert_allclose(out, direct, atol=1e-13)
 
 
@@ -200,27 +199,29 @@ def test_hardy_line_case_values():
 def test_hardy_majorant_ratio_bound(chart, ratio_grid, rng):
     # ratio <= 2/(2l+1) + 0.05 for mu in {0, 1} across seeded collar functions
     for mu in (0, 1):
-        expr = abs_moment_op(mu)
         for _ in range(5):
             g = masked(chart, Poly2.random(rng, degree=3))
-            ratios = weighted_ratio_sweep(expr, g, range(9), chart, ratio_grid)
+            values = flow_moment_apply(chart, [(mu, g)], ratio_grid[0])[0]
+            ratios = weighted_ratio_sweep(values, kernel_op(mu).tag, g, range(9), ratio_grid)
             for ell, r in enumerate(ratios):
                 assert r <= 2.0 / (2 * ell + 1) + 0.05
 
 
 def test_hardy_majorant_mu1_uniform(chart, ratio_grid, rng):
-    expr = abs_moment_op(1)
-    assert expr.tag.s_gain == 2
+    tag = kernel_op(1).tag
+    assert tag.s_gain == 2
     for _ in range(3):
         g = masked(chart, Poly2.random(rng, degree=2))
-        ratios = weighted_ratio_sweep(expr, g, range(9), chart, ratio_grid)
+        values = flow_moment_apply(chart, [(1, g)], ratio_grid[0])[0]
+        ratios = weighted_ratio_sweep(values, tag, g, range(9), ratio_grid)
         assert max(ratios) <= 2.0
 
 
 def test_weighted_ratio_degenerate(chart, ratio_grid):
     with pytest.raises(DegenerateInputError):
-        weighted_ratio_sweep(abs_moment_op(0), lambda p: np.zeros_like(p), [0], chart,
-                             ratio_grid)
+        zero = lambda p: np.zeros_like(p)
+        values = flow_moment_apply(chart, [(0, zero)], ratio_grid[0])[0]
+        weighted_ratio_sweep(values, kernel_op(0).tag, zero, [0], ratio_grid)
 
 
 def test_sclass_uniformity(chart, ratio_grid, rng):
@@ -239,7 +240,8 @@ def test_sclass_uniformity(chart, ratio_grid, rng):
         worst8 = 0.0
         for _ in range(3):
             g = masked(chart, Poly2.random(rng, degree=2))
-            r = weighted_ratio_sweep(expr, g, [0, 8], chart, ratio_grid)
+            values = apply_op(expr, g, ratio_grid[0], chart)
+            r = weighted_ratio_sweep(values, expr.tag, g, [0, 8], ratio_grid)
             worst0 = max(worst0, r[0])
             worst8 = max(worst8, r[1])
         assert worst8 <= 3.0 * worst0

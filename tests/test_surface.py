@@ -25,11 +25,12 @@ ORACLES = (
     "norms.sup_weighted_norm",           # dense-grid sup norm, for a C9 that can fail
 )
 
-# The operator calculus of the single-direction result: the package evaluates
-# these expressions (apply_op, commutator) but builds none itself; the
+# The operator calculus of the single-direction result: the package builds its
+# expressions (commutator, power_expansion) but no check evaluates one; the
 # power-expansion tests and the fanout benchmark do.
 CALCULUS = (
     "decompose.power_expansion",
+    "operators.apply_op",
     "operators.diff_op",
 )
 
@@ -78,6 +79,20 @@ def test_every_public_name_is_used_or_kept():
             if public not in used:
                 unused.append(f"{name}.{public}")
     assert sorted(unused) == sorted(ORACLES + CALCULUS)
+
+
+def test_only_the_collar_quadrature_sweeps_trajectories():
+    # one sweep loop: every trajectory sweep in the package goes through it
+    callers = set()
+    for path in SRC.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "trajectories" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.add(f"{path.stem}.{fn.name}")
+    assert callers == {"flow._collar_quadrature"}
 
 
 def test_only_build_chart_takes_the_trajectory_resolution():

@@ -7,7 +7,7 @@ import bergsmooth.flow as flow_module
 from bergsmooth.decompose import decompose, reproduction_residual
 from bergsmooth.flow import build_chart
 from bergsmooth.functions import Holo1
-from bergsmooth.scenarios import ScenarioConfig, check_ftc
+from bergsmooth.scenarios import ScenarioConfig, check_ftc, check_hardy
 
 
 @pytest.fixture()
@@ -30,6 +30,12 @@ def chart(disk):
 def test_ftc_sweeps_once_per_domain(sweeps):
     check_ftc(ScenarioConfig("ftc"))
     assert len(sweeps) == 2
+
+
+def test_hardy_sweeps_its_grid_once(sweeps):
+    # the majorants of all 40 seeded functions, at both weights, from one sweep
+    check_hardy(ScenarioConfig("hardy"))
+    assert len(sweeps) == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -61,7 +61,7 @@ def test_benchmark_tracer_counts_each_layer():
         w = functions.Poly2([[1.0, 0.5], [0.25j, 0.0]])
         g = lambda p: chart.cutoff(p) * w(p)
         pts = np.exp(-chart.rate * np.array([0.1, 0.5]) + 1j * np.array([0.3, 2.0]))
-        flow.antideriv_chain(chart, g, pts, depth=2)
+        flow.antideriv_chains(chart, [(g, 2)], pts)
         # the collar points' second panel lies past the collar: one sweep of each
         starts = tracer.count["flow.trajectory_starts"]
         flow.hitting_time(chart, pts)
