@@ -27,6 +27,14 @@ __all__ = [
 ]
 
 
+def _falling(k: int, j: int) -> float:
+    """The factor k(k-1)...(k-j+1) that the j-th derivative brings down from z^k."""
+    fac = 1.0
+    for i in range(j):
+        fac *= (k - i)
+    return fac
+
+
 @dataclass(frozen=True)
 class PlanarMonomial:
     power: int
@@ -35,9 +43,7 @@ class PlanarMonomial:
     def eval(self, z, deriv=0):
         z = np.asarray(z)
         k = self.power
-        fac = 1.0
-        for i in range(deriv):
-            fac *= (k - i)
+        fac = _falling(k, deriv)
         if fac == 0.0:
             return np.zeros_like(z, dtype=complex)
         return fac / self.norm * z ** (k - deriv)
@@ -53,9 +59,7 @@ class BallMonomial:
         out = np.full(z.shape[:-1], 1.0 / self.norm, dtype=complex)
         for j in (0, 1):
             k, d = self.powers[j], deriv[j]
-            fac = 1.0
-            for i in range(d):
-                fac *= (k - i)
+            fac = _falling(k, d)
             if fac == 0.0:
                 return np.zeros(z.shape[:-1], dtype=complex)
             out = out * fac * z[..., j] ** (k - d)
@@ -136,20 +140,93 @@ def _values_on(f, grid: QuadratureGrid):
     return values
 
 
+def _powers(basis: OrthonormalBasis):
+    """Element powers, (k,) on the plane and (a, b) on the ball, and element norms."""
+    powers = [e.powers if isinstance(e, BallMonomial) else (e.power,) for e in basis.elements]
+    return powers, np.array([e.norm for e in basis.elements])
+
+
+def _variables(domain: Domain, points):
+    """Coordinates whose nonnegative powers make up the basis monomials, and the
+    map from element powers to exponents in them: z1, z2 on the ball, z on the
+    disk, and z, 1/z on the annulus, where z^k has exponents (max(k, 0), max(-k, 0))."""
+    points = np.asarray(points)
+    if domain.kind == "ball2":
+        return [points[..., 0], points[..., 1]], tuple
+    if domain.kind == "disk":
+        return [points], tuple
+    return [points, 1.0 / points], lambda e: (max(e[0], 0), max(-e[0], 0))
+
+
+def _power_sums(v, xs, exps):
+    """sum(v * prod_i xs[i]**e_i) for each nonnegative exponent tuple e, by
+    running products per coordinate: one multiply and one reduction per tuple."""
+    if not xs:
+        return {(): v.sum()}
+    out = {}
+    for p in range(max(e[0] for e in exps) + 1):
+        if p:
+            v = v * xs[0]
+        rest = [e[1:] for e in exps if e[0] == p]
+        if rest:
+            out.update({(p,) + r: m for r, m in _power_sums(v, xs[1:], rest).items()})
+    return out
+
+
+def _horner(xs, coeffs):
+    """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
+    to coefficients a_e, by Horner's rule in each coordinate in turn."""
+    if not xs:
+        return coeffs[()]
+    by_power = {}
+    for e, a in coeffs.items():
+        by_power.setdefault(e[0], {})[e[1:]] = a
+    top = max(by_power)
+    out = _horner(xs[1:], by_power[top])
+    for p in range(top - 1, -1, -1):
+        out = out * xs[0]
+        if p in by_power:
+            out = out + _horner(xs[1:], by_power[p])
+    return out
+
+
 def project(f, basis: OrthonormalBasis, grid: QuadratureGrid) -> CoefficientVector:
-    """Orthogonal projection coefficients (f, e_k) under the grid quadrature."""
+    """Orthogonal projection coefficients (f, e_k) under the grid quadrature.
+
+    The moments sum(w f conj(z)^k) come from running powers of conj(z) (of
+    conj(1/z) for the annulus's negative powers, of conj(z1) and conj(z2) on
+    the ball), never from element values.
+    """
     if basis.domain.kind != grid.domain.kind:
         raise ContractError("basis and grid live on different domains")
-    values = _values_on(f, grid)
-    wf = grid.weights * values
-    coeffs = np.array([np.sum(wf * np.conj(e.eval(grid.nodes))) for e in basis.elements])
-    return CoefficientVector(basis, coeffs)
+    v = grid.weights * _values_on(f, grid)
+    powers, norms = _powers(basis)
+    xs, exponents = _variables(basis.domain, grid.nodes)
+    exps = [exponents(e) for e in powers]
+    sums = _power_sums(v, [np.conj(x) for x in xs], exps)
+    return CoefficientVector(basis, np.array([sums[e] for e in exps]) / norms)
 
 
 def synthesize(coeffs: CoefficientVector, points, deriv=None):
-    """Pointwise sum of c_k D^beta e_k for a holomorphic derivative multi-index."""
-    mat = coeffs.basis.eval_matrix(points, deriv)
-    return np.tensordot(coeffs.coeffs, mat, axes=(0, 0))
+    """Pointwise sum of c_k D^beta e_k for a holomorphic derivative multi-index.
+
+    The derivative of the expansion is a (Laurent) polynomial with coefficient
+    c_k k(k-1)...(k-j+1) / norm_k at power k - j (per coordinate on the ball),
+    evaluated by Horner's rule; no element is evaluated.
+    """
+    domain = coeffs.basis.domain
+    if deriv is None:
+        deriv = (0, 0) if domain.kind == "ball2" else 0
+    d = tuple(deriv) if domain.kind == "ball2" else (deriv,)
+    powers, norms = _powers(coeffs.basis)
+    xs, exponents = _variables(domain, points)
+    terms = {}
+    for e, c, norm in zip(powers, coeffs.coeffs, norms):
+        fac = math.prod(_falling(k, j) for k, j in zip(e, d))
+        if fac != 0.0:
+            terms[exponents([k - j for k, j in zip(e, d)])] = c * (fac / norm)
+    out = np.zeros(xs[0].shape, dtype=complex)
+    return out + _horner(xs, terms) if terms else out
 
 
 def gram_matrix(basis: OrthonormalBasis, grid: QuadratureGrid, weight=None):

@@ -560,24 +560,38 @@ def _format_cell(x):
     return str(x)
 
 
+def _create(path):
+    """Open path for writing as a new file. An old report is unlinked, not
+    truncated: truncating a file forces a flush on ext4 (auto_da_alloc)."""
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
 def emit_report(bundle: ReportBundle, output_dir: str):
-    """Write summary.txt, one CSV per table, and the config echo; stable order."""
+    """Write summary.txt, one CSV per table, and the config echo; stable order.
+
+    Each of these files is replaced, not rewritten in place; no other file in
+    output_dir is touched.
+    """
     os.makedirs(output_dir, exist_ok=True)
     paths = []
     for name in sorted(bundle.tables):
         header, rows = bundle.tables[name]
         path = os.path.join(output_dir, f"{name}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _create(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_format_cell(x) for x in row) + "\n")
         paths.append(path)
     summary = os.path.join(output_dir, "summary.txt")
-    with open(summary, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(summary) as fh:
         fh.write("\n".join(bundle.summary_lines()) + "\n")
     paths.append(summary)
     echo = os.path.join(output_dir, "config_echo.json")
-    with open(echo, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(echo) as fh:
         json.dump(bundle.provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")
     paths.append(echo)

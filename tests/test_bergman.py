@@ -169,3 +169,34 @@ def test_kernel_series_consistency(disk, rng):
         floor = 1e-14 * abs(exact)  # rounding floor once the tail is subnormal
         assert errs[1] <= max(errs[0], floor)
         assert errs[2] <= max(errs[1], floor)
+
+
+# Oracles: the element-by-element formulas that project and synthesize replace.
+
+def _project_by_elements(values, basis, grid):
+    return np.array([np.sum(grid.weights * values * np.conj(e.eval(grid.nodes)))
+                     for e in basis.elements])
+
+
+def _synthesize_by_elements(cv, points, deriv):
+    return np.tensordot(cv.coeffs, cv.basis.eval_matrix(points, deriv), axes=(0, 0))
+
+
+def _rel_err(new, old):
+    return np.max(np.abs(new - old)) / np.max(np.abs(old))
+
+
+@pytest.mark.parametrize("case", ["disk", "annulus-even", "annulus-odd", "ball"])
+def test_project_and_synthesize_match_element_formulas(case, request, rng):
+    from bergsmooth.bergman import CoefficientVector
+    kind = case.split("-")[0]
+    grid = request.getfixturevalue({"ball": "ball2_grid"}.get(kind, f"{kind}_grid"))
+    basis = build_basis(grid.domain, 31 if case == "annulus-odd" else 32)
+    derivs = [(0, 0), (1, 0), (0, 2), (2, 1)] if kind == "ball" else [0, 1, 2, 3]
+    values = rng.normal(size=grid.weights.shape) + 1j * rng.normal(size=grid.weights.shape)
+    cv = project(values, basis, grid)
+    assert _rel_err(cv.coeffs, _project_by_elements(values, basis, grid)) < 1e-12
+    cv = CoefficientVector(basis, rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size))
+    for deriv in derivs:
+        old = _synthesize_by_elements(cv, grid.nodes, deriv)
+        assert _rel_err(synthesize(cv, grid.nodes, deriv), old) < 1e-12, deriv

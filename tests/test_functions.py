@@ -33,3 +33,22 @@ def test_apply_field_holomorphic_has_no_zbar_part(disk):
         b = np.asarray(fld.zbar(pts))
         expect = a * h._deriv(1)(pts) + b * np.zeros_like(pts, dtype=complex)
         assert np.array_equal(apply_field(fld, h, pts), expect)
+
+
+def _inverse_power_reference(a, p, j, z):
+    fac = a**j * np.prod([p + i for i in range(j)])
+    return fac * (1.0 - a * z) ** (-(p + j))
+
+
+def test_inverse_power_matches_complex_power(rng):
+    # the polar form for non-integer powers, down to the boundary where |1 - a z| is small
+    z = np.sqrt(rng.uniform(0.0, 1.0, 4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    z = np.concatenate([z, 0.9999 * np.exp(1j * np.linspace(-0.01, 0.01, 41))])
+    for a in (0.9, 0.999):
+        h = Holo1.inverse_power(a, 0.75)
+        for j in range(3):  # powers 0.75, 1.75, 2.75
+            ref = _inverse_power_reference(a, 0.75, j, z)
+            assert np.max(np.abs(h.partial((j, 0), z) - ref) / np.abs(ref)) < 1e-14
+        h = Holo1.inverse_power(a, 1.0)
+        for j in range(3):
+            assert np.array_equal(h.partial((j, 0), z), _inverse_power_reference(a, 1.0, j, z))

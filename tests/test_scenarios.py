@@ -81,6 +81,29 @@ def test_empty_bundle_report(tmp_path):
     assert len(paths) == 2  # summary plus config echo
 
 
+def test_emit_report_replaces_its_files_only(tmp_path):
+    bundle = ReportBundle("duality", {"t": (["a", "b"], [[1, 0.5], [2, 0.25]])}, [],
+                          {"config": {"seed": 3}})
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_bytes(b"kept\n")
+    foreign = os.stat(out / "notes.txt")
+    first = {Path(p).name: Path(p).read_bytes() for p in emit_report(bundle, str(out))}
+    # a second name for each report file keeps the first file alive
+    for name in first:
+        os.link(out / name, tmp_path / name)
+    paths = emit_report(bundle, str(out))
+    assert {Path(p).name: Path(p).read_bytes() for p in paths} == first
+    for name in first:
+        # replaced by a new file, not truncated and rewritten in place
+        assert not os.path.samefile(out / name, tmp_path / name), name
+        assert (tmp_path / name).read_bytes() == first[name]
+    assert sorted(os.listdir(out)) == sorted([*first, "notes.txt"])
+    assert (out / "notes.txt").read_bytes() == b"kept\n"
+    after = os.stat(out / "notes.txt")
+    assert (after.st_ino, after.st_mtime_ns) == (foreign.st_ino, foreign.st_mtime_ns)
+
+
 def test_duality_scenario_table_schema(tmp_path):
     cfg = ScenarioConfig.from_dict({"scenario": "duality", "n_r": 16, "n_theta": 32,
                                     "basis_size": 16})

@@ -1,13 +1,14 @@
-"""Regression guard on the number of trajectory sweeps: each point set is swept
-once for every integrand computed on it."""
+"""Regression guards on repeated work: each point set is swept once for every
+integrand computed on it, and projection evaluates no basis element."""
 
 import pytest
 
 import bergsmooth.flow as flow_module
+from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import decompose, reproduction_residual
 from bergsmooth.flow import build_chart
 from bergsmooth.functions import Holo1
-from bergsmooth.scenarios import ScenarioConfig, check_ftc, check_hardy
+from bergsmooth.scenarios import ScenarioConfig, check_conj_disk, check_ftc, check_hardy
 
 
 @pytest.fixture()
@@ -48,3 +49,16 @@ def test_decompose_sweeps_each_point_set_once(sweeps, chart):
     # the evaluation points, the two stacked rotation stencils, the norm grid
     decompose(Holo1.inverse_power(0.9, 0.75), 2, chart)
     assert len(sweeps) <= 4
+
+
+def test_conj_disk_evaluates_no_basis_element(monkeypatch):
+    # C5's ten projections take their moments from running powers of conj(z)
+    calls = []
+    evaluate = PlanarMonomial.eval
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+    monkeypatch.setattr(PlanarMonomial, "eval", counted)
+    check_conj_disk(ScenarioConfig("conj-smoothing"))
+    assert len(calls) == 0

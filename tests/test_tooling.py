@@ -74,7 +74,10 @@ def test_benchmark_tracer_counts_each_layer():
                                              operators.field_op(dx)), g, pts, chart)
         jet_evals = tracer.count["functions.evals"] - evals
         jet_sweeps = tracer.count["flow.trajectories.calls"] - sweeps
-        bergman.project(w, bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8))
+        basis, grid = bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8)
+        bergman.project(w, basis, grid)
+        # projection takes running powers; the Gram matrix still evaluates elements
+        bergman.gram_matrix(basis, grid)
     finally:
         tracer.uninstall()
     assert starts == len(pts)
