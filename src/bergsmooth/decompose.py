@@ -1,7 +1,7 @@
 """Writing a cutoff holomorphic function as derivatives along the conjugate
 tangential field of norm-controlled pieces.
 
-The pipeline lives on the canonical rotation-invariant charts (disk, ball),
+The pipeline lives on the canonical rotation-invariant chart of the disk,
 where the rotation field commutes exactly with the flow kernel; conjugate
 field derivatives inside the construction therefore land analytically on
 tracked holomorphic data, while the final identity check re-differentiates

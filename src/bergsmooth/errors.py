@@ -17,10 +17,6 @@ class ResolutionError(RuntimeError):
     """A grid is too coarse for the requested stencil or the noise budget."""
 
 
-class FlowEscapeError(RuntimeError):
-    """An integral curve left the chart where the flow field is controlled."""
-
-
 class NotInCollarError(RuntimeError):
     """No boundary hitting time exists within the searched window."""
 

@@ -1,10 +1,11 @@
-"""Flow of the transverse field, boundary hitting times, the collar chart,
-and anti-differentiation along the backward flow.
+"""Boundary hitting times, the collar chart, and anti-differentiation along the
+backward flow of the transverse field.
 
 The transverse field on every model domain is radial, so the chart carries
-closed-form hitting times and flow radii; the public flow and hitting-time
-operations use fixed-step RK4 and bisection, with the closed forms serving
-as cross-checks.
+closed-form hitting times and flow radii.  The numerical paths share one
+fixed-step RK4 step: `trajectories` sweeps it through a sorted list of times,
+and `hitting_time` marches it to the boundary and bisects the crossing step,
+with the closed forms serving as cross-checks.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, FlowEscapeError, NotInCollarError, ParameterError
+from .errors import ContractError, NotInCollarError, ParameterError
 from .functions import smoothstep, smoothstep_prime
 from .geometry import Domain, VectorField, canonical_fields, collar_rate
 
 __all__ = [
     "CollarChart",
     "build_chart",
-    "flow",
     "hitting_time",
     "trajectories",
     "antideriv_chains",
@@ -33,60 +33,14 @@ DEFAULT_Q_PANELS = 32
 _GAUSS_PER_PANEL = 4
 
 
-def flow(field: VectorField, t: float, x, n_steps: int = DEFAULT_M_STEPS,
-         escape_bound: float | None = 1.0, clamp_radius: float | None = None):
-    """Flow map of a real field by fixed-step RK4.
-
-    n_steps is a floor on the steps per unit time: the flow takes
-    ceil(|t| n_steps) equal steps, at least one.  If the defining function
-    along the trajectory exceeds escape_bound the curve has left the
-    controlled chart and a FlowEscapeError is raised; pass None to disable
-    (the hitting-time bisection probes past the boundary on purpose, with
-    clamp_radius freezing curves once they are unambiguously outside).
-    """
-    return _rk4(field, t, np.asarray(x, dtype=complex), n_steps, escape_bound, clamp_radius)
-
-
-def _rk4(field, t, x, n_steps, escape_bound=None, clamp_radius=None):
-    """RK4 from x for time t, a float or one time per point: ceil(|t| n_steps)
-    equal steps, at least one, none at t = 0."""
-    if not isinstance(t, np.ndarray):
-        if t == 0.0:
-            return x.copy()
-        n = max(1, int(math.ceil(abs(t) * n_steps)))
-        h = t / n
-        for _ in range(n):
-            x = _rk4_step(field, x, h, escape_bound, clamp_radius)
-        return x
-    tail = x.shape[t.ndim:]
-    t = t.ravel()
-    n = np.where(t == 0.0, 0, np.maximum(1, np.ceil(np.abs(t) * n_steps).astype(int)))
-    h = (t / np.maximum(n, 1)).reshape((-1,) + (1,) * len(tail))
-    state = x.reshape((t.size,) + tail).copy()
-    for k in range(n.max(initial=0)):
-        on = n > k
-        state[on] = _rk4_step(field, state[on], h[on], escape_bound, clamp_radius)
-    return state.reshape(x.shape)
-
-
-def _rk4_step(field, x, h, escape_bound, clamp_radius):
-    """One RK4 step of size h (a float or per-point sizes), then clamp and escape test."""
+def _rk4_step(field, x, h):
+    """One RK4 step of size h, a float or one size per point broadcast against x."""
     vel = field.velocity
     k1 = vel(x)
     k2 = vel(x + 0.5 * h * k1)
     k3 = vel(x + 0.5 * h * k2)
     k4 = vel(x + h * k3)
-    x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    if clamp_radius is not None:
-        r = field.domain.radius(x)
-        far = r > clamp_radius
-        if np.any(far):
-            scale = np.where(far, clamp_radius / np.maximum(r, 1e-300), 1.0)
-            x = x * (scale[..., None] if field.domain.kind == "ball2" else scale)
-    if escape_bound is not None:
-        if np.any(field.domain.defining_function(x) > escape_bound):
-            raise FlowEscapeError("integral curve left the chart")
-    return x
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def _value_shape(domain, points):
@@ -102,8 +56,10 @@ class CollarChart:
     hitting time is positive inside, zero on the boundary, and the collar
     {hit time < 1} sits inside the neighborhood {hit time < 2} where the
     field is controlled.  It also carries the trajectory resolution of every
-    computation along the flow: q_panels Gauss panels per unit time, and
-    m_steps, a floor on the RK4 steps per unit time (see trajectories).
+    computation along the flow, both integers >= 1: q_panels Gauss panels per
+    unit time, and m_steps, a floor on the RK4 steps per unit time of the
+    quadrature sweeps (see trajectories) and exactly the steps per unit time
+    of hitting_time.
     """
 
     domain: Domain
@@ -111,6 +67,12 @@ class CollarChart:
     rate: float
     q_panels: int = DEFAULT_Q_PANELS
     m_steps: int = DEFAULT_M_STEPS
+
+    def __post_init__(self):
+        for name in ("q_panels", "m_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
     # --- hitting time, closed form per model domain -----------------------
 
@@ -211,32 +173,51 @@ def build_chart(domain: Domain, q_panels: int = DEFAULT_Q_PANELS,
 
 
 # ---------------------------------------------------------------------------
-# hitting time by bisection (closed form is the oracle, not the implementation)
+# hitting time: march, then bisect the crossing step (closed form is the oracle)
 # ---------------------------------------------------------------------------
 
 
 def hitting_time(chart: CollarChart, x):
-    """Boundary hitting time by bisection on the defining function along the flow,
-    RK4 at the chart's m_steps, to a tolerance of 1e-10 within the time window [0, 2]."""
+    """Boundary hitting time along the flow, to a tolerance of 1e-10 within the
+    time window [0, 2].
+
+    Each point takes RK4 steps of 1/m_steps while the end of the next step stays
+    inside; the fraction of that crossing step is then bisected, one RK4 step of
+    the fraction per iteration, for all points together.  A point on the
+    boundary has time 0."""
     x = np.asarray(x, dtype=complex)
     scalar = _value_shape(chart.domain, x) == ()
     pts = x[None, ...] if scalar else x
-    rho0 = chart.domain.defining_function(pts)
+    defining = chart.domain.defining_function
+    rho0 = defining(pts)
     if np.any(rho0 > 1e-12):
         raise ContractError("hitting time needs points in the closed domain")
-    hi_val = chart.domain.defining_function(
-        flow(chart.field, 2.0, pts, chart.m_steps, escape_bound=None, clamp_radius=4.0))
-    if np.any(hi_val < 0):
+    m = chart.m_steps
+    tail = pts.shape[rho0.ndim:]
+    state = pts.reshape((-1,) + tail).copy()
+    inside = rho0.ravel() < 0
+    # march: point i stays inside for k[i] steps, and its next step crosses
+    k = np.zeros(len(state), dtype=int)
+    going = np.flatnonzero(inside)
+    for _ in range(2 * m):
+        if going.size == 0:
+            break
+        stepped = _rk4_step(chart.field, state[going], 1.0 / m)
+        stays = defining(stepped) < 0
+        going = going[stays]
+        state[going] = stepped[stays]
+        k[going] += 1
+    if going.size:
         raise NotInCollarError("no boundary crossing within the time window")
-    lo = np.zeros_like(rho0)
-    hi = np.full_like(lo, 2.0)
-    while np.max(hi - lo, initial=0.0) > 1e-10:
-        mid = 0.5 * (lo + hi)
-        moved = _rk4(chart.field, mid, pts, chart.m_steps, clamp_radius=4.0)
-        below = chart.domain.defining_function(moved) < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    t = 0.5 * (lo + hi)
+    # bisect the crossing step's fraction, bracketed by [lo, lo + 2 half]
+    lo = np.zeros(len(state))
+    half = 0.5
+    while 2 * half / m > 1e-10:
+        mid = lo + half
+        moved = _rk4_step(chart.field, state, (mid / m).reshape((-1,) + (1,) * len(tail)))
+        lo = np.where(defining(moved) < 0, mid, lo)
+        half *= 0.5
+    t = np.where(inside, (k + lo + half) / m, 0.0).reshape(rho0.shape)
     return float(t[0]) if scalar else t
 
 
@@ -260,7 +241,10 @@ def trajectories(chart: CollarChart, points, s_values, n_steps: int):
     state = points
     for idx, span in zip(order.tolist(), spans.tolist()):
         if span != 0.0:
-            state = _rk4(chart.field, span, state, n_steps)
+            n = max(1, math.ceil(abs(span) * n_steps))
+            h = span / n
+            for _ in range(n):
+                state = _rk4_step(chart.field, state, h)
         out[idx] = state
     return out
 
@@ -335,23 +319,17 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
             break
         s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
         tau = t[None, :] - s[:, None]
-        if t.max() + j + 1 < support:
-            # every pair is live: no mask and no gathered copies of the positions
-            start = pts
-            pos = trajectories(chart, start, s, chart.m_steps)
-            evaluate = lambda integrand: integrand(pos, tau)
-        else:
-            need = tau < support
-            cols = need.any(axis=0)
-            start = pts[cols]
-            pos = trajectories(chart, start, s, chart.m_steps)
-            live_pos, live_tau = pos[need[:, cols]], tau[need]
+        need = tau < support
+        cols = need.any(axis=0)
+        start = pts[cols]
+        pos = trajectories(chart, start, s, chart.m_steps)
+        live_pos, live_tau = pos[need[:, cols]], tau[need]
 
-            def evaluate(integrand):
-                live_values = integrand(live_pos, live_tau)
-                values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
-                values[need] = live_values
-                return values
+        def evaluate(integrand):
+            live_values = integrand(live_pos, live_tau)
+            values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
+            values[need] = live_values
+            return values
         if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))

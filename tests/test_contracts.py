@@ -8,10 +8,9 @@ import pytest
 from bergsmooth.bergman import build_basis, kernel_eval, annulus_kernel_tail_bound
 from bergsmooth.errors import (
     ConditioningError,
-    FlowEscapeError,
     ParameterError,
 )
-from bergsmooth.flow import build_chart, flow
+from bergsmooth.flow import build_chart
 from bergsmooth.functions import Holo1
 from bergsmooth.geometry import boundary_samples, quadrature_grid
 from bergsmooth.norms import duality_sup, sobolev_norm
@@ -39,10 +38,16 @@ def test_expressions_immutable():
         op.mu = 2
 
 
-def test_flow_escape_error(disk):
-    chart = build_chart(disk)
-    with pytest.raises(FlowEscapeError):
-        flow(chart.field, 3.0, np.array([0.9 + 0.0j]), escape_bound=0.5)
+@pytest.mark.parametrize("q_panels, m_steps", [
+    (0, 64), (-3, 64), (32, 0), (32, -5), (True, 64), (32, True), (32, 2.0), (1.5, 64)])
+def test_chart_resolution_validated_at_construction(disk, q_panels, m_steps):
+    # both constructors raise, so no sweep or hitting time ever runs on it
+    with pytest.raises(ParameterError):
+        build_chart(disk, q_panels, m_steps)
+    with pytest.raises(ParameterError):
+        dataclasses.replace(build_chart(disk), q_panels=q_panels, m_steps=m_steps)
+    # the smallest resolution is valid
+    assert build_chart(disk, np.int64(1), 1).m_steps == 1
 
 
 def test_annulus_kernel_tail_bound_consistent(annulus):

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from bergsmooth.flow import (
     _collar_quadrature,
     antideriv_chains,
     build_chart,
-    flow,
     flow_moment_apply,
     hitting_time,
     trajectories,
@@ -55,30 +53,16 @@ def collar_points(chart, rng, n=12):
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n))
 
 
-# --- references: the RK4 loops as written before the shared stepper --------
+# --- references: plain RK4 loops, written apart from the package's ----------
 
 
-def reference_flow(field, t, x, n_steps, clamp_radius=None):
-    x = np.asarray(x, dtype=complex)
-    if t == 0.0:
-        return x.copy()
-    n = max(1, int(math.ceil(abs(t) * n_steps)))
-    h = t / n
-    state = x.copy()
+def reference_rk4_step(field, x, h):
     vel = field.velocity
-    for _ in range(n):
-        k1 = vel(state)
-        k2 = vel(state + 0.5 * h * k1)
-        k3 = vel(state + 0.5 * h * k2)
-        k4 = vel(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if clamp_radius is not None:
-            r = field.domain.radius(state)
-            far = r > clamp_radius
-            if np.any(far):
-                scale = np.where(far, clamp_radius / np.maximum(r, 1e-300), 1.0)
-                state = state * (scale[..., None] if field.domain.kind == "ball2" else scale)
-    return state
+    k1 = vel(x)
+    k2 = vel(x + 0.5 * h * k1)
+    k3 = vel(x + 0.5 * h * k2)
+    k4 = vel(x + h * k3)
+    return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def reference_trajectories(chart, points, s_values, n_steps):
@@ -88,7 +72,6 @@ def reference_trajectories(chart, points, s_values, n_steps):
     out = np.empty((len(s),) + points.shape, dtype=complex)
     state = points
     prev = 0.0
-    vel = chart.field.velocity
     for idx in order:
         target = s[idx]
         span = target - prev
@@ -96,31 +79,38 @@ def reference_trajectories(chart, points, s_values, n_steps):
             n = max(1, int(math.ceil(abs(span) * n_steps)))
             h = span / n
             for _ in range(n):
-                k1 = vel(state)
-                k2 = vel(state + 0.5 * h * k1)
-                k3 = vel(state + 0.5 * h * k2)
-                k4 = vel(state + h * k3)
-                state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                state = reference_rk4_step(chart.field, state, h)
         out[idx] = state
         prev = target
     return out
 
 
 def reference_hitting_time(chart, pts, n_steps, tol=1e-10, max_time=2.0):
-    """Bisection flowing the points of each distinct time together."""
-    lo = np.zeros(chart.domain.radius(pts).shape)
-    hi = np.full_like(lo, max_time)
-    while np.max(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        val = np.empty_like(mid)
-        for tv in np.unique(mid):
-            sel = mid == tv
-            moved = reference_flow(chart.field, float(tv), pts[sel], n_steps, clamp_radius=4.0)
-            val[sel] = chart.domain.defining_function(moved)
-        below = val < 0
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi)
+    """One point at a time: steps of 1/n_steps while the next one ends inside,
+    then bisection of the fraction of the crossing step."""
+    defining = chart.domain.defining_function
+    out = []
+    for p in pts:
+        state = p[None, ...]
+        if defining(state)[0] >= 0:
+            out.append(0.0)
+            continue
+        k = 0
+        while True:
+            stepped = reference_rk4_step(chart.field, state, 1.0 / n_steps)
+            if defining(stepped)[0] >= 0:
+                break
+            state, k = stepped, k + 1
+            assert k < max_time * n_steps
+        lo, hi = 0.0, 1.0
+        while (hi - lo) / n_steps > tol:
+            mid = 0.5 * (lo + hi)
+            if defining(reference_rk4_step(chart.field, state, mid / n_steps))[0] < 0:
+                lo = mid
+            else:
+                hi = mid
+        out.append((k + 0.5 * (lo + hi)) / n_steps)
+    return np.array(out)
 
 
 @pytest.mark.parametrize("n_steps", [64, 7])
@@ -135,21 +125,8 @@ def test_stepper_bitwise_matches_reference_loops(disk_chart, annulus_chart, ball
         pts = collar_points(chart, rng)
         assert np.array_equal(trajectories(chart, pts, s, n_steps),
                               reference_trajectories(chart, pts, s, n_steps))
-        for t in (-1.3, 0.0, 0.4, 2.0):
-            assert np.array_equal(
-                flow(chart.field, t, pts, n_steps, escape_bound=None, clamp_radius=4.0),
-                reference_flow(chart.field, t, pts, n_steps, clamp_radius=4.0))
         assert np.array_equal(hitting_time(dataclasses.replace(chart, m_steps=n_steps), pts),
                               reference_hitting_time(chart, pts, n_steps))
-
-
-def test_flow_submodule_not_shadowed():
-    import bergsmooth
-    import bergsmooth.flow as flow_module
-
-    assert isinstance(bergsmooth.flow, types.ModuleType)
-    assert isinstance(flow_module, types.ModuleType)
-    assert flow_module.flow is flow
 
 
 def cutoff_masked(chart, g):
@@ -171,7 +148,7 @@ def masked_ng(chart, w):
 
 def test_flow_identity_at_zero(disk_chart):
     x = np.array([0.5 + 0.2j, -0.1 + 0.7j])
-    np.testing.assert_array_equal(flow(disk_chart.field, 0.0, x), x)
+    np.testing.assert_array_equal(trajectories(disk_chart, x, [0.0], 64)[0], x)
 
 
 def test_flow_matches_exponential(disk_chart):
@@ -179,7 +156,7 @@ def test_flow_matches_exponential(disk_chart):
     c = disk_chart.rate
     z = 0.5 + 0.0j
     for t in (-0.7, -0.2, 0.3):
-        out = flow(disk_chart.field, t, np.array([z]), n_steps=64)[0]
+        out = trajectories(disk_chart, np.array([z]), [t], 64)[0, 0]
         assert abs(out - z * np.exp(c * t)) < 1e-10
 
 
@@ -190,12 +167,10 @@ def test_flow_group_property(s, t, r, th):
     chart = build_chart(__import__("bergsmooth.geometry", fromlist=["make_domain"])
                         .make_domain("disk"))
     x = np.array([r * np.exp(1j * th)])
-    # outward flows from r = 0.9 for times up to 0.8 leave the chart, where
-    # flow raises by contract (test_flow_escape_error); the group property
-    # is a property of the RK4 map, so the escape test is off here
-    one = flow(chart.field, s, flow(chart.field, t, x, 64, escape_bound=None), 64,
-               escape_bound=None)
-    two = flow(chart.field, s + t, x, 64, escape_bound=None)
+    # outward flows from r = 0.9 for times up to 0.8 leave the domain: the group
+    # property is a property of the RK4 map, wherever it goes
+    one = trajectories(chart, trajectories(chart, x, [t], 64)[0], [s], 64)[0]
+    two = trajectories(chart, x, [s + t], 64)[0]
     assert abs(one[0] - two[0]) < 1e-9
 
 
@@ -233,6 +208,22 @@ def test_hitting_time_ball(ball_chart, rng):
                                atol=1e-8, rtol=0)
     assert hitting_time(ball_chart, pts[3]) == pytest.approx(
         ball_chart.hit_time(pts[3]), abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["disk_chart", "annulus_chart", "ball_chart"])
+def test_hitting_time_lies_in_the_crossing_step(name, request, rng):
+    # k = floor(t m) steps of 1/m stay inside and the next one does not; the
+    # annulus points alternate between its two bands
+    chart = request.getfixturevalue(name)
+    pts = collar_points(chart, rng, n=16)
+    m = chart.m_steps
+    defining = chart.domain.defining_function
+    for p, t in zip(pts, hitting_time(chart, pts)):
+        state = p[None, ...]
+        for _ in range(math.floor(t * m)):
+            state = flow_module._rk4_step(chart.field, state, 1.0 / m)
+        assert defining(state)[0] < 0
+        assert defining(flow_module._rk4_step(chart.field, state, 1.0 / m))[0] >= 0
 
 
 def test_hitting_time_not_in_collar(annulus_chart):

@@ -14,7 +14,7 @@ from bergsmooth.geometry import (
     transversality_measure,
     VectorField,
 )
-from bergsmooth.flow import flow
+from bergsmooth.flow import build_chart, trajectories
 
 
 def test_defining_function_disk_center(disk):
@@ -142,9 +142,8 @@ def test_collar_rescaling_flow_time(disk, annulus, ball2):
     targets = {"disk": [0.2], "ball2": [0.35],
                "annulus": None}
     for dom in (disk, annulus, ball2):
-        flds = canonical_fields(dom)
         p = boundary_samples(dom, 16)
-        landed = flow(flds["N"], -2.0, p, n_steps=256)
+        landed = trajectories(build_chart(dom), p, [-2.0], 256)[0]
         r = dom.radius(landed)
         if dom.kind == "annulus":
             a = 1 + dom.rho**2

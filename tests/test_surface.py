@@ -81,18 +81,27 @@ def test_every_public_name_is_used_or_kept():
     assert sorted(unused) == sorted(ORACLES + CALCULUS)
 
 
-def test_only_the_collar_quadrature_sweeps_trajectories():
-    # one sweep loop: every trajectory sweep in the package goes through it
+def _callers(name):
+    """The package functions that call name, as module.function."""
     callers = set()
     for path in SRC.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and "trajectories" in (
+                if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.add(f"{path.stem}.{fn.name}")
-    assert callers == {"flow._collar_quadrature"}
+    return callers
+
+
+def test_only_the_collar_quadrature_sweeps_trajectories():
+    # one sweep loop: every trajectory sweep in the package goes through it
+    assert _callers("trajectories") == {"flow._collar_quadrature"}
+
+
+def test_one_rk4_step_for_sweeps_and_hitting_times():
+    assert _callers("_rk4_step") == {"flow.trajectories", "flow.hitting_time"}
 
 
 def test_only_build_chart_takes_the_trajectory_resolution():

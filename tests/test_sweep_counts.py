@@ -1,6 +1,8 @@
 """Regression guards on repeated work: each point set is swept once for every
-integrand computed on it, and projection evaluates no basis element."""
+integrand computed on it, a hitting time steps each point once up to its
+crossing, and projection evaluates no basis element."""
 
+import numpy as np
 import pytest
 
 import bergsmooth.flow as flow_module
@@ -49,6 +51,21 @@ def test_decompose_sweeps_each_point_set_once(sweeps, chart):
     # the evaluation points, the two stacked rotation stencils, the norm grid
     decompose(Holo1.inverse_power(0.9, 0.75), 2, chart)
     assert len(sweeps) <= 4
+
+
+def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart):
+    # one march of at most 2 m_steps steps and one bisection of the last step,
+    # for the whole band together
+    calls = []
+    step = flow_module._rk4_step
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+    monkeypatch.setattr(flow_module, "_rk4_step", counted)
+    t = np.linspace(0.05, 0.95, 16)
+    flow_module.hitting_time(chart, np.exp(-chart.rate * t + 1j * np.arange(16.0)))
+    assert 0 < len(calls) <= 2 * chart.m_steps + 40
 
 
 def test_conj_disk_evaluates_no_basis_element(monkeypatch):
