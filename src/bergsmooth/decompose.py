@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
+from .finitediff import _STENCIL_OFFSETS, _STENCIL_WEIGHTS
 from .flow import CUTOFF_END, CollarChart, antideriv_chains
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
@@ -184,8 +185,8 @@ def rotation_fd(fn, points, order: int = 1):
     the order of the nested recursion, so the result is bit for bit the one of
     evaluating each copy on its own.
     """
-    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * _ROTATION_STEP)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * _ROTATION_STEP
+    coeff = _STENCIL_WEIGHTS / (12.0 * _ROTATION_STEP)
+    offs = _STENCIL_OFFSETS * _ROTATION_STEP
     stacked = points
     for _ in range(order):
         # a new leading axis per level, the latest level (innermost stencil) first

@@ -9,8 +9,11 @@ from .errors import ResolutionError
 # default step for stencils applied to smooth callables
 FD_STEP = 2e-3
 
-_C1 = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
-_O1 = np.array([-2.0, -1.0, 1.0, 2.0])
+# the central 5-point first-derivative stencil: weights, to be divided by 12
+# times the step, at offsets counted in steps
+_STENCIL_WEIGHTS = np.array([1.0, -8.0, 8.0, -1.0])
+_STENCIL_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
+_C1 = _STENCIL_WEIGHTS / 12.0
 
 
 def partial_callable(f, z, beta, h=FD_STEP):
@@ -24,15 +27,9 @@ def partial_callable(f, z, beta, h=FD_STEP):
         return f(z)
     if bx > 0:
         return sum(c * partial_callable(f, z + o * h, (bx - 1, by), h)
-                   for c, o in zip(_C1, _O1)) / h
+                   for c, o in zip(_C1, _STENCIL_OFFSETS)) / h
     return sum(c * partial_callable(f, z + 1j * o * h, (bx, by - 1), h)
-               for c, o in zip(_C1, _O1)) / h
-
-
-def dz_callable(f, z, h=FD_STEP):
-    fx = partial_callable(f, z, (1, 0), h)
-    fy = partial_callable(f, z, (0, 1), h)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+               for c, o in zip(_C1, _STENCIL_OFFSETS)) / h
 
 
 def diff_uniform(samples, dx, axis, periodic=False):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ContractError, NotInCollarError, ParameterError
 from .functions import smoothstep, smoothstep_prime
-from .geometry import Domain, VectorField, canonical_fields, collar_rate
+from .geometry import Domain, VectorField, _annulus_logs, canonical_fields, collar_rate
 
 __all__ = [
     "CollarChart",
@@ -91,15 +91,9 @@ class CollarChart:
         outer = u > a / 2
         inner = u < a / 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                outer,
-                np.log((2.0 - a) * u / np.maximum(2.0 * u - a, 1e-300)) / (2 * a * self.rate),
-                out)
-            out = np.where(
-                inner,
-                np.log((a - 2 * rho**2) * u
-                       / np.maximum((a - 2.0 * u) * rho**2, 1e-300)) / (2 * a * self.rate),
-                out)
+            y_out, y_in = _annulus_logs(u, rho)
+            out = np.where(outer, y_out / (2 * a * self.rate), out)
+            out = np.where(inner, y_in / (2 * a * self.rate), out)
         return out
 
     # --- cutoff -----------------------------------------------------------
@@ -118,12 +112,6 @@ class CollarChart:
 
     # --- radial flow closed forms ------------------------------------------
 
-    def speed_over_r(self, r):
-        if self.domain.kind in ("disk", "ball2"):
-            return self.rate * np.ones_like(np.asarray(r, dtype=float))
-        a = 1.0 + self.domain.rho**2
-        return self.rate * (2.0 * r**2 - a)
-
     def flow_radius(self, s, r):
         """Radius after flowing time s from radius r (exact)."""
         r = np.asarray(r, dtype=float)
@@ -135,10 +123,8 @@ class CollarChart:
         y_shift = 2.0 * a * self.rate * s
         outer = u > a / 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            y_out = np.log((2.0 - a) * u / np.maximum(2.0 * u - a, 1e-300)) - y_shift
+            y_out, y_in = (y - y_shift for y in _annulus_logs(u, rho))
             r_out = np.sqrt(a * np.exp(y_out) / (2.0 * np.exp(y_out) - (2.0 - a)))
-            y_in = (np.log((a - 2 * rho**2) * u
-                           / np.maximum((a - 2.0 * u) * rho**2, 1e-300)) - y_shift)
             e_in = np.exp(y_in)
             r_in = np.sqrt(a * e_in * rho**2 / ((a - 2 * rho**2) + 2 * rho**2 * e_in))
         return np.where(outer, r_out, r_in)

@@ -67,12 +67,6 @@ class SmoothFunction:
     def partial(self, beta, points):
         return fd.partial_callable(self, points, beta)
 
-    def wirtinger(self, points):
-        """(df/dz, df/dzbar) from one pair of cartesian partials."""
-        fx = self.partial((1, 0), points)
-        fy = self.partial((0, 1), points)
-        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
 
 class Poly2(SmoothFunction):
     """Complex-coefficient polynomial in the real coordinates (x, y).
@@ -130,10 +124,6 @@ class Holo1(SmoothFunction):
 
     def __call__(self, points):
         return self._deriv(0)(np.asarray(points))
-
-    def wirtinger(self, points):
-        points = np.asarray(points)
-        return self._deriv(1)(points), np.zeros_like(points, dtype=complex)
 
     def partial(self, beta, points):
         j = beta[0] + beta[1]
@@ -271,20 +261,25 @@ def apply_field(field, f, points, h=fd.FD_STEP):
     """Apply a vector field to a scalar function: a . df/dz + b . df/dzbar.
 
     Uses tracked derivatives when the function has them, finite differences
-    otherwise.  Planar domains only; the ball uses per-coordinate partials.
+    of step h otherwise.  Planar domains only; the ball uses per-coordinate
+    partials.
     """
     points = np.asarray(points)
     a = np.asarray(field.z_coeffs(points))
     b = np.asarray(field.zbar(points))
     if field.domain.kind == "ball2":
         raise NotImplementedError("field application on the ball is analytic-only")
-    fz, fzb = (f.wirtinger(points) if isinstance(f, SmoothFunction)
-               else fd.dz_callable(f, points, h))
-    return a * fz + b * fzb
+    return _field_formula(a, b, _partial(f, (1, 0), points, h), _partial(f, (0, 1), points, h))
 
 
-def _partial(f, beta, points):
-    """D^beta f: tracked derivatives when f is a SmoothFunction, finite differences otherwise."""
+def _field_formula(a, b, fx, fy):
+    """a df/dz + b df/dzbar from the cartesian partials fx, fy of f."""
+    return a * (0.5 * (fx - 1j * fy)) + b * (0.5 * (fx + 1j * fy))
+
+
+def _partial(f, beta, points, h=fd.FD_STEP):
+    """D^beta f: tracked derivatives when f is a SmoothFunction, finite differences
+    of step h otherwise."""
     if isinstance(f, SmoothFunction):
         return np.asarray(f.partial(beta, points), dtype=complex)
-    return fd.partial_callable(f, points, beta)
+    return fd.partial_callable(f, points, beta, h)

@@ -293,8 +293,17 @@ def collar_rate(domain: Domain) -> float:
     a = 1.0 + domain.rho**2
     rv2 = a / 2.0 + _ANNULUS_GAP_FRACTION * (1.0 - a / 2.0)
     # closed-form hit time of the unit-rate field z*(2|z|^2-a) from radius r to 1
-    tau1 = np.log((2.0 - a) * rv2 / (2.0 * rv2 - a)) / (2.0 * a)
+    tau1 = _annulus_logs(rv2, domain.rho)[0] / (2.0 * a)
     return float(tau1 / 2.0)
+
+
+def _annulus_logs(u, rho):
+    """Log coordinates of the unit-rate annulus field z*(2|z|^2-a), a = 1 + rho^2, at
+    u = r^2, outside and inside its stall circle u = a/2: each is 0 on its boundary
+    circle and grows by 2a per unit of inward flow time."""
+    a = 1.0 + rho**2
+    return (np.log((2.0 - a) * u / np.maximum(2.0 * u - a, 1e-300)),
+            np.log((a - 2 * rho**2) * u / np.maximum((a - 2.0 * u) * rho**2, 1e-300)))
 
 
 def canonical_fields(domain: Domain) -> dict:

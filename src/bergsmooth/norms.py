@@ -16,7 +16,7 @@ import numpy as np
 from .bergman import CoefficientVector, OrthonormalBasis, gram_matrix, project, synthesize
 from .errors import ConditioningError, ContractError, ParameterError, ResolutionError
 from .finitediff import polar_cartesian_partial
-from .functions import AngularFamily, Holo1, apply_field
+from .functions import AngularFamily, Holo1, _partial, apply_field
 from .geometry import (
     Domain,
     PolarEvalGrid,
@@ -99,7 +99,7 @@ def _sobolev_analytic(f, k, domain, grid):
         if isinstance(f, CoefficientVector):
             vals = synthesize(f, grid.nodes, deriv=j)
         else:
-            vals = f.partial((j, 0), grid.nodes)
+            vals = _partial(f, (j, 0), grid.nodes)
         # the j-th complex derivative feeds all j+1 cartesian multi-indices
         total += (j + 1) * grid.norm(vals) ** 2
     return float(np.sqrt(total))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParameterError
 from .flow import CollarChart, _chain_kernel, _collar_quadrature, _value_shape
-from .functions import _partial
+from .functions import _field_formula, _partial
 from .geometry import PolarEvalGrid, VectorField
 from .norms import _multi_indices
 
@@ -260,15 +260,11 @@ def _derivative_through_kernel(expr):
     return through, deriv, kern
 
 
-def _betas(order: int):
-    """The multi-indices |beta| <= order along a jet's trailing axis, by total order
-    and then by the y order, so a jet of lower order is a prefix."""
-    return [(total - by, by) for total in range(order + 1) for by in range(total + 1)]
-
-
 def _index(beta) -> int:
+    """Position of beta along a jet's trailing axis, laid out by _multi_indices: by
+    total order and then by the x order, so a jet of lower order is a prefix."""
     total = beta[0] + beta[1]
-    return total * (total + 1) // 2 + beta[1]
+    return total * (total + 1) // 2 + beta[0]
 
 
 class _Jets:
@@ -285,15 +281,15 @@ class _Jets:
 
     def jet(self, factors, points, order, path=()):
         """D^beta of (factors[0] o ... o factors[-1])(g) at points, |beta| <= order,
-        along a trailing axis laid out by _betas."""
+        along a trailing axis laid out by _multi_indices."""
         if not factors:
             return self.leaf(points, order, path)
         f, rest = factors[0], factors[1:]
         if isinstance(f, Compose):
             return self.jet(f.factors + rest, points, order, path)
         if isinstance(f, OpSum):
-            out = np.zeros(_value_shape(self.chart.domain, points) + (len(_betas(order)),),
-                           dtype=complex)
+            out = np.zeros(_value_shape(self.chart.domain, points)
+                           + (len(_multi_indices(order)),), dtype=complex)
             for c, term in f.terms:
                 out = out + c * self.jet((term,) + rest, points, order, path)
             return out
@@ -302,14 +298,14 @@ class _Jets:
         if isinstance(f, DiffMonomial):
             inner = self.jet(rest, points, order + sum(f.beta), path)
             return inner[..., [_index((bx + f.beta[0], by + f.beta[1]))
-                               for bx, by in _betas(order)]]
+                               for bx, by in _multi_indices(order)]]
         if isinstance(f, FieldPower):
             if f.fld.domain.kind == "ball2":
                 raise NotImplementedError("field application on the ball is analytic-only")
             top = order + f.power - 1
             jet = self.jet(rest, points, top + 1, path)
-            coeffs = [np.stack([_partial(c, beta, points) for beta in _betas(top)], axis=-1)
-                      for c in (f.fld.z_coeffs, f.fld.zbar)]
+            coeffs = [np.stack([_partial(c, beta, points) for beta in _multi_indices(top)],
+                               axis=-1) for c in (f.fld.z_coeffs, f.fld.zbar)]
             for n in range(top, order - 1, -1):
                 jet = _field_jet(*coeffs, jet, n)
             return jet
@@ -333,13 +329,13 @@ class _Jets:
         def integrand(pos, tau):
             inner = self.jet(rest, pos, order, key)
             return inner if order else inner[..., 0]
-        orders = [sum(beta) for beta in _betas(order)] if order else None
+        orders = [sum(beta) for beta in _multi_indices(order)] if order else None
         out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)], support=1.0,
                                  orders=orders)[0]
         return out if order else out[..., None]
 
     def leaf(self, points, order, path):
-        betas = _betas(order)
+        betas = _multi_indices(order)
         have = self.leaves.get(path)
         if have is None:
             have = np.zeros(_value_shape(self.chart.domain, points) + (0,), dtype=complex)
@@ -352,16 +348,15 @@ class _Jets:
 def _field_jet(a, b, jet, n):
     """Jet of order n of a D_z f + b D_zbar f from the jet of f of order n + 1 and
     the coefficient jets of order >= n, by Leibniz's rule."""
-    out = np.zeros(jet.shape[:-1] + (len(_betas(n)),), dtype=complex)
-    for gx, gy in _betas(n):
+    out = np.zeros(jet.shape[:-1] + (len(_multi_indices(n)),), dtype=complex)
+    for gx, gy in _multi_indices(n):
         for dx in range(gx + 1):
             for dy in range(gy + 1):
                 rx, ry = gx - dx, gy - dy
                 fx, fy = jet[..., _index((rx + 1, ry))], jet[..., _index((rx, ry + 1))]
-                fz, fzb = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
                 d = _index((dx, dy))
                 out[..., _index((gx, gy))] += (math.comb(gx, dx) * math.comb(gy, dy)
-                                               * (a[..., d] * fz + b[..., d] * fzb))
+                                               * _field_formula(a[..., d], b[..., d], fx, fy))
     return out
 
 

@@ -20,7 +20,7 @@ from .bergman import build_basis, project
 from .decompose import _component_values, _components, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
-from .functions import AngularFamily, Holo1, Poly2
+from .functions import AngularFamily, Holo1, Poly2, apply_field
 from .geometry import (
     boundary_distance,
     canonical_fields,
@@ -166,15 +166,12 @@ def _refinement(value_at, levels=(1, 2)):
 
 
 def _transverse_of_cutoff_times(chart, w):
-    """The transverse field applied to cutoff * w, analytically: a function that
-    carries the cutoff or its derivative in each term."""
+    """The transverse field applied to cutoff * w by Leibniz's rule, the hit time
+    falling at unit rate along it: a function that carries the cutoff or its
+    derivative in each term."""
     def ng(p):
-        r = chart.domain.radius(p)
-        wx = w.partial((1, 0), p)
-        wy = w.partial((0, 1), p)
-        radial = chart.speed_over_r(r) * (p.real * wx + p.imag * wy)
         return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
-                + chart.cutoff(p) * radial)
+                + chart.cutoff(p) * apply_field(chart.field, w, p))
     return ng
 
 

@@ -135,12 +135,17 @@ def cutoff_masked(chart, g):
 
 
 def masked_ng(chart, w):
-    """Analytic application of the transverse field to cutoff * w."""
+    """Analytic application of the transverse field to cutoff * w, on the disk or the
+    annulus: the field is radial, with speed over r the rate times 1 (disk) or
+    2 r^2 - 1 - rho^2 (annulus)."""
     def ng(p):
-        r = chart.domain.radius(p)
+        dom = chart.domain
+        r = dom.radius(p)
         wx = w.partial((1, 0), p)
         wy = w.partial((0, 1), p)
-        radial = chart.speed_over_r(r) * (p.real * wx + p.imag * wy)
+        speed_over_r = (chart.rate if dom.kind == "disk"
+                        else chart.rate * (2.0 * r**2 - 1.0 - dom.rho**2))
+        radial = speed_over_r * (p.real * wx + p.imag * wy)
         return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
                 + chart.cutoff(p) * radial)
     return ng

@@ -4,7 +4,7 @@ import pytest
 from bergsmooth import finitediff, flow
 from bergsmooth.errors import ContractError, DegenerateInputError
 from bergsmooth.flow import antideriv_chains, build_chart, flow_moment_apply
-from bergsmooth.functions import Poly2, apply_field
+from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.operators import (
     apply_op,
@@ -115,6 +115,21 @@ def _annulus_collar_points(chart):
     t = np.linspace(0.02, 0.9, 6)
     r = np.concatenate([chart.flow_radius(-t, 1.0), chart.flow_radius(-t, chart.domain.rho)])
     return (r[:, None] * np.exp(1j * np.linspace(0, 2 * np.pi, 5, endpoint=False))).ravel()
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_field_op_equals_apply_field(chart, annulus_chart, collar_pts, kind, rng):
+    # both entry points take one pair of partials through one dispatch and form
+    # a df/dz + b df/dzbar with one formula, for tracked and plain functions alike
+    chart = {"disk": chart, "annulus": annulus_chart}[kind]
+    pts = collar_pts if kind == "disk" else _annulus_collar_points(chart)
+    dx = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                     name="dx")
+    for g in (Poly2.random(rng, degree=3), Holo1.from_coeffs([0.3, 1.0, 0.5j, -0.2]),
+              lambda p: np.exp(p) * np.conj(p)):
+        for fld in (chart.field, dx):
+            assert np.array_equal(apply_op(field_op(fld), g, pts, chart),
+                                  apply_field(fld, g, pts))
 
 
 @pytest.mark.parametrize("which", ["diff", "field", "commutator"])

@@ -82,16 +82,20 @@ def test_every_public_name_is_used_or_kept():
 
 
 def _callers(name):
-    """The package functions that call name, as module.function."""
+    """The package functions that call name, as module.function or
+    module.Class.method."""
     callers = set()
     for path in SRC.glob("*.py"):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {fn: f"{cls.name}." for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body}
+        for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and name in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
-                    callers.add(f"{path.stem}.{fn.name}")
+                    callers.add(f"{path.stem}.{owner.get(fn, '')}{fn.name}")
     return callers
 
 
@@ -102,6 +106,20 @@ def test_only_the_collar_quadrature_sweeps_trajectories():
 
 def test_one_rk4_step_for_sweeps_and_hitting_times():
     assert _callers("_rk4_step") == {"flow.trajectories", "flow.hitting_time"}
+
+
+def test_one_partial_dispatch():
+    # a function's cartesian partials come through functions._partial: the tracked
+    # ones of a SmoothFunction, or finite differences of any other callable
+    assert _callers("partial") == {"functions._partial"}
+    assert _callers("partial_callable") == {"finitediff.partial_callable",
+                                            "functions.SmoothFunction.partial",
+                                            "functions._partial"}
+
+
+def test_one_field_formula():
+    # a df/dz + b df/dzbar is formed in one place, for apply_field and the jets
+    assert _callers("_field_formula") == {"functions.apply_field", "operators._field_jet"}
 
 
 def test_only_build_chart_takes_the_trajectory_resolution():
