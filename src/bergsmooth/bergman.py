@@ -4,6 +4,8 @@ and the orthogonal projection onto them, on the model domains.
 All bases are closed-form: normalized monomials z^k on the disk, normalized
 Laurent monomials on the annulus (the k = -1 norm involves the logarithm),
 and normalized monomials z1^a z2^b on the ball, ordered by total degree.
+Synthesis runs the Horner evaluator of `functions`; the elements' `eval` and the
+annulus kernel series keep explicit powers, as independent references.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
+from .functions import _falling, _polynomial
 from .geometry import Domain, QuadratureGrid
 
 __all__ = [
@@ -25,14 +28,6 @@ __all__ = [
     "kernel_eval",
     "gram_matrix",
 ]
-
-
-def _falling(k: int, j: int) -> float:
-    """The factor k(k-1)...(k-j+1) that the j-th derivative brings down from z^k."""
-    fac = 1.0
-    for i in range(j):
-        fac *= (k - i)
-    return fac
 
 
 @dataclass(frozen=True)
@@ -173,23 +168,6 @@ def _power_sums(v, xs, exps):
     return out
 
 
-def _horner(xs, coeffs):
-    """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
-    to coefficients a_e, by Horner's rule in each coordinate in turn."""
-    if not xs:
-        return coeffs[()]
-    by_power = {}
-    for e, a in coeffs.items():
-        by_power.setdefault(e[0], {})[e[1:]] = a
-    top = max(by_power)
-    out = _horner(xs[1:], by_power[top])
-    for p in range(top - 1, -1, -1):
-        out = out * xs[0]
-        if p in by_power:
-            out = out + _horner(xs[1:], by_power[p])
-    return out
-
-
 def project(f, basis: OrthonormalBasis, grid: QuadratureGrid) -> CoefficientVector:
     """Orthogonal projection coefficients (f, e_k) under the grid quadrature.
 
@@ -225,8 +203,7 @@ def synthesize(coeffs: CoefficientVector, points, deriv=None):
         fac = math.prod(_falling(k, j) for k, j in zip(e, d))
         if fac != 0.0:
             terms[exponents([k - j for k, j in zip(e, d)])] = c * (fac / norm)
-    out = np.zeros(xs[0].shape, dtype=complex)
-    return out + _horner(xs, terms) if terms else out
+    return _polynomial(xs, terms)
 
 
 def gram_matrix(basis: OrthonormalBasis, grid: QuadratureGrid, weight=None):

@@ -4,6 +4,9 @@ Operators in this package act on functions that must be evaluable at
 arbitrary interior points (trajectory quadrature lands between grid nodes).
 Classes here carry whatever analytic derivative structure they have; anything
 else falls back to high-order finite differences on the callable.
+
+Every polynomial of the package, `bergman.synthesize`'s included, is evaluated
+by one Horner's rule, `_horner`, with falling-factorial derivative coefficients.
 """
 
 from __future__ import annotations
@@ -58,6 +61,42 @@ def smoothstep_prime(u):
     return (da * s - a * (da + db)) / s**2
 
 
+def _falling(k: int, j: int) -> float:
+    """The factor k(k-1)...(k-j+1) that the j-th derivative brings down from z^k."""
+    fac = 1.0
+    for i in range(j):
+        fac *= (k - i)
+    return fac
+
+
+# The one polynomial evaluator; bergman's element evals and kernel_eval keep explicit powers.
+def _horner(xs, coeffs):
+    """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
+    to coefficients a_e, by Horner's rule in each coordinate in turn."""
+    if not xs:
+        return coeffs[()]
+    by_power = {}
+    for e, a in coeffs.items():
+        by_power.setdefault(e[0], {})[e[1:]] = a
+    top = max(by_power)
+    out = _horner(xs[1:], by_power[top])
+    for p in range(top - 1, -1, -1):
+        out = out * xs[0]
+        if p in by_power:
+            out = out + _horner(xs[1:], by_power[p])
+    return out
+
+
+def _polynomial(xs, coeffs):
+    """_horner as a complex array of the coordinates' shape: zeros for no terms,
+    and a constant broadcast, the only result that needs a new array."""
+    shape = np.shape(xs[0])
+    if not coeffs:
+        return np.zeros(shape, dtype=complex)
+    out = _horner(xs, coeffs)
+    return np.full(shape, out, dtype=complex) if np.ndim(out) == 0 else out
+
+
 class SmoothFunction:
     """Base class: evaluable everywhere, derivatives by finite differences."""
 
@@ -79,28 +118,20 @@ class Poly2(SmoothFunction):
         self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
 
     def __call__(self, points):
-        z = np.asarray(points)
-        return np.polynomial.polynomial.polyval2d(z.real, z.imag, self.coeffs)
-
-    def _der(self, axis):
-        c = self.coeffs
-        if axis == 0:
-            if c.shape[0] == 1:
-                return Poly2(np.zeros((1, 1)))
-            k = np.arange(1, c.shape[0])
-            return Poly2(c[1:, :] * k[:, None])
-        if c.shape[1] == 1:
-            return Poly2(np.zeros((1, 1)))
-        k = np.arange(1, c.shape[1])
-        return Poly2(c[:, 1:] * k[None, :])
+        return self._derivative((0, 0), points)
 
     def partial(self, beta, points):
-        p = self
-        for _ in range(beta[0]):
-            p = p._der(0)
-        for _ in range(beta[1]):
-            p = p._der(1)
-        return p(points)
+        return self._derivative(beta, points)
+
+    def _derivative(self, beta, points):
+        """D^beta by Horner's rule, y outermost and x inside as numpy's polyval2d
+        nests them: C[i, j] i(i-1)...(i-bx+1) j(j-1)...(j-by+1) at x^(i-bx) y^(j-by)."""
+        bx, by = beta
+        z = np.asarray(points)
+        c = self.coeffs
+        terms = {(j - by, i - bx): c[i, j] * (_falling(i, bx) * _falling(j, by))
+                 for i in range(bx, c.shape[0]) for j in range(by, c.shape[1])}
+        return _polynomial([z.imag, z.real], terms)
 
     @staticmethod
     def random(rng, degree=3):
@@ -118,9 +149,8 @@ class Holo1(SmoothFunction):
     Cartesian partials follow from holomorphy: d_x = d/dz, d_y = i d/dz.
     """
 
-    def __init__(self, deriv_factory, label="h"):
+    def __init__(self, deriv_factory):
         self._deriv = deriv_factory
-        self.label = label
 
     def __call__(self, points):
         return self._deriv(0)(np.asarray(points))
@@ -131,44 +161,33 @@ class Holo1(SmoothFunction):
 
     @staticmethod
     def constant(c):
-        def deriv(j):
-            if j == 0:
-                return lambda z: np.full_like(np.asarray(z, dtype=complex), c)
-            return lambda z: np.zeros_like(np.asarray(z, dtype=complex))
-        return Holo1(deriv, label=f"const({c})")
+        return Holo1.laurent({0: c})
 
     @staticmethod
     def from_coeffs(coeffs):
         """Polynomial sum c_k z^k (k >= 0)."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-
-        def deriv(j):
-            c = coeffs
-            for _ in range(j):
-                c = np.polynomial.polynomial.polyder(c)
-                if c.size == 0:
-                    c = np.zeros(1, dtype=complex)
-            return lambda z, c=c: np.polynomial.polynomial.polyval(np.asarray(z), c)
-        return Holo1(deriv, label="poly")
+        return Holo1.laurent(dict(enumerate(coeffs)))
 
     @staticmethod
     def laurent(coeff_map):
-        """Sum of c_k z^k over integer k, negative powers included."""
-        items = tuple(sorted(coeff_map.items()))
+        """Sum of c_k z^k over integer k, negative powers included.
+
+        The j-th derivative has c_k k(k-1)...(k-j+1) at power k - j, evaluated by
+        Horner's rule in z and, only when a power is negative, in 1/z.
+        """
+        items = [(k, complex(c)) for k, c in coeff_map.items()]
 
         def deriv(j):
+            terms = {k - j: c * _falling(k, j) for k, c in items if _falling(k, j) != 0.0}
+            negative = any(p < 0 for p in terms)
+            exps = {((max(p, 0), max(-p, 0)) if negative else (p,)): a
+                    for p, a in terms.items()}
+
             def ev(z):
-                z = np.asarray(z, dtype=complex)
-                out = np.zeros_like(z)
-                for k, c in items:
-                    fac = 1.0
-                    for i in range(j):
-                        fac *= (k - i)
-                    if fac != 0.0:
-                        out = out + c * fac * z ** (k - j)
-                return out
+                z = np.asarray(z)
+                return _polynomial([z, 1.0 / z] if negative else [z], exps)
             return ev
-        return Holo1(deriv, label="laurent")
+        return Holo1(deriv)
 
     @staticmethod
     def inverse_power(a, p):
@@ -190,7 +209,7 @@ class Holo1(SmoothFunction):
                 return (fac * np.exp(-0.5 * q * np.log(w.real**2 + w.imag**2))
                         * (np.cos(arg) + 1j * np.sin(arg)))
             return ev
-        return Holo1(deriv, label=f"(1-{a}z)^-{p}")
+        return Holo1(deriv)
 
 
 class AngularFamily(SmoothFunction):
@@ -254,7 +273,7 @@ def _i_z_dh(h):
                 out = out + j * h._deriv(j)(z)
             return 1j * out
         return ev
-    return Holo1(deriv, label=f"i*z*({h.label})'")
+    return Holo1(deriv)
 
 
 def apply_field(field, f, points, h=fd.FD_STEP):

@@ -1,4 +1,9 @@
+import math
+import warnings
+
 import numpy as np
+import pytest
+from numpy.polynomial import polynomial as P
 
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import canonical_fields
@@ -52,3 +57,93 @@ def test_inverse_power_matches_complex_power(rng):
         h = Holo1.inverse_power(a, 1.0)
         for j in range(3):
             assert np.array_equal(h.partial((j, 0), z), _inverse_power_reference(a, 1.0, j, z))
+
+
+# Poly2 and Holo1's polynomials against numpy's polynomial module and explicit
+# powers, references that share no code with the package's Horner evaluator
+
+PLANE_POINTS = np.array([0.3 - 0.7j, -0.5 + 0.2j, -0.9 - 0.4j, 0.0, 1.2 + 0.5j, -0.05j])
+SCALAR_POINT = np.complex128(-0.4 - 0.6j)
+
+
+def _poly2_cases(rng):
+    # square matrices of degrees 0-3, and a rectangular one so x and y cannot swap
+    return [Poly2.random(rng, degree=d) for d in range(4)] + [
+        Poly2(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4)))]
+
+
+def _close(got, ref, rtol):
+    """Within rtol of the reference, relative to its largest value."""
+    return np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref))
+
+
+def _der_matrix(c, beta):
+    """The coefficient matrix of D^beta, one exact differentiation at a time."""
+    for axis, order in enumerate(beta):
+        for _ in range(order):
+            c = P.polyder(c, axis=axis) if c.shape[axis] > 1 else np.zeros((1, 1))
+    return c
+
+
+@pytest.mark.parametrize("points", [PLANE_POINTS, SCALAR_POINT], ids=["array", "scalar"])
+def test_poly2_values_and_first_partials_match_polyval2d(rng, points):
+    for w in _poly2_cases(rng):
+        assert np.array_equal(w(points), P.polyval2d(points.real, points.imag, w.coeffs))
+        for beta in ((0, 0), (1, 0), (0, 1)):
+            ref = P.polyval2d(points.real, points.imag, _der_matrix(w.coeffs, beta))
+            assert np.array_equal(w.partial(beta, points), ref)
+
+
+def test_poly2_second_partials_match_polyval2d(rng):
+    for w in _poly2_cases(rng):
+        for beta in ((2, 0), (1, 1), (0, 2)):
+            ref = P.polyval2d(PLANE_POINTS.real, PLANE_POINTS.imag, _der_matrix(w.coeffs, beta))
+            assert _close(w.partial(beta, PLANE_POINTS), ref, 1e-15)
+
+
+def test_poly2_partial_above_degree_is_zero():
+    w = Poly2([[1.0, 2.0j], [0.5, -1.0]])
+    pts = PLANE_POINTS.reshape(2, 3)
+    for beta in ((2, 0), (0, 2), (3, 1)):
+        out = w.partial(beta, pts)
+        assert out.shape == pts.shape and np.array_equal(out, np.zeros(pts.shape))
+
+
+def test_from_coeffs_matches_polyval_and_polyder(rng):
+    a = rng.normal(size=7) + 1j * rng.normal(size=7)
+    h = Holo1.from_coeffs(a)
+    assert np.array_equal(h(PLANE_POINTS), P.polyval(PLANE_POINTS, a))
+    for j in range(1, 4):
+        ref = P.polyval(PLANE_POINTS, P.polyder(a, j))
+        assert _close(h.partial((j, 0), PLANE_POINTS), ref, 1e-15)
+
+
+def test_laurent_matches_explicit_powers(rng):
+    coeff = {k: rng.normal() + 1j * rng.normal() for k in range(-3, 4)}
+    h = Holo1.laurent(coeff)
+    r = rng.uniform(0.5, 1.0, 200)
+    z = r * np.exp(2j * np.pi * rng.uniform(size=200))
+    for j in range(4):
+        ref = sum(c * math.prod(k - i for i in range(j)) * z ** (k - j)
+                  for k, c in coeff.items())
+        assert _close(h.partial((j, 0), z), ref, 1e-14)
+
+
+def test_constant_derivatives_are_exact_zeros():
+    h = Holo1.constant(2.5 - 1.0j)
+    pts = PLANE_POINTS.reshape(3, 2)
+    assert np.array_equal(h(pts), np.full(pts.shape, 2.5 - 1.0j))
+    for beta in ((1, 0), (0, 1), (2, 1), (0, 3)):
+        assert np.array_equal(h.partial(beta, pts), np.zeros(pts.shape))
+
+
+def test_polynomial_without_negative_powers_evaluates_at_zero():
+    # sup_weighted_norm's disk grid includes r = 0; no 1/z may be formed there
+    z = np.array([0.0, 0.5j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in (Holo1.from_coeffs([1.0, 2.0, 3.0]), Holo1.laurent({0: 1.0, 2: 1j}),
+                  Holo1.constant(1.0)):
+            for j in range(3):
+                assert np.all(np.isfinite(h.partial((j, 0), z)))
+        assert Holo1.from_coeffs([1.0, 2.0, 3.0])(z)[0] == 1.0

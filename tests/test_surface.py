@@ -117,6 +117,23 @@ def test_one_partial_dispatch():
                                             "functions._partial"}
 
 
+def _definers(name):
+    """The package modules that define a function called name, at any depth."""
+    return {path.stem for path in SRC.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.FunctionDef) and node.name == name}
+
+
+def test_one_polynomial_evaluator():
+    # Poly2, Holo1's polynomials and synthesize share functions._horner; numpy's
+    # polynomial evaluators are left to the tests, as references
+    assert not _callers("polyval") | _callers("polyval2d") | _callers("polyder")
+    assert _definers("_horner") == _definers("_falling") == {"functions"}
+    assert _callers("_horner") == {"functions._horner", "functions._polynomial"}
+    assert {"functions.Poly2._derivative", "functions.Holo1.laurent",
+            "bergman.synthesize"} <= _callers("_polynomial")
+
+
 def test_one_field_formula():
     # a df/dz + b df/dzbar is formed in one place, for apply_field and the jets
     assert _callers("_field_formula") == {"functions.apply_field", "operators._field_jet"}
