@@ -77,39 +77,55 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
 
 
 def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:
-    """Sup over evaluation points of the k-step reproduction defect of cutoff * h.
+    """Sup over evaluation points of the k-step reproduction defect of cutoff * h;
+    the family form, _reproduction_family, with the one input h."""
+    return _reproduction_family([h], [k], chart)[0, k]
+
+
+def _reproduction_family(hs, orders, chart: CollarChart) -> dict:
+    """Sup over evaluation points of the k-step reproduction defect of cutoff * h,
+    keyed (i, k) for each input hs[i] and order k in orders, 1 to 3.
 
     The identity iterates the transverse-flow reproduction: k applications of
     (kernel o conjugate-field) on cutoff * h plus flow corrections built from
     the reduced transverse defect of the cutoff.  Conjugate-field derivatives
     are taken analytically on the tracked data (the rotation field commutes
     with the radial flow kernel on these charts).  Every term carries the cutoff
-    or its derivative, so each is integrated only up to the cutoff's end, and all
-    of them in one sweep of the evaluation points.
+    or its derivative, so each is integrated only up to the cutoff's end.  The
+    chains Tbar^j (cutoff h) and Tbar^j (reduced defect) are built once per
+    input and shared by its orders, and every chain of the family is integrated
+    in one sweep of the evaluation points; each residual is bit for bit the one
+    of its (h, k) alone.
     """
-    if k < 1 or k > 3:
+    if any(k < 1 or k > 3 for k in orders):
         raise ParameterError("reproduction identity implemented for orders 1 to 3")
     _require_rotation_chart(chart)
     points = _default_eval_points(chart)
-    zh = cutoff_times(chart, h)
-    target = zh(points)
+    top = max(orders)
+    targets, plans = [], {}
+    for i, h in enumerate(hs):
+        zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
+        targets.append(zh(points))
+        # Tbar^j applied analytically, up to the highest order's main term
+        zh_rot, cr_rot = [zh], [cr]
+        for _ in range(top):
+            zh_rot.append(zh_rot[-1].rotation_applied())
+            cr_rot.append(cr_rot[-1].rotation_applied())
+        for k in orders:
+            # main term: i^k kernel^k [Tbar^k (cutoff h)];
+            # corrections: i^j kernel^{j+1} [Tbar^j reduced-defect]
+            plans[i, k] = [(zh_rot[k], k)] + [(cr_rot[j], j + 1) for j in range(k)]
+    chains = list(dict.fromkeys(chain for plan in plans.values() for chain in plan))
+    values = dict(zip(chains, antideriv_chains(chart, chains, points, support=CUTOFF_END)))
     # conjugate tangential field: -rate times the rotation action
     tbar = 1j * (-chart.rate)
-    # main term: i^k kernel^k [Tbar^k (cutoff h)]
-    tk = zh
-    for _ in range(k):
-        tk = tk.rotation_applied()
-    chains = [(tk, k)]
-    # corrections: i^j kernel^{j+1} [Tbar^j reduced-defect]
-    tj = cr_reduction(h, chart)
-    for j in range(k):
-        chains.append((tj, j + 1))
-        tj = tj.rotation_applied()
-    main, *corrections = antideriv_chains(chart, chains, points, support=CUTOFF_END)
-    acc = tbar**k * main
-    for j, correction in enumerate(corrections):
-        acc = acc + tbar**j * correction
-    return float(np.max(np.abs(target - acc)))
+    out = {}
+    for (i, k), (main, *corrections) in plans.items():
+        acc = tbar**k * values[main]
+        for j, correction in enumerate(corrections):
+            acc = acc + tbar**j * values[correction]
+        out[i, k] = float(np.max(np.abs(targets[i] - acc)))
+    return out
 
 
 def _default_eval_points(chart: CollarChart):
@@ -183,7 +199,9 @@ def rotation_fd(fn, points, order: int = 1):
     rotated once per order level, fn is called once, on all 4**order rotated
     copies stacked, and the stencil sums are taken innermost level first, in
     the order of the nested recursion, so the result is bit for bit the one of
-    evaluating each copy on its own.
+    evaluating each copy on its own.  fn may return trailing axes past the
+    points' shape, several functions stacked say: the sums run over the leading
+    stencil axes only, so each trailing entry is bit for bit its own call.
     """
     coeff = _STENCIL_WEIGHTS / (12.0 * _ROTATION_STEP)
     offs = _STENCIL_OFFSETS * _ROTATION_STEP
@@ -225,36 +243,66 @@ def _component_values(components, chart: CollarChart, points):
     return [combine(values[w, depth]) for w, depth, combine in components]
 
 
+def _family_values(family, chart: CollarChart, points):
+    """_component_values of every member of family, {key: components}, in one sweep
+    of the points, split back into one list per key."""
+    values = iter(_component_values([c for cs in family.values() for c in cs], chart, points))
+    return {key: [next(values) for _ in cs] for key, cs in family.items()}
+
+
 def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
               grid=None) -> DecompositionResult:
-    """Split cutoff * h into conjugate-field derivatives of controlled pieces.
+    """Split cutoff * h into conjugate-field derivatives of controlled pieces;
+    the family form, _decompose_family, with the one input h."""
+    return _decompose_family([h], [k], chart, points, grid)[0, k]
+
+
+def _decompose_family(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
+    """Split cutoff * h into conjugate-field derivatives of controlled pieces, for
+    each input hs[i] and order k in orders, 1 or 2: one DecompositionResult per
+    (i, k).
 
     Components are evaluated on the given points; the identity residual
     re-differentiates the computed components by rotation finite differences
     (honest derivatives of the numerical output, not of the construction).
     Component norms are quadrature collar norms, reported against the
-    distance-weighted norm of h.  Each point set is swept once: the points and
-    the quadrature nodes for all components together, and the rotation stencil
-    of each differentiated component stacked into one set.
+    distance-weighted norm of h.  Each point set is swept once for the whole
+    family: the points and the quadrature nodes for all components together, and
+    the order-m rotation stencil of the m-th component of every (h, k), k >= m,
+    stacked into one set.  The components of one h are built once, so the chains
+    its orders share are integrated once.  Each result is bit for bit the one of
+    its (h, k) alone.
     """
-    if k < 1 or k > 2:
+    if any(k < 1 or k > 2 for k in orders):
         raise ParameterError("components implemented for orders 1 and 2")
     _require_rotation_chart(chart)
     if points is None:
         points = _default_eval_points(chart)
-    components = _components(h, chart)[k]
-    comps = tuple(_component_values(components, chart, points))
+    by_h = [_components(h, chart) for h in hs]
+    family = {(i, k): by_h[i][k] for i in range(len(hs)) for k in orders}
+    comps = _family_values(family, chart, points)
 
-    zh = cutoff_times(chart, h)
-    recon = comps[0]
-    for m, component in enumerate(components[1:], start=1):
-        # the conjugate tangential field is -rate times the rotation action
-        fn = lambda p: _component_values([component], chart, p)[0]
-        recon = recon + (-chart.rate) ** m * rotation_fd(fn, points, order=m)
-    residual = float(np.max(np.abs(zh(points) - recon)))
+    recons = {key: values[0] for key, values in comps.items()}
+    for m in range(1, max(orders) + 1):
+        keys = [key for key, cs in family.items() if len(cs) > m]
+        # the m-th components of the family on a trailing axis, one stencil for all
+        mth = [family[key][m] for key in keys]
+        fn = lambda p, mth=mth: np.stack(_component_values(mth, chart, p), axis=-1)
+        derivs = rotation_fd(fn, points, order=m)
+        for j, key in enumerate(keys):
+            # the conjugate tangential field is -rate times the rotation action
+            recons[key] = recons[key] + (-chart.rate) ** m * derivs[..., j]
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)
-    norms = tuple(qgrid.norm(v) for v in _component_values(components, chart, qgrid.nodes))
-    wk = weighted_negative_norm(h, k, chart.domain, qgrid)
-    ratios = tuple(n / wk if wk > 0 else 0.0 for n in norms)
-    return DecompositionResult(np.asarray(points), comps, residual, norms, ratios)
+    norms = _family_values(family, chart, qgrid.nodes)
+    out = {}
+    for i, h in enumerate(hs):
+        target = cutoff_times(chart, h)(points)
+        for k in orders:
+            residual = float(np.max(np.abs(target - recons[i, k])))
+            component_norms = tuple(qgrid.norm(v) for v in norms[i, k])
+            wk = weighted_negative_norm(h, k, chart.domain, qgrid)
+            ratios = tuple(n / wk if wk > 0 else 0.0 for n in component_norms)
+            out[i, k] = DecompositionResult(np.asarray(points), tuple(comps[i, k]), residual,
+                                            component_norms, ratios)
+    return out

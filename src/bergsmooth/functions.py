@@ -30,17 +30,14 @@ __all__ = [
 
 
 def _psi(t):
-    out = np.zeros_like(t, dtype=float)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+    return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
 
 
 def _psi_prime(t):
-    out = np.zeros_like(t, dtype=float)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
+    t = np.where(pos, t, 1.0)
+    return np.where(pos, np.exp(-1.0 / t) / t**2, 0.0)
 
 
 def smoothstep(u):

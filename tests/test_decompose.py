@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from bergsmooth.decompose import (
+    _decompose_family,
+    _reproduction_family,
     cr_reduction,
     cutoff_times,
     decompose,
@@ -243,3 +245,52 @@ def test_stacked_rotation_fd_matches_nested_loop(chart, band_points, order):
         stacked = rotation_fd(lambda p: calls.append(np.shape(p)) or fn(p), band_points, order)
         assert calls == [(4,) * order + band_points.shape]
         assert np.array_equal(stacked, reference_rotation_fd(fn, band_points, order))
+
+
+def _mixed_family():
+    return [Holo1.constant(1.0), Holo1.from_coeffs([0.0, 1.0]), Holo1.inverse_power(0.9, 0.75)]
+
+
+def test_decompose_family_matches_single_calls_bitwise(chart):
+    hs = _mixed_family()
+    family = _decompose_family(hs, (1, 2), chart)
+    assert sorted(family) == [(i, k) for i in range(3) for k in (1, 2)]
+    for (i, k), res in family.items():
+        alone = decompose(hs[i], k, chart)
+        assert np.array_equal(res.points, alone.points)
+        assert len(res.components) == len(alone.components) == k + 1
+        for c, c_alone in zip(res.components, alone.components):
+            assert np.array_equal(c, c_alone)
+        assert res.residual == alone.residual
+        assert res.component_norms == alone.component_norms
+        assert res.norm_ratios == alone.norm_ratios
+
+
+def test_reproduction_family_matches_single_calls_bitwise(chart):
+    hs = _mixed_family()
+    family = _reproduction_family(hs, (1, 2, 3), chart)
+    assert sorted(family) == [(i, k) for i in range(3) for k in (1, 2, 3)]
+    for (i, k), residual in family.items():
+        assert residual == reproduction_residual(hs[i], k, chart)
+
+
+def test_family_forms_check_every_order(chart):
+    with pytest.raises(ParameterError):
+        _decompose_family(_mixed_family(), (1, 3), chart)
+    with pytest.raises(ParameterError):
+        _reproduction_family(_mixed_family(), (0, 1), chart)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_rotation_fd_trailing_axis_matches_separate_calls(chart, band_points, order):
+    zh = cutoff_times(chart, Holo1.from_coeffs([0.5, 1.0, 0.25j]))
+    cr = cr_reduction(Holo1.inverse_power(0.9, 0.75), chart)
+    both = lambda p: np.stack(antideriv_chains(chart, [(zh, 2), (cr, 1)], p,
+                                               support=CUTOFF_END), axis=-1)
+    stacked = rotation_fd(both, band_points, order)
+    assert stacked.shape == band_points.shape + (2,)
+    for j, (w, depth) in enumerate([(zh, 2), (cr, 1)]):
+        alone = rotation_fd(lambda p: antideriv_chains(chart, [(w, depth)], p,
+                                                       support=CUTOFF_END)[0],
+                            band_points, order)
+        assert np.array_equal(stacked[..., j], alone)

@@ -34,6 +34,13 @@ CALCULUS = (
     "operators.diff_op",
 )
 
+# The one-input forms of C3 and C4's computations: each is one call of the
+# family form it wraps, through which the checks batch all their inputs.
+SINGLE_INPUT = (
+    "decompose.decompose",
+    "decompose.reproduction_residual",
+)
+
 
 def _names_used(tree):
     """Names a module loads, reads as attributes or imports."""
@@ -78,7 +85,7 @@ def test_every_public_name_is_used_or_kept():
             assert hasattr(mod, public), f"{name}.__all__ lists missing {public}"
             if public not in used:
                 unused.append(f"{name}.{public}")
-    assert sorted(unused) == sorted(ORACLES + CALCULUS)
+    assert sorted(unused) == sorted(ORACLES + CALCULUS + SINGLE_INPUT)
 
 
 def _callers(name):
@@ -102,6 +109,14 @@ def _callers(name):
 def test_only_the_collar_quadrature_sweeps_trajectories():
     # one sweep loop: every trajectory sweep in the package goes through it
     assert _callers("trajectories") == {"flow._collar_quadrature"}
+
+
+def test_one_implementation_per_family_form():
+    # the one-input forms are calls of the family forms, the checks' entry points
+    assert _callers("_decompose_family") == {"decompose.decompose",
+                                             "scenarios.check_decomposition"}
+    assert _callers("_reproduction_family") == {"decompose.reproduction_residual",
+                                                "scenarios.check_reproduction"}
 
 
 def test_one_rk4_step_for_sweeps_and_hitting_times():

@@ -10,7 +10,8 @@ from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import decompose, reproduction_residual
 from bergsmooth.flow import build_chart
 from bergsmooth.functions import Holo1
-from bergsmooth.scenarios import ScenarioConfig, check_conj_disk, check_ftc, check_hardy
+from bergsmooth.scenarios import (ScenarioConfig, check_conj_disk, check_decomposition,
+                                  check_ftc, check_hardy, check_reproduction)
 
 
 @pytest.fixture()
@@ -50,7 +51,20 @@ def test_reproduction_residual_sweeps_once(sweeps, chart, k):
 def test_decompose_sweeps_each_point_set_once(sweeps, chart):
     # the evaluation points, the two stacked rotation stencils, the norm grid
     decompose(Holo1.inverse_power(0.9, 0.75), 2, chart)
-    assert len(sweeps) <= 4
+    assert len(sweeps) == 4
+
+
+def test_reproduction_check_sweeps_once_per_chart(sweeps):
+    # every input and order of C3, and the drop study, in one sweep per chart
+    check_reproduction(ScenarioConfig("decomposition"))
+    assert len(sweeps) <= 2
+
+
+def test_decomposition_check_sweeps_each_point_set_once(sweeps):
+    # all inputs and both orders on the four point sets of decompose, then
+    # one sweep per grid of the doubling study
+    check_decomposition(ScenarioConfig("decomposition"))
+    assert len(sweeps) <= 6
 
 
 def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart):
