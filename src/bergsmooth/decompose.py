@@ -55,9 +55,13 @@ def matched_tangential(chart: CollarChart) -> VectorField:
 
 
 def cutoff_times(chart: CollarChart, h: Holo1) -> RadialHolo:
-    """The tracked product cutoff(x) * h(x)."""
-    zeta = lambda r: chart.cutoff_of_time(chart.hit_time_radial(r))
-    return RadialHolo([(zeta, h)])
+    """The tracked product cutoff(x) * h(x).
+
+    Its radial profile is the chart's cutoff-of-radius method, the same key of a
+    quadrature panel's shared table for every h on the chart: the cutoff is
+    evaluated once per panel for all of them, and h once for this product and
+    the cr_reduction of h."""
+    return RadialHolo([(chart._cutoff_of_radius, h)])
 
 
 def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
@@ -69,11 +73,12 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     transverse part: minus the time derivative of the cutoff profile at the
     hitting time.  The result is supported where the cutoff transitions,
     strictly inside the domain.
+
+    Its radial profile is the chart's method for minus d(cutoff)/dt, like the
+    profile of cutoff_times one table key per chart, shared by every h.
     """
     _require_rotation_chart(chart)
-
-    factor = lambda r: -chart.cutoff_time_derivative(chart.hit_time_radial(r))
-    return RadialHolo([(factor, h)])
+    return RadialHolo([(chart._cutoff_rate_of_radius, h)])
 
 
 def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:

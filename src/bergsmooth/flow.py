@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NotInCollarError, ParameterError
-from .functions import smoothstep, smoothstep_prime
+from .functions import RadialHolo, _Shared, smoothstep, smoothstep_prime
 from .geometry import Domain, VectorField, _annulus_logs, canonical_fields, collar_rate
 
 __all__ = [
@@ -109,6 +109,17 @@ class CollarChart:
     def cutoff_time_derivative(self, t):
         """d(cutoff)/dt at hit times t."""
         return -2.0 * smoothstep_prime(_cutoff_argument(t))
+
+    # the radial profiles of the cutoff and of its transverse derivative: bound
+    # methods of one chart compare and hash equal, so each is one key of a
+    # quadrature panel's shared factor table
+    def _cutoff_of_radius(self, r):
+        """The cutoff at radii r."""
+        return self.cutoff_of_time(self.hit_time_radial(r))
+
+    def _cutoff_rate_of_radius(self, r):
+        """Minus d(cutoff)/dt at radii r."""
+        return -self.cutoff_time_derivative(self.hit_time_radial(r))
 
     # --- radial flow closed forms ------------------------------------------
 
@@ -271,14 +282,23 @@ def _chain_kernel(depth: int, u):
 def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
-    integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
-    kernel(s) against integrand(pos, tau), the values at the positions pos of the
-    live points with hit times tau = t - s there.
+    integrand, depth, reads): on each [-(j+1), -j], j < depth, the node weight
+    factors kernel(s) against integrand(pos, tau, shared), the values at the
+    positions pos of the live points with hit times tau = t - s there.  shared
+    is the panel's table of shared factors (functions._Shared), and reads the
+    keys the integrand reads from it.
 
     Returns one array of values per term.  Each panel is swept once for all the
     terms deep enough to reach it, and an integrand listed in several terms (the
     same object) is evaluated once per panel.  Each term sums its own panels in
     its own order, so a term's values are bit for bit the ones it gets alone.
+
+    Each panel makes one table, with the use counts of the integrands that reach
+    it, and drops it when it ends: a factor that several of them read (|z|, a
+    cutoff profile, an h) is computed once, at the panel's positions, and
+    released after the last integrand that reads it.  The integrands of a panel
+    also scatter their live values into one zero buffer per dtype and trailing
+    shape: all of them fill the same live entries, so the dead ones stay zero.
 
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
@@ -309,23 +329,32 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
         cols = need.any(axis=0)
         start = pts[cols]
         pos = trajectories(chart, start, s, chart.m_steps)
-        live_pos, live_tau = pos[need[:, cols]], tau[need]
-
-        def evaluate(integrand):
-            live_values = integrand(live_pos, live_tau)
-            values = np.zeros(tau.shape + live_values.shape[1:], dtype=live_values.dtype)
-            values[need] = live_values
-            return values
         if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))
             factor = (pos[:, ref] / start[ref]).real
             powers = factor[:, None] ** np.asarray(orders)
-        # the terms that reach this panel, by integrand
+        live_pos, live_tau = pos[need[:, cols]], tau[need]
+        # only the live pairs are read from here on
+        del pos, tau
+        # the terms that reach this panel, by integrand, and the table they read
         reach = {}
-        for i, (_, integrand, depth) in enumerate(terms):
+        for i, (_, integrand, depth, _) in enumerate(terms):
             if depth > j:
                 reach.setdefault(integrand, []).append(i)
+        reads = {integrand: terms[members[0]][3] for integrand, members in reach.items()}
+        shared = _Shared(key for keys in reads.values() for key in keys)
+        buffers = {}
+
+        def evaluate(integrand):
+            live_values = integrand(live_pos, live_tau, shared)
+            shared.release(reads[integrand])
+            kind = (live_values.dtype, live_values.shape[1:])
+            if kind not in buffers:
+                buffers[kind] = np.zeros(need.shape + kind[1], dtype=kind[0])
+            values = buffers[kind]
+            values[need] = live_values
+            return values
         for integrand, members in reach.items():
             values = evaluate(integrand)
             for i in members:
@@ -342,16 +371,22 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
 
 def _chain_terms(chains):
     """Quadrature terms of depth-fold anti-differentiation for (w, depth) chains,
-    one integrand per distinct w."""
+    one integrand per distinct w; a RadialHolo w reads its factors through the
+    panel's table."""
     integrands = {}
     terms = []
     for w, depth in chains:
         if depth not in (1, 2, 3):
             raise ParameterError("chain depth 1 to 3 is supported")
         if id(w) not in integrands:
-            integrands[id(w)] = lambda pos, tau, w=w: np.asarray(w(pos), dtype=complex)
-        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)],
-                      depth))
+            if isinstance(w, RadialHolo):
+                integrands[id(w)] = (lambda pos, tau, shared, w=w: w(pos, shared), w._keys())
+            else:
+                integrands[id(w)] = (
+                    lambda pos, tau, shared, w=w: np.asarray(w(pos), dtype=complex), ())
+        integrand, reads = integrands[id(w)]
+        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrand, depth,
+                      reads))
     return terms
 
 
@@ -383,6 +418,6 @@ def flow_moment_apply(chart: CollarChart, moments, points):
     flow time, which the group property gives exactly.
     """
     terms = [(lambda s: 1.0,
-              lambda pos, tau, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1)
+              lambda pos, tau, shared, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1, ())
              for mu, g in moments]
     return [out.real for out in _collar_quadrature(chart, points, terms, support=1.0)]

@@ -7,11 +7,16 @@ else falls back to high-order finite differences on the callable.
 
 Every polynomial of the package, `bergman.synthesize`'s included, is evaluated
 by one Horner's rule, `_horner`, with falling-factorial derivative coefficients.
+
+A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
+holomorphic factors through a `_Shared` table, so that the integrands of one
+quadrature panel evaluate each factor they share once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -94,6 +99,37 @@ def _polynomial(xs, coeffs):
     return np.full(shape, out, dtype=complex) if np.ndim(out) == 0 else out
 
 
+class _Shared:
+    """Values that several evaluations at the same points share, each computed at
+    its first read.  uses counts, per key, the evaluations still to come that read
+    it: a value is kept only while that count is positive, and release(keys),
+    called once an evaluation is done, takes one off the count of each of its
+    keys.  A key with no uses is computed at every read and never kept.
+
+    The table belongs to its points: one per quadrature panel, made and dropped
+    by `flow._collar_quadrature`, or one per call of an evaluation given none.
+    """
+
+    def __init__(self, uses=()):
+        self.uses = Counter(uses)
+        self.values = {}
+
+    def get(self, key, compute):
+        if key in self.values:
+            return self.values[key]
+        value = compute()
+        if self.uses[key] > 0:
+            self.values[key] = value
+        return value
+
+    def release(self, keys):
+        for key in keys:
+            self.uses[key] -= 1
+            if self.uses[key] <= 0:
+                del self.uses[key]
+                self.values.pop(key, None)
+
+
 class SmoothFunction:
     """Base class: evaluable everywhere, derivatives by finite differences."""
 
@@ -155,6 +191,19 @@ class Holo1(SmoothFunction):
     def partial(self, beta, points):
         j = beta[0] + beta[1]
         return (1j) ** beta[1] * self._deriv(j)(np.asarray(points))
+
+    # the j-th derivative read through a _Shared table, and the keys such a read touches
+    def _key(self, j):
+        return (self, 0, j)
+
+    def _read(self, j, z, shared):
+        return shared.get(self._key(j), lambda: self._compute(j, z, shared))
+
+    def _compute(self, j, z, shared):
+        return self._deriv(j)(z)
+
+    def _keys(self, j):
+        return {self._key(j)}
 
     @staticmethod
     def constant(c):
@@ -239,38 +288,69 @@ class RadialHolo(SmoothFunction):
     """Sum of products u_i(|z|) * h_i(z) with h_i tracked holomorphic.
 
     Closed under the rotation field, which differentiates only the holomorphic
-    factor.
+    factor.  An evaluation reads |z|, each profile u_i (keyed by the callable, so
+    a bound method of one object is one key) and each h_i through shared, the
+    `_Shared` table of the points, and so shares them with every other
+    RadialHolo read through the same table; given none, it makes its own.
     """
 
     def __init__(self, pairs):
         # pairs: list of (radial callable, Holo1)
         self.pairs = tuple((u, h) for u, h in pairs)
 
-    def __call__(self, points):
+    def __call__(self, points, shared=None):
         z = np.asarray(points)
-        r = np.abs(z)
+        if shared is None:
+            shared = _Shared(self._keys())
+        r = shared.get("|z|", lambda: np.abs(z))
         out = np.zeros_like(z, dtype=complex)
         for u, h in self.pairs:
-            out = out + u(r) * h(z)
+            out += shared.get(u, lambda: u(r)) * h._read(0, z, shared)
         return out
+
+    def _keys(self):
+        """The table keys an evaluation reads: |z|, the profiles, the h_i and, for
+        a rotated h_i, the derivatives of the levels below it."""
+        keys = {"|z|"}
+        for u, h in self.pairs:
+            keys |= {u} | h._keys(0)
+        return keys
 
     def rotation_applied(self):
         """Exact d/dtheta: the theta-derivative of u(r) h(z) is u(r) * i z h'(z)."""
-        return RadialHolo([(u, _i_z_dh(h)) for u, h in self.pairs])
+        return RadialHolo([(u, _ThetaDerivative(h)) for u, h in self.pairs])
 
 
-def _i_z_dh(h):
-    """The tracked holomorphic function i z h'(z)."""
-    def deriv(j):
+class _ThetaDerivative(Holo1):
+    """The tracked holomorphic function i z h'(z), d/dtheta of h.
+
+    Level n of rotation_applied over a base h reads the derivatives of level
+    n - 1 through the table, keyed (base, n, j): the chains rotated from one base
+    share every level, and each derivative of the base is computed once.
+    """
+
+    def __init__(self, inner):
+        self.inner = inner
+        rotated = isinstance(inner, _ThetaDerivative)
+        self.base = inner.base if rotated else inner
+        self.level = inner.level + 1 if rotated else 1
+
+    def _deriv(self, j):
+        return lambda z: self._read(j, np.asarray(z), _Shared(self._keys(j)))
+
+    def _key(self, j):
+        return (self.base, self.level, j)
+
+    def _compute(self, j, z, shared):
         # d^j/dz^j [z h'] = z h^(j+1) + j h^(j)
-        def ev(z, j=j):
-            z = np.asarray(z)
-            out = z * h._deriv(j + 1)(z)
-            if j > 0:
-                out = out + j * h._deriv(j)(z)
-            return 1j * out
-        return ev
-    return Holo1(deriv)
+        out = z * self.inner._read(j + 1, z, shared)
+        if j > 0:
+            out = out + j * self.inner._read(j, z, shared)
+        return 1j * out
+
+    def _keys(self, j):
+        keys = {self._key(j)} | self.inner._keys(j + 1)
+        return (keys | self.inner._keys(j)) if j > 0 else keys
 
 
 def apply_field(field, f, points, h=fd.FD_STEP):

@@ -326,12 +326,12 @@ class _Jets:
             kern = lambda s: s**f.mu
         rest, key = factors[depth:], path + (depth,)
 
-        def integrand(pos, tau):
+        def integrand(pos, tau, shared):
             inner = self.jet(rest, pos, order, key)
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
-        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)], support=1.0,
-                                 orders=orders)[0]
+        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth, ())],
+                                 support=1.0, orders=orders)[0]
         return out if order else out[..., None]
 
     def leaf(self, points, order, path):

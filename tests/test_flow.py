@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergsmooth.flow as flow_module
+from bergsmooth import functions
 from bergsmooth.decompose import cr_reduction, cutoff_times
 from bergsmooth.errors import NotInCollarError, ParameterError
 from bergsmooth.flow import (
@@ -415,8 +416,8 @@ def test_support_skip_is_exact(support_case, depth, mask):
 def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
     chart, w, pts = support_case
     g = mask(chart, w)
-    integrand = lambda pos, tau: tau**mu * np.abs(np.asarray(g(pos)))
-    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1)],
+    integrand = lambda pos, tau, shared: tau**mu * np.abs(np.asarray(g(pos)))
+    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1, ())],
                                     support=np.inf)[0].real
     assert np.array_equal(flow_moment_apply(chart, [(mu, g)], pts)[0], everywhere)
 
@@ -426,8 +427,11 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
     chart, w, pts = support_case
     g = cutoff_masked(chart, w)
     other = cutoff_masked(chart, lambda p: 2.0 - np.asarray(w(p)))
+    # zero, listed last, is exactly 0 on every live pair: it must read zeros, not
+    # the values the others scattered into the panel's buffer before it
+    zero = lambda p: 0.0 * np.asarray(g(p))
     alone = [antideriv_chains(chart, [(f, d)], pts, support=support)[0]
-             for f, d in ((g, 1), (other, 2), (g, 3))]
+             for f, d in ((g, 1), (other, 2), (g, 3), (zero, 2))]
     evaluated, sweeps = [], []
     trajectories_ = flow_module.trajectories
     monkeypatch.setattr(flow_module, "trajectories",
@@ -436,13 +440,30 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
     def counted(p):
         evaluated.append(1)
         return g(p)
-    batch = antideriv_chains(chart, [(counted, 1), (other, 2), (counted, 3)], pts,
+    batch = antideriv_chains(chart, [(counted, 1), (other, 2), (counted, 3), (zero, 2)], pts,
                              support=support)
-    for one, together in zip(alone, batch):
+    for one, together in zip(alone[:3], batch):
         assert np.array_equal(one, together)
         assert np.any(together != 0)
+    assert np.array_equal(alone[3], batch[3]) and not np.any(batch[3])
     # g, listed at depths 1 and 3, is evaluated once on each panel swept
     assert len(evaluated) == len(sweeps) == (2 if support == 1.0 else 1)
+    if chart.domain.kind == "disk":
+        # jets: values on a trailing axis weighted by R_s**order, real and complex
+        # integrands in one batch, the zero one last
+        jet = lambda f: lambda pos, tau, shared: np.stack([f(pos), tau * f(pos)], axis=-1)
+        real = lambda pos, tau, shared: np.abs(jet(other)(pos, tau, shared))
+        terms = [(lambda s: 1.0, jet(g), 1, ()),
+                 (lambda s: 1.0 - s, real, 2, ()),
+                 (lambda s: s * s, jet(g), 3, ()),
+                 (lambda s: 1.0, jet(zero), 2, ())]
+        alone = [_collar_quadrature(chart, pts, [term], support=support, orders=[0, 1])[0]
+                 for term in terms]
+        batch = _collar_quadrature(chart, pts, terms, support=support, orders=[0, 1])
+        for one, together in zip(alone[:3], batch):
+            assert np.array_equal(one, together)
+            assert np.all(np.any(together != 0, axis=0))
+        assert np.array_equal(alone[3], batch[3]) and not np.any(batch[3])
     # the Hardy majorants batch the same way: g at two weights, other at one
     moments = [(0, g), (1, g), (1, other)]
     alone = [flow_moment_apply(chart, [moment], pts)[0] for moment in moments]
@@ -451,6 +472,44 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
         assert np.array_equal(one, together)
         assert np.any(together != 0)
     assert len(sweeps) == 1
+
+
+@pytest.mark.parametrize("support", [1.0, CUTOFF_END])
+def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, support, rng,
+                                                               monkeypatch):
+    # chains of one h on the chart's two profiles: the panel's table shares |z|,
+    # both profiles and every derivative of h, the rotated levels' included
+    chart = disk_chart
+    pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
+    h = Holo1.inverse_power(0.9, 0.75)
+    zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
+    chains = [(zh, 1), (cr, 1), (zh.rotation_applied(), 2), (cr, 2),
+              (zh.rotation_applied().rotation_applied(), 3), (cr.rotation_applied(), 3),
+              (zh, 3), (cr.rotation_applied().rotation_applied(), 2)]
+    tables, sweeps = [], []
+
+    class Recorded(functions._Shared):
+        def __init__(self, uses):
+            super().__init__(uses)
+            tables.append(self)
+    monkeypatch.setattr(flow_module, "_Shared", Recorded)
+    trajectories_ = flow_module.trajectories
+    monkeypatch.setattr(flow_module, "trajectories",
+                        lambda *args: sweeps.append(1) or trajectories_(*args))
+    batch = antideriv_chains(chart, chains, pts, support=support)
+    # at support 1 the points outside the domain reach the second panel, where
+    # only the chains of depth 2 and 3 are live
+    assert len(sweeps) == len(tables) == (2 if support == 1.0 else 1)
+    # every table is empty once its panel ends: each value dropped at its last use
+    assert all(not table.values and not table.uses for table in tables)
+    for (w, depth), together in zip(chains, batch):
+        # alone, and as a plain closure that evaluates w with no panel table
+        alone = antideriv_chains(chart, [(w, depth)], pts, support=support)[0]
+        unshared = antideriv_chains(chart, [(lambda p, w=w: w(p), depth)], pts,
+                                    support=support)[0]
+        assert np.array_equal(together, alone)
+        assert np.array_equal(together, unshared)
+        assert np.any(together != 0)
 
 
 @pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])

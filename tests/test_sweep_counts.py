@@ -1,14 +1,19 @@
 """Regression guards on repeated work: each point set is swept once for every
-integrand computed on it, a hitting time steps each point once up to its
-crossing, and projection evaluates no basis element."""
+integrand computed on it, each factor the integrands of a panel share is
+evaluated once per panel, a hitting time steps each point once up to its
+crossing, and projection evaluates no basis element.  One guard on memory: C4
+holds no more at its peak than before the panels shared their factors."""
+
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import bergsmooth.flow as flow_module
 from bergsmooth.bergman import PlanarMonomial
-from bergsmooth.decompose import decompose, reproduction_residual
-from bergsmooth.flow import build_chart
+from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
+from bergsmooth.flow import CollarChart, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_disk, check_decomposition,
                                   check_ftc, check_hardy, check_reproduction)
@@ -65,6 +70,61 @@ def test_decomposition_check_sweeps_each_point_set_once(sweeps):
     # one sweep per grid of the doubling study
     check_decomposition(ScenarioConfig("decomposition"))
     assert len(sweeps) <= 6
+
+
+def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
+    # cutoff_times and cr_reduction of one h, each at depths 1 and 2, read |z|,
+    # the two profiles and h from the panel's table: h and each profile run once
+    # per panel swept (h ran twice before, once for each product)
+    calls = Counter()
+    for name in ("_cutoff_of_radius", "_cutoff_rate_of_radius"):
+        profile = getattr(CollarChart, name)
+        monkeypatch.setattr(CollarChart, name, lambda self, r, name=name, profile=profile:
+                            calls.update([name]) or profile(self, r))
+    base = Holo1.from_coeffs([0.3, 1.0, 0.5j])
+    h = Holo1(lambda j: lambda z: calls.update([("h", j)]) or base._deriv(j)(z))
+    zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
+    # hit times from just outside the domain into the collar: two panels swept
+    pts = np.exp(-chart.rate * np.array([-0.01, 0.1, 0.4, 0.7]) + 1j * np.arange(4.0))
+    antideriv_chains(chart, [(zh, 1), (cr, 1), (zh, 2), (cr, 2)], pts)
+    assert len(sweeps) == 2
+    assert calls == {"_cutoff_of_radius": 2, "_cutoff_rate_of_radius": 2, ("h", 0): 2}
+
+
+def test_decomposition_check_evaluates_each_pole_once_per_point_set(monkeypatch):
+    # C4's four inverse-power inputs are each evaluated once per point set swept
+    # (the evaluation points, the two rotation stencils, the norm grid), once
+    # for the target and twice for the weighted norms, and the doubling study's
+    # input once per grid: 4 * 7 + 2 = 30 evaluator calls (44 when cutoff * h
+    # and its transverse defect each evaluated h)
+    calls = []
+    make = Holo1.inverse_power
+
+    def counted(a, p):
+        factory = make(a, p)._deriv
+        return Holo1(lambda j: lambda z: calls.append(j) or factory(j)(z))
+    monkeypatch.setattr(Holo1, "inverse_power", staticmethod(counted))
+    check_decomposition(ScenarioConfig("decomposition"))
+    assert len(calls) <= 30
+
+
+# tracemalloc peak of one default-config check_decomposition before the panels
+# shared their factors and reused one value buffer, with Python 3.11.7 and numpy
+# 2.4.6: 175.3e6 bytes on the first call in a process, 174.6e6 on later ones
+# (124.4e6 and 123.7e6 after)
+PARENT_C4_PEAK_BYTES = 175.3e6
+
+
+def test_decomposition_check_holds_no_more_memory_than_before():
+    # a guard against retained values (a table kept past its panel, a buffer per
+    # integrand), not against allocator layout: the benchmark's peak RSS is the gate
+    tracemalloc.start()
+    try:
+        check_decomposition(ScenarioConfig("decomposition"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= PARENT_C4_PEAK_BYTES
 
 
 def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart):
