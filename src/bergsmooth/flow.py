@@ -282,23 +282,23 @@ def _chain_kernel(depth: int, u):
 def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
-    integrand, depth, reads): on each [-(j+1), -j], j < depth, the node weight
-    factors kernel(s) against integrand(pos, tau, shared), the values at the
-    positions pos of the live points with hit times tau = t - s there.  shared
-    is the panel's table of shared factors (functions._Shared), and reads the
-    keys the integrand reads from it.
+    integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
+    kernel(s) against integrand(pos, tau, shared), the values at the positions
+    pos of the live points with hit times tau = t - s there.  shared is the
+    panel's table of shared factors (functions._Shared).
 
     Returns one array of values per term.  Each panel is swept once for all the
     terms deep enough to reach it, and an integrand listed in several terms (the
     same object) is evaluated once per panel.  Each term sums its own panels in
     its own order, so a term's values are bit for bit the ones it gets alone.
 
-    Each panel makes one table, with the use counts of the integrands that reach
-    it, and drops it when it ends: a factor that several of them read (|z|, a
-    cutoff profile, an h) is computed once, at the panel's positions, and
-    released after the last integrand that reads it.  The integrands of a panel
-    also scatter their live values into one zero buffer per dtype and trailing
-    shape: all of them fill the same live entries, so the dead ones stay zero.
+    Each panel makes one table and drops it when it ends: a factor that several
+    of its integrands read is computed once, at the panel's positions.  |z| and
+    the cutoff profiles are kept for the whole panel, the derivatives of an h
+    while the integrands of h follow one another (C3 and C4 list their chains
+    input by input).  The integrands of a panel also scatter their live values
+    into one zero buffer per dtype and trailing shape: all of them fill the same
+    live entries, so the dead ones stay zero.
 
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
@@ -339,16 +339,14 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
         del pos, tau
         # the terms that reach this panel, by integrand, and the table they read
         reach = {}
-        for i, (_, integrand, depth, _) in enumerate(terms):
+        for i, (_, integrand, depth) in enumerate(terms):
             if depth > j:
                 reach.setdefault(integrand, []).append(i)
-        reads = {integrand: terms[members[0]][3] for integrand, members in reach.items()}
-        shared = _Shared(key for keys in reads.values() for key in keys)
+        shared = _Shared()
         buffers = {}
 
         def evaluate(integrand):
             live_values = integrand(live_pos, live_tau, shared)
-            shared.release(reads[integrand])
             kind = (live_values.dtype, live_values.shape[1:])
             if kind not in buffers:
                 buffers[kind] = np.zeros(need.shape + kind[1], dtype=kind[0])
@@ -380,13 +378,11 @@ def _chain_terms(chains):
             raise ParameterError("chain depth 1 to 3 is supported")
         if id(w) not in integrands:
             if isinstance(w, RadialHolo):
-                integrands[id(w)] = (lambda pos, tau, shared, w=w: w(pos, shared), w._keys())
+                integrands[id(w)] = lambda pos, tau, shared, w=w: w(pos, shared)
             else:
-                integrands[id(w)] = (
-                    lambda pos, tau, shared, w=w: np.asarray(w(pos), dtype=complex), ())
-        integrand, reads = integrands[id(w)]
-        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrand, depth,
-                      reads))
+                integrands[id(w)] = lambda pos, tau, shared, w=w: np.asarray(w(pos), complex)
+        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)],
+                      depth))
     return terms
 
 
@@ -418,6 +414,6 @@ def flow_moment_apply(chart: CollarChart, moments, points):
     flow time, which the group property gives exactly.
     """
     terms = [(lambda s: 1.0,
-              lambda pos, tau, shared, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1, ())
+              lambda pos, tau, shared, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1)
              for mu, g in moments]
     return [out.real for out in _collar_quadrature(chart, points, terms, support=1.0)]

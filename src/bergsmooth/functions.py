@@ -10,13 +10,14 @@ by one Horner's rule, `_horner`, with falling-factorial derivative coefficients.
 
 A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
 holomorphic factors through a `_Shared` table, so that the integrands of one
-quadrature panel evaluate each factor they share once.
+quadrature panel evaluate each factor they share once: |z| and the profiles once
+per panel, and the derivatives of each input once while its integrands follow
+one another.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 
@@ -101,33 +102,28 @@ def _polynomial(xs, coeffs):
 
 class _Shared:
     """Values that several evaluations at the same points share, each computed at
-    its first read.  uses counts, per key, the evaluations still to come that read
-    it: a value is kept only while that count is positive, and release(keys),
-    called once an evaluation is done, takes one off the count of each of its
-    keys.  A key with no uses is computed at every read and never kept.
+    its first read and kept: |z|, the radial profiles, and the derivatives of the
+    holomorphic factors, keyed (base, level, j) (see Holo1.base).
 
-    The table belongs to its points: one per quadrature panel, made and dropped
-    by `flow._collar_quadrature`, or one per call of an evaluation given none.
+    focus(bases), called at the start of each RadialHolo evaluation, drops the
+    held derivatives of every base not in bases: the derivatives of one input
+    live while its evaluations follow one another, and |z| and the profiles for
+    the whole table.  The table belongs to its points: one per quadrature panel,
+    made and dropped by `flow._collar_quadrature`, or one per call of an
+    evaluation given none.
     """
 
-    def __init__(self, uses=()):
-        self.uses = Counter(uses)
+    def __init__(self):
         self.values = {}
 
     def get(self, key, compute):
-        if key in self.values:
-            return self.values[key]
-        value = compute()
-        if self.uses[key] > 0:
-            self.values[key] = value
-        return value
+        if key not in self.values:
+            self.values[key] = compute()
+        return self.values[key]
 
-    def release(self, keys):
-        for key in keys:
-            self.uses[key] -= 1
-            if self.uses[key] <= 0:
-                del self.uses[key]
-                self.values.pop(key, None)
+    def focus(self, bases):
+        self.values = {key: value for key, value in self.values.items()
+                       if not isinstance(key, tuple) or key[0] in bases}
 
 
 class SmoothFunction:
@@ -186,24 +182,25 @@ class Holo1(SmoothFunction):
         self._deriv = deriv_factory
 
     def __call__(self, points):
-        return self._deriv(0)(np.asarray(points))
+        return self._read(0, np.asarray(points), _Shared())
 
     def partial(self, beta, points):
         j = beta[0] + beta[1]
-        return (1j) ** beta[1] * self._deriv(j)(np.asarray(points))
+        return (1j) ** beta[1] * self._read(j, np.asarray(points), _Shared())
 
-    # the j-th derivative read through a _Shared table, and the keys such a read touches
-    def _key(self, j):
-        return (self, 0, j)
+    # the j-th derivative read through a _Shared table, keyed (base, level, j):
+    # rotation_applied's level n over a base h is level n, h itself level 0
+    level = 0
+
+    @property
+    def base(self):
+        return self
 
     def _read(self, j, z, shared):
-        return shared.get(self._key(j), lambda: self._compute(j, z, shared))
+        return shared.get((self.base, self.level, j), lambda: self._compute(j, z, shared))
 
     def _compute(self, j, z, shared):
         return self._deriv(j)(z)
-
-    def _keys(self, j):
-        return {self._key(j)}
 
     @staticmethod
     def constant(c):
@@ -291,7 +288,9 @@ class RadialHolo(SmoothFunction):
     factor.  An evaluation reads |z|, each profile u_i (keyed by the callable, so
     a bound method of one object is one key) and each h_i through shared, the
     `_Shared` table of the points, and so shares them with every other
-    RadialHolo read through the same table; given none, it makes its own.
+    RadialHolo read through the same table; given none, it makes its own.  It
+    first focuses the table on the bases of its h_i, so a table read by the
+    evaluations of one input after another holds one input's derivatives.
     """
 
     def __init__(self, pairs):
@@ -301,20 +300,13 @@ class RadialHolo(SmoothFunction):
     def __call__(self, points, shared=None):
         z = np.asarray(points)
         if shared is None:
-            shared = _Shared(self._keys())
+            shared = _Shared()
+        shared.focus({h.base for _, h in self.pairs})
         r = shared.get("|z|", lambda: np.abs(z))
         out = np.zeros_like(z, dtype=complex)
         for u, h in self.pairs:
             out += shared.get(u, lambda: u(r)) * h._read(0, z, shared)
         return out
-
-    def _keys(self):
-        """The table keys an evaluation reads: |z|, the profiles, the h_i and, for
-        a rotated h_i, the derivatives of the levels below it."""
-        keys = {"|z|"}
-        for u, h in self.pairs:
-            keys |= {u} | h._keys(0)
-        return keys
 
     def rotation_applied(self):
         """Exact d/dtheta: the theta-derivative of u(r) h(z) is u(r) * i z h'(z)."""
@@ -331,15 +323,11 @@ class _ThetaDerivative(Holo1):
 
     def __init__(self, inner):
         self.inner = inner
-        rotated = isinstance(inner, _ThetaDerivative)
-        self.base = inner.base if rotated else inner
-        self.level = inner.level + 1 if rotated else 1
+        self.level = inner.level + 1
 
-    def _deriv(self, j):
-        return lambda z: self._read(j, np.asarray(z), _Shared(self._keys(j)))
-
-    def _key(self, j):
-        return (self.base, self.level, j)
+    @property
+    def base(self):
+        return self.inner.base
 
     def _compute(self, j, z, shared):
         # d^j/dz^j [z h'] = z h^(j+1) + j h^(j)
@@ -347,10 +335,6 @@ class _ThetaDerivative(Holo1):
         if j > 0:
             out = out + j * self.inner._read(j, z, shared)
         return 1j * out
-
-    def _keys(self, j):
-        keys = {self._key(j)} | self.inner._keys(j + 1)
-        return (keys | self.inner._keys(j)) if j > 0 else keys
 
 
 def apply_field(field, f, points, h=fd.FD_STEP):

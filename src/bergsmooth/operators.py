@@ -330,7 +330,7 @@ class _Jets:
             inner = self.jet(rest, pos, order, key)
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
-        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth, ())],
+        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)],
                                  support=1.0, orders=orders)[0]
         return out if order else out[..., None]
 

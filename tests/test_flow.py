@@ -417,7 +417,7 @@ def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
     chart, w, pts = support_case
     g = mask(chart, w)
     integrand = lambda pos, tau, shared: tau**mu * np.abs(np.asarray(g(pos)))
-    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1, ())],
+    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1)],
                                     support=np.inf)[0].real
     assert np.array_equal(flow_moment_apply(chart, [(mu, g)], pts)[0], everywhere)
 
@@ -453,10 +453,10 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
         # integrands in one batch, the zero one last
         jet = lambda f: lambda pos, tau, shared: np.stack([f(pos), tau * f(pos)], axis=-1)
         real = lambda pos, tau, shared: np.abs(jet(other)(pos, tau, shared))
-        terms = [(lambda s: 1.0, jet(g), 1, ()),
-                 (lambda s: 1.0 - s, real, 2, ()),
-                 (lambda s: s * s, jet(g), 3, ()),
-                 (lambda s: 1.0, jet(zero), 2, ())]
+        terms = [(lambda s: 1.0, jet(g), 1),
+                 (lambda s: 1.0 - s, real, 2),
+                 (lambda s: s * s, jet(g), 3),
+                 (lambda s: 1.0, jet(zero), 2)]
         alone = [_collar_quadrature(chart, pts, [term], support=support, orders=[0, 1])[0]
                  for term in terms]
         batch = _collar_quadrature(chart, pts, terms, support=support, orders=[0, 1])
@@ -478,20 +478,31 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
 def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, support, rng,
                                                                monkeypatch):
     # chains of one h on the chart's two profiles: the panel's table shares |z|,
-    # both profiles and every derivative of h, the rotated levels' included
+    # both profiles and every derivative of h, the rotated levels' included; then
+    # chains of a second input, after which the table holds only its derivatives
     chart = disk_chart
     pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
-    h = Holo1.inverse_power(0.9, 0.75)
+    h, second = Holo1.inverse_power(0.9, 0.75), Holo1.from_coeffs([0.3, 1.0, 0.5j])
     zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
     chains = [(zh, 1), (cr, 1), (zh.rotation_applied(), 2), (cr, 2),
               (zh.rotation_applied().rotation_applied(), 3), (cr.rotation_applied(), 3),
-              (zh, 3), (cr.rotation_applied().rotation_applied(), 2)]
-    tables, sweeps = [], []
+              (zh, 3), (cr.rotation_applied().rotation_applied(), 2),
+              (cutoff_times(chart, second).rotation_applied(), 3),
+              (cr_reduction(second, chart).rotation_applied(), 1)]
+    tables, sweeps, held = [], [], []
+
+    def bases(table):
+        return {key[0] for key in table.values if isinstance(key, tuple)}
 
     class Recorded(functions._Shared):
-        def __init__(self, uses):
-            super().__init__(uses)
+        def __init__(self):
+            super().__init__()
             tables.append(self)
+
+        def get(self, key, compute):
+            value = super().get(key, compute)
+            held.append(bases(self))
+            return value
     monkeypatch.setattr(flow_module, "_Shared", Recorded)
     trajectories_ = flow_module.trajectories
     monkeypatch.setattr(flow_module, "trajectories",
@@ -500,8 +511,10 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
     # at support 1 the points outside the domain reach the second panel, where
     # only the chains of depth 2 and 3 are live
     assert len(sweeps) == len(tables) == (2 if support == 1.0 else 1)
-    # every table is empty once its panel ends: each value dropped at its last use
-    assert all(not table.values and not table.uses for table in tables)
+    # a table holds the derivatives of the input being evaluated only: those of
+    # h until the second input's integrands begin, and only theirs at the end
+    assert all(len(b) <= 1 for b in held) and set().union(*held) == {h, second}
+    assert all(bases(table) == {second} for table in tables)
     for (w, depth), together in zip(chains, batch):
         # alone, and as a plain closure that evaluates w with no panel table
         alone = antideriv_chains(chart, [(w, depth)], pts, support=support)[0]

@@ -154,6 +154,14 @@ def test_one_field_formula():
     assert _callers("_field_formula") == {"functions.apply_field", "operators._field_jet"}
 
 
+def test_one_shared_factor_table_without_read_sets():
+    # a table is made per quadrature panel or per standalone evaluation; it keeps
+    # what it computes, and no evaluation declares its reads or releases them
+    assert not _definers("_keys") | _definers("release")
+    assert _callers("_Shared") == {"flow._collar_quadrature", "functions.RadialHolo.__call__",
+                                   "functions.Holo1.__call__", "functions.Holo1.partial"}
+
+
 def test_only_build_chart_takes_the_trajectory_resolution():
     # q_panels and m_steps belong to the collar chart; classes (the chart itself,
     # the scenario config) are exempt

@@ -1,6 +1,7 @@
 """Regression guards on repeated work: each point set is swept once for every
 integrand computed on it, each factor the integrands of a panel share is
-evaluated once per panel, a hitting time steps each point once up to its
+evaluated once per panel (the derivatives of an input once while its
+integrands follow one another), a hitting time steps each point once up to its
 crossing, and projection evaluates no basis element.  One guard on memory: C4
 holds no more at its peak than before the panels shared their factors."""
 
@@ -14,7 +15,7 @@ import bergsmooth.flow as flow_module
 from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
 from bergsmooth.flow import CollarChart, antideriv_chains, build_chart
-from bergsmooth.functions import Holo1
+from bergsmooth.functions import Holo1, _ThetaDerivative
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_disk, check_decomposition,
                                   check_ftc, check_hardy, check_reproduction)
 
@@ -89,6 +90,20 @@ def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
     antideriv_chains(chart, [(zh, 1), (cr, 1), (zh, 2), (cr, 2)], pts)
     assert len(sweeps) == 2
     assert calls == {"_cutoff_of_radius": 2, "_cutoff_rate_of_radius": 2, ("h", 0): 2}
+
+
+def test_reproduction_check_evaluates_each_derivative_once_per_panel(monkeypatch):
+    # C3 lists its chains input by input, and a panel's table keeps the
+    # derivatives of one input while its integrands follow one another: 25
+    # derivatives of the inputs and 30 of rotated levels (chains interleaved
+    # across the inputs would compute them again)
+    calls = Counter()
+    for cls in (Holo1, _ThetaDerivative):
+        compute = cls.__dict__["_compute"]
+        monkeypatch.setattr(cls, "_compute", lambda self, j, z, shared, cls=cls, compute=compute:
+                            calls.update([cls]) or compute(self, j, z, shared))
+    check_reproduction(ScenarioConfig("decomposition"))
+    assert calls[Holo1] <= 25 and calls[_ThetaDerivative] <= 30
 
 
 def test_decomposition_check_evaluates_each_pole_once_per_point_set(monkeypatch):
