@@ -21,10 +21,11 @@ from .flow import CUTOFF_END, CollarChart, antideriv_chains
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
 from .norms import _default_grid, weighted_negative_norm
-from .operators import commutator, compose, field_op, iterated_commutator, kernel_op, op_sum
+from .operators import commutator, compose, iterated_commutator, kernel_op, op_sum
 
 __all__ = [
     "DecompositionResult",
+    "component_values",
     "cr_reduction",
     "cutoff_times",
     "matched_tangential",
@@ -81,13 +82,7 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     return RadialHolo([(chart._cutoff_rate_of_radius, h)])
 
 
-def reproduction_residual(h: Holo1, k: int, chart: CollarChart) -> float:
-    """Sup over evaluation points of the k-step reproduction defect of cutoff * h;
-    the family form, _reproduction_family, with the one input h."""
-    return _reproduction_family([h], [k], chart)[0, k]
-
-
-def _reproduction_family(hs, orders, chart: CollarChart) -> dict:
+def reproduction_residual(hs, orders, chart: CollarChart) -> dict:
     """Sup over evaluation points of the k-step reproduction defect of cutoff * h,
     keyed (i, k) for each input hs[i] and order k in orders, 1 to 3.
 
@@ -100,7 +95,7 @@ def _reproduction_family(hs, orders, chart: CollarChart) -> dict:
     chains Tbar^j (cutoff h) and Tbar^j (reduced defect) are built once per
     input and shared by its orders, and every chain of the family is integrated
     in one sweep of the evaluation points; each residual is bit for bit the one
-    of its (h, k) alone.
+    of its h and k alone, reproduction_residual([h], [k], chart)[0, k].
     """
     if any(k < 1 or k > 3 for k in orders):
         raise ParameterError("reproduction identity implemented for orders 1 to 3")
@@ -152,8 +147,7 @@ def power_expansion(k: int, chart: CollarChart, fld: VectorField) -> dict:
     if k < 1 or k > 2:
         raise ParameterError("full expansion implemented for orders 1 and 2")
     A = kernel_op()
-    X = field_op(fld)
-    out = {(1, 1): A, (1, 0): commutator(A, X)}
+    out = {(1, 1): A, (1, 0): commutator(A, fld)}
     prev = {1: out[(1, 1)], 0: out[(1, 0)]}
     for ell in range(2, k + 1):
         collected = {m: [] for m in range(ell + 1)}
@@ -223,20 +217,27 @@ def rotation_fd(fn, points, order: int = 1):
     return values
 
 
-def _components(h: Holo1, chart: CollarChart):
-    """The components of orders one and two, each as (input, depth, combine):
-    combine(kernel^depth[input]) is the component.
+def _components(hs, orders, chart: CollarChart) -> dict:
+    """The components of cutoff * hs[i] at each order k in orders, 1 or 2, keyed
+    (i, k), each as (input, depth, combine): combine(kernel^depth[input]) is the
+    component.
 
     On the rotation-invariant charts the commutator coefficients vanish and
     the components collapse to iterated flow kernels of the tracked inputs:
     order 1: (kernel[reduced], i kernel[cutoff h]);
     order 2: (kernel[reduced], i kernel^2[reduced], - kernel^2[cutoff h]).
     """
-    zh = cutoff_times(chart, h)
-    cr = cr_reduction(h, chart)
+    if any(k < 1 or k > 2 for k in orders):
+        raise ParameterError("components implemented for orders 1 and 2")
+    _require_rotation_chart(chart)
     same, times_i, minus = (lambda v: v), (lambda v: 1j * v), (lambda v: -v)
-    return {1: ((cr, 1, same), (zh, 1, times_i)),
-            2: ((cr, 1, same), (cr, 2, times_i), (zh, 2, minus))}
+    out = {}
+    for i, h in enumerate(hs):
+        zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
+        by_order = {1: ((cr, 1, same), (zh, 1, times_i)),
+                    2: ((cr, 1, same), (cr, 2, times_i), (zh, 2, minus))}
+        out.update(((i, k), by_order[k]) for k in orders)
+    return out
 
 
 def _component_values(components, chart: CollarChart, points):
@@ -248,21 +249,15 @@ def _component_values(components, chart: CollarChart, points):
     return [combine(values[w, depth]) for w, depth, combine in components]
 
 
-def _family_values(family, chart: CollarChart, points):
-    """_component_values of every member of family, {key: components}, in one sweep
-    of the points, split back into one list per key."""
+def component_values(hs, orders, chart: CollarChart, points) -> dict:
+    """Values at points of the components of cutoff * hs[i] at each order k in
+    orders, 1 or 2: one list per (i, k), in one sweep of the points."""
+    family = _components(hs, orders, chart)
     values = iter(_component_values([c for cs in family.values() for c in cs], chart, points))
     return {key: [next(values) for _ in cs] for key, cs in family.items()}
 
 
-def decompose(h: Holo1, k: int, chart: CollarChart, points=None,
-              grid=None) -> DecompositionResult:
-    """Split cutoff * h into conjugate-field derivatives of controlled pieces;
-    the family form, _decompose_family, with the one input h."""
-    return _decompose_family([h], [k], chart, points, grid)[0, k]
-
-
-def _decompose_family(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
+def decompose(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
     """Split cutoff * h into conjugate-field derivatives of controlled pieces, for
     each input hs[i] and order k in orders, 1 or 2: one DecompositionResult per
     (i, k).
@@ -276,16 +271,12 @@ def _decompose_family(hs, orders, chart: CollarChart, points=None, grid=None) ->
     the order-m rotation stencil of the m-th component of every (h, k), k >= m,
     stacked into one set.  The components of one h are built once, so the chains
     its orders share are integrated once.  Each result is bit for bit the one of
-    its (h, k) alone.
+    its h and k alone, decompose([h], [k], chart)[0, k].
     """
-    if any(k < 1 or k > 2 for k in orders):
-        raise ParameterError("components implemented for orders 1 and 2")
-    _require_rotation_chart(chart)
+    family = _components(hs, orders, chart)
     if points is None:
         points = _default_eval_points(chart)
-    by_h = [_components(h, chart) for h in hs]
-    family = {(i, k): by_h[i][k] for i in range(len(hs)) for k in orders}
-    comps = _family_values(family, chart, points)
+    comps = component_values(hs, orders, chart, points)
 
     recons = {key: values[0] for key, values in comps.items()}
     for m in range(1, max(orders) + 1):
@@ -299,7 +290,7 @@ def _decompose_family(hs, orders, chart: CollarChart, points=None, grid=None) ->
             recons[key] = recons[key] + (-chart.rate) ** m * derivs[..., j]
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)
-    norms = _family_values(family, chart, qgrid.nodes)
+    norms = component_values(hs, orders, chart, qgrid.nodes)
     out = {}
     for i, h in enumerate(hs):
         target = cutoff_times(chart, h)(points)

@@ -1,5 +1,5 @@
-"""Expression algebra over flow-kernel operators, differential monomials,
-field powers, compositions, sums, and commutators.
+"""Expression algebra over flow-kernel operators, field powers, compositions,
+sums, and commutators with a first-order field.
 
 Every expression carries a class tag: a set of memberships (alpha, nu),
 where alpha is the tuple of kernel time-weight exponents (its length is the
@@ -25,12 +25,10 @@ from .norms import _multi_indices
 __all__ = [
     "OperatorExpr",
     "Antideriv",
-    "DiffMonomial",
     "FieldPower",
     "Compose",
     "OpSum",
     "kernel_op",
-    "diff_op",
     "field_op",
     "compose",
     "op_sum",
@@ -104,14 +102,6 @@ class Antideriv(OperatorExpr):
 
 
 @dataclass(frozen=True)
-class DiffMonomial(OperatorExpr):
-    beta: tuple = (1, 0)
-
-    def _structural_tag(self):
-        return ClassTag((((), sum(self.beta)),))
-
-
-@dataclass(frozen=True)
 class FieldPower(OperatorExpr):
     fld: VectorField = None
     power: int = 1
@@ -150,10 +140,6 @@ def kernel_op(mu: int = 0) -> Antideriv:
     return Antideriv(mu)
 
 
-def diff_op(beta) -> DiffMonomial:
-    return DiffMonomial(tuple(beta))
-
-
 def field_op(fld: VectorField, power: int = 1) -> FieldPower:
     return FieldPower(fld, power)
 
@@ -172,36 +158,29 @@ def op_sum(*terms) -> OpSum:
     return OpSum(tuple(terms))
 
 
-def commutator(expr_a: OperatorExpr, expr_x: OperatorExpr) -> OpSum:
-    """[A, X] as an explicit difference of compositions, tagged by the calculus.
+def commutator(expr_a: OperatorExpr, fld: VectorField) -> OpSum:
+    """[A, X] with the first-order field X = field_op(fld), as an explicit
+    difference of compositions, tagged by the calculus.
 
-    For a kernel-class A and a first-order field the commutator lands in the
-    same class plus one with an extra time weight and one extra derivative;
-    commuting with a pure differential monomial trades one derivative for the
-    weight gain.
+    For a kernel-class A the commutator lands in the same class plus one with
+    an extra time weight and one extra derivative.
     """
-    first_order_field = isinstance(expr_x, FieldPower) and expr_x.power == 1
-    if first_order_field or isinstance(expr_x, DiffMonomial):
-        b = 1 if first_order_field else sum(expr_x.beta)
-        mems = []
-        for alpha, nu in expr_a.tag.memberships:
-            mems.append((alpha, nu + max(b - 1, 0)))
-            for j in range(len(alpha)):
-                bumped = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-                mems.append((bumped, nu + b))
-        tag = ClassTag(tuple(sorted(set(mems))))
-    else:
-        # generic second factor: fall back to the structural tag of the difference
-        tag = compose(expr_a, expr_x).tag.union(compose(expr_x, expr_a).tag)
-    return OpSum(((1.0, compose(expr_a, expr_x)), (-1.0, compose(expr_x, expr_a))),
-                 tag_override=tag)
+    mems = []
+    for alpha, nu in expr_a.tag.memberships:
+        mems.append((alpha, nu))
+        for j in range(len(alpha)):
+            bumped = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
+            mems.append((bumped, nu + 1))
+    x = field_op(fld)
+    return OpSum(((1.0, compose(expr_a, x)), (-1.0, compose(x, expr_a))),
+                 tag_override=ClassTag(tuple(sorted(set(mems)))))
 
 
 def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> OperatorExpr:
     """order-fold commutator [...[A, X], X]."""
     cur = expr_a
     for _ in range(order):
-        cur = commutator(cur, field_op(fld))
+        cur = commutator(cur, fld)
     return cur
 
 
@@ -219,16 +198,16 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
 
     Factors are evaluated left to right as jet requests: each asks the factors
     to its right for the values and cartesian partials D^beta, |beta| <= n,
-    that it needs.  A differential monomial shifts the indices, a field power
-    applies a D_z + b D_zbar by Leibniz's rule, and a kernel factor integrates
-    the jet along RK4 backward trajectories at the chart's resolution, each
-    partial of order |beta| weighted by R_s^|beta|, the derivative of the RK4
-    map p -> R_s p of the linear disk flow (the chain rule).  Runs of plain
-    kernel factors collapse to one B-spline kernel of depth <= 3 by the flow
-    group property.  Finite differences are taken only at the leaves: of g
-    when it has no tracked partials (a SmoothFunction's are used), and of
-    the field coefficients.  Leaf jets are shared within the call between
-    requests that reach g through the same kernels.
+    that it needs.  A field power applies a D_z + b D_zbar by Leibniz's rule,
+    and a kernel factor integrates the jet along RK4 backward trajectories at
+    the chart's resolution, each partial of order |beta| weighted by
+    R_s^|beta|, the derivative of the RK4 map p -> R_s p of the linear disk
+    flow (the chain rule).  Runs of plain kernel factors collapse to one
+    B-spline kernel of depth <= 3 by the flow group property.  Finite
+    differences are taken only at the leaves: of g when it has no tracked
+    partials (a SmoothFunction's are used), and of the field coefficients.
+    Leaf jets are shared within the call between requests that reach g
+    through the same kernels.
 
     A kernel evaluates its integrand only where the hit time is below 1, so g
     must vanish off the collar wherever a kernel acts on it, the contract of
@@ -247,7 +226,7 @@ def _derivative_through_kernel(expr):
     expr has a derivative factor, expr has a kernel factor)."""
     if isinstance(expr, Antideriv):
         return False, False, True
-    if isinstance(expr, (DiffMonomial, FieldPower)):
+    if isinstance(expr, FieldPower):
         return False, True, False
     if isinstance(expr, OpSum):
         parts = [_derivative_through_kernel(t) for _, t in expr.terms]
@@ -295,10 +274,6 @@ class _Jets:
             return out
         if isinstance(f, Antideriv):
             return self.kernel(factors, points, order, path)
-        if isinstance(f, DiffMonomial):
-            inner = self.jet(rest, points, order + sum(f.beta), path)
-            return inner[..., [_index((bx + f.beta[0], by + f.beta[1]))
-                               for bx, by in _multi_indices(order)]]
         if isinstance(f, FieldPower):
             if f.fld.domain.kind == "ball2":
                 raise NotImplementedError("field application on the ball is analytic-only")

@@ -17,8 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bergman import build_basis, project
-from .decompose import (_component_values, _components, _decompose_family,
-                        _reproduction_family)
+from .decompose import component_values, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
 from .functions import AngularFamily, Holo1, Poly2, apply_field
@@ -252,8 +251,9 @@ def check_reproduction(cfg: ScenarioConfig):
     # every input and order in one sweep per chart; the drop study's input is first
     # at both, ahead of the three inputs at the base chart and alone at the doubled one
     h = Holo1.from_coeffs([0.3, 1.0])
-    residuals = {1: _reproduction_family([h] + [mk() for _, mk in _H_SET], tuple(tol), charts[1]),
-                 2: _reproduction_family([h], tuple(tol), charts[2])}
+    residuals = {1: reproduction_residual([h] + [mk() for _, mk in _H_SET], tuple(tol),
+                                          charts[1]),
+                 2: reproduction_residual([h], tuple(tol), charts[2])}
     worst = {k: 0.0 for k in tol}
     for i, (name, _) in enumerate(_H_SET, start=1):
         for k in tol:
@@ -281,7 +281,7 @@ def check_decomposition(cfg: ScenarioConfig):
     # the inputs and the boundary-singular family, both orders, in one call
     poles = (0.9, 0.99, 0.999)
     hs = [mk() for _, mk in _H_SET] + [Holo1.inverse_power(a, 0.75) for a in poles]
-    results = _decompose_family(hs, tuple(tol), chart)
+    results = decompose(hs, tuple(tol), chart)
     worst = {k: 0.0 for k in tol}
     for i, (name, _) in enumerate(_H_SET):
         for k in tol:
@@ -312,15 +312,13 @@ def check_decomposition(cfg: ScenarioConfig):
 
     # Sobolev norms of the components are stable under evaluation refinement,
     # the components of both orders swept together on each grid
-    by_order = _components(Holo1.inverse_power(0.9, 0.75), chart)
-    components = by_order[1] + by_order[2]
-    orders = [k for k in (1, 2) for _ in by_order[k]]
+    h = Holo1.inverse_power(0.9, 0.75)
 
     def norms_at(res):
         egrid = polar_eval_grid(dom, 48 * res, 96 * res, r_inner=0.4)
-        values = _component_values(components, chart, egrid.nodes().ravel())
+        values = component_values([h], (1, 2), chart, egrid.nodes().ravel())
         return np.array([sobolev_norm(v.reshape(egrid.shape), k, dom, eval_grid=egrid)
-                         for v, k in zip(values, orders)])
+                         for (_, k), vs in values.items() for v in vs])
 
     _, (growth,), _ = _refinement(norms_at)
     growth_worst = float(np.max(growth))

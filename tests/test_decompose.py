@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from bergsmooth.decompose import (
-    _decompose_family,
-    _reproduction_family,
     cr_reduction,
     cutoff_times,
     decompose,
@@ -84,28 +82,28 @@ def test_cr_reduction_supported_in_transition_band(chart):
 
 
 def test_reproduction_residual_examples(chart):
-    assert reproduction_residual(H_SET["one"], 1, chart) <= 1e-6
-    assert reproduction_residual(H_SET["z"], 2, chart) <= 1e-5
+    assert reproduction_residual([H_SET["one"]], [1], chart)[0, 1] <= 1e-6
+    assert reproduction_residual([H_SET["z"]], [2], chart)[0, 2] <= 1e-5
     zero = Holo1.constant(0.0)
-    assert reproduction_residual(zero, 3, chart) == 0.0
+    assert reproduction_residual([zero], [3], chart)[0, 3] == 0.0
 
 
 def test_reproduction_residual_refines_fourfold(chart):
     h = Holo1.from_coeffs([0.3, 1.0])
+    coarse = reproduction_residual([h], (1, 2, 3), build_chart(chart.domain, 4, 6))
+    fine = reproduction_residual([h], (1, 2, 3), build_chart(chart.domain, 8, 12))
     for k in (1, 2, 3):
-        coarse = reproduction_residual(h, k, build_chart(chart.domain, 4, 6))
-        fine = reproduction_residual(h, k, build_chart(chart.domain, 8, 12))
-        assert coarse >= 4.0 * fine
+        assert coarse[0, k] >= 4.0 * fine[0, k]
 
 
 def test_reproduction_requires_supported_order(chart):
     with pytest.raises(ParameterError):
-        reproduction_residual(H_SET["one"], 4, chart)
+        reproduction_residual([H_SET["one"]], [4], chart)
 
 
 def test_reproduction_requires_disk(annulus):
     with pytest.raises(ContractError):
-        reproduction_residual(H_SET["one"], 1, build_chart(annulus))
+        reproduction_residual([H_SET["one"]], [1], build_chart(annulus))
 
 
 def test_power_expansion_order_one(chart):
@@ -178,7 +176,7 @@ def test_power_expansion_identity_point_evaluations(chart, rng):
 def test_decompose_residuals(chart):
     for name, h in H_SET.items():
         for k in (1, 2):
-            res = decompose(h, k, chart)
+            res = decompose([h], [k], chart)[0, k]
             tol = 1e-5 if k == 1 else 1e-4
             assert res.residual <= tol, (name, k, res.residual)
             assert len(res.components) == k + 1
@@ -186,7 +184,7 @@ def test_decompose_residuals(chart):
 
 
 def test_decompose_zero(chart):
-    res = decompose(Holo1.constant(0.0), 1, chart)
+    res = decompose([Holo1.constant(0.0)], [1], chart)[0, 1]
     assert res.residual == 0.0
     assert all(np.all(c == 0) for c in res.components)
 
@@ -196,9 +194,7 @@ def test_decompose_linearity(chart):
     h2 = Holo1.from_coeffs([0.0, 1.0])
     a, b = 2.0 - 1.0j, 0.5j
     combo = Holo1.from_coeffs([a * 1.0, b * 1.0, a * 0.3])
-    r1 = decompose(h1, 1, chart)
-    r2 = decompose(h2, 1, chart)
-    rc = decompose(combo, 1, chart)
+    r1, r2, rc = (decompose([h], [1], chart)[0, 1] for h in (h1, h2, combo))
     for c1, c2, cc in zip(r1.components, r2.components, rc.components):
         assert np.max(np.abs(a * c1 + b * c2 - cc)) < 1e-10
 
@@ -208,7 +204,7 @@ def test_corrections_vanish_past_cutoff_support(chart):
     # they vanish wherever the backward trajectory misses that band
     h = Holo1.from_coeffs([0.5, 1.0])
     deep = np.exp(-chart.rate * np.array([0.8, 0.9, 0.99])).astype(complex)
-    res = decompose(h, 2, chart, points=deep)
+    res = decompose([h], [2], chart, points=deep)[0, 2]
     assert np.max(np.abs(res.components[0])) < 1e-12
     assert np.max(np.abs(res.components[1])) < 1e-12
 
@@ -216,8 +212,8 @@ def test_corrections_vanish_past_cutoff_support(chart):
 def test_component_norm_stability_under_refinement(chart, disk):
     from bergsmooth.geometry import quadrature_grid
     h = Holo1.inverse_power(0.9, 0.75)
-    base = decompose(h, 1, chart, grid=quadrature_grid(disk, 24, 48))
-    fine = decompose(h, 1, chart, grid=quadrature_grid(disk, 48, 96))
+    base = decompose([h], [1], chart, grid=quadrature_grid(disk, 24, 48))[0, 1]
+    fine = decompose([h], [1], chart, grid=quadrature_grid(disk, 48, 96))[0, 1]
     for nb, nf in zip(base.component_norms, fine.component_norms):
         assert nf <= 1.5 * nb
         assert nb <= 1.5 * nf
@@ -253,10 +249,10 @@ def _mixed_family():
 
 def test_decompose_family_matches_single_calls_bitwise(chart):
     hs = _mixed_family()
-    family = _decompose_family(hs, (1, 2), chart)
+    family = decompose(hs, (1, 2), chart)
     assert sorted(family) == [(i, k) for i in range(3) for k in (1, 2)]
     for (i, k), res in family.items():
-        alone = decompose(hs[i], k, chart)
+        alone = decompose([hs[i]], [k], chart)[0, k]
         assert np.array_equal(res.points, alone.points)
         assert len(res.components) == len(alone.components) == k + 1
         for c, c_alone in zip(res.components, alone.components):
@@ -268,17 +264,17 @@ def test_decompose_family_matches_single_calls_bitwise(chart):
 
 def test_reproduction_family_matches_single_calls_bitwise(chart):
     hs = _mixed_family()
-    family = _reproduction_family(hs, (1, 2, 3), chart)
+    family = reproduction_residual(hs, (1, 2, 3), chart)
     assert sorted(family) == [(i, k) for i in range(3) for k in (1, 2, 3)]
     for (i, k), residual in family.items():
-        assert residual == reproduction_residual(hs[i], k, chart)
+        assert residual == reproduction_residual([hs[i]], [k], chart)[0, k]
 
 
 def test_family_forms_check_every_order(chart):
     with pytest.raises(ParameterError):
-        _decompose_family(_mixed_family(), (1, 3), chart)
+        decompose(_mixed_family(), (1, 3), chart)
     with pytest.raises(ParameterError):
-        _reproduction_family(_mixed_family(), (0, 1), chart)
+        reproduction_residual(_mixed_family(), (0, 1), chart)
 
 
 @pytest.mark.parametrize("order", [1, 2])

@@ -5,8 +5,12 @@ a control and those that have none."""
 
 import pytest
 
+import bergsmooth.bergman as bergman_module
 import bergsmooth.flow as flow_module
-from bergsmooth.scenarios import ScenarioConfig, check_conj_annulus, check_ftc, check_reproduction
+import bergsmooth.scenarios as scenarios_module
+from bergsmooth.operators import Antideriv
+from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
+                                  check_ftc, check_hardy, check_reproduction)
 
 
 def _verdicts(checks):
@@ -41,3 +45,27 @@ def test_conj_annulus_fails_on_a_coarse_grid():
     verdicts = _verdicts(checks)
     assert not verdicts["projected conjugate coordinate: coefficients off 1/z"]
     assert not verdicts["projected conjugate-power norms drift under grid doubling"]
+
+
+def test_hardy_fails_with_an_over_claimed_class(monkeypatch):
+    # each majorant graded in the class of the kernel one weight up, which claims
+    # a power of the hit time more than the majorant gains: the ratios outgrow
+    # the Hardy bound
+    monkeypatch.setattr(scenarios_module, "kernel_op", lambda mu=0: Antideriv(mu + 1))
+    checks, _ = check_hardy(ScenarioConfig("hardy"))
+    assert not _verdicts(checks)["majorant kernel ratio minus Hardy bound, mu in {0,1}, "
+                                 "weights 0..8, 20 seeded functions"]
+
+
+@pytest.mark.parametrize("check, power, description", [
+    (check_conj_disk, 0, "projection of conjugates is the mean constant, 10 seeded polynomials"),
+    (check_conj_annulus, -1, "projected conjugate coordinate: coefficient of 1/z"),
+], ids=["C5", "C6"])
+def test_conj_projection_fails_with_one_norm_off(monkeypatch, check, power, description):
+    # the basis element of the given power normalised by a norm 1% off: the
+    # projection's coefficient on it is off by about as much
+    norm = bergman_module._planar_norm
+    monkeypatch.setattr(bergman_module, "_planar_norm",
+                        lambda domain, k: norm(domain, k) * (1.01 if k == power else 1.0))
+    checks, _ = check(ScenarioConfig("conj-smoothing"))
+    assert not _verdicts(checks)[description]

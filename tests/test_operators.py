@@ -11,7 +11,6 @@ from bergsmooth.operators import (
     collar_ratio_grid,
     commutator,
     compose,
-    diff_op,
     field_op,
     hardy_line_case,
     iterated_commutator,
@@ -59,11 +58,6 @@ def test_kernel_weight_equivalence(chart, collar_pts, rng):
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
-def test_diff_monomial_on_z(chart, collar_pts):
-    vals = apply_op(diff_op((1, 0)), Poly2([[0, 1j], [1, 0]]), collar_pts, chart)
-    np.testing.assert_allclose(vals, np.ones_like(vals), atol=1e-12)
-
-
 def test_sum_linearity(chart, collar_pts, rng):
     w = Poly2.random(rng, degree=2)
     g = masked(chart, w)
@@ -80,7 +74,7 @@ def test_ftc_through_expression(chart, collar_pts, rng):
 
 
 @pytest.mark.parametrize("mu", [0, 1])
-@pytest.mark.parametrize("factor", ["dx", "N", "N^2", "d_yy"])
+@pytest.mark.parametrize("factor", ["dx", "N", "N^2"])
 def test_jets_match_finite_differences_of_operator(chart, collar_pts, rng, factor, mu):
     # a derivative through a kernel is taken by the chain rule on jets; compare it
     # with finite differences, at the default step, of the numerical kernel
@@ -98,8 +92,6 @@ def test_jets_match_finite_differences_of_operator(chart, collar_pts, rng, facto
                 lambda: apply_field(chart.field,
                                     lambda p: apply_field(chart.field, numerical, p),
                                     collar_pts)),
-        "d_yy": (diff_op((0, 2)),
-                 lambda: finitediff.partial_callable(numerical, collar_pts, (0, 2))),
     }[factor]
     jets = apply_op(compose(x, kernel_op(mu)), g, collar_pts, chart)
     reference = honest()
@@ -132,15 +124,13 @@ def test_field_op_equals_apply_field(chart, annulus_chart, collar_pts, kind, rng
                                   apply_field(fld, g, pts))
 
 
-@pytest.mark.parametrize("which", ["diff", "field", "commutator"])
+@pytest.mark.parametrize("which", ["field", "commutator"])
 def test_annulus_derivative_through_kernel_raises(annulus_chart, rng, monkeypatch, which):
     # the annulus flow is not linear, so no chain rule through its kernels: the
     # expression is refused before any trajectory is swept
     monkeypatch.setattr(flow, "trajectories", lambda *a, **k: pytest.fail("swept"))
-    n = field_op(annulus_chart.field)
-    expr = {"diff": compose(diff_op((1, 0)), kernel_op()),
-            "field": compose(n, kernel_op(1)),
-            "commutator": commutator(kernel_op(), n)}[which]
+    expr = {"field": compose(field_op(annulus_chart.field), kernel_op(1)),
+            "commutator": commutator(kernel_op(), annulus_chart.field)}[which]
     g = masked(annulus_chart, Poly2.random(rng, degree=2))
     with pytest.raises(ContractError):
         apply_op(expr, g, _annulus_collar_points(annulus_chart), annulus_chart)
@@ -161,37 +151,17 @@ def test_commutator_is_definition(chart, collar_pts, rng):
     g = masked(chart, w)
     x = VectorField(chart.domain, lambda p: np.full_like(p, 0.5 + 0.0j), real=True,
                     name="dx/2")
-    com = commutator(kernel_op(), field_op(x))
+    com = commutator(kernel_op(), x)
     lhs = apply_op(com, g, collar_pts, chart)
     rhs = (apply_op(compose(kernel_op(), field_op(x)), g, collar_pts, chart)
            - apply_op(compose(field_op(x), kernel_op()), g, collar_pts, chart))
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
-def test_commutator_with_itself_vanishes(chart, collar_pts, rng):
-    w = Poly2.random(rng, degree=2)
-    g = masked(chart, w)
-    out = apply_op(commutator(kernel_op(), kernel_op()), g, collar_pts, chart)
-    np.testing.assert_allclose(out, 0.0, atol=1e-14)
-
-
 def test_commutator_tag_field():
     # [A^1_{mu,0}, X] sits in A^1_{mu,0} + A^1_{mu+1,1}
-    tag = commutator(kernel_op(2), field_op(None)).tag
+    tag = commutator(kernel_op(2), None).tag
     assert set(tag.memberships) == {((2,), 0), ((3,), 1)}
-
-
-def test_commutator_tag_diff_one():
-    # a first-order monomial tags like a first-order field
-    tag = commutator(kernel_op(1), diff_op((1, 0))).tag
-    assert tag.memberships == (((1,), 0), ((2,), 1))
-
-
-def test_commutator_tag_diff_two():
-    # second-order monomial: A^1_{0,1} + A^1_{1,2}
-    tag = commutator(kernel_op(), diff_op((1, 1))).tag
-    assert set(tag.memberships) == {((0,), 1), ((1,), 2)}
-    assert tag.s_gain == 1 and tag.s_deriv == 2
 
 
 def test_iterated_commutator_tag():
@@ -200,7 +170,7 @@ def test_iterated_commutator_tag():
 
 
 def test_compose_tag_concatenates():
-    tag = compose(kernel_op(1), kernel_op(0), diff_op((0, 1))).tag
+    tag = compose(kernel_op(1), kernel_op(0), field_op(None)).tag
     assert tag.memberships == (((1, 0), 1),)
     assert tag.s_gain == 3 and tag.s_deriv == 1
 
@@ -247,8 +217,7 @@ def test_sclass_uniformity(chart, ratio_grid, rng):
         kernel_op(),
         kernel_op(1),
         compose(kernel_op(), kernel_op()),
-        commutator(kernel_op(), field_op(x)),
-        commutator(kernel_op(), diff_op((2, 0))),
+        commutator(kernel_op(), x),
     ]
     for expr in exprs:
         worst0 = 0.0

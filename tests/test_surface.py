@@ -31,14 +31,6 @@ ORACLES = (
 CALCULUS = (
     "decompose.power_expansion",
     "operators.apply_op",
-    "operators.diff_op",
-)
-
-# The one-input forms of C3 and C4's computations: each is one call of the
-# family form it wraps, through which the checks batch all their inputs.
-SINGLE_INPUT = (
-    "decompose.decompose",
-    "decompose.reproduction_residual",
 )
 
 
@@ -85,7 +77,7 @@ def test_every_public_name_is_used_or_kept():
             assert hasattr(mod, public), f"{name}.__all__ lists missing {public}"
             if public not in used:
                 unused.append(f"{name}.{public}")
-    assert sorted(unused) == sorted(ORACLES + CALCULUS + SINGLE_INPUT)
+    assert sorted(unused) == sorted(ORACLES + CALCULUS)
 
 
 def _callers(name):
@@ -112,11 +104,18 @@ def test_only_the_collar_quadrature_sweeps_trajectories():
 
 
 def test_one_implementation_per_family_form():
-    # the one-input forms are calls of the family forms, the checks' entry points
-    assert _callers("_decompose_family") == {"decompose.decompose",
-                                             "scenarios.check_decomposition"}
-    assert _callers("_reproduction_family") == {"decompose.reproduction_residual",
-                                                "scenarios.check_reproduction"}
+    # each C3/C4 computation has one public form, over a family of inputs, and the
+    # checks reach the decompose module only through public names
+    assert _callers("decompose") == {"scenarios.check_decomposition"}
+    assert _callers("reproduction_residual") == {"scenarios.check_reproduction"}
+    # C4's grid-doubling study calls it from its nested norms_at
+    assert _callers("component_values") == {"decompose.decompose", "scenarios.norms_at",
+                                            "scenarios.check_decomposition"}
+    tree = ast.parse((SRC / "scenarios.py").read_text(encoding="utf-8"))
+    private = [alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "decompose"
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private
 
 
 def test_one_rk4_step_for_sweeps_and_hitting_times():

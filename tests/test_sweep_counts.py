@@ -50,13 +50,13 @@ def test_hardy_sweeps_its_grid_once(sweeps):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_reproduction_residual_sweeps_once(sweeps, chart, k):
-    reproduction_residual(Holo1.inverse_power(0.9, 1.0), k, chart)
+    reproduction_residual([Holo1.inverse_power(0.9, 1.0)], [k], chart)
     assert len(sweeps) == 1
 
 
 def test_decompose_sweeps_each_point_set_once(sweeps, chart):
     # the evaluation points, the two stacked rotation stencils, the norm grid
-    decompose(Holo1.inverse_power(0.9, 0.75), 2, chart)
+    decompose([Holo1.inverse_power(0.9, 0.75)], [2], chart)
     assert len(sweeps) == 4
 
 

@@ -1,8 +1,9 @@
-"""The test runner's own configuration, and the benchmark tracer's contract with
-the package: a failing test reports as a failure, and a traced run counts work
-in every layer it touches."""
+"""The test runner's own configuration, and the benchmark's contract with the
+package: a failing test reports as a failure, a traced run counts work in every
+layer it touches, and the benchmark's operations run and pass."""
 
 import importlib
+import sys
 import tomllib
 import types
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 PYPROJECT = REPO / "pyproject.toml"
-TRACER = REPO / "perfbench" / "tracer.py"
+PERFBENCH = REPO / "perfbench"
 
 pytest_plugins = ["pytester"]
 
@@ -40,10 +41,16 @@ def test_failing_property_test_does_not_end_the_session(pytester):
     assert "INTERNALERROR" not in result.stdout.str()
 
 
-def _load_tracer():
-    """The benchmark's tracer module, executed from its source without writing bytecode."""
-    mod = types.ModuleType("perfbench_tracer")
-    exec(compile(TRACER.read_text(encoding="utf-8"), str(TRACER), "exec"), mod.__dict__)
+def _load_bench(name):
+    """A module of the benchmark, executed from its source without writing bytecode."""
+    path = PERFBENCH / f"{name}.py"
+    mod = types.ModuleType(f"perfbench_{name}")
+    # a dataclass looks its module up in sys.modules while the class is made
+    sys.modules[mod.__name__] = mod
+    try:
+        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
+    finally:
+        del sys.modules[mod.__name__]
     return mod
 
 
@@ -53,7 +60,7 @@ def test_benchmark_tracer_counts_each_layer():
     geometry, flow, functions, operators, bergman = (
         importlib.import_module(f"bergsmooth.{name}")
         for name in ("geometry", "flow", "functions", "operators", "bergman"))
-    tracer = _load_tracer().Tracer()
+    tracer = _load_bench("tracer").Tracer()
     tracer.install()
     try:
         disk = geometry.make_domain("disk")
@@ -85,3 +92,15 @@ def test_benchmark_tracer_counts_each_layer():
     for counter in ("flow.trajectories.calls", "flow.hitting_time.calls", "functions.evals",
                     "bergman.basis_evals"):
         assert tracer.count[counter] > 0, counter
+
+
+def test_benchmark_operations_run_and_pass(tmp_path):
+    # the benchmark reaches the package by name (power_expansion, apply_op,
+    # compose, field_op, kernel_op, hitting_time, ...): a name it needs that is
+    # gone fails its operations here
+    workloads = _load_bench("workloads")
+    for workload, n_ops in ((workloads.Fanout(), 12), (workloads.Hitting(), 64)):
+        workload.setup(1, str(tmp_path))
+        ops = workload.run()
+        assert len(ops) == n_ops
+        assert [op.name for op in ops if not op.ok] == []
