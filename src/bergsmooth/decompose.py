@@ -5,7 +5,9 @@ The pipeline lives on the canonical rotation-invariant chart of the disk,
 where the rotation field commutes exactly with the flow kernel; conjugate
 field derivatives inside the construction therefore land analytically on
 tracked holomorphic data, while the final identity check re-differentiates
-the computed components by honest rotation finite differences.
+the computed components by honest rotation finite differences: the first and
+second derivatives from one stencil over the same four rotated copies of the
+evaluation points, swept together with the points themselves.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .finitediff import _STENCIL_OFFSETS, _STENCIL_WEIGHTS
 from .flow import CUTOFF_END, CollarChart, antideriv_chains
 from .functions import Holo1, RadialHolo
 from .geometry import VectorField, polar_eval_grid
@@ -188,33 +189,47 @@ class DecompositionResult:
 
 
 _ROTATION_STEP = 2.5e-3
+# the rotation stencils at offsets counted in steps, in units of
+# 1 / (12 step**order): the central 5-point first derivative and the compact
+# 4th-order second derivative; order 0 is the centre copy itself
+_ROTATION_OFFSETS = (-2, -1, 0, 1, 2)
+_ROTATION_WEIGHTS = {1: (1.0, -8.0, 0.0, 8.0, -1.0), 2: (-1.0, 16.0, -30.0, 16.0, -1.0)}
 
 
-def rotation_fd(fn, points, order: int = 1):
-    """Rotation-field derivative of a closure by angular finite differences.
+def rotation_fd(fn, points, orders):
+    """Rotation-field derivatives of a closure by angular finite differences, one
+    per order in orders, 0 to 2.
 
     The stencil rotates the evaluation points, so the radius (and the collar
-    time) is preserved exactly.  Higher orders nest the stencil: the points are
-    rotated once per order level, fn is called once, on all 4**order rotated
-    copies stacked, and the stencil sums are taken innermost level first, in
-    the order of the nested recursion, so the result is bit for bit the one of
-    evaluating each copy on its own.  fn may return trailing axes past the
-    points' shape, several functions stacked say: the sums run over the leading
-    stencil axes only, so each trailing entry is bit for bit its own call.
+    time) is preserved exactly.  Every order reads the same five copies, the
+    points rotated by -2 and -1 steps, the points themselves in the centre, and
+    the points rotated by 1 and 2 steps: fn is called once, on the copies stacked
+    on a new leading axis.  Order 0 is the centre copy, order 1 the central
+    5-point stencil and order 2 the compact 4th-order stencil, whose truncation
+    error is a sixth of the order-1 stencil applied twice; each stencil sums its
+    nonzero weights in offset order.  A pointwise fn gives each copy bit for bit
+    the values of evaluating it on its own; a fn that sweeps the collar sums its
+    panels with a matrix product, which may round a point's sum differently by
+    its column in the batch.  fn may return trailing axes past the points'
+    shape, several functions stacked say: the sums run over the leading stencil
+    axis only, so each trailing entry is bit for bit its own call.
     """
-    coeff = _STENCIL_WEIGHTS / (12.0 * _ROTATION_STEP)
-    offs = _STENCIL_OFFSETS * _ROTATION_STEP
-    stacked = points
-    for _ in range(order):
-        # a new leading axis per level, the latest level (innermost stencil) first
-        stacked = np.stack([stacked * np.exp(1j * o) for o in offs])
-    values = np.asarray(fn(stacked), dtype=complex)
-    for _ in range(order):
-        out = np.zeros(values.shape[1:], dtype=complex)
-        for c, v in zip(coeff, values):
-            out = out + c * v
-        values = out
-    return values
+    points = np.asarray(points)
+    copies = [points if o == 0 else points * np.exp(1j * (o * _ROTATION_STEP))
+              for o in _ROTATION_OFFSETS]
+    values = np.asarray(fn(np.stack(copies)), dtype=complex)
+    out = []
+    for order in orders:
+        if order == 0:
+            out.append(values[_ROTATION_OFFSETS.index(0)])
+            continue
+        scale = 12.0 * _ROTATION_STEP**order
+        acc = np.zeros(values.shape[1:], dtype=complex)
+        for w, v in zip(_ROTATION_WEIGHTS[order], values):
+            if w:
+                acc = acc + (w / scale) * v
+        out.append(acc)
+    return out
 
 
 def _components(hs, orders, chart: CollarChart) -> dict:
@@ -267,27 +282,27 @@ def decompose(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
     (honest derivatives of the numerical output, not of the construction).
     Component norms are quadrature collar norms, reported against the
     distance-weighted norm of h.  Each point set is swept once for the whole
-    family: the points and the quadrature nodes for all components together, and
-    the order-m rotation stencil of the m-th component of every (h, k), k >= m,
-    stacked into one set.  The components of one h are built once, so the chains
-    its orders share are integrated once.  Each result is bit for bit the one of
-    its h and k alone, decompose([h], [k], chart)[0, k].
+    family: the points with their four rotated copies, every component of every
+    (h, k) on a trailing axis, from which rotation_fd takes the components
+    themselves (the centre copy) and both derivatives; then the quadrature nodes.
+    The components of one h are built once, so the chains its orders share are
+    integrated once.  Each result is bit for bit the one of its h and k alone,
+    decompose([h], [k], chart)[0, k].
     """
     family = _components(hs, orders, chart)
     if points is None:
         points = _default_eval_points(chart)
-    comps = component_values(hs, orders, chart, points)
-
-    recons = {key: values[0] for key, values in comps.items()}
-    for m in range(1, max(orders) + 1):
-        keys = [key for key, cs in family.items() if len(cs) > m]
-        # the m-th components of the family on a trailing axis, one stencil for all
-        mth = [family[key][m] for key in keys]
-        fn = lambda p, mth=mth: np.stack(_component_values(mth, chart, p), axis=-1)
-        derivs = rotation_fd(fn, points, order=m)
-        for j, key in enumerate(keys):
+    flat = [c for cs in family.values() for c in cs]
+    fn = lambda p: np.stack(_component_values(flat, chart, p), axis=-1)
+    at_points, *derivs = rotation_fd(fn, points, range(max(orders) + 1))
+    comps, recons, first = {}, {}, 0
+    for key, cs in family.items():
+        comps[key] = [at_points[..., first + m] for m in range(len(cs))]
+        recons[key] = comps[key][0]
+        for m in range(1, len(cs)):
             # the conjugate tangential field is -rate times the rotation action
-            recons[key] = recons[key] + (-chart.rate) ** m * derivs[..., j]
+            recons[key] = recons[key] + (-chart.rate) ** m * derivs[m - 1][..., first + m]
+        first += len(cs)
 
     qgrid = grid if grid is not None else _default_grid(chart.domain)
     norms = component_values(hs, orders, chart, qgrid.nodes)

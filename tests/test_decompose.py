@@ -219,28 +219,79 @@ def test_component_norm_stability_under_refinement(chart, disk):
         assert nb <= 1.5 * nf
 
 
+_STEP = 2.5e-3
+
+
 def reference_rotation_fd(fn, points, order):
-    """The rotation stencil as a nested loop, one call of fn per rotated copy."""
+    """The nested rotation stencil as a loop, one call of fn per rotated copy: the
+    central 5-point first-derivative stencil applied order times."""
     if order == 0:
         return np.asarray(fn(points), dtype=complex)
-    step = 2.5e-3
-    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * step)
-    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * step
+    coeff = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * _STEP)
+    offs = np.array([-2.0, -1.0, 1.0, 2.0]) * _STEP
     out = np.zeros(np.shape(points), dtype=complex)
     for c, o in zip(coeff, offs):
         out = out + c * reference_rotation_fd(fn, points * np.exp(1j * o), order - 1)
     return out
 
 
+def reference_compact_second(fn, points):
+    """The compact 4th-order second-derivative stencil as a loop, one call of fn
+    per copy, the centre copy being the points themselves."""
+    coeff = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / (12.0 * _STEP**2)
+    offs = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) * _STEP
+    out = np.zeros(np.shape(points), dtype=complex)
+    for c, o in zip(coeff, offs):
+        copy = points if o == 0 else points * np.exp(1j * o)
+        out = out + c * np.asarray(fn(copy), dtype=complex)
+    return out
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_stacked_rotation_fd_matches_nested_loop(chart, band_points, order):
+    # one call of fn on the four rotated copies and the centre copy stacked; order
+    # 1 is bit for bit the nested loop's first level, order 2 the loop of the
+    # compact stencil.  A chain sums its panels with a matrix product, which may
+    # round a point's sum differently by its column in the batch: here 3 of the 14
+    # centre values, by about 2e-18, which the compact weights (-30 / (12 h^2))
+    # carry to about 1e-12
     zh = cutoff_times(chart, Holo1.from_coeffs([0.5, 1.0, 0.25j]))
     chain = lambda p: antideriv_chains(chart, [(zh, 2)], p, support=CUTOFF_END)[0]
     for fn in (zh, chain):
         calls = []
-        stacked = rotation_fd(lambda p: calls.append(np.shape(p)) or fn(p), band_points, order)
-        assert calls == [(4,) * order + band_points.shape]
-        assert np.array_equal(stacked, reference_rotation_fd(fn, band_points, order))
+        (stacked,) = rotation_fd(lambda p: calls.append(np.shape(p)) or fn(p), band_points,
+                                 [order])
+        assert calls == [(5,) + band_points.shape]
+        if order == 1:
+            assert np.array_equal(stacked, reference_rotation_fd(fn, band_points, 1))
+        elif fn is zh:
+            assert np.array_equal(stacked, reference_compact_second(fn, band_points))
+        else:
+            assert np.max(np.abs(stacked - reference_compact_second(fn, band_points))) <= 1e-10
+
+
+def test_rotation_fd_takes_every_order_from_one_call(chart, band_points):
+    # order 0 is the centre copy, bit for bit fn at the points themselves
+    zh = cutoff_times(chart, Holo1.from_coeffs([0.5, 1.0, 0.25j]))
+    calls = []
+    values = rotation_fd(lambda p: calls.append(1) or zh(p), band_points, (0, 1, 2))
+    assert len(calls) == 1 and len(values) == 3
+    assert np.array_equal(values[0], zh(band_points))
+    for order in (1, 2):
+        assert np.array_equal(values[order], rotation_fd(zh, band_points, [order])[0])
+
+
+@pytest.mark.parametrize("a, p", [(0.9, 1.0), (0.9, 0.75), (0.99, 0.75), (0.999, 0.75)])
+def test_compact_second_rotation_derivative_is_no_less_accurate(chart, band_points, a, p):
+    # against the exact T^2 of cutoff * h near a pole, where truncation dominates:
+    # about h^4/90 f^(6) for the compact stencil against h^4/15 f^(6) for the nested
+    # one, a sixth (measured 6.0 on these inputs).  On smooth inputs both read
+    # rounding, which the compact weights amplify more (64 against 18^2 / 12)
+    zh = cutoff_times(chart, Holo1.inverse_power(a, p))
+    exact = zh.rotation_applied().rotation_applied()(band_points)
+    (compact,) = rotation_fd(zh, band_points, [2])
+    nested = reference_rotation_fd(zh, band_points, 2)
+    assert np.max(np.abs(compact - exact)) <= np.max(np.abs(nested - exact)) / 4
 
 
 def _mixed_family():
@@ -283,10 +334,10 @@ def test_rotation_fd_trailing_axis_matches_separate_calls(chart, band_points, or
     cr = cr_reduction(Holo1.inverse_power(0.9, 0.75), chart)
     both = lambda p: np.stack(antideriv_chains(chart, [(zh, 2), (cr, 1)], p,
                                                support=CUTOFF_END), axis=-1)
-    stacked = rotation_fd(both, band_points, order)
+    (stacked,) = rotation_fd(both, band_points, [order])
     assert stacked.shape == band_points.shape + (2,)
     for j, (w, depth) in enumerate([(zh, 2), (cr, 1)]):
-        alone = rotation_fd(lambda p: antideriv_chains(chart, [(w, depth)], p,
-                                                       support=CUTOFF_END)[0],
-                            band_points, order)
+        (alone,) = rotation_fd(lambda p: antideriv_chains(chart, [(w, depth)], p,
+                                                          support=CUTOFF_END)[0],
+                               band_points, [order])
         assert np.array_equal(stacked[..., j], alone)

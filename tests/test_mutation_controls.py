@@ -8,9 +8,11 @@ import pytest
 import bergsmooth.bergman as bergman_module
 import bergsmooth.flow as flow_module
 import bergsmooth.scenarios as scenarios_module
+from bergsmooth.flow import CollarChart
 from bergsmooth.operators import Antideriv
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
-                                  check_ftc, check_hardy, check_reproduction)
+                                  check_decomposition, check_ftc, check_hardy,
+                                  check_reproduction)
 
 
 def _verdicts(checks):
@@ -36,6 +38,19 @@ def test_reproduction_residuals_fail_with_two_node_panels(two_node_panels):
     verdicts = _verdicts(checks)
     for k in (1, 2, 3):
         assert not verdicts[f"reproduction residual at order {k}"]
+
+
+def test_decomposition_residuals_fail_with_a_shifted_cutoff_rate(monkeypatch):
+    # the transverse defect of the cutoff taken at hit time + 0.1, out of step with
+    # the cutoff it stands for: the components no longer sum to cutoff * h, and
+    # the residuals read 0.90 and 1.04 against 1e-5 and 1e-4
+    monkeypatch.setattr(CollarChart, "_cutoff_rate_of_radius",
+                        lambda self, r: -self.cutoff_time_derivative(self.hit_time_radial(r)
+                                                                     + 0.1))
+    checks, _ = check_decomposition(ScenarioConfig("decomposition"))
+    verdicts = _verdicts(checks)
+    for k in (1, 2):
+        assert not verdicts[f"decomposition residual at order {k}"]
 
 
 def test_conj_annulus_fails_on_a_coarse_grid():
