@@ -7,7 +7,9 @@ field derivatives inside the construction therefore land analytically on
 tracked holomorphic data, while the final identity check re-differentiates
 the computed components by honest rotation finite differences: the first and
 second derivatives from one stencil over the same four rotated copies of the
-evaluation points, swept together with the points themselves.
+evaluation points, swept together with the points themselves.  cutoff * h and
+its reduced transverse defect take their radial profiles from the two halves
+of the chart's one pair, the cutoff and its rate.
 """
 
 from __future__ import annotations
@@ -59,11 +61,11 @@ def matched_tangential(chart: CollarChart) -> VectorField:
 def cutoff_times(chart: CollarChart, h: Holo1) -> RadialHolo:
     """The tracked product cutoff(x) * h(x).
 
-    Its radial profile is the chart's cutoff-of-radius method, the same key of a
-    quadrature panel's shared table for every h on the chart: the cutoff is
+    Its profile is the cutoff half of the chart's cutoff_profiles, one key of a
+    quadrature panel's shared table for every h on the chart: the pair is
     evaluated once per panel for all of them, and h once for this product and
     the cr_reduction of h."""
-    return RadialHolo([(chart._cutoff_of_radius, h)])
+    return RadialHolo(chart.cutoff_profiles, [(0, h)])
 
 
 def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
@@ -76,11 +78,11 @@ def cr_reduction(h: Holo1, chart: CollarChart) -> RadialHolo:
     hitting time.  The result is supported where the cutoff transitions,
     strictly inside the domain.
 
-    Its radial profile is the chart's method for minus d(cutoff)/dt, like the
-    profile of cutoff_times one table key per chart, shared by every h.
+    Its profile is the rate half of the chart's cutoff_profiles, read from the
+    same pair as the profile of cutoff_times.
     """
     _require_rotation_chart(chart)
-    return RadialHolo([(chart._cutoff_rate_of_radius, h)])
+    return RadialHolo(chart.cutoff_profiles, [(1, h)])
 
 
 def reproduction_residual(hs, orders, chart: CollarChart) -> dict:
@@ -214,6 +216,9 @@ def rotation_fd(fn, points, orders):
     shape, several functions stacked say: the sums run over the leading stencil
     axis only, so each trailing entry is bit for bit its own call.
     """
+    orders = tuple(orders)
+    if any(order not in (0, 1, 2) for order in orders):
+        raise ParameterError("rotation derivatives implemented for orders 0 to 2")
     points = np.asarray(points)
     copies = [points if o == 0 else points * np.exp(1j * (o * _ROTATION_STEP))
               for o in _ROTATION_OFFSETS]

@@ -6,6 +6,11 @@ closed-form hitting times and flow radii.  The numerical paths share one
 fixed-step RK4 step: `trajectories` sweeps it through a sorted list of times,
 and `hitting_time` marches it to the boundary and bisects the crossing step,
 with the closed forms serving as cross-checks.
+
+The chart's cutoff is evaluated in one of two ways: its value alone at points
+(`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
+together at radii from one hit time (`CollarChart.cutoff_profiles`), the pair
+that the integrands of a quadrature panel read from its shared table.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, NotInCollarError, ParameterError
-from .functions import RadialHolo, _Shared, smoothstep, smoothstep_prime
+from .functions import RadialHolo, _Shared, _smoothstep_pair, smoothstep
 from .geometry import Domain, VectorField, _annulus_logs, canonical_fields, collar_rate
 
 __all__ = [
@@ -100,26 +105,15 @@ class CollarChart:
 
     def cutoff(self, points):
         """Smooth cutoff, identically 1 for hit time <= 1/4 and 0 for >= 3/4."""
-        return self.cutoff_of_time(self.hit_time(points))
+        return smoothstep(_cutoff_argument(self.hit_time(points)))
 
-    def cutoff_of_time(self, t):
-        """The cutoff profile at hit times t."""
-        return smoothstep(_cutoff_argument(t))
-
-    def cutoff_time_derivative(self, t):
-        """d(cutoff)/dt at hit times t."""
-        return -2.0 * smoothstep_prime(_cutoff_argument(t))
-
-    # the radial profiles of the cutoff and of its transverse derivative: bound
-    # methods of one chart compare and hash equal, so each is one key of a
-    # quadrature panel's shared factor table
-    def _cutoff_of_radius(self, r):
-        """The cutoff at radii r."""
-        return self.cutoff_of_time(self.hit_time_radial(r))
-
-    def _cutoff_rate_of_radius(self, r):
-        """Minus d(cutoff)/dt at radii r."""
-        return -self.cutoff_time_derivative(self.hit_time_radial(r))
+    def cutoff_profiles(self, r):
+        """The cutoff and minus its time derivative at radii r, from one hit time
+        and one smoothstep argument.  Bound methods of one chart compare and hash
+        equal, so the pair is one key of a quadrature panel's shared factor table."""
+        value, slope = _smoothstep_pair(_cutoff_argument(self.hit_time_radial(r)))
+        # the argument (CUTOFF_END - t) / 0.5 falls at rate 2 in the hit time t
+        return value, 2.0 * slope
 
     # --- radial flow closed forms ------------------------------------------
 
@@ -367,20 +361,23 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     return outs
 
 
+def _values(w, pos, shared):
+    """w at the positions pos; a RadialHolo reads its factors through the panel's
+    table shared."""
+    return w(pos, shared) if isinstance(w, RadialHolo) else w(pos)
+
+
 def _chain_terms(chains):
     """Quadrature terms of depth-fold anti-differentiation for (w, depth) chains,
-    one integrand per distinct w; a RadialHolo w reads its factors through the
-    panel's table."""
+    one integrand per distinct w."""
     integrands = {}
     terms = []
     for w, depth in chains:
         if depth not in (1, 2, 3):
             raise ParameterError("chain depth 1 to 3 is supported")
         if id(w) not in integrands:
-            if isinstance(w, RadialHolo):
-                integrands[id(w)] = lambda pos, tau, shared, w=w: w(pos, shared)
-            else:
-                integrands[id(w)] = lambda pos, tau, shared, w=w: np.asarray(w(pos), complex)
+            integrands[id(w)] = lambda pos, tau, shared, w=w: np.asarray(
+                _values(w, pos, shared), complex)
         terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)],
                       depth))
     return terms
@@ -411,9 +408,12 @@ def flow_moment_apply(chart: CollarChart, moments, points):
     gets alone.
 
     The hitting time along the trajectory is the base hitting time minus the
-    flow time, which the group property gives exactly.
+    flow time, which the group property gives exactly.  A RadialHolo g reads
+    its factors through the panel's table, so the cutoff profiles of C2's
+    seeded cutoff products are computed once per panel for all of them.
     """
     terms = [(lambda s: 1.0,
-              lambda pos, tau, shared, mu=mu, g=g: tau**mu * np.abs(np.asarray(g(pos))), 1)
+              lambda pos, tau, shared, mu=mu, g=g:
+              tau**mu * np.abs(np.asarray(_values(g, pos, shared))), 1)
              for mu, g in moments]
     return [out.real for out in _collar_quadrature(chart, points, terms, support=1.0)]

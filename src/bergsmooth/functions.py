@@ -12,7 +12,8 @@ A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
 holomorphic factors through a `_Shared` table, so that the integrands of one
 quadrature panel evaluate each factor they share once: |z| and the profiles once
 per panel, and the derivatives of each input once while its integrands follow
-one another.
+one another.  The collar cutoff and its rate come as one pair of profiles from
+one hit time, by `_smoothstep_pair`; `smoothstep` alone gives the value.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "AngularFamily",
     "RadialHolo",
     "smoothstep",
-    "smoothstep_prime",
     "apply_field",
 ]
 
@@ -38,12 +38,6 @@ __all__ = [
 def _psi(t):
     pos = t > 0
     return np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
-
-
-def _psi_prime(t):
-    pos = t > 0
-    t = np.where(pos, t, 1.0)
-    return np.where(pos, np.exp(-1.0 / t) / t**2, 0.0)
 
 
 def smoothstep(u):
@@ -54,14 +48,17 @@ def smoothstep(u):
     return a / (a + b + 1e-300)
 
 
-def smoothstep_prime(u):
+def _smoothstep_pair(u):
+    """smoothstep and its slope at u, from the same two exponentials a = psi(u) and
+    b = psi(1 - u), with psi'(t) = psi(t) / t^2."""
     u = np.asarray(u, dtype=float)
+    v = 1.0 - u
     a = _psi(u)
-    b = _psi(1.0 - u)
-    da = _psi_prime(u)
-    db = -_psi_prime(1.0 - u)
+    b = _psi(v)
+    da = a / np.where(u > 0, u, 1.0) ** 2
+    db = -(b / np.where(v > 0, v, 1.0) ** 2)
     s = a + b + 1e-300
-    return (da * s - a * (da + db)) / s**2
+    return a / s, (da * s - a * (da + db)) / s**2
 
 
 def _falling(k: int, j: int) -> float:
@@ -282,35 +279,41 @@ class AngularFamily(SmoothFunction):
 
 
 class RadialHolo(SmoothFunction):
-    """Sum of products u_i(|z|) * h_i(z) with h_i tracked holomorphic.
+    """Sum of products u_i(|z|) * h_i(z), the profiles u_i read off one radial
+    callable, profiles, that returns them all (the chart's cutoff and its rate).
 
-    Closed under the rotation field, which differentiates only the holomorphic
-    factor.  An evaluation reads |z|, each profile u_i (keyed by the callable, so
-    a bound method of one object is one key) and each h_i through shared, the
-    `_Shared` table of the points, and so shares them with every other
-    RadialHolo read through the same table; given none, it makes its own.  It
-    first focuses the table on the bases of its h_i, so a table read by the
-    evaluations of one input after another holds one input's derivatives.
+    h_i is a tracked holomorphic Holo1, on which the rotation field acts by
+    differentiating it alone, or any other function of the points, evaluated as
+    it is (C1's and C2's seeded polynomials).  An evaluation reads |z|, the
+    profiles (keyed by the callable, so a bound method of one object is one key)
+    and each Holo1 through shared, the `_Shared` table of the points, and so
+    shares them with every other RadialHolo read through the same table; given
+    none, it makes its own.  It first focuses the table on the bases of its
+    Holo1 factors, so a table read by the evaluations of one input after another
+    holds one input's derivatives.
     """
 
-    def __init__(self, pairs):
-        # pairs: list of (radial callable, Holo1)
-        self.pairs = tuple((u, h) for u, h in pairs)
+    def __init__(self, profiles, pairs):
+        # pairs: list of (index into the profiles, Holo1 or callable)
+        self.profiles = profiles
+        self.pairs = tuple(pairs)
 
     def __call__(self, points, shared=None):
         z = np.asarray(points)
         if shared is None:
             shared = _Shared()
-        shared.focus({h.base for _, h in self.pairs})
+        shared.focus({h.base for _, h in self.pairs if isinstance(h, Holo1)})
         r = shared.get("|z|", lambda: np.abs(z))
+        u = shared.get(self.profiles, lambda: self.profiles(r))
         out = np.zeros_like(z, dtype=complex)
-        for u, h in self.pairs:
-            out += shared.get(u, lambda: u(r)) * h._read(0, z, shared)
+        for i, h in self.pairs:
+            out += u[i] * (h._read(0, z, shared) if isinstance(h, Holo1) else h(z))
         return out
 
     def rotation_applied(self):
-        """Exact d/dtheta: the theta-derivative of u(r) h(z) is u(r) * i z h'(z)."""
-        return RadialHolo([(u, _ThetaDerivative(h)) for u, h in self.pairs])
+        """Exact d/dtheta: the theta-derivative of u(r) h(z) is u(r) * i z h'(z), for
+        a sum whose every h is a Holo1."""
+        return RadialHolo(self.profiles, [(i, _ThetaDerivative(h)) for i, h in self.pairs])
 
 
 class _ThetaDerivative(Holo1):

@@ -20,7 +20,7 @@ from .bergman import build_basis, project
 from .decompose import component_values, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
-from .functions import AngularFamily, Holo1, Poly2, apply_field
+from .functions import AngularFamily, Holo1, Poly2, RadialHolo, apply_field
 from .geometry import (
     boundary_distance,
     canonical_fields,
@@ -142,8 +142,8 @@ def _domain(cfg: ScenarioConfig):
 
 
 def _seeded_masked(chart, rng, degree=3):
-    w = Poly2.random(rng, degree=degree)
-    return lambda p, w=w, chart=chart: chart.cutoff(p) * w(p)
+    """cutoff * w for a seeded polynomial w, its cutoff read from a panel's table."""
+    return RadialHolo(chart.cutoff_profiles, [(0, Poly2.random(rng, degree=degree))])
 
 
 def _band_limited(rng, n_terms=11, decay=0.65):
@@ -167,12 +167,10 @@ def _refinement(value_at, levels=(1, 2)):
 
 def _transverse_of_cutoff_times(chart, w):
     """The transverse field applied to cutoff * w by Leibniz's rule, the hit time
-    falling at unit rate along it: a function that carries the cutoff or its
-    derivative in each term."""
-    def ng(p):
-        return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
-                + chart.cutoff(p) * apply_field(chart.field, w, p))
-    return ng
+    falling at unit rate along it: the cutoff's rate times w plus the cutoff times
+    the field applied to w, both profiles from the chart's one pair."""
+    return RadialHolo(chart.cutoff_profiles,
+                      [(1, w), (0, lambda p: apply_field(chart.field, w, p))])
 
 
 def check_ftc(cfg: ScenarioConfig):
@@ -187,8 +185,9 @@ def check_ftc(cfg: ScenarioConfig):
         ws = [Poly2.random(rng, degree=3) for _ in range(10)]
         ags = antideriv_chains(chart, [(_transverse_of_cutoff_times(chart, w), 1) for w in ws],
                                pts, support=CUTOFF_END)
+        cutoff = chart.cutoff(pts)
         for i, (w, ag) in enumerate(zip(ws, ags)):
-            g = chart.cutoff(pts) * w(pts)
+            g = cutoff * w(pts)
             err = float(np.max(np.abs(g - ag)))
             rows.append([str(dom), i, err])
             worst = max(worst, err)

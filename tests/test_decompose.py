@@ -281,6 +281,14 @@ def test_rotation_fd_takes_every_order_from_one_call(chart, band_points):
         assert np.array_equal(values[order], rotation_fd(zh, band_points, [order])[0])
 
 
+@pytest.mark.parametrize("orders", [[3], [0, -1]])
+def test_rotation_fd_rejects_an_order_outside_zero_to_two_first(band_points, orders):
+    calls = []
+    with pytest.raises(ParameterError):
+        rotation_fd(lambda p: calls.append(1) or p, band_points, orders)
+    assert calls == []
+
+
 @pytest.mark.parametrize("a, p", [(0.9, 1.0), (0.9, 0.75), (0.99, 0.75), (0.999, 0.75)])
 def test_compact_second_rotation_derivative_is_no_less_accurate(chart, band_points, a, p):
     # against the exact T^2 of cutoff * h near a pole, where truncation dominates:

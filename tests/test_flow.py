@@ -147,8 +147,8 @@ def masked_ng(chart, w):
         speed_over_r = (chart.rate if dom.kind == "disk"
                         else chart.rate * (2.0 * r**2 - 1.0 - dom.rho**2))
         radial = speed_over_r * (p.real * wx + p.imag * wy)
-        return (-chart.cutoff_time_derivative(chart.hit_time(p)) * w(p)
-                + chart.cutoff(p) * radial)
+        cutoff, rate = chart.cutoff_profiles(r)
+        return rate * w(p) + cutoff * radial
     return ng
 
 
@@ -274,7 +274,7 @@ def test_cutoff_profile(disk_chart):
 def test_cutoff_derivatives_bounded(disk_chart):
     # all t-derivatives of the cutoff up to order 4 stay bounded on the band
     t = np.linspace(0.26, 0.74, 400)
-    vals = disk_chart.cutoff_of_time(t)
+    vals, _ = disk_chart.cutoff_profiles(np.exp(-disk_chart.rate * t))
     h = t[1] - t[0]
     cur = vals
     for order in range(1, 5):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
-from bergsmooth.functions import Holo1, Poly2, apply_field
+from bergsmooth.functions import (Holo1, Poly2, _psi, _smoothstep_pair, apply_field,
+                                  smoothstep)
 from bergsmooth.geometry import canonical_fields
 
 
@@ -147,3 +148,35 @@ def test_polynomial_without_negative_powers_evaluates_at_zero():
             for j in range(3):
                 assert np.all(np.isfinite(h.partial((j, 0), z)))
         assert Holo1.from_coeffs([1.0, 2.0, 3.0])(z)[0] == 1.0
+
+
+def _reference_psi_prime(t):
+    pos = t > 0
+    t = np.where(pos, t, 1.0)
+    return np.where(pos, np.exp(-1.0 / t) / t**2, 0.0)
+
+
+def _reference_smoothstep_prime(u):
+    # the slope as it was computed before the pair evaluator, by psi' in closed form
+    u = np.asarray(u, dtype=float)
+    a = _psi(u)
+    b = _psi(1.0 - u)
+    da = _reference_psi_prime(u)
+    db = -_reference_psi_prime(1.0 - u)
+    s = a + b + 1e-300
+    return (da * s - a * (da + db)) / s**2
+
+
+def test_smoothstep_pair_matches_the_closed_form_slope_bitwise():
+    # on [-1, 2], with 0 and 1 exactly, their neighbouring doubles and small
+    # positive u down to 1e-150; below about 1e-154, psi(u) and u^2 both
+    # underflow and the closed form itself reads 0 / 0 (the cutoff never gets
+    # there: its argument has a spacing of 1.1e-16 near 0)
+    u = np.concatenate([np.linspace(-1.0, 2.0, 300_001), [0.0, 1.0],
+                        np.nextafter([0.0, 1.0, 1.0], [-1.0, 0.0, 2.0]),
+                        np.geomspace(1e-150, 1e-1, 2000), 1.0 - np.geomspace(1e-16, 1e-1, 2000)])
+    value, slope = _smoothstep_pair(u)
+    assert np.array_equal(value, smoothstep(u))
+    assert np.array_equal(slope, _reference_smoothstep_prime(u))
+    ends, flat = _smoothstep_pair(np.array([0.0, 1.0]))
+    assert ends.tolist() == [0.0, 1.0] and flat.tolist() == [0.0, 0.0]

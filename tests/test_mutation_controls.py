@@ -41,12 +41,13 @@ def test_reproduction_residuals_fail_with_two_node_panels(two_node_panels):
 
 
 def test_decomposition_residuals_fail_with_a_shifted_cutoff_rate(monkeypatch):
-    # the transverse defect of the cutoff taken at hit time + 0.1, out of step with
-    # the cutoff it stands for: the components no longer sum to cutoff * h, and
-    # the residuals read 0.90 and 1.04 against 1e-5 and 1e-4
-    monkeypatch.setattr(CollarChart, "_cutoff_rate_of_radius",
-                        lambda self, r: -self.cutoff_time_derivative(self.hit_time_radial(r)
-                                                                     + 0.1))
+    # the rate half of the chart's pair of cutoff profiles taken at hit time + 0.1
+    # (at the radius the flow reaches 0.1 later), out of step with the cutoff it
+    # stands for: the components no longer sum to cutoff * h, and the residuals
+    # read 0.90 and 1.04 against 1e-5 and 1e-4
+    profiles = CollarChart.cutoff_profiles
+    monkeypatch.setattr(CollarChart, "cutoff_profiles", lambda self, r: (
+        profiles(self, r)[0], profiles(self, self.flow_radius(-0.1, r))[1]))
     checks, _ = check_decomposition(ScenarioConfig("decomposition"))
     verdicts = _verdicts(checks)
     for k in (1, 2):

@@ -173,3 +173,14 @@ def test_only_build_chart_takes_the_trajectory_resolution():
                     and {"q_panels", "m_steps"} & set(inspect.signature(obj).parameters)):
                 takers.append(f"{name}.{public}")
     assert takers == ["flow.build_chart"]
+
+
+def test_one_cutoff_evaluation():
+    # the cutoff's value alone (smoothstep, for CollarChart.cutoff) or the value and
+    # its slope from the same exponentials (the pair, for the chart's two profiles);
+    # every hit time of the cutoff profiles comes from one call per radius array
+    assert not _definers("smoothstep_prime") | _definers("_psi_prime")
+    assert _callers("_psi") == {"functions.smoothstep", "functions._smoothstep_pair"}
+    assert _callers("_smoothstep_pair") == {"flow.CollarChart.cutoff_profiles"}
+    assert _callers("hit_time_radial") == {"flow.CollarChart.hit_time",
+                                           "flow.CollarChart.cutoff_profiles"}

@@ -75,13 +75,13 @@ def test_decomposition_check_sweeps_each_point_set_once(sweeps):
 
 def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
     # cutoff_times and cr_reduction of one h, each at depths 1 and 2, read |z|,
-    # the two profiles and h from the panel's table: h and each profile run once
-    # per panel swept (h ran twice before, once for each product)
+    # the chart's pair of cutoff profiles and h from the panel's table: h and the
+    # pair run once per panel swept (h ran twice before, once for each product,
+    # and each profile of the pair once with a hit time of its own)
     calls = Counter()
-    for name in ("_cutoff_of_radius", "_cutoff_rate_of_radius"):
-        profile = getattr(CollarChart, name)
-        monkeypatch.setattr(CollarChart, name, lambda self, r, name=name, profile=profile:
-                            calls.update([name]) or profile(self, r))
+    profiles = CollarChart.cutoff_profiles
+    monkeypatch.setattr(CollarChart, "cutoff_profiles", lambda self, r:
+                        calls.update(["cutoff_profiles"]) or profiles(self, r))
     base = Holo1.from_coeffs([0.3, 1.0, 0.5j])
     h = Holo1(lambda j: lambda z: calls.update([("h", j)]) or base._deriv(j)(z))
     zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
@@ -89,7 +89,24 @@ def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
     pts = np.exp(-chart.rate * np.array([-0.01, 0.1, 0.4, 0.7]) + 1j * np.arange(4.0))
     antideriv_chains(chart, [(zh, 1), (cr, 1), (zh, 2), (cr, 2)], pts)
     assert len(sweeps) == 2
-    assert calls == {"_cutoff_of_radius": 2, "_cutoff_rate_of_radius": 2, ("h", 0): 2}
+    assert calls == {"cutoff_profiles": 2, ("h", 0): 2}
+
+
+# hit_time_radial points of one default-config call, while each seeded function
+# computed the cutoff (C1: and its rate) at every panel position: 1,618,944 in C1
+# and 3,331,584 in C2.  Now the pair of profiles is read from each panel's table,
+# and C1's target cutoff is computed once per domain.
+@pytest.mark.parametrize("check, scenario, points", [(check_ftc, "ftc", 84_288),
+                                                     (check_hardy, "hardy", 130_464)],
+                         ids=["C1", "C2"])
+def test_seeded_cutoff_products_take_one_hit_time_per_panel_position(monkeypatch, check,
+                                                                     scenario, points):
+    seen = []
+    radial = CollarChart.hit_time_radial
+    monkeypatch.setattr(CollarChart, "hit_time_radial",
+                        lambda self, r: seen.append(np.size(r)) or radial(self, r))
+    check(ScenarioConfig(scenario))
+    assert sum(seen) <= points
 
 
 def test_reproduction_check_evaluates_each_derivative_once_per_panel(monkeypatch):

@@ -94,6 +94,30 @@ def test_benchmark_tracer_counts_each_layer():
         assert tracer.count[counter] > 0, counter
 
 
+def test_benchmark_tracer_hooks_name_live_code():
+    # the tracer hooks a public function by its defining module and name, and a
+    # method in its class's own __dict__: a hook whose name is gone never runs and
+    # its counters read 0.  flow.flow and flow.antideriv_chain are deleted from
+    # the package; their counters retire with the benchmark's upkeep
+    tracer = _load_bench("tracer")
+    keys = set(tracer._ENTER) | set(tracer._LEAVE) | {
+        f"{layer}.{cls}.{name}" for layer, classes in tracer.METHODS.items()
+        for cls, names in classes.items() for name in names}
+    dead = set()
+    for key in keys:
+        layer, *path = key.split(".")
+        mod = importlib.import_module(f"bergsmooth.{layer}")
+        if len(path) == 1:
+            fn = vars(mod).get(path[0])
+            live = isinstance(fn, types.FunctionType) and fn.__module__ == mod.__name__
+        else:
+            cls = vars(mod).get(path[0])
+            live = isinstance(cls, type) and path[1] in vars(cls)
+        if not live:
+            dead.add(key)
+    assert dead == {"flow.flow", "flow.antideriv_chain"}
+
+
 def test_benchmark_operations_run_and_pass(tmp_path):
     # the benchmark reaches the package by name (power_expansion, apply_op,
     # compose, field_op, kernel_op, hitting_time, ...): a name it needs that is
