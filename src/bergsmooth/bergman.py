@@ -156,14 +156,14 @@ def _variables(domain: Domain, points):
 def _power_sums(v, xs, exps):
     """sum(v * prod_i xs[i]**e_i) for each nonnegative exponent tuple e, by
     running products per coordinate: one multiply and one reduction per tuple."""
-    if not xs:
-        return {(): v.sum()}
     out = {}
     for p in range(max(e[0] for e in exps) + 1):
         if p:
             v = v * xs[0]
         rest = [e[1:] for e in exps if e[0] == p]
-        if rest:
+        if rest and len(xs) == 1:
+            out[(p,)] = v.sum()
+        elif rest:
             out.update({(p,) + r: m for r, m in _power_sums(v, xs[1:], rest).items()})
     return out
 

@@ -53,23 +53,28 @@ def diff_uniform(samples, dx, axis, periodic=False):
     return np.moveaxis(out, 0, axis)
 
 
-def polar_cartesian_partial(samples, grid, beta):
-    """D^beta in cartesian coordinates of samples on a PolarEvalGrid.
+def polar_cartesian_partials(samples, grid, k):
+    """Cartesian partials D^beta, |beta| <= k, of samples on a PolarEvalGrid: one
+    list per total order j = 0..k, yielded in turn, ordered (0, j), (1, j - 1),
+    ..., (j, 0).
 
     Differencing happens along the grid axes; the chain rule supplies the
-    cartesian partials.  Applied recursively for higher orders.
+    cartesian partials.  D^(bx, by) is d/dx of D^(bx - 1, by), and D^(0, by) is
+    d/dy of D^(0, by - 1): each partial of order below k is differenced once, its
+    radial and angular differences feeding both partials above it.  Two orders
+    and the differences of one partial are live at a time.
     """
-    bx, by = beta
-    if bx == 0 and by == 0:
-        return np.asarray(samples, dtype=complex)
+    level = [np.asarray(samples, dtype=complex)]
+    yield level
     R = grid.r[:, None]
     TH = grid.theta[None, :]
-    if bx > 0:
-        inner = polar_cartesian_partial(samples, grid, (bx - 1, by))
-        fr = diff_uniform(inner, grid.dr, axis=0)
-        ft = diff_uniform(inner, grid.dtheta, axis=1, periodic=True)
-        return np.cos(TH) * fr - np.sin(TH) / R * ft
-    inner = polar_cartesian_partial(samples, grid, (bx, by - 1))
-    fr = diff_uniform(inner, grid.dr, axis=0)
-    ft = diff_uniform(inner, grid.dtheta, axis=1, periodic=True)
-    return np.sin(TH) * fr + np.cos(TH) / R * ft
+    for _ in range(k):
+        above = []
+        for i, inner in enumerate(level):
+            fr = diff_uniform(inner, grid.dr, axis=0)
+            ft = diff_uniform(inner, grid.dtheta, axis=1, periodic=True)
+            if i == 0:
+                above.append(np.sin(TH) * fr + np.cos(TH) / R * ft)
+            above.append(np.cos(TH) * fr - np.sin(TH) / R * ft)
+        level = above
+        yield level

@@ -72,18 +72,19 @@ def _falling(k: int, j: int) -> float:
 # The one polynomial evaluator; bergman's element evals and kernel_eval keep explicit powers.
 def _horner(xs, coeffs):
     """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
-    to coefficients a_e, by Horner's rule in each coordinate in turn."""
-    if not xs:
-        return coeffs[()]
+    to coefficients a_e, by Horner's rule in each coordinate in turn; in the last
+    coordinate the inner coefficients are the a_e themselves."""
+    rest = xs[1:]
     by_power = {}
     for e, a in coeffs.items():
         by_power.setdefault(e[0], {})[e[1:]] = a
-    top = max(by_power)
-    out = _horner(xs[1:], by_power[top])
-    for p in range(top - 1, -1, -1):
+    powers = sorted(by_power, reverse=True)
+    inner = (_horner(rest, by_power[p]) if rest else by_power[p][()] for p in powers)
+    out = next(inner)
+    for p in range(powers[0] - 1, -1, -1):
         out = out * xs[0]
         if p in by_power:
-            out = out + _horner(xs[1:], by_power[p])
+            out = out + next(inner)
     return out
 
 

@@ -216,8 +216,7 @@ class PolarEvalGrid:
         return (self.r.size, self.theta.size)
 
     def nodes(self):
-        R, TH = np.meshgrid(self.r, self.theta, indexing="ij")
-        return R * np.exp(1j * TH)
+        return np.outer(self.r, np.exp(1j * self.theta))
 
     def weights(self):
         w_r = np.full(self.r.size, self.dr)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bergman import CoefficientVector, OrthonormalBasis, gram_matrix, project, synthesize
 from .errors import ConditioningError, ContractError, ParameterError, ResolutionError
-from .finitediff import polar_cartesian_partial
+from .finitediff import polar_cartesian_partials
 from .functions import AngularFamily, Holo1, _partial, apply_field
 from .geometry import (
     Domain,
@@ -29,6 +29,7 @@ from .geometry import (
 
 __all__ = [
     "sobolev_norm",
+    "sobolev_norms",
     "directional_sobolev_norm",
     "weighted_negative_norm",
     "sup_weighted_norm",
@@ -53,15 +54,23 @@ def _multi_indices(k: int):
 
 def sobolev_norm(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
                  eval_grid: PolarEvalGrid | None = None) -> float:
-    """Sobolev norm of order k: cartesian partials up to order k in L^2.
+    """Sobolev norm of order k: cartesian partials up to order k in L^2, the last
+    entry of sobolev_norms(f, k, ...)."""
+    return sobolev_norms(f, k, domain, grid, eval_grid)[k]
+
+
+def sobolev_norms(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
+                  eval_grid: PolarEvalGrid | None = None) -> list:
+    """Sobolev norms of orders 0..k, as the running prefixes of one sum over
+    derivative orders: entry j is sobolev_norm(f, j) bit for bit.
 
     Holomorphic data (coefficient vectors, tracked holomorphic functions) is
     differentiated analytically and integrated on the quadrature grid; other
     samplable functions are finite-differenced on an inset polar evaluation
     grid.
     """
-    if k > MAX_ORDER:
-        raise ParameterError(f"orders up to {MAX_ORDER} are supported")
+    if not 0 <= k <= MAX_ORDER:
+        raise ParameterError(f"orders 0 to {MAX_ORDER} are supported, got {k}")
     if grid is None:
         grid = _default_grid(domain)
     if isinstance(f, (CoefficientVector, Holo1)):
@@ -78,31 +87,39 @@ def sobolev_norm(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
             raise ContractError("sample array does not match the evaluation grid")
     else:
         samples = np.asarray(f(eval_grid.nodes()), dtype=complex)
-    total = 0.0
-    for beta in _multi_indices(k):
-        d = polar_cartesian_partial(samples, eval_grid, beta)
-        total += eval_grid.norm(d) ** 2
-    return float(np.sqrt(total))
+    return _prefix_roots([eval_grid.norm(d) ** 2 for d in level]
+                         for level in polar_cartesian_partials(samples, eval_grid, k))
+
+
+def _prefix_roots(orders):
+    """Square roots of the running sum of the terms of each order in turn, taken
+    after each order: the terms are added one by one, in the order of a single
+    sum over all of them, so entry j is that sum's value up to order j."""
+    total, out = 0.0, []
+    for terms in orders:
+        for term in terms:
+            total += term
+        out.append(float(np.sqrt(total)))
+    return out
 
 
 def _sobolev_analytic(f, k, domain, grid):
-    total = 0.0
     if domain.kind == "ball2":
         if not isinstance(f, CoefficientVector):
             raise ContractError("analytic norms on the ball take coefficient vectors")
-        for m1 in range(k + 1):
-            for m2 in range(k + 1 - m1):
-                vals = synthesize(f, grid.nodes, deriv=(m1, m2))
-                total += (m1 + 1) * (m2 + 1) * grid.norm(vals) ** 2
-        return float(np.sqrt(total))
-    for j in range(k + 1):
+        # the (m1, m2) terms summed by total order
+        return _prefix_roots(
+            [(m1 + 1) * (j - m1 + 1)
+             * grid.norm(synthesize(f, grid.nodes, deriv=(m1, j - m1))) ** 2
+             for m1 in range(j + 1)]
+            for j in range(k + 1))
+
+    def derivative(j):
         if isinstance(f, CoefficientVector):
-            vals = synthesize(f, grid.nodes, deriv=j)
-        else:
-            vals = _partial(f, (j, 0), grid.nodes)
-        # the j-th complex derivative feeds all j+1 cartesian multi-indices
-        total += (j + 1) * grid.norm(vals) ** 2
-    return float(np.sqrt(total))
+            return synthesize(f, grid.nodes, deriv=j)
+        return _partial(f, (j, 0), grid.nodes)
+    # the j-th complex derivative feeds all j+1 cartesian multi-indices
+    return _prefix_roots([(j + 1) * grid.norm(derivative(j)) ** 2] for j in range(k + 1))
 
 
 def rotation_multiplier(domain: Domain):
@@ -121,6 +138,8 @@ def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None)
     through the exact diagonal action; anything else, a multiple of it included,
     uses repeated directional finite differences on an inset evaluation grid.
     """
+    if k < 0:
+        raise ParameterError(f"directional orders are nonnegative, got {k}")
     domain = fld.domain
     if grid is None:
         grid = _default_grid(domain)

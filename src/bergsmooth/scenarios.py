@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict, fields
 import numpy as np
 
 from . import __version__
-from .bergman import build_basis, project
+from .bergman import CoefficientVector, build_basis, project
 from .decompose import component_values, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
@@ -29,7 +29,7 @@ from .geometry import (
     polar_eval_grid,
     quadrature_grid,
 )
-from .norms import directional_sobolev_norm, duality_sup, sobolev_norm
+from .norms import directional_sobolev_norm, duality_sup, sobolev_norm, sobolev_norms
 from .operators import collar_ratio_grid, hardy_line_case, kernel_op, weighted_ratio_sweep
 
 __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
@@ -38,6 +38,12 @@ __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
 # accepted JSON types per config field type; bool is never a number here
 _FIELD_TYPES = {"int": (int, "an integer"), "float": ((int, float), "a number"),
                 "str": (str, "a string")}
+
+
+# the smallest basis each scenario's checks can read: conj-smoothing's annulus
+# basis must hold 1/z (its size-2 basis is 1/z, 1), and partial-smoothing's disk
+# basis the cubic mode and one mode above it
+_BASIS_FLOOR = {"conj-smoothing": 2, "partial-smoothing": 5}
 
 
 @dataclass(frozen=True)
@@ -91,6 +97,9 @@ class ScenarioConfig:
             raise ParameterError("k must lie in 0..3")
         if cfg.n_r < 4 or cfg.n_theta < 4 or cfg.basis_size < 1:
             raise ParameterError("grid and basis sizes out of range")
+        if cfg.basis_size < _BASIS_FLOOR.get(cfg.scenario, 1):
+            raise ParameterError(f"{cfg.scenario} needs basis_size >= "
+                                 f"{_BASIS_FLOOR[cfg.scenario]}, got {cfg.basis_size}")
         if cfg.q_panels < 1 or cfg.m_steps < 1:
             raise ParameterError("q_panels and m_steps must be at least 1")
         if not 0.0 < cfg.rho < 1.0:
@@ -378,11 +387,11 @@ def check_conj_annulus(cfg: ScenarioConfig):
     # Sobolev norms of projected conjugate powers: finite, refinement-stable
     drift_worst = 0.0
     for m in (1, 2, 3):
-        cvs = {res: project(lambda z: np.conj(z) ** m, basis, grid)
-               for res, grid in grids.items()}
+        ladders = {res: sobolev_norms(project(lambda z: np.conj(z) ** m, basis, grid),
+                                      2, dom, grid=grid)
+                   for res, grid in grids.items()}
         for k in (0, 1, 2):
-            vals, _, (drift,) = _refinement(lambda res: sobolev_norm(
-                cvs[res], k, dom, grid=grids[res]))
+            vals, _, (drift,) = _refinement(lambda res: ladders[res][k])
             rows.append([m, k, *vals])
             drift_worst = max(drift_worst, drift)
     checks.append(CheckResult("C6", "projected conjugate-power norms drift under "
@@ -394,11 +403,11 @@ def check_conj_annulus(cfg: ScenarioConfig):
         coeff = {p: (rng.normal() + 1j * rng.normal()) * 0.6 ** abs(p)
                  for p in range(-4, 5)}
         f = Holo1.laurent(coeff)
-        fbar = lambda z, f=f: np.conj(f(z))
-        fnorm = grids[1].norm(fbar(grids[1].nodes))
-        cv = project(fbar, basis, grids[1])
+        fbar = np.conj(f(grids[1].nodes))
+        fnorm = grids[1].norm(fbar)
+        ladder = sobolev_norms(project(fbar, basis, grids[1]), 2, dom, grid=grids[1])
         for k in env:
-            env[k].append(sobolev_norm(cv, k, dom, grid=grids[1]) / fnorm)
+            env[k].append(ladder[k] / fnorm)
     env_worst = max(max(v) / min(v) for v in env.values())
     checks.append(CheckResult("C6", "projected-to-input norm ratio envelope over the "
                               "seeded conjugate family", env_worst <= 10.0,
@@ -495,12 +504,17 @@ def check_duality(cfg: ScenarioConfig):
     grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     rows = []
     fs = [_band_limited(rng) for _ in range(20)]
-    nks = {(k, i): sobolev_norm(f, k, dom, grid=grid) for k in (1, 2)
-           for i, f in enumerate(fs)}
+    ladders = [sobolev_norms(f, 2, dom, grid=grid) for f in fs]
+    nks = {(k, i): ladder[k] for k in (1, 2) for i, ladder in enumerate(ladders)}
+    # each sample projected once, on the doubled basis: the disk basis runs by
+    # power and its moments are running powers of conj(z), so a smaller basis's
+    # coefficients are the leading ones, bit for bit
+    doubled_basis = build_basis(dom, 2 * cfg.basis_size)
+    doubled = [project(f, doubled_basis, grid).coeffs for f in fs]
 
     def constant_at(nb):
         basis = build_basis(dom, nb)
-        cvs = [project(f, basis, grid) for f in fs]
+        cvs = [CoefficientVector(basis, c[:nb]) for c in doubled]
         sups = {k: duality_sup(cvs, k, basis, grid) for k in (1, 2)}
         c = 0.0
         for (k, i), nk in nks.items():

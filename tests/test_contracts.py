@@ -11,9 +11,9 @@ from bergsmooth.errors import (
     ParameterError,
 )
 from bergsmooth.flow import build_chart
-from bergsmooth.functions import Holo1
-from bergsmooth.geometry import boundary_samples, quadrature_grid
-from bergsmooth.norms import duality_sup, sobolev_norm
+from bergsmooth.functions import AngularFamily, Holo1
+from bergsmooth.geometry import boundary_samples, canonical_fields, quadrature_grid
+from bergsmooth.norms import directional_sobolev_norm, duality_sup, sobolev_norm, sobolev_norms
 from bergsmooth.operators import kernel_op
 
 
@@ -77,3 +77,18 @@ def test_duality_conditioning_error(disk):
 def test_sobolev_order_cap(disk):
     with pytest.raises(ParameterError):
         sobolev_norm(Holo1.constant(1.0), 4, disk)
+
+
+@pytest.mark.parametrize("f, k", [(Holo1.constant(1.0), -1), (lambda z: z, -2)],
+                         ids=["analytic", "finite-difference"])
+def test_sobolev_negative_orders_rejected(disk, f, k):
+    # a negative order read 0.0, the norm of an empty sum
+    for norm in (sobolev_norm, sobolev_norms):
+        with pytest.raises(ParameterError):
+            norm(f, k, disk)
+
+
+def test_directional_sobolev_negative_order_rejected(disk):
+    fam = AngularFamily([(2, lambda r: r**2)])
+    with pytest.raises(ParameterError):
+        directional_sobolev_norm(fam, canonical_fields(disk)["T0"], -1)

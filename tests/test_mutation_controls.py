@@ -12,7 +12,7 @@ from bergsmooth.flow import CollarChart
 from bergsmooth.operators import Antideriv
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
                                   check_decomposition, check_ftc, check_hardy,
-                                  check_reproduction)
+                                  check_partial_smoothing, check_reproduction)
 
 
 def _verdicts(checks):
@@ -61,6 +61,17 @@ def test_conj_annulus_fails_on_a_coarse_grid():
     verdicts = _verdicts(checks)
     assert not verdicts["projected conjugate coordinate: coefficients off 1/z"]
     assert not verdicts["projected conjugate-power norms drift under grid doubling"]
+
+
+def test_partial_smoothing_projection_rows_fail_on_a_coarse_grid():
+    # at 8 x 16 the quadrature no longer separates the angular modes: the
+    # projection's off-mode coefficients read 0.73 against 1e-9, and its
+    # Sobolev-3 norm drifts 0.996 against 0.02 under grid doubling
+    checks, _ = check_partial_smoothing(ScenarioConfig("partial-smoothing", n_r=8,
+                                                       n_theta=16))
+    verdicts = _verdicts(checks)
+    assert not verdicts["projection concentrates on the cubic mode (off-mode coefficients)"]
+    assert not verdicts["projection Sobolev-3 norm drift under grid doubling"]
 
 
 def test_hardy_fails_with_an_over_claimed_class(monkeypatch):

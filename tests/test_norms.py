@@ -3,15 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergsmooth.bergman import CoefficientVector, build_basis, project
+from bergsmooth.bergman import CoefficientVector, build_basis, project, synthesize
 from bergsmooth.decompose import matched_tangential
+from bergsmooth.finitediff import diff_uniform, polar_cartesian_partials
 from bergsmooth.flow import build_chart
-from bergsmooth.functions import AngularFamily, Holo1
-from bergsmooth.geometry import boundary_distance, canonical_fields, make_domain
+from bergsmooth.functions import AngularFamily, Holo1, _partial
+from bergsmooth.geometry import (boundary_distance, canonical_fields, make_domain,
+                                 polar_eval_grid)
 from bergsmooth.norms import (
     directional_sobolev_norm,
     duality_sup,
     sobolev_norm,
+    sobolev_norms,
     sup_weighted_norm,
     weighted_negative_norm,
 )
@@ -57,6 +60,95 @@ def test_sobolev_fd_matches_analytic(disk):
     # the evaluation grid is inset, so the finite-difference value sits just below
     assert abs(fd - exact) / exact < 2e-2
     assert fd <= exact * (1 + 1e-6)
+
+
+def _recursive_partial(samples, grid, beta):
+    """D^beta on a polar grid by plain recursion, the ladder's reference: each
+    partial differences its inner partial afresh, down to the samples."""
+    bx, by = beta
+    if bx == 0 and by == 0:
+        return np.asarray(samples, dtype=complex)
+    R, TH = grid.r[:, None], grid.theta[None, :]
+    inner = _recursive_partial(samples, grid, (bx - 1, by) if bx else (0, by - 1))
+    fr = diff_uniform(inner, grid.dr, axis=0)
+    ft = diff_uniform(inner, grid.dtheta, axis=1, periodic=True)
+    if bx:
+        return np.cos(TH) * fr - np.sin(TH) / R * ft
+    return np.sin(TH) * fr + np.cos(TH) / R * ft
+
+
+def _single_sum(f, k, grid=None, eval_grid=None):
+    """The order-k Sobolev norm as one sum over its terms, order by order: the
+    analytic terms on grid, or the finite-difference ones on eval_grid."""
+    total = 0.0
+    if eval_grid is None:
+        for j in range(k + 1):
+            vals = (synthesize(f, grid.nodes, deriv=j) if isinstance(f, CoefficientVector)
+                    else _partial(f, (j, 0), grid.nodes))
+            total += (j + 1) * grid.norm(vals) ** 2
+        return float(np.sqrt(total))
+    samples = f if isinstance(f, np.ndarray) else np.asarray(f(eval_grid.nodes()), dtype=complex)
+    for order in range(k + 1):
+        for bx in range(order + 1):
+            total += eval_grid.norm(_recursive_partial(samples, eval_grid, (bx, order - bx))) ** 2
+    return float(np.sqrt(total))
+
+
+def _rough(z):
+    # its partials' norms are spread so that adding up each order's terms
+    # before the running total moves the order-3 norm's last bit
+    return np.abs(z) ** 3 * z
+
+
+@pytest.mark.parametrize("case", ["disk-coefficients", "annulus-coefficients", "holo1",
+                                  "fd-samples", "fd-callable"])
+def test_sobolev_ladder_prefixes_are_the_single_sums_bitwise(case, disk, annulus, disk_grid,
+                                                            annulus_grid):
+    # entry j of the order-3 ladder is the order-j norm, and both are the single
+    # term-by-term sum, to the last bit
+    rng = np.random.default_rng(3)
+    coeffs = rng.normal(size=12) + 1j * rng.normal(size=12)
+    grid = eval_grid = None
+    if case.endswith("coefficients"):
+        dom, grid = (disk, disk_grid) if case.startswith("disk") else (annulus, annulus_grid)
+        f = CoefficientVector(build_basis(dom, 12), coeffs)
+    elif case == "holo1":
+        dom, grid = disk, disk_grid
+        f = Holo1.from_coeffs(coeffs * 0.5 ** np.arange(12))
+    else:
+        dom = disk
+        eval_grid = polar_eval_grid(disk, 24, 48)
+        f = _rough(eval_grid.nodes()) if case == "fd-samples" else _rough
+    ladder = sobolev_norms(f, 3, dom, grid=grid, eval_grid=eval_grid)
+    assert len(ladder) == 4
+    for j in range(4):
+        assert ladder[j] == sobolev_norm(f, j, dom, grid=grid, eval_grid=eval_grid) \
+            == _single_sum(f, j, grid=grid, eval_grid=eval_grid)
+
+
+def test_polar_partials_are_the_recursive_partials_bitwise(disk):
+    eval_grid = polar_eval_grid(disk, 16, 32)
+    samples = _rough(eval_grid.nodes())
+    levels = list(polar_cartesian_partials(samples, eval_grid, 3))
+    assert [len(level) for level in levels] == [1, 2, 3, 4]
+    for order, level in enumerate(levels):
+        for bx, d in enumerate(level):
+            assert np.array_equal(d, _recursive_partial(samples, eval_grid, (bx, order - bx)))
+
+
+def test_sobolev_ball_ladder_sums_by_total_order(ball2, ball2_grid):
+    # the ball's (m1, m2) terms are summed by total order, which may move the norm
+    # at rounding level against the sum with m1 outermost
+    rng = np.random.default_rng(4)
+    basis = build_basis(ball2, 10)
+    cv = CoefficientVector(basis, rng.normal(size=10) + 1j * rng.normal(size=10))
+    ladder = sobolev_norms(cv, 2, ball2, grid=ball2_grid)
+    for k in range(3):
+        total = sum((m1 + 1) * (m2 + 1)
+                    * ball2_grid.norm(synthesize(cv, ball2_grid.nodes, deriv=(m1, m2))) ** 2
+                    for m1 in range(k + 1) for m2 in range(k + 1 - m1))
+        assert ladder[k] == sobolev_norm(cv, k, ball2, grid=ball2_grid)
+        assert ladder[k] == pytest.approx(np.sqrt(total), rel=1e-14)
 
 
 def test_sobolev_ball_analytic(ball2, ball2_grid):

@@ -165,12 +165,13 @@ def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):
 
 @pytest.mark.parametrize("check, scenario, expected", [
     ("check_conj_annulus", "conj-smoothing", {"project": 17, "gram_matrix": 0}),
-    ("check_duality", "duality", {"project": 40, "gram_matrix": 4}),
+    ("check_duality", "duality", {"project": 20, "gram_matrix": 4}),
 ])
 def test_one_projection_per_input_and_one_gram_per_order(monkeypatch, check, scenario,
                                                          expected):
-    # C6 projects each conjugate power once per grid; C8 projects each sample once
-    # per basis and factors one weighted Gram matrix per (order, basis)
+    # C6 projects each conjugate power once per grid; C8 projects each sample once,
+    # on the doubled basis (40 when it projected again on each basis), and factors
+    # one weighted Gram matrix per (order, basis)
     calls = {"project": 0, "gram_matrix": 0}
     for mod, name in ((scenarios, "project"), (norms, "project"), (norms, "gram_matrix")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
@@ -228,6 +229,22 @@ def test_cli_out_of_range_config(tmp_path, field):
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error:")
     assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("scenario, basis_size", [("conj-smoothing", 1),
+                                                 ("partial-smoothing", 4)])
+def test_cli_basis_below_the_scenario_floor(tmp_path, scenario, basis_size):
+    # conj-smoothing's annulus basis of size 1 holds no 1/z (it died with a
+    # KeyError), and a partial-smoothing basis without the mode above the cubic
+    # one passed C7's concentration row on no off-mode coefficient above it
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"scenario": scenario, "basis_size": basis_size}))
+    out = run_cli("run", scenario, "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert not (tmp_path / "rep").exists()
+    # the floor itself is a valid config
+    ScenarioConfig.from_dict({"scenario": scenario, "basis_size": basis_size + 1})
 
 
 @pytest.mark.parametrize("content", [b"[1]", b"null", b"\xff\xfe{}"])

@@ -2,7 +2,8 @@
 integrand computed on it, each factor the integrands of a panel share is
 evaluated once per panel (the derivatives of an input once while its
 integrands follow one another), a hitting time steps each point once up to its
-crossing, and projection evaluates no basis element.  One guard on memory: C4
+crossing, projection evaluates no basis element, and a Sobolev norm takes each
+derivative order once for all the orders it reports.  One guard on memory: C4
 holds no more at its peak than before the panels shared their factors."""
 
 import tracemalloc
@@ -11,13 +12,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import bergsmooth.finitediff as fd_module
 import bergsmooth.flow as flow_module
+import bergsmooth.norms as norms_module
 from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
 from bergsmooth.flow import CollarChart, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1, _ThetaDerivative
-from bergsmooth.scenarios import (ScenarioConfig, check_conj_disk, check_decomposition,
-                                  check_ftc, check_hardy, check_reproduction)
+from bergsmooth.geometry import polar_eval_grid
+from bergsmooth.norms import sobolev_norm
+from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
+                                  check_decomposition, check_ftc, check_hardy,
+                                  check_reproduction)
 
 
 @pytest.fixture()
@@ -186,3 +192,31 @@ def test_conj_disk_evaluates_no_basis_element(monkeypatch):
     monkeypatch.setattr(PlanarMonomial, "eval", counted)
     check_conj_disk(ScenarioConfig("conj-smoothing"))
     assert len(calls) == 0
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@pytest.mark.parametrize("k, calls", [(1, 2), (3, 12)])
+def test_finite_difference_norm_differences_each_inner_partial_once(monkeypatch, disk, k,
+                                                                    calls):
+    # a radial and an angular difference of each partial of order below k (1 at
+    # order 1, 6 at order 3); 4 and 40 calls when each partial differenced its
+    # inner partials afresh
+    seen = _counting(monkeypatch, fd_module, "diff_uniform")
+    sobolev_norm(lambda z: z * np.conj(z), k, disk, eval_grid=polar_eval_grid(disk, 16, 32))
+    assert len(seen) == calls
+
+
+def test_conj_annulus_synthesizes_each_derivative_order_once(monkeypatch):
+    # one Sobolev ladder of orders 0..2 per projection: 3 conjugate powers on 2
+    # grids and 10 seeded functions, 3 derivative orders each, 48 calls (96 when
+    # each order's norm summed its lower orders again)
+    seen = _counting(monkeypatch, norms_module, "synthesize")
+    check_conj_annulus(ScenarioConfig.from_dict(
+        {"scenario": "conj-smoothing", "n_r": 16, "n_theta": 32, "basis_size": 16}))
+    assert len(seen) == 48
