@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-from .errors import ResolutionError
+from .errors import ParameterError, ResolutionError
 
 # default step for stencils applied to smooth callables
 FD_STEP = 2e-3
@@ -16,13 +18,22 @@ _STENCIL_OFFSETS = np.array([-2.0, -1.0, 1.0, 2.0])
 _C1 = _STENCIL_WEIGHTS / 12.0
 
 
+def derivative_order(beta):
+    """beta = (order in x, order in y) as two ints; ParameterError for an entry
+    that is negative or not an integer."""
+    bx, by = beta
+    if not all(isinstance(b, numbers.Integral) and b >= 0 for b in (bx, by)):
+        raise ParameterError(f"derivative orders are nonnegative integers, got {beta!r}")
+    return int(bx), int(by)
+
+
 def partial_callable(f, z, beta, h=FD_STEP):
     """D^beta f at planar points z, beta = (order in x, order in y).
 
     Central 5-point first-derivative stencils, applied recursively for higher
     and mixed orders; each level is 4th-order accurate.
     """
-    bx, by = beta
+    bx, by = derivative_order(beta)
     if bx == 0 and by == 0:
         return f(z)
     if bx > 0:

@@ -6,7 +6,8 @@ Classes here carry whatever analytic derivative structure they have; anything
 else falls back to high-order finite differences on the callable.
 
 Every polynomial of the package, `bergman.synthesize`'s included, is evaluated
-by one Horner's rule, `_horner`, with falling-factorial derivative coefficients.
+by one Horner's rule, `_horner`, with falling-factorial derivative coefficients,
+in place after its first product.
 
 A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
 holomorphic factors through a `_Shared` table, so that the integrands of one
@@ -73,7 +74,12 @@ def _falling(k: int, j: int) -> float:
 def _horner(xs, coeffs):
     """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
     to coefficients a_e, by Horner's rule in each coordinate in turn; in the last
-    coordinate the inner coefficients are the a_e themselves."""
+    coordinate the inner coefficients are the a_e themselves.
+
+    The first product makes a fresh array, of the dtype of all the coordinates and
+    coefficients taken together; every later product and sum is made in place in
+    it, so no input is ever written.
+    """
     rest = xs[1:]
     by_power = {}
     for e, a in coeffs.items():
@@ -81,10 +87,13 @@ def _horner(xs, coeffs):
     powers = sorted(by_power, reverse=True)
     inner = (_horner(rest, by_power[p]) if rest else by_power[p][()] for p in powers)
     out = next(inner)
+    if powers[0]:
+        out = np.multiply(out, xs[0], dtype=np.result_type(*xs, *coeffs.values()))
     for p in range(powers[0] - 1, -1, -1):
-        out = out * xs[0]
         if p in by_power:
-            out = out + next(inner)
+            out += next(inner)
+        if p:
+            out *= xs[0]
     return out
 
 
@@ -148,17 +157,20 @@ class Poly2(SmoothFunction):
         return self._derivative((0, 0), points)
 
     def partial(self, beta, points):
-        return self._derivative(beta, points)
+        return self._derivative(fd.derivative_order(beta), points)
 
     def _derivative(self, beta, points):
         """D^beta by Horner's rule, y outermost and x inside as numpy's polyval2d
-        nests them: C[i, j] i(i-1)...(i-bx+1) j(j-1)...(j-by+1) at x^(i-bx) y^(j-by)."""
+        nests them: C[i, j] i(i-1)...(i-bx+1) j(j-1)...(j-by+1) at x^(i-bx) y^(j-by).
+
+        The coordinates are cast to complex once, the cast numpy's polyval2d makes
+        inside each of its complex-by-real steps, so the values are its own."""
         bx, by = beta
         z = np.asarray(points)
         c = self.coeffs
         terms = {(j - by, i - bx): c[i, j] * (_falling(i, bx) * _falling(j, by))
                  for i in range(bx, c.shape[0]) for j in range(by, c.shape[1])}
-        return _polynomial([z.imag, z.real], terms)
+        return _polynomial([z.imag.astype(complex), z.real.astype(complex)], terms)
 
     @staticmethod
     def random(rng, degree=3):
@@ -183,8 +195,8 @@ class Holo1(SmoothFunction):
         return self._read(0, np.asarray(points), _Shared())
 
     def partial(self, beta, points):
-        j = beta[0] + beta[1]
-        return (1j) ** beta[1] * self._read(j, np.asarray(points), _Shared())
+        bx, by = fd.derivative_order(beta)
+        return (1j) ** by * self._read(bx + by, np.asarray(points), _Shared())
 
     # the j-th derivative read through a _Shared table, keyed (base, level, j):
     # rotation_applied's level n over a base h is level n, h itself level 0
@@ -363,7 +375,9 @@ def _field_formula(a, b, fx, fy):
 
 def _partial(f, beta, points, h=fd.FD_STEP):
     """D^beta f: tracked derivatives when f is a SmoothFunction, finite differences
-    of step h otherwise."""
+    of step h otherwise.  ParameterError for an order that is negative or not an
+    integer."""
+    beta = fd.derivative_order(beta)
     if isinstance(f, SmoothFunction):
         return np.asarray(f.partial(beta, points), dtype=complex)
     return fd.partial_callable(f, points, beta, h)

@@ -12,6 +12,7 @@ weighted_ratio_sweep.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -141,6 +142,8 @@ def kernel_op(mu: int = 0) -> Antideriv:
 
 
 def field_op(fld: VectorField, power: int = 1) -> FieldPower:
+    if not isinstance(power, numbers.Integral) or power < 1:
+        raise ParameterError(f"a field power is an integer >= 1, got {power!r}")
     return FieldPower(fld, power)
 
 
@@ -177,7 +180,9 @@ def commutator(expr_a: OperatorExpr, fld: VectorField) -> OpSum:
 
 
 def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> OperatorExpr:
-    """order-fold commutator [...[A, X], X]."""
+    """order-fold commutator [...[A, X], X]; order 0 is A itself."""
+    if not isinstance(order, numbers.Integral) or order < 0:
+        raise ParameterError(f"a commutator order is an integer >= 0, got {order!r}")
     cur = expr_a
     for _ in range(order):
         cur = commutator(cur, fld)
@@ -206,8 +211,10 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
     B-spline kernel of depth <= 3 by the flow group property.  Finite
     differences are taken only at the leaves: of g when it has no tracked
     partials (a SmoothFunction's are used), and of the field coefficients.
-    Leaf jets are shared within the call between requests that reach g
-    through the same kernels.
+    Each distinct request, the factors still to apply and the kernels passed
+    on the way to them, is computed once within the call, so a kernel sweep
+    shared by several terms of a sum runs once; the leaf jets of g are the
+    requests with no factors left.  Nothing is kept past the call.
 
     A kernel evaluates its integrand only where the hit time is below 1, so g
     must vanish off the collar wherever a kernel acts on it, the contract of
@@ -247,22 +254,35 @@ def _index(beta) -> int:
 
 
 class _Jets:
-    """The jets of one apply_op call, with the leaf jets of g keyed by kernel path:
-    the depths of the kernel groups between the top and the leaf.  Within one
-    call the points are fixed, so the path fixes the leaf positions (a kernel
-    of weight mu > 0 sweeps the nodes of a plain one).  Each leaf jet is kept
-    at the highest order requested so far."""
+    """The jets of one apply_op call, each kept under its request (factors,
+    path): the factors still to apply, and the kernel path, the depth of each
+    kernel group between the top and them and the panel of its sweep.  Within
+    one call the points are fixed, so the path fixes the points of a request (a
+    kernel of weight mu > 0 sweeps the nodes of a plain one, and a point just
+    outside the domain, of negative hit time, reaches a group's second panel).
+    Each jet is kept at the highest order requested so far, and a lower order
+    reads its prefix: bit for bit, except a kernel's order 0, summed by
+    tensordot where higher orders use einsum, so it agrees to rounding.  The
+    leaf jets of g are the requests with no factors left, extended by the
+    partials a higher order adds.  Nothing outlives the call."""
 
     def __init__(self, chart: CollarChart, g):
         self.chart = chart
         self.g = g
-        self.leaves = {}
+        self.memo = {}
 
     def jet(self, factors, points, order, path=()):
         """D^beta of (factors[0] o ... o factors[-1])(g) at points, |beta| <= order,
         along a trailing axis laid out by _multi_indices."""
+        size = len(_multi_indices(order))
+        have = self.memo.get((factors, path))
+        if have is None or have.shape[-1] < size:
+            have = self.memo[factors, path] = self.compute(factors, points, order, path, have)
+        return have[..., :size]
+
+    def compute(self, factors, points, order, path, have):
         if not factors:
-            return self.leaf(points, order, path)
+            return self.leaf(points, order, have)
         f, rest = factors[0], factors[1:]
         if isinstance(f, Compose):
             return self.jet(f.factors + rest, points, order, path)
@@ -299,25 +319,23 @@ class _Jets:
         else:
             depth = 1
             kern = lambda s: s**f.mu
-        rest, key = factors[depth:], path + (depth,)
+        rest, panels = factors[depth:], iter(range(depth))
 
         def integrand(pos, tau, shared):
-            inner = self.jet(rest, pos, order, key)
+            # called once per panel swept, panel j at its j-th call
+            inner = self.jet(rest, pos, order, path + ((depth, next(panels)),))
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
         out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)],
                                  support=1.0, orders=orders)[0]
         return out if order else out[..., None]
 
-    def leaf(self, points, order, path):
+    def leaf(self, points, order, have):
         betas = _multi_indices(order)
-        have = self.leaves.get(path)
         if have is None:
             have = np.zeros(_value_shape(self.chart.domain, points) + (0,), dtype=complex)
-        if have.shape[-1] < len(betas):
-            more = [_partial(self.g, beta, points) for beta in betas[have.shape[-1]:]]
-            have = self.leaves[path] = np.concatenate([have, np.stack(more, axis=-1)], axis=-1)
-        return have[..., :len(betas)]
+        more = [_partial(self.g, beta, points) for beta in betas[have.shape[-1]:]]
+        return np.concatenate([have, np.stack(more, axis=-1)], axis=-1)
 
 
 def _field_jet(a, b, jet, n):

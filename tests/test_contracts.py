@@ -5,16 +5,17 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bergsmooth import finitediff
 from bergsmooth.bergman import build_basis, kernel_eval, annulus_kernel_tail_bound
 from bergsmooth.errors import (
     ConditioningError,
     ParameterError,
 )
 from bergsmooth.flow import build_chart
-from bergsmooth.functions import AngularFamily, Holo1
+from bergsmooth.functions import AngularFamily, Holo1, Poly2, _partial
 from bergsmooth.geometry import boundary_samples, canonical_fields, quadrature_grid
 from bergsmooth.norms import directional_sobolev_norm, duality_sup, sobolev_norm, sobolev_norms
-from bergsmooth.operators import kernel_op
+from bergsmooth.operators import field_op, iterated_commutator, kernel_op
 
 
 def test_defining_function_vanishes_on_boundary(disk, annulus, ball2):
@@ -92,3 +93,39 @@ def test_directional_sobolev_negative_order_rejected(disk):
     fam = AngularFamily([(2, lambda r: r**2)])
     with pytest.raises(ParameterError):
         directional_sobolev_norm(fam, canonical_fields(disk)["T0"], -1)
+
+
+@pytest.mark.parametrize("beta", [(-1, 0), (0, -2), (1.5, 0), (1.0, 0)])
+def test_derivative_orders_are_nonnegative_integers(beta):
+    # (-1, 0) recursed until RecursionError in the stencils, wrapped to C[-1, j]
+    # in Poly2 (3.978 at 0.1+0.2j) and read z**2 off Holo1's z; 1.5 was a bare
+    # TypeError in Poly2
+    z = np.array([0.1 + 0.2j])
+    for f in (lambda: finitediff.partial_callable(lambda p: p**2, z, beta),
+              lambda: Poly2([[1, 2], [3, 4]]).partial(beta, z),
+              lambda: Holo1.from_coeffs([0, 1]).partial(beta, z),
+              lambda: _partial(lambda p: p**2, beta, z),
+              lambda: _partial(Poly2([[1, 2], [3, 4]]), beta, z)):
+        with pytest.raises(ParameterError):
+            f()
+
+
+def test_numpy_integer_derivative_orders_accepted():
+    z = np.array([0.1 + 0.2j])
+    w = Poly2([[1, 2], [3, 4]])
+    assert np.array_equal(w.partial((np.int64(1), np.int8(0)), z), w.partial((1, 0), z))
+
+
+@pytest.mark.parametrize("power", [0, -1, 1.5])
+def test_field_power_is_a_positive_integer(disk, power):
+    # the tag claimed the power as its derivative count, and apply_op then died
+    # in numpy's stack of no arrays
+    with pytest.raises(ParameterError):
+        field_op(canonical_fields(disk)["T0"], power)
+
+
+def test_commutator_order_is_nonnegative(disk):
+    # order -1 silently returned the kernel itself
+    with pytest.raises(ParameterError):
+        iterated_commutator(kernel_op(), canonical_fields(disk)["T0"], -1)
+    assert iterated_commutator(kernel_op(), None, 0) == kernel_op()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
+from bergsmooth.bergman import CoefficientVector, build_basis, synthesize
 from bergsmooth.functions import (Holo1, Poly2, _psi, _smoothstep_pair, apply_field,
                                   smoothstep)
 from bergsmooth.geometry import canonical_fields
@@ -136,6 +137,24 @@ def test_constant_derivatives_are_exact_zeros():
     assert np.array_equal(h(pts), np.full(pts.shape, 2.5 - 1.0j))
     for beta in ((1, 0), (0, 1), (2, 1), (0, 3)):
         assert np.array_equal(h.partial(beta, pts), np.zeros(pts.shape))
+
+
+def test_in_place_horner_writes_no_input(disk):
+    # Horner's rule multiplies and adds in place after its first product: the
+    # points, the coordinates taken from them and the coefficients stay as given
+    z = np.array([0.3 + 0.1j, -0.2 + 0.5j, 0.6j])
+    w = Poly2([[0, 1]])
+    c = CoefficientVector(build_basis(disk, 6), np.linspace(1.0, 2.0, 6) + 0.5j)
+    inputs = (z, w.coeffs, c.coeffs)
+    before = [a.copy() for a in inputs]
+    outs = {"z": Holo1.from_coeffs([0, 1])(z), "1/z": Holo1.laurent({-1: 1.0})(z),
+            "y": w(z), "synthesize": synthesize(c, z), "synthesize'": synthesize(c, z, 1)}
+    assert np.array_equal(outs["z"], z) and np.array_equal(outs["1/z"], 1.0 / z)
+    assert np.array_equal(outs["y"], z.imag)
+    for out in outs.values():
+        assert not any(np.shares_memory(out, a) for a in inputs)
+    for a, b in zip(inputs, before):
+        assert np.array_equal(a, b)
 
 
 def test_polynomial_without_negative_powers_evaluates_at_zero():

@@ -48,6 +48,19 @@ def test_plain_kernel_matches_antiderivative(chart, collar_pts, rng):
     np.testing.assert_allclose(via_expr, direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("depth", [2, 3])
+def test_kernel_chain_just_outside_the_disk_matches_antiderivative(chart, rng, depth):
+    # a point just outside has a negative hit time and reaches the chain's second
+    # panel, at positions of its own: a jet kept under the kernel depths alone
+    # served it the first panel's leaf, and the panel's scatter raised ValueError
+    g = masked(chart, Poly2.random(rng, degree=2))
+    pts = np.array([1.0005 + 0.0j, 0.9 * np.exp(1j)])
+    assert chart.hit_time(pts)[0] < 0
+    via_expr = apply_op(compose(*[kernel_op()] * depth), g, pts, chart)
+    direct = antideriv_chains(chart, [(g, depth)], pts, support=1.0)[0]
+    np.testing.assert_allclose(via_expr, direct, atol=1e-13)
+
+
 def test_kernel_weight_equivalence(chart, collar_pts, rng):
     # the depth-2 B-spline is -s on [-1, 0], and a cutoff-masked g vanishes on the
     # trajectory past s = -1, so the s-weighted kernel is minus the double antiderivative

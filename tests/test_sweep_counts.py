@@ -1,5 +1,6 @@
 """Regression guards on repeated work: each point set is swept once for every
-integrand computed on it, each factor the integrands of a panel share is
+integrand computed on it, an operator expression sweeps each distinct kernel
+request once per apply_op call, each factor the integrands of a panel share is
 evaluated once per panel (the derivatives of an input once while its
 integrands follow one another), a hitting time steps each point once up to its
 crossing, projection evaluates no basis element, and a Sobolev norm takes each
@@ -18,12 +19,14 @@ import bergsmooth.norms as norms_module
 from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
 from bergsmooth.flow import CollarChart, antideriv_chains, build_chart
-from bergsmooth.functions import Holo1, _ThetaDerivative
-from bergsmooth.geometry import polar_eval_grid
+from bergsmooth.functions import Holo1, Poly2, _ThetaDerivative
+from bergsmooth.geometry import VectorField, polar_eval_grid
 from bergsmooth.norms import sobolev_norm
+from bergsmooth.operators import apply_op, compose, field_op, kernel_op, op_sum
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
                                   check_decomposition, check_ftc, check_hardy,
                                   check_reproduction)
+from test_decompose import _order_two_identity
 
 
 @pytest.fixture()
@@ -77,6 +80,38 @@ def test_decomposition_check_sweeps_each_point_set_once(sweeps):
     # one sweep per grid of the doubling study
     check_decomposition(ScenarioConfig("decomposition"))
     assert len(sweeps) <= 4
+
+
+def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
+    # the four apply_op calls of the identity: a kernel request that several terms
+    # of a sum share is swept once per call, 15 sweeps (22 when each term swept
+    # it again); g is evaluated at the same points as before
+    w = Poly2.random(rng, degree=2)
+    evaluated = []
+
+    def g(p):
+        evaluated.append(np.size(p))
+        return chart.cutoff(p) * w(p)
+    _order_two_identity(chart, g)
+    assert len(sweeps) == 15
+    assert sum(evaluated) == 8_566_587
+
+
+def test_a_sum_of_one_expression_twice_sweeps_it_once_per_call(sweeps, chart, rng):
+    x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                    name="dx")
+    e = compose(kernel_op(1), field_op(x), kernel_op())
+    w = Poly2.random(rng, degree=2)
+    g = lambda p: chart.cutoff(p) * w(p)
+    pts = np.exp(-chart.rate * np.array([0.1, 0.3, 0.5]) + 1j * np.arange(3.0))
+    alone = apply_op(e, g, pts, chart)
+    per_call = len(sweeps)
+    twice = apply_op(op_sum((1.0, e), (1.0, e)), g, pts, chart)
+    assert np.array_equal(twice, 2 * alone)
+    assert len(sweeps) == 2 * per_call
+    # nothing is kept from one call to the next
+    apply_op(e, g, pts, chart)
+    assert len(sweeps) == 3 * per_call
 
 
 def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
