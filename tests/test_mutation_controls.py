@@ -3,16 +3,20 @@ FAIL, which shows that its gate can fail.  The break is injected by monkeypatch
 or by config, never by a changed threshold.  README lists the checks that have
 a control and those that have none."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 import bergsmooth.bergman as bergman_module
 import bergsmooth.flow as flow_module
 import bergsmooth.scenarios as scenarios_module
+from bergsmooth.bergman import CoefficientVector
 from bergsmooth.flow import CollarChart
 from bergsmooth.operators import Antideriv
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
-                                  check_decomposition, check_ftc, check_hardy,
-                                  check_partial_smoothing, check_reproduction)
+                                  check_decomposition, check_duality, check_ftc,
+                                  check_hardy, check_partial_smoothing, check_reproduction)
 
 
 def _verdicts(checks):
@@ -96,3 +100,53 @@ def test_conj_projection_fails_with_one_norm_off(monkeypatch, check, power, desc
                         lambda domain, k: norm(domain, k) * (1.01 if k == power else 1.0))
     checks, _ = check(ScenarioConfig("conj-smoothing"))
     assert not _verdicts(checks)[description]
+
+
+def _nan_coefficient_0(cv):
+    coeffs = cv.coeffs.copy()
+    coeffs[0] = np.nan
+    return CoefficientVector(cv.basis, coeffs)
+
+
+# (ingredient of scenarios, its output turned to NaN, the checks that read it and
+# the rows that must then FAIL)
+NAN_CASES = {
+    "C1": ("antideriv_chains", lambda out: [np.full_like(v, np.nan) for v in out],
+           [(check_ftc, "ftc")],
+           ["flow reproduction sup-defect, 10 seeded cutoff functions on disk and annulus"]),
+    "C2": ("flow_moment_apply", lambda out: [np.full_like(v, np.nan) for v in out],
+           [(check_hardy, "hardy")],
+           ["majorant kernel ratio minus Hardy bound, mu in {0,1}, weights 0..8, "
+            "20 seeded functions"]),
+    "C3": ("reproduction_residual", lambda out: {key: np.nan for key in out},
+           [(check_reproduction, "decomposition")],
+           [f"reproduction residual at order {k}" for k in (1, 2, 3)]
+           + ["residual drop per resolution doubling"]),
+    "C4": ("decompose", lambda out: {key: dataclasses.replace(res, residual=np.nan)
+                                     for key, res in out.items()},
+           [(check_decomposition, "decomposition")],
+           [f"decomposition residual at order {k}" for k in (1, 2)]),
+    "C5-C6": ("project", _nan_coefficient_0,
+              [(check_conj_disk, "conj-smoothing"), (check_conj_annulus, "conj-smoothing")],
+              ["projection of conjugates is the mean constant, 10 seeded polynomials",
+               "projected conjugate-power norms drift under grid doubling"]),
+    "C8": ("duality_sup", lambda out: [np.nan for _ in out],
+           [(check_duality, "duality")],
+           ["empirical duality constant (finite, single constant across the family)",
+            "duality constant drift under basis doubling"]),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_a_nan_ingredient_fails_its_rows(monkeypatch, case):
+    # a NaN carried into a row's samples makes its reading NaN, which fails any bound;
+    # a running max(0.0, nan) would have read 0 and passed
+    name, to_nan, checks, descriptions = NAN_CASES[case]
+    ingredient = getattr(scenarios_module, name)
+    monkeypatch.setattr(scenarios_module, name,
+                        lambda *args, **kwargs: to_nan(ingredient(*args, **kwargs)))
+    rows = {c.description: c for check, scenario in checks
+            for c in check(ScenarioConfig(scenario))[0]}
+    for description in descriptions:
+        assert not rows[description].passed, description
+        assert np.isnan(rows[description].measured), description

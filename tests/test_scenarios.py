@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from bergsmooth import cli, norms, scenarios
 from bergsmooth.errors import ParameterError
 from bergsmooth.scenarios import (
     SCENARIOS,
+    CheckResult,
     ReportBundle,
     ScenarioConfig,
     _refinement,
@@ -149,6 +151,73 @@ def test_refinement_values_ratios_and_drifts():
     assert values == [2.5, 10.0]
     assert ratios == [4.0]
     assert drifts == [3.0]
+
+
+@pytest.mark.parametrize("bound, holds_at_threshold", [("<=", True), (">=", True),
+                                                       ("<", False), (">", False)])
+def test_verdict_at_the_threshold(bound, holds_at_threshold):
+    assert CheckResult("C0", "row", [0.5], bound, 0.5).passed is holds_at_threshold
+
+
+@pytest.mark.parametrize("bound, worst", [("<=", 3.0), ("<", 3.0), (">=", 0.5), (">", 0.5)])
+def test_a_row_reads_its_worst_sample(bound, worst):
+    # an upper bound reads the largest sample, a lower bound the smallest
+    row = CheckResult("C0", "row", np.array([2.0, 3.0, 0.5]), bound, 1.0)
+    assert row.measured == worst and type(row.measured) is float
+    # one sample may come as a bare numpy scalar
+    row = CheckResult("C0", "row", np.float64(0.25), bound, 1.0)
+    assert row.measured == 0.25 and type(row.measured) is float
+
+
+@pytest.mark.parametrize("bound, threshold", [("<=", 10.0), ("<", float("inf")),
+                                              (">=", 0.0), (">", float("-inf"))])
+def test_one_nan_sample_fails_every_bound(bound, threshold):
+    assert CheckResult("C0", "row", [1.0, 2.0], bound, threshold).passed
+    row = CheckResult("C0", "row", [1.0, float("nan"), 2.0], bound, threshold)
+    assert np.isnan(row.measured)
+    assert not row.passed
+
+
+# every gate row at the default config: (criterion, description, bound, threshold).
+# A loosened threshold or a flipped bound shows up here as a diff.  C7's growth
+# row is the documented honest failure.
+GATES = [
+    ("C1", "flow reproduction sup-defect, 10 seeded cutoff functions on disk and annulus",
+     "<=", 1e-6),
+    ("C1", "flow reproduction runtime (s)", "<", 5.0),
+    ("C2", "majorant kernel ratio minus Hardy bound, mu in {0,1}, weights 0..8, "
+           "20 seeded functions", "<=", 0.05),
+    ("C2", "closed line-segment case (1/3 vs 4/3)", "<=", 1e-10),
+    ("C3", "reproduction residual at order 1", "<=", 1e-6),
+    ("C3", "reproduction residual at order 2", "<=", 1e-5),
+    ("C3", "reproduction residual at order 3", "<=", 1e-4),
+    ("C3", "residual drop per resolution doubling", ">=", 4.0),
+    ("C4", "decomposition residual at order 1", "<=", 1e-5),
+    ("C4", "decomposition residual at order 2", "<=", 1e-4),
+    ("C4", "component-to-weighted-norm ratio envelope over the singular family", "<=", 10.0),
+    ("C4", "component Sobolev norms under grid doubling", "<=", 1.5),
+    ("C5", "projection of conjugates is the mean constant, 10 seeded polynomials", "<=", 1e-8),
+    ("C6", "projected conjugate coordinate: coefficient of 1/z", "<=", 1e-6),
+    ("C6", "projected conjugate coordinate: coefficients off 1/z", "<=", 1e-9),
+    ("C6", "projected conjugate-power norms drift under grid doubling", "<=", 1e-2),
+    ("C6", "projected-to-input norm ratio envelope over the seeded conjugate family",
+     "<=", 10.0),
+    ("C9", "pointwise weighted product bound against the sup-weighted norms "
+           "(exact inequality)", "<=", 0.0),
+    ("C7", "tangential norm of order 3 drift under grid doubling", "<", 0.02),
+    ("C7", "full first-order norm estimate growth per grid doubling", ">", 0.30),
+    ("C7", "projection concentrates on the cubic mode (off-mode coefficients)", "<", 1e-9),
+    ("C7", "projection Sobolev-3 norm drift under grid doubling", "<", 0.02),
+    ("C8", "empirical duality constant (finite, single constant across the family)",
+     "<", float("inf")),
+    ("C8", "duality constant drift under basis doubling", "<", 2.0),
+]
+
+
+def test_gate_table():
+    rows = [(c.criterion, c.description, c.bound, c.threshold)
+            for scenario in SCENARIOS for c in run_scenario(ScenarioConfig(scenario)).checks]
+    assert rows == GATES
 
 
 def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):

@@ -184,3 +184,22 @@ def test_one_cutoff_evaluation():
     assert _callers("_smoothstep_pair") == {"flow.CollarChart.cutoff_profiles"}
     assert _callers("hit_time_radial") == {"flow.CollarChart.hit_time",
                                            "flow.CollarChart.cutoff_profiles"}
+
+
+def test_every_gate_declares_its_bound():
+    # each row passes its samples, a bound and a threshold; CheckResult alone
+    # compares, so no row brings a comparison or a finiteness test of its own
+    assert _callers("CheckResult") == {f"scenarios.check_{name}" for name in (
+        "ftc", "hardy", "reproduction", "decomposition", "conj_disk", "conj_annulus",
+        "product_bound", "partial_smoothing", "duality")}
+    tree = ast.parse((SRC / "scenarios.py").read_text(encoding="utf-8"))
+    rows = [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"]
+    assert rows
+    for row in rows:
+        for arg in [*row.args, *(kw.value for kw in row.keywords)]:
+            for node in ast.walk(arg):
+                assert not isinstance(node, ast.Compare), ast.unparse(row)
+                assert not (isinstance(node, ast.Call) and "isfinite" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None))), \
+                    ast.unparse(row)
