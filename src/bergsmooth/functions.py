@@ -136,9 +136,6 @@ class _Shared:
 class SmoothFunction:
     """Base class: evaluable everywhere, derivatives by finite differences."""
 
-    def __call__(self, points):
-        raise NotImplementedError
-
     def partial(self, beta, points):
         return fd.partial_callable(self, points, beta)
 

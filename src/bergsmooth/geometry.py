@@ -144,12 +144,6 @@ class QuadratureGrid:
     nodes: np.ndarray          # (npts,) complex, or (npts, 2) for ball2
     weights: np.ndarray        # (npts,) positive
 
-    def integrate(self, values):
-        return np.sum(self.weights * np.asarray(values))
-
-    def inner(self, f_values, g_values):
-        return np.sum(self.weights * np.asarray(f_values) * np.conj(g_values))
-
     def norm(self, values):
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2).real))
 

@@ -216,8 +216,6 @@ def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> l
     """
     vs = [f.coeffs if isinstance(f, CoefficientVector) else project(f, basis, grid).coeffs
           for f in fs]
-    if k1 == 0:
-        return [float(np.linalg.norm(v)) for v in vs]
     d = boundary_distance(basis.domain, grid.nodes)
     G = gram_matrix(basis, grid, weight=d ** (2 * k1))
     G = 0.5 * (G + np.conj(G.T))

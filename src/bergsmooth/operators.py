@@ -88,9 +88,6 @@ class OperatorExpr:
             return self.tag_override
         return self._structural_tag()
 
-    def _structural_tag(self) -> ClassTag:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Antideriv(OperatorExpr):

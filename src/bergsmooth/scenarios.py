@@ -560,8 +560,6 @@ def _format_cell(x):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return f"{float(x):.17g}"
-    if isinstance(x, (complex, np.complexfloating)):
-        return f"{x.real:.17g},{x.imag:.17g}"
     return str(x)
 
 

@@ -1,7 +1,13 @@
+import sys
+import types
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bergsmooth.geometry import make_domain, quadrature_grid
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +43,20 @@ def ball2_grid(ball2):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20260808)
+
+
+@pytest.fixture(scope="session")
+def load_bench():
+    """Loads a module of the benchmark by name, executed from its source without
+    writing bytecode."""
+    def load(name):
+        path = PERFBENCH / f"{name}.py"
+        mod = types.ModuleType(f"perfbench_{name}")
+        # a dataclass looks its module up in sys.modules while the class is made
+        sys.modules[mod.__name__] = mod
+        try:
+            exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
+        finally:
+            del sys.modules[mod.__name__]
+        return mod
+    return load

@@ -316,6 +316,19 @@ def test_cli_basis_below_the_scenario_floor(tmp_path, scenario, basis_size):
     ScenarioConfig.from_dict({"scenario": scenario, "basis_size": basis_size + 1})
 
 
+def test_cli_unfactorable_duality_gram(tmp_path):
+    # a valid config whose distance-weighted Gram matrix has no Cholesky factor
+    # (4 angles alias the basis's modes) is refused as a config, not as a
+    # failed check
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n_theta": 4}))
+    out = run_cli("run", "duality", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
+    assert "Traceback" not in out.stderr
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("content", [b"[1]", b"null", b"\xff\xfe{}"])
 def test_cli_unusable_config_file(tmp_path, content):
     # valid JSON that is not an object, and a file that is not UTF-8

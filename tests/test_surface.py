@@ -1,37 +1,74 @@
 """The public surface: the submodules, whose public names are either used by the
-package itself or kept on purpose, as named oracles or calculus entry points."""
+package itself or kept on purpose; and the measured reach of the checks, which
+pins every package function that no scenario enters, with the reason it is kept."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import sys
 import types
 from pathlib import Path
 
 import pytest
 
 import bergsmooth
+from bergsmooth import cli, scenarios
 
 SRC = Path(bergsmooth.__file__).resolve().parent
 SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bergsmooth.__path__))
 
-# Public names no package code calls, kept because tests compare the
-# implementation against them.
-ORACLES = (
-    "bergman.kernel_eval",               # closed-form kernels vs basis series
-    "decompose.matched_tangential",      # N = i T on holomorphic data
-    "flow.hitting_time",                 # bisection vs CollarChart.hit_time
-    "geometry.transversality_measure",   # the rotation-field component on the boundary
-    "norms.sup_weighted_norm",           # dense-grid sup norm, for a C9 that can fail
-)
-
-# The operator calculus of the single-direction result: the package builds its
-# expressions (commutator, power_expansion) but no check evaluates one; the
-# power-expansion tests and the fanout benchmark do.
-CALCULUS = (
-    "decompose.power_expansion",
-    "operators.apply_op",
-)
+# Every package function that no `bergsmooth run` scenario enters, as
+# module.qualname, with the reason it is kept:
+#   oracle     a test compares the implementation against it
+#   ball       the ball in C^2, which no check builds
+#   calculus   the class-tag algebra's structural half and the derivative-through-
+#              kernel test, which only tests reach
+#   benchmark  reached by the benchmark's fanout and hitting operations
+#   raises     runs only on its way to an error
+UNREACHED = {
+    "bergman.BallMonomial.eval": "ball",
+    "bergman._annulus_truncation": "oracle",
+    "bergman._ball_norm": "ball",
+    "bergman.annulus_kernel_tail_bound": "oracle",
+    "bergman.kernel_eval": "oracle",
+    "decompose.matched_tangential": "oracle",
+    "decompose.power_expansion": "benchmark",
+    "errors.ConditioningError.__init__": "raises",
+    "flow.CollarChart.exact_trajectories": "oracle",
+    "flow._value_shape": "benchmark",
+    "flow.hitting_time": "benchmark",
+    "geometry.Domain.contains": "oracle",
+    "geometry.Domain.volume": "oracle",
+    "geometry.VectorField.applied_to_defining": "oracle",
+    "geometry.boundary_samples": "oracle",
+    "geometry.transversality_measure": "oracle",
+    "norms._sup_grid_nodes": "oracle",
+    "norms.directional_sobolev_norm.<locals>.power": "oracle",
+    "norms.sup_weighted_norm": "oracle",
+    "operators.ClassTag.combined": "calculus",
+    "operators.ClassTag.union": "calculus",
+    "operators.Compose._structural_tag": "calculus",
+    "operators.FieldPower._structural_tag": "calculus",
+    "operators.OpSum._structural_tag": "calculus",
+    "operators._Jets.__init__": "benchmark",
+    "operators._Jets.compute": "benchmark",
+    "operators._Jets.jet": "benchmark",
+    "operators._Jets.kernel": "benchmark",
+    "operators._Jets.kernel.<locals>.integrand": "benchmark",
+    "operators._Jets.leaf": "benchmark",
+    "operators._derivative_through_kernel": "calculus",
+    "operators._field_jet": "benchmark",
+    "operators._index": "benchmark",
+    "operators._plain": "benchmark",
+    "operators.apply_op": "benchmark",
+    "operators.commutator": "benchmark",
+    "operators.compose": "benchmark",
+    "operators.field_op": "benchmark",
+    "operators.iterated_commutator": "benchmark",
+    "operators.op_sum": "benchmark",
+}
 
 
 def _names_used(tree):
@@ -77,7 +114,7 @@ def test_every_public_name_is_used_or_kept():
             assert hasattr(mod, public), f"{name}.__all__ lists missing {public}"
             if public not in used:
                 unused.append(f"{name}.{public}")
-    assert sorted(unused) == sorted(ORACLES + CALCULUS)
+    assert [n for n in unused if UNREACHED.get(n) not in ("oracle", "benchmark")] == []
 
 
 def _callers(name):
@@ -203,3 +240,67 @@ def test_every_gate_declares_its_bound():
                 assert not (isinstance(node, ast.Call) and "isfinite" in (
                     getattr(node.func, "id", None), getattr(node.func, "attr", None))), \
                     ast.unparse(row)
+
+
+def _package_functions():
+    """Every function the package defines, at any depth, as module.qualname."""
+    names = set()
+
+    def walk(node, module, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                names.add(f"{module}.{prefix}{child.name}")
+                walk(child, module, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, module, f"{prefix}{child.name}.")
+            else:
+                walk(child, module, prefix)
+
+    for path in SRC.glob("*.py"):
+        walk(ast.parse(path.read_text(encoding="utf-8")), path.stem, "")
+    return names
+
+
+def _reached(run):
+    """The package functions entered while run() runs, as module.co_qualname.  The
+    package's caches are emptied first: a warm cache would hide its function's body."""
+    for name in SUBMODULES:
+        for obj in vars(importlib.import_module(f"bergsmooth.{name}")).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+    package, reached = os.path.dirname(bergsmooth.__file__), set()
+
+    def tracer(frame, event, arg):
+        code = frame.f_code
+        if os.path.dirname(code.co_filename) == package:
+            reached.add(f"{Path(code.co_filename).stem}.{code.co_qualname}")
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return reached
+
+
+def test_reach_is_pinned(tmp_path, load_bench):
+    # the scenarios run through the CLI at the default config; C7's red row makes
+    # partial-smoothing exit 1
+    codes = {}
+    checks = _reached(lambda: codes.update(
+        (name, cli.main(["run", name, "--out", str(tmp_path / name)]))
+        for name in scenarios.SCENARIOS))
+    assert codes == {name: int(name == "partial-smoothing") for name in scenarios.SCENARIOS}
+    assert set(UNREACHED.values()) <= {"oracle", "ball", "calculus", "benchmark", "raises"}
+    assert _package_functions() - checks == set(UNREACHED)
+
+    workloads = load_bench("workloads")
+
+    def bench():
+        for workload in (workloads.Fanout(), workloads.Hitting()):
+            workload.setup(1, str(tmp_path))
+            assert all(op.ok for op in workload.run())
+
+    benchmark = {name for name, tag in UNREACHED.items() if tag == "benchmark"}
+    assert _reached(bench) & set(UNREACHED) == benchmark

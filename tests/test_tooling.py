@@ -3,7 +3,6 @@ package: a failing test reports as a failure, a traced run counts work in every
 layer it touches, and the benchmark's operations run and pass."""
 
 import importlib
-import sys
 import tomllib
 import types
 from pathlib import Path
@@ -12,7 +11,6 @@ import numpy as np
 
 REPO = Path(__file__).resolve().parents[1]
 PYPROJECT = REPO / "pyproject.toml"
-PERFBENCH = REPO / "perfbench"
 
 pytest_plugins = ["pytester"]
 
@@ -41,26 +39,13 @@ def test_failing_property_test_does_not_end_the_session(pytester):
     assert "INTERNALERROR" not in result.stdout.str()
 
 
-def _load_bench(name):
-    """A module of the benchmark, executed from its source without writing bytecode."""
-    path = PERFBENCH / f"{name}.py"
-    mod = types.ModuleType(f"perfbench_{name}")
-    # a dataclass looks its module up in sys.modules while the class is made
-    sys.modules[mod.__name__] = mod
-    try:
-        exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), mod.__dict__)
-    finally:
-        del sys.modules[mod.__name__]
-    return mod
-
-
-def test_benchmark_tracer_counts_each_layer():
+def test_benchmark_tracer_counts_each_layer(load_bench):
     # the tracer reads arguments by name and wraps methods from each class's own
     # __dict__, so a renamed parameter or a moved method breaks only traced runs
     geometry, flow, functions, operators, bergman = (
         importlib.import_module(f"bergsmooth.{name}")
         for name in ("geometry", "flow", "functions", "operators", "bergman"))
-    tracer = _load_bench("tracer").Tracer()
+    tracer = load_bench("tracer").Tracer()
     tracer.install()
     try:
         disk = geometry.make_domain("disk")
@@ -94,12 +79,12 @@ def test_benchmark_tracer_counts_each_layer():
         assert tracer.count[counter] > 0, counter
 
 
-def test_benchmark_tracer_hooks_name_live_code():
+def test_benchmark_tracer_hooks_name_live_code(load_bench):
     # the tracer hooks a public function by its defining module and name, and a
     # method in its class's own __dict__: a hook whose name is gone never runs and
     # its counters read 0.  flow.flow and flow.antideriv_chain are deleted from
     # the package; their counters retire with the benchmark's upkeep
-    tracer = _load_bench("tracer")
+    tracer = load_bench("tracer")
     keys = set(tracer._ENTER) | set(tracer._LEAVE) | {
         f"{layer}.{cls}.{name}" for layer, classes in tracer.METHODS.items()
         for cls, names in classes.items() for name in names}
@@ -118,11 +103,11 @@ def test_benchmark_tracer_hooks_name_live_code():
     assert dead == {"flow.flow", "flow.antideriv_chain"}
 
 
-def test_benchmark_operations_run_and_pass(tmp_path):
+def test_benchmark_operations_run_and_pass(tmp_path, load_bench):
     # the benchmark reaches the package by name (power_expansion, apply_op,
     # compose, field_op, kernel_op, hitting_time, ...): a name it needs that is
     # gone fails its operations here
-    workloads = _load_bench("workloads")
+    workloads = load_bench("workloads")
     for workload, n_ops in ((workloads.Fanout(), 12), (workloads.Hitting(), 64)):
         workload.setup(1, str(tmp_path))
         ops = workload.run()
