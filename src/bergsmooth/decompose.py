@@ -262,8 +262,9 @@ def _components(hs, orders, chart: CollarChart) -> dict:
 
 def _component_values(components, chart: CollarChart, points):
     """Values at points of components (input, depth, combine), in one sweep of the
-    points: a chain that several components share is integrated once.  Every input
-    carries the cutoff or its derivative, so the chains end at the cutoff's end."""
+    points (per block of a large point set, flow._blocked_quadrature): a chain
+    that several components share is integrated once.  Every input carries the
+    cutoff or its derivative, so the chains end at the cutoff's end."""
     chains = list(dict.fromkeys((w, depth) for w, depth, _ in components))
     values = dict(zip(chains, antideriv_chains(chart, chains, points, support=CUTOFF_END)))
     return [combine(values[w, depth]) for w, depth, combine in components]
@@ -271,7 +272,8 @@ def _component_values(components, chart: CollarChart, points):
 
 def component_values(hs, orders, chart: CollarChart, points) -> dict:
     """Values at points of the components of cutoff * hs[i] at each order k in
-    orders, 1 or 2: one list per (i, k), in one sweep of the points."""
+    orders, 1 or 2: one list per (i, k), in one sweep of the points (per block
+    of a large point set)."""
     family = _components(hs, orders, chart)
     values = iter(_component_values([c for cs in family.values() for c in cs], chart, points))
     return {key: [next(values) for _ in cs] for key, cs in family.items()}
@@ -287,9 +289,10 @@ def decompose(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
     (honest derivatives of the numerical output, not of the construction).
     Component norms are quadrature collar norms, reported against the
     distance-weighted norm of h.  Each point set is swept once for the whole
-    family: the points with their four rotated copies, every component of every
-    (h, k) on a trailing axis, from which rotation_fd takes the components
-    themselves (the centre copy) and both derivatives; then the quadrature nodes.
+    family, in blocks of bounded size when it is large: the points with their
+    four rotated copies, every component of every (h, k) on a trailing axis,
+    from which rotation_fd takes the components themselves (the centre copy)
+    and both derivatives; then the quadrature nodes.
     The components of one h are built once, so the chains its orders share are
     integrated once.  Each result is bit for bit the one of its h and k alone,
     decompose([h], [k], chart)[0, k].

@@ -36,6 +36,11 @@ __all__ = [
 DEFAULT_M_STEPS = 64
 DEFAULT_Q_PANELS = 32
 _GAUSS_PER_PANEL = 4
+# The most node-point pairs one sweep of pointwise integrands holds at once: a
+# larger point set is swept in blocks (see _blocked_quadrature)
+_SWEEP_PAIRS = 2**19
+# A block holds a multiple of this many swept points, all but the last
+_BLOCK_QUANTUM = 16
 
 
 def _rk4_step(field, x, h):
@@ -273,6 +278,12 @@ def _chain_kernel(depth: int, u):
     return out
 
 
+def _swept(t):
+    """Where the hit times t lie in the collar or outside the domain: the points
+    whose trajectories a quadrature sweeps."""
+    return np.isfinite(t) & (t < 1.0)
+
+
 def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
@@ -281,10 +292,12 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     pos of the live points with hit times tau = t - s there.  shared is the
     panel's table of shared factors (functions._Shared).
 
-    Returns one array of values per term.  Each panel is swept once for all the
-    terms deep enough to reach it, and an integrand listed in several terms (the
-    same object) is evaluated once per panel.  Each term sums its own panels in
-    its own order, so a term's values are bit for bit the ones it gets alone.
+    Returns one array of values per term.  One call sweeps each panel once for
+    all its points and all the terms deep enough to reach it (_blocked_quadrature
+    splits a large point set over several calls), and an integrand listed in
+    several terms (the same object) is evaluated once per panel.  Each term sums
+    its own panels in its own order, so a term's values are bit for bit the ones
+    it gets alone.
 
     Each panel makes one table and drops it when it ends: a factor that several
     of its integrands read is computed once, at the panel's positions.  |z| and
@@ -307,7 +320,7 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
-    live = np.isfinite(t) & (t < 1.0)
+    live = _swept(t)
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
     if not np.any(live):
@@ -361,6 +374,38 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     return outs
 
 
+def _blocked_quadrature(chart, points, terms, *, support):
+    """_collar_quadrature of pointwise integrands in blocks of at most
+    _SWEEP_PAIRS node-point pairs, one call per block, so that the memory of a
+    sweep stays bounded as the grids refine.  A point set that fits in one block
+    takes one call.  A larger one is flattened, its swept points split into the
+    fewest contiguous blocks of nearly equal size, a multiple of _BLOCK_QUANTUM
+    points each but the last.
+
+    The values are those of one call over all the points, bit for bit: the
+    integrands and the RK4 sweep act point by point, and the panel sum gives a
+    point's column the same bits in a block as in the whole batch as long as
+    the column keeps its place modulo the quantum (README, "Sweeps in blocks")."""
+    points = np.asarray(points, dtype=complex)
+    shape = _value_shape(chart.domain, points)
+    quantum = _BLOCK_QUANTUM
+    per_block = max(quantum,
+                    _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
+    if math.prod(shape) <= per_block:
+        return _collar_quadrature(chart, points, terms, support=support)
+    flat = points.reshape((-1,) + points.shape[len(shape):])
+    swept = np.flatnonzero(_swept(chart.hit_time(flat)))
+    n_blocks = max(1, -(-len(swept) // per_block))
+    size = max(quantum, -(-len(swept) // (n_blocks * quantum)) * quantum)
+    outs = [np.zeros(len(flat), dtype=complex) for _ in terms]
+    for first in range(0, len(swept), size):
+        block = swept[first:first + size]
+        for out, values in zip(outs, _collar_quadrature(chart, flat[block], terms,
+                                                        support=support)):
+            out[block] = values
+    return [out.reshape(shape) for out in outs]
+
+
 def _values(w, pos, shared):
     """w at the positions pos; a RadialHolo reads its factors through the panel's
     table shared."""
@@ -385,8 +430,9 @@ def _chain_terms(chains):
 
 def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     """depth-fold anti-differentiation of collar-supported functions, for each
-    (w, depth) in chains, all at the same points, in one sweep of each panel; a w
-    listed at several depths is evaluated once per panel.
+    (w, depth) in chains, all at the same points, in one sweep of each panel per
+    block of points (_blocked_quadrature); a w listed at several depths is
+    evaluated once per panel and block.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
@@ -397,15 +443,16 @@ def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     Returns one array of values at points per chain, zero outside the collar,
     each bit for bit the one its chain gets alone.  depth is 1, 2 or 3.
     """
-    return _collar_quadrature(chart, points, _chain_terms(chains), support=support)
+    return _blocked_quadrature(chart, points, _chain_terms(chains), support=support)
 
 
-def flow_moment_apply(chart: CollarChart, moments, points):
+def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0):
     """The Hardy majorants: for each (mu, g) in moments, the integral of
-    (hit time at the flow point)^mu * |g o flow|, for a g that vanishes off the
-    collar (hit time >= 1), where it is not evaluated.  All in one sweep of each
-    panel; returns one real array per pair, each bit for bit the one its pair
-    gets alone.
+    (hit time at the flow point)^mu * |g o flow|, for a g that vanishes where the
+    hit time is support or more, where it is not evaluated: 1 (off the collar)
+    by default, CUTOFF_END for a g that carries the cutoff as a factor.  All in
+    one sweep of each panel per block of points (_blocked_quadrature); returns
+    one real array per pair, each bit for bit the one its pair gets alone.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.  A RadialHolo g reads
@@ -416,4 +463,4 @@ def flow_moment_apply(chart: CollarChart, moments, points):
               lambda pos, tau, shared, mu=mu, g=g:
               tau**mu * np.abs(np.asarray(_values(g, pos, shared))), 1)
              for mu, g in moments]
-    return [out.real for out in _collar_quadrature(chart, points, terms, support=1.0)]
+    return [out.real for out in _blocked_quadrature(chart, points, terms, support=support)]

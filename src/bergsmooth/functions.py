@@ -256,8 +256,11 @@ class Holo1(SmoothFunction):
                 if float(q).is_integer():
                     return fac * w ** (-q)
                 arg = -q * np.arctan2(w.imag, w.real)
-                return (fac * np.exp(-0.5 * q * np.log(w.real**2 + w.imag**2))
-                        * (np.cos(arg) + 1j * np.sin(arg)))
+                mag = fac * np.exp(-0.5 * q * np.log(w.real**2 + w.imag**2))
+                out = np.empty(np.shape(w), dtype=complex)
+                np.multiply(mag, np.cos(arg), out=out.real)
+                np.multiply(mag, np.sin(arg), out=out.imag)
+                return out
             return ev
         return Holo1(deriv)
 

@@ -233,10 +233,12 @@ def check_hardy(cfg: ScenarioConfig):
     rng = np.random.default_rng(cfg.seed)
     chart = build_chart(make_domain("disk"), cfg.q_panels, cfg.m_steps)
     grid = collar_ratio_grid(chart, n_r=24, n_th=48)
-    # 20 seeded functions per weight exponent mu, every majorant from one sweep
+    # 20 seeded functions per weight exponent mu, every majorant from one sweep,
+    # which ends where the cutoff does
     moments = [(mu, _seeded_masked(chart, rng)) for mu in (0, 1) for _ in range(20)]
     sweep_max = {mu: np.zeros(9) for mu in (0, 1)}
-    for (mu, g), values in zip(moments, flow_moment_apply(chart, moments, grid[0])):
+    majorants = flow_moment_apply(chart, moments, grid[0], support=CUTOFF_END)
+    for (mu, g), values in zip(moments, majorants):
         # the weight-mu majorant is graded in the weight-mu kernel's class
         ratios = weighted_ratio_sweep(values, kernel_op(mu).tag, g, range(9), grid)
         sweep_max[mu] = np.maximum(sweep_max[mu], ratios)

@@ -21,7 +21,8 @@ from bergsmooth.flow import (
 )
 from bergsmooth.functions import Holo1, Poly2, smoothstep
 from bergsmooth.geometry import boundary_samples, polar_eval_grid
-from bergsmooth.scenarios import _transverse_of_cutoff_times
+from bergsmooth.operators import collar_ratio_grid
+from bergsmooth.scenarios import _seeded_masked, _transverse_of_cutoff_times
 
 
 @pytest.fixture(scope="module")
@@ -523,6 +524,54 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
         assert np.array_equal(together, alone)
         assert np.array_equal(together, unshared)
         assert np.any(together != 0)
+
+
+def test_blocked_sweeps_equal_the_sweeps_of_two_halves(disk_chart, rng):
+    # C4's 96 x 192 doubling grid, 18,432 points in five blocks, and C2's ratio
+    # grid, 1,152 points in one: each equals its two halves swept apart, bit for bit
+    chart = disk_chart
+    h = Holo1.inverse_power(0.9, 0.75)
+    zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
+    pts = polar_eval_grid(chart.domain, 96, 192, r_inner=0.4).nodes().ravel()
+    chains = [(cr, 1), (zh, 1), (cr, 2), (zh, 2)]
+    sweep = lambda p: antideriv_chains(chart, chains, p, support=CUTOFF_END)
+    grid = collar_ratio_grid(chart, n_r=24, n_th=48)[0]
+    moments = [(mu, _seeded_masked(chart, rng)) for mu in (0, 1) for _ in range(3)]
+    majorants = lambda p: flow_moment_apply(chart, moments, p, support=CUTOFF_END)
+    for run, points in ((sweep, pts), (majorants, grid)):
+        whole = run(points)
+        halves = [run(half) for half in np.array_split(points, 2)]
+        for values, *parts in zip(whole, *halves):
+            assert np.array_equal(values, np.concatenate(parts))
+            assert np.any(values != 0)
+
+
+@pytest.mark.parametrize("kind", ["disk", "ball"])
+def test_blocks_keep_the_layout_of_the_points(disk_chart, ball_chart, kind, rng,
+                                              monkeypatch):
+    # a budget of 32 points per block: a 3 x 40 array in the plane and 60 points in
+    # C^2, every fifth moved deep inside, where nothing is swept, come back in
+    # their own shape and order with the bits of one call
+    chart = {"disk": disk_chart, "ball": ball_chart}[kind]
+    pts = collar_points(chart, rng, n=120 if kind == "disk" else 60)
+    pts[::5] *= 0.1
+    if kind == "disk":
+        pts = pts.reshape(3, 40)
+        w = cutoff_masked(chart, Poly2.random(rng, degree=2))
+    else:
+        w = lambda p: chart.cutoff(p) * (1.0 + p[..., 0] * np.conj(p[..., 1]))
+    one_call = antideriv_chains(chart, [(w, 2)], pts)[0]
+    swept = []
+    quadrature = flow_module._collar_quadrature
+    monkeypatch.setattr(flow_module, "_collar_quadrature",
+                        lambda chart, p, *args, **kwargs: swept.append(len(p))
+                        or quadrature(chart, p, *args, **kwargs))
+    monkeypatch.setattr(flow_module, "_SWEEP_PAIRS", 32 * 4 * chart.q_panels)
+    blocked = antideriv_chains(chart, [(w, 2)], pts)[0]
+    assert swept == ([32, 32, 32] if kind == "disk" else [32, 16])
+    assert blocked.shape == one_call.shape == pts.shape[:3 - chart.domain.complex_dimension]
+    assert np.array_equal(blocked, one_call)
+    assert np.all((blocked != 0) == (chart.hit_time(pts) < CUTOFF_END))
 
 
 @pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])

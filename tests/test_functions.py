@@ -61,6 +61,27 @@ def test_inverse_power_matches_complex_power(rng):
             assert np.array_equal(h.partial((j, 0), z), _inverse_power_reference(a, 1.0, j, z))
 
 
+def test_inverse_power_polar_form_keeps_its_bits(rng):
+    # the modulus times cos and sin, written into the real and imaginary parts of
+    # one output, against the product with the complex exponential that it
+    # replaces; points across the disk, and where 1 - a z crosses the branch cut
+    # of arg (1 - a z on the negative real axis, imaginary part 0, -0 or tiny)
+    z = np.sqrt(rng.uniform(0.0, 1.0, 4000)) * np.exp(2j * np.pi * rng.uniform(size=4000))
+    x = np.linspace(1.1, 3.0, 20)
+    cut = [x + 1j * eps for eps in (0.0, -0.0, 1e-300, -1e-300, 1e-17, -1e-17, 1e-9, -1e-9)]
+    for a in (0.9, 0.999):
+        for pts in (z, np.concatenate(cut) / a, np.complex128(0.3 - 0.4j)):
+            for j in range(3):
+                q = 0.75 + j
+                fac = a**j * math.prod(0.75 + i for i in range(j))
+                w = 1.0 - a * np.asarray(pts)
+                arg = -q * np.arctan2(w.imag, w.real)
+                before = (fac * np.exp(-0.5 * q * np.log(w.real**2 + w.imag**2))
+                          * (np.cos(arg) + 1j * np.sin(arg)))
+                after = Holo1.inverse_power(a, 0.75).partial((j, 0), pts)
+                assert after.tobytes() == np.asarray(before).tobytes()
+
+
 # Poly2 and Holo1's polynomials against numpy's polynomial module and explicit
 # powers, references that share no code with the package's Horner evaluator
 

@@ -1,12 +1,14 @@
 """Regression guards on repeated work: each point set is swept once for every
-integrand computed on it, an operator expression sweeps each distinct kernel
-request once per apply_op call, each factor the integrands of a panel share is
-evaluated once per panel (the derivatives of an input once while its
-integrands follow one another), a hitting time steps each point once up to its
-crossing, projection evaluates no basis element, and a Sobolev norm takes each
-derivative order once for all the orders it reports.  One guard on memory: C4
-holds no more at its peak than before the panels shared their factors."""
+integrand computed on it (in blocks of bounded size, which together flow and
+evaluate exactly what one unblocked sweep does), an operator expression sweeps
+each distinct kernel request once per apply_op call, each factor the integrands
+of a panel share is evaluated once per panel (the derivatives of an input once
+while its integrands follow one another), a hitting time steps each point once
+up to its crossing, projection evaluates no basis element, and a Sobolev norm
+takes each derivative order once for all the orders it reports.  One guard on
+memory: C4's peak stays near the one its bounded sweep blocks hold."""
 
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -16,11 +18,12 @@ import pytest
 import bergsmooth.finitediff as fd_module
 import bergsmooth.flow as flow_module
 import bergsmooth.norms as norms_module
+import bergsmooth.scenarios as scenarios_module
 from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
-from bergsmooth.flow import CollarChart, antideriv_chains, build_chart
+from bergsmooth.flow import CUTOFF_END, CollarChart, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1, Poly2, _ThetaDerivative
-from bergsmooth.geometry import VectorField, polar_eval_grid
+from bergsmooth.geometry import VectorField, make_domain, polar_eval_grid
 from bergsmooth.norms import sobolev_norm
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op, op_sum
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
@@ -57,16 +60,100 @@ def test_hardy_sweeps_its_grid_once(sweeps):
     assert len(sweeps) == 1
 
 
+def test_hardy_majorants_end_at_the_cutoffs_end(monkeypatch):
+    # C2's inputs are cutoff * Poly2, exactly 0 from hit time 3/4 on: swept only
+    # that far, the majorants keep their bits while 912 of the 1,104 collar points
+    # are flowed and 49,200 of 82,080 node-point pairs evaluated, per input
+    real = flow_module.flow_moment_apply
+    inputs = []
+    monkeypatch.setattr(scenarios_module, "flow_moment_apply",
+                        lambda *args, **kwargs: inputs.append(args) or real(*args, **kwargs))
+    check_hardy(ScenarioConfig("hardy"))
+    (args,) = inputs
+    trajectories, values = flow_module.trajectories, flow_module._values
+
+    def swept(support):
+        # the majorants, the starts flowed and the pairs evaluated per input
+        starts, pairs = [], []
+        with monkeypatch.context() as m:
+            m.setattr(flow_module, "trajectories",
+                      lambda chart, p, *rest: starts.append(len(p)) or trajectories(chart, p,
+                                                                                    *rest))
+            m.setattr(flow_module, "_values",
+                      lambda w, pos, shared: pairs.append(len(pos)) or values(w, pos, shared))
+            return real(*args, support=support), starts, pairs
+    collar, starts, pairs = swept(1.0)
+    assert starts == [1_104] and pairs == [82_080] * 40
+    ended, starts, pairs = swept(CUTOFF_END)
+    assert starts == [912] and pairs == [49_200] * 40
+    assert all(np.array_equal(a, b) for a, b in zip(collar, ended))
+
+
+def test_no_sweep_holds_more_than_its_budget(monkeypatch):
+    # C2's grid takes one sweep, and the C4 point sets larger than the budget's
+    # 4,096 points (5,600, 4,608 and 18,432) are split into the fewest blocks of
+    # nearly equal size, a multiple of 16 swept points each but the last: 4,600,
+    # 4,224 and 16,896 points lie in the collar
+    quadrature = flow_module._collar_quadrature
+    swept = []
+
+    def recorded(chart, points, terms, **kwargs):
+        swept.append(np.size(points))
+        assert np.size(points) * 4 * chart.q_panels <= flow_module._SWEEP_PAIRS == 2**19
+        return quadrature(chart, points, terms, **kwargs)
+    monkeypatch.setattr(flow_module, "_collar_quadrature", recorded)
+    check_hardy(ScenarioConfig("hardy"))
+    check_decomposition(ScenarioConfig("decomposition"))
+    assert swept == [1152, 2304, 2296, 2048, 2112, 2112, 3392, 3392, 3392, 3392, 3328]
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_reproduction_residual_sweeps_once(sweeps, chart, k):
     reproduction_residual([Holo1.inverse_power(0.9, 1.0)], [k], chart)
     assert len(sweeps) == 1
 
 
-def test_decompose_sweeps_each_point_set_once(sweeps, chart):
-    # the evaluation points with their four rotated copies, then the norm grid
-    decompose([Holo1.inverse_power(0.9, 0.75)], [2], chart)
-    assert len(sweeps) == 2
+# a node-point budget that no point set reaches: every sweep in one call
+UNBOUNDED = sys.maxsize
+
+
+def _flowed(monkeypatch, run, budget):
+    """The trajectories calls run() makes with the sweep blocks' node-point budget
+    set to budget, and the start points they flow, sorted, keyed by the first
+    node of their panel."""
+    starts = {}
+    with monkeypatch.context() as m:
+        m.setattr(flow_module, "_SWEEP_PAIRS", budget)
+        trajectories = flow_module.trajectories
+
+        def recorded(chart, points, s_values, n_steps):
+            starts.setdefault(float(s_values[0]), []).append(np.ravel(points))
+            return trajectories(chart, points, s_values, n_steps)
+        m.setattr(flow_module, "trajectories", recorded)
+        run()
+    return (sum(map(len, starts.values())),
+            {s: np.sort(np.concatenate(parts)) for s, parts in starts.items()})
+
+
+def _same(a, b):
+    """Dicts of arrays with equal keys and equal arrays, bit for bit."""
+    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+
+
+def _decompose_one_pole():
+    decompose([Holo1.inverse_power(0.9, 0.75)], [2], build_chart(make_domain("disk")))
+
+
+def _check_decomposition():
+    check_decomposition(ScenarioConfig("decomposition"))
+
+
+def test_decompose_sweeps_each_point_set_once(monkeypatch):
+    # the evaluation points with their four rotated copies, then the norm grid:
+    # two sweeps in all, and the blocks of the first flow the same start points
+    calls, once = _flowed(monkeypatch, _decompose_one_pole, UNBOUNDED)
+    assert calls == 2
+    assert _same(_flowed(monkeypatch, _decompose_one_pole, flow_module._SWEEP_PAIRS)[1], once)
 
 
 def test_reproduction_check_sweeps_once_per_chart(sweeps):
@@ -75,11 +162,14 @@ def test_reproduction_check_sweeps_once_per_chart(sweeps):
     assert len(sweeps) <= 2
 
 
-def test_decomposition_check_sweeps_each_point_set_once(sweeps):
+def test_decomposition_check_sweeps_each_point_set_once(monkeypatch):
     # all inputs and both orders on the two point sets of decompose, then
-    # one sweep per grid of the doubling study
-    check_decomposition(ScenarioConfig("decomposition"))
-    assert len(sweeps) <= 4
+    # one sweep per grid of the doubling study; blocked, three of the four point
+    # sets take 9 calls, which flow exactly the start points of one sweep each
+    calls, once = _flowed(monkeypatch, _check_decomposition, UNBOUNDED)
+    assert calls <= 4
+    assert _same(_flowed(monkeypatch, _check_decomposition, flow_module._SWEEP_PAIRS)[1],
+                 once)
 
 
 def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
@@ -164,34 +254,81 @@ def test_reproduction_check_evaluates_each_derivative_once_per_panel(monkeypatch
     assert calls[Holo1] <= 25 and calls[_ThetaDerivative] <= 30
 
 
+def _pole_evaluations(monkeypatch, run, budget):
+    """The derivative orders of every inverse-power evaluation run() makes with the
+    sweep blocks' node-point budget set to budget, and the points at which each
+    input, keyed by its pole and power, is evaluated, sorted."""
+    orders, points = [], {}
+    make = Holo1.inverse_power
+
+    def recorded(a, p):
+        factory = make(a, p)._deriv
+
+        def deriv(j):
+            def ev(z):
+                orders.append(j)
+                points.setdefault((a, p), []).append(np.ravel(z))
+                return factory(j)(z)
+            return ev
+        return Holo1(deriv)
+    with monkeypatch.context() as m:
+        m.setattr(flow_module, "_SWEEP_PAIRS", budget)
+        m.setattr(Holo1, "inverse_power", staticmethod(recorded))
+        run()
+    return orders, {key: np.sort(np.concatenate(zs)) for key, zs in points.items()}
+
+
 def test_decomposition_check_evaluates_each_pole_once_per_point_set(monkeypatch):
     # C4's four inverse-power inputs are each evaluated once per point set swept
     # (the evaluation points with their rotated copies, the norm grid), once for
     # the target and twice for the weighted norms, and the doubling study's input
     # once per grid: 4 * 5 + 2 = 22 evaluator calls, every one of derivative
     # order 0 (30 with the points and the two stencils swept apart, 44 when
-    # cutoff * h and its transverse defect each evaluated h)
-    calls = []
-    make = Holo1.inverse_power
-
-    def counted(a, p):
-        factory = make(a, p)._deriv
-        return Holo1(lambda j: lambda z: calls.append(j) or factory(j)(z))
-    monkeypatch.setattr(Holo1, "inverse_power", staticmethod(counted))
-    check_decomposition(ScenarioConfig("decomposition"))
-    assert len(calls) <= 22 and set(calls) == {0}
+    # cutoff * h and its transverse defect each evaluated h).  Blocked, each
+    # input is evaluated at exactly the same points
+    orders, once = _pole_evaluations(monkeypatch, _check_decomposition, UNBOUNDED)
+    assert len(orders) <= 22 and set(orders) == {0}
+    blocked = _pole_evaluations(monkeypatch, _check_decomposition, flow_module._SWEEP_PAIRS)
+    assert set(blocked[0]) == {0} and _same(blocked[1], once)
 
 
-# tracemalloc peak of one default-config check_decomposition before the panels
-# shared their factors and reused one value buffer, with Python 3.11.7 and numpy
-# 2.4.6: 175.3e6 bytes on the first call in a process, 174.6e6 on later ones
-# (124.4e6 and 123.7e6 after)
-PARENT_C4_PEAK_BYTES = 175.3e6
+def _sweep_first_point_set_twice(monkeypatch):
+    # a mutation: the first point set a run sweeps is swept twice, the first
+    # values thrown away
+    blocked = flow_module._blocked_quadrature
+    seen = []
+
+    def twice(*args, **kwargs):
+        if not seen:
+            seen.append(blocked(*args, **kwargs))
+        return blocked(*args, **kwargs)
+    monkeypatch.setattr(flow_module, "_blocked_quadrature", twice)
+
+
+@pytest.mark.parametrize("measure, run", [(_flowed, _decompose_one_pole),
+                                          (_flowed, _check_decomposition),
+                                          (_pole_evaluations, _check_decomposition)],
+                         ids=["decompose-starts", "C4-starts", "C4-poles"])
+def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(monkeypatch, measure, run):
+    # the control of the three tests above: their pinned work is not that of a
+    # blocked run that sweeps one point set twice
+    _, once = measure(monkeypatch, run, UNBOUNDED)
+    _sweep_first_point_set_twice(monkeypatch)
+    _, twice = measure(monkeypatch, run, flow_module._SWEEP_PAIRS)
+    assert not _same(twice, once)
+
+
+# tracemalloc peak of one default-config check_decomposition with the sweeps of
+# pointwise integrands in blocks of at most 2**19 node-point pairs, with Python
+# 3.11.7 and numpy 2.4.6: 40.9e6 bytes (113.6e6 when the doubling study's 18,432
+# points were swept in one call, 175.3e6 before the panels shared their factors)
+PARENT_C4_PEAK_BYTES = 44e6
 
 
 def test_decomposition_check_holds_no_more_memory_than_before():
     # a guard against retained values (a table kept past its panel, a buffer per
-    # integrand), not against allocator layout: the benchmark's peak RSS is the gate
+    # integrand, a point set swept unblocked), not against allocator layout: the
+    # benchmark's peak RSS is the gate
     tracemalloc.start()
     try:
         check_decomposition(ScenarioConfig("decomposition"))

@@ -1,6 +1,7 @@
 """The test runner's own configuration, and the benchmark's contract with the
-package: a failing test reports as a failure, a traced run counts work in every
-layer it touches, and the benchmark's operations run and pass."""
+package: a failing test reports as a failure, and a traced run counts work in
+every layer it touches.  That the benchmark's operations run and pass is checked
+with the reach of the benchmark in test_surface.py."""
 
 import importlib
 import tomllib
@@ -101,15 +102,3 @@ def test_benchmark_tracer_hooks_name_live_code(load_bench):
         if not live:
             dead.add(key)
     assert dead == {"flow.flow", "flow.antideriv_chain"}
-
-
-def test_benchmark_operations_run_and_pass(tmp_path, load_bench):
-    # the benchmark reaches the package by name (power_expansion, apply_op,
-    # compose, field_op, kernel_op, hitting_time, ...): a name it needs that is
-    # gone fails its operations here
-    workloads = load_bench("workloads")
-    for workload, n_ops in ((workloads.Fanout(), 12), (workloads.Hitting(), 64)):
-        workload.setup(1, str(tmp_path))
-        ops = workload.run()
-        assert len(ops) == n_ops
-        assert [op.name for op in ops if not op.ok] == []
