@@ -284,6 +284,26 @@ def _swept(t):
     return np.isfinite(t) & (t < 1.0)
 
 
+def _entry_sums(weighted, live_values, need, buffer):
+    """Panel sums of values with a trailing axis of entries: entry b of point p is
+    the sum over nodes n of weighted[n, b] * value[n, p, b], the value zero at a
+    dead pair (need False).  live_values holds the live pairs, one row each.
+
+    The entries pass one at a time through buffer, a nodes x points zero array
+    of their dtype whose dead entries stay zero, each summed by an einsum over
+    the nodes in node order: bit for bit entry b of one "nb,npb->pb" einsum over
+    every entry at once, which holds all of them (README, "Sweeps in blocks").
+    The weights are read as the columns of weighted, strided like the entries
+    of that einsum, so a one-point panel is not summed by numpy's unrolled
+    contiguous loop, whose order differs."""
+    out = np.empty(need.shape[1:] + weighted.shape[1:],
+                   dtype=np.result_type(weighted, live_values))
+    for b in range(weighted.shape[1]):
+        buffer[need] = live_values[:, b]
+        out[:, b] = np.einsum("n,np->p", weighted[:, b], buffer)
+    return out
+
+
 def _collar_quadrature(chart, points, terms, *, support, orders=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
@@ -304,8 +324,8 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     the cutoff profiles are kept for the whole panel, the derivatives of an h
     while the integrands of h follow one another (C3 and C4 list their chains
     input by input).  The integrands of a panel also scatter their live values
-    into one zero buffer per dtype and trailing shape: all of them fill the same
-    live entries, so the dead ones stay zero.
+    into one nodes x points zero buffer per dtype (and, without orders, trailing
+    shape): all of them fill the same live entries, so the dead ones stay zero.
 
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
@@ -316,7 +336,9 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     order |beta|, and the node weight of entry b is further multiplied by
     R_s**orders[b]: on a linear flow the RK4 map is p -> R_s p, R_s real, so
     this is the chain rule for D^beta of the integral.  R_s is read off the
-    sweep itself, the derivative of the discrete map.
+    sweep itself, the derivative of the discrete map.  The entries pass through
+    the panel's buffer one at a time (_entry_sums), so no nodes x points x
+    entries array is held.
     """
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points)
@@ -334,6 +356,10 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
         tau = t[None, :] - s[:, None]
         need = tau < support
         cols = need.any(axis=0)
+        if not cols.any():
+            # near the collar's edge every node of the panel lies past the bound,
+            # and tau only grows from panel to panel: the sum is the zero it holds
+            break
         start = pts[cols]
         pos = trajectories(chart, start, s, chart.m_steps)
         if orders is not None:
@@ -352,23 +378,26 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
         shared = _Shared()
         buffers = {}
 
-        def evaluate(integrand):
-            live_values = integrand(live_pos, live_tau, shared)
-            kind = (live_values.dtype, live_values.shape[1:])
+        def buffer(kind):
             if kind not in buffers:
                 buffers[kind] = np.zeros(need.shape + kind[1], dtype=kind[0])
-            values = buffers[kind]
-            values[need] = live_values
-            return values
+            return buffers[kind]
         for integrand, members in reach.items():
-            values = evaluate(integrand)
+            live_values = integrand(live_pos, live_tau, shared)
+            if orders is None:
+                values = buffer((live_values.dtype, live_values.shape[1:]))
+                values[need] = live_values
+            else:
+                values = buffer((live_values.dtype, ()))
             for i in members:
                 node_weights = weights * terms[i][0](s)
                 if orders is None:
                     totals[i] = totals[i] + np.tensordot(node_weights, values, axes=(0, 0))
                 else:
-                    totals[i] = totals[i] + np.einsum("nb,npb->pb",
-                                                      node_weights[:, None] * powers, values)
+                    totals[i] = totals[i] + _entry_sums(node_weights[:, None] * powers,
+                                                        live_values, need, values)
+            # the next integrand's values replace these rather than join them
+            del live_values
     for out, total in zip(outs, totals):
         out[live] = total
     return outs

@@ -261,7 +261,9 @@ class _Jets:
     reads its prefix: bit for bit, except a kernel's order 0, summed by
     tensordot where higher orders use einsum, so it agrees to rounding.  The
     leaf jets of g are the requests with no factors left, extended by the
-    partials a higher order adds.  Nothing outlives the call."""
+    partials a higher order adds.  Every jet is one array filled in place,
+    partial by partial (leaves), term by term (sums) or entry by entry (fields
+    and kernels), with no stacked copies.  Nothing outlives the call."""
 
     def __init__(self, chart: CollarChart, g):
         self.chart = chart
@@ -279,7 +281,7 @@ class _Jets:
 
     def compute(self, factors, points, order, path, have):
         if not factors:
-            return self.leaf(points, order, have)
+            return self.leaf(self.g, points, order, have)
         f, rest = factors[0], factors[1:]
         if isinstance(f, Compose):
             return self.jet(f.factors + rest, points, order, path)
@@ -287,7 +289,7 @@ class _Jets:
             out = np.zeros(_value_shape(self.chart.domain, points)
                            + (len(_multi_indices(order)),), dtype=complex)
             for c, term in f.terms:
-                out = out + c * self.jet((term,) + rest, points, order, path)
+                out += c * self.jet((term,) + rest, points, order, path)
             return out
         if isinstance(f, Antideriv):
             return self.kernel(factors, points, order, path)
@@ -296,8 +298,7 @@ class _Jets:
                 raise NotImplementedError("field application on the ball is analytic-only")
             top = order + f.power - 1
             jet = self.jet(rest, points, top + 1, path)
-            coeffs = [np.stack([_partial(c, beta, points) for beta in _multi_indices(top)],
-                               axis=-1) for c in (f.fld.z_coeffs, f.fld.zbar)]
+            coeffs = [self.leaf(c, points, top) for c in (f.fld.z_coeffs, f.fld.zbar)]
             for n in range(top, order - 1, -1):
                 jet = _field_jet(*coeffs, jet, n)
             return jet
@@ -327,12 +328,21 @@ class _Jets:
                                  support=1.0, orders=orders)[0]
         return out if order else out[..., None]
 
-    def leaf(self, points, order, have):
+    def leaf(self, f, points, order, have=None):
+        """The jet of a leaf, g or a field coefficient, at points: one complex
+        array filled partial by partial, with have, a jet of f of lower order at
+        the same points, copied in as its prefix.  A real partial is cast to
+        complex here rather than in the first product with a complex jet."""
         betas = _multi_indices(order)
-        if have is None:
-            have = np.zeros(_value_shape(self.chart.domain, points) + (0,), dtype=complex)
-        more = [_partial(self.g, beta, points) for beta in betas[have.shape[-1]:]]
-        return np.concatenate([have, np.stack(more, axis=-1)], axis=-1)
+        jet = np.empty(_value_shape(self.chart.domain, points) + (len(betas),),
+                       dtype=complex)
+        done = 0
+        if have is not None:
+            done = have.shape[-1]
+            jet[..., :done] = have
+        for i in range(done, len(betas)):
+            jet[..., i] = _partial(f, betas[i], points)
+        return jet
 
 
 def _field_jet(a, b, jet, n):

@@ -574,6 +574,30 @@ def test_blocks_keep_the_layout_of_the_points(disk_chart, ball_chart, kind, rng,
     assert np.all((blocked != 0) == (chart.hit_time(pts) < CUTOFF_END))
 
 
+@pytest.mark.parametrize("columns", [1, 7, 17, 1035])
+@pytest.mark.parametrize("dtype", [complex, float])
+def test_entry_sums_equal_the_slices_of_one_einsum(dtype, columns):
+    # the jets path sums a panel's derivative entries one at a time through one
+    # nodes x points buffer: bit for bit the slices of the single einsum over the
+    # nodes x points x entries panel it replaced, dead pairs included (zero in
+    # the panel, never written in the buffer), up to fanout's 1,035 points
+    rng = np.random.default_rng(columns)
+    nodes, orders = 4 * 32, [0, 1, 1, 2, 2, 2]
+    need = rng.random((nodes, columns)) < 0.7
+    need[rng.integers(nodes), :] = False
+    values = rng.normal(size=(nodes, columns, len(orders)))
+    if dtype is complex:
+        values = values + 1j * rng.normal(size=values.shape)
+    values[~need] = 0.0
+    # node weights against a signed kernel, times R_s**|beta|
+    weighted = (rng.normal(size=nodes)[:, None]
+                * rng.uniform(0.5, 1.0, size=nodes)[:, None] ** np.asarray(orders))
+    dense = np.einsum("nb,npb->pb", weighted, values)
+    buffer = np.zeros((nodes, columns), dtype=dtype)
+    sums = flow_module._entry_sums(weighted, values[need], need, buffer)
+    assert sums.dtype == dense.dtype and np.array_equal(sums, dense)
+
+
 @pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])
 @pytest.mark.parametrize("kind", ["disk", "annulus"])
 def test_cutoff_end_bound_is_exact(disk, annulus, kind, resolution, rng):

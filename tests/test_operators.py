@@ -61,6 +61,21 @@ def test_kernel_chain_just_outside_the_disk_matches_antiderivative(chart, rng, d
     np.testing.assert_allclose(via_expr, direct, atol=1e-13)
 
 
+@pytest.mark.parametrize("t", [0.999, 0.9999])
+def test_derivative_of_a_kernel_at_the_collars_edge_is_zero(chart, t):
+    # the point is swept (hit time below 1), but every Gauss node of its first
+    # panel has tau >= 1: the panel has no live pair and is skipped, where reading
+    # R_s off its empty set of start points raised numpy's ValueError.  g does not
+    # vanish there, so the zero is the quadrature's
+    x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                    name="dx")
+    g = lambda p: 1.0 + p * p
+    pts = np.array([np.exp(-chart.rate * t + 0.3j)])
+    for expr in (kernel_op(), compose(field_op(x), kernel_op())):
+        assert np.array_equal(apply_op(expr, g, pts, chart), [0.0])
+    assert np.array_equal(antideriv_chains(chart, [(g, 1)], pts)[0], [0.0])
+
+
 def test_kernel_weight_equivalence(chart, collar_pts, rng):
     # the depth-2 B-spline is -s on [-1, 0], and a cutoff-masked g vanishes on the
     # trajectory past s = -1, so the s-weighted kernel is minus the double antiderivative

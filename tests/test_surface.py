@@ -37,6 +37,7 @@ UNREACHED = {
     "decompose.power_expansion": "benchmark",
     "errors.ConditioningError.__init__": "raises",
     "flow.CollarChart.exact_trajectories": "oracle",
+    "flow._entry_sums": "benchmark",
     "flow.hitting_time": "benchmark",
     "geometry.Domain.contains": "oracle",
     "geometry.Domain.volume": "oracle",

@@ -5,8 +5,9 @@ each distinct kernel request once per apply_op call, each factor the integrands
 of a panel share is evaluated once per panel (the derivatives of an input once
 while its integrands follow one another), a hitting time steps each point once
 up to its crossing, projection evaluates no basis element, and a Sobolev norm
-takes each derivative order once for all the orders it reports.  One guard on
-memory: C4's peak stays near the one its bounded sweep blocks hold."""
+takes each derivative order once for all the orders it reports.  Two guards on
+memory: C4's peak stays near the one its bounded sweep blocks hold, and the
+power-expansion identity's near the one its per-entry kernel sums hold."""
 
 import sys
 import tracemalloc
@@ -318,24 +319,39 @@ def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(monkeypatch, m
     assert not _same(twice, once)
 
 
-# tracemalloc peak of one default-config check_decomposition with the sweeps of
-# pointwise integrands in blocks of at most 2**19 node-point pairs, with Python
-# 3.11.7 and numpy 2.4.6: 40.9e6 bytes (113.6e6 when the doubling study's 18,432
-# points were swept in one call, 175.3e6 before the panels shared their factors)
+# tracemalloc peaks, with Python 3.11.7 and numpy 2.4.6, of one default-config
+# check_decomposition with the sweeps of pointwise integrands in blocks of at most
+# 2**19 node-point pairs: 40.9e6 bytes (113.6e6 when the doubling study's 18,432
+# points were swept in one call, 175.3e6 before the panels shared their factors);
+# and of the order-2 power-expansion identity at its twelve points, with each
+# kernel panel's derivative entries summed one at a time through one nodes x
+# points buffer and every jet filled in place: 15.6e6 bytes (22.9e6 with one
+# 128 x 1,035 x 6 buffer of every entry, and stacked copies of the leaf jets)
 PARENT_C4_PEAK_BYTES = 44e6
+IDENTITY_PEAK_BYTES = 17e6
 
 
-def test_decomposition_check_holds_no_more_memory_than_before():
-    # a guard against retained values (a table kept past its panel, a buffer per
-    # integrand, a point set swept unblocked), not against allocator layout: the
-    # benchmark's peak RSS is the gate
+def _traced_peak(run):
+    """The tracemalloc peak of run(), in bytes."""
     tracemalloc.start()
     try:
-        check_decomposition(ScenarioConfig("decomposition"))
-        _, peak = tracemalloc.get_traced_memory()
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= PARENT_C4_PEAK_BYTES
+
+
+# guards against retained values (a table kept past its panel, a buffer per
+# integrand or per derivative entry, a point set swept unblocked), not against
+# allocator layout: the benchmark's peak RSS is the gate
+def test_decomposition_check_holds_no_more_memory_than_before():
+    assert _traced_peak(_check_decomposition) <= PARENT_C4_PEAK_BYTES
+
+
+def test_order_two_identity_holds_no_node_point_entry_array(chart, rng):
+    w = Poly2.random(rng, degree=2)
+    peak = _traced_peak(lambda: _order_two_identity(chart, lambda p: chart.cutoff(p) * w(p)))
+    assert peak <= IDENTITY_PEAK_BYTES
 
 
 def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart):
