@@ -155,12 +155,16 @@ def _variables(domain: Domain, points):
 
 def _power_sums(v, xs, exps):
     """sum(v * prod_i xs[i]**e_i) for each nonnegative exponent tuple e, by
-    running products per coordinate: one multiply and one reduction per tuple."""
+    running products per coordinate: one multiply and one reduction per tuple.
+    The tuples are grouped by their leading power once, in their given order."""
+    by_power = {}
+    for e in exps:
+        by_power.setdefault(e[0], []).append(e[1:])
     out = {}
-    for p in range(max(e[0] for e in exps) + 1):
+    for p in range(max(by_power) + 1):
         if p:
             v = v * xs[0]
-        rest = [e[1:] for e in exps if e[0] == p]
+        rest = by_power.get(p)
         if rest and len(xs) == 1:
             out[(p,)] = v.sum()
         elif rest:

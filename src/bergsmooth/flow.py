@@ -5,7 +5,11 @@ The transverse field on every model domain is radial, so the chart carries
 closed-form hitting times and flow radii.  The numerical paths share one
 fixed-step RK4 step: `trajectories` sweeps it through a sorted list of times,
 and `hitting_time` marches it to the boundary and bisects the crossing step,
-with the closed forms serving as cross-checks.
+with the closed forms serving as cross-checks.  On the disk and the ball the
+field is rate * z, linear, so the RK4 map of a sweep multiplies every point by
+one real number per time: the quadrature sweeps there step that number alone
+and scale the start points by it.  The annulus, and operators.apply_op by its
+per_point opt-out, march every point.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
 (`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
@@ -17,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -229,20 +234,44 @@ def trajectories(chart: CollarChart, points, s_values, n_steps: int):
     one, so n_steps is a floor on the rate: the 128 Gauss nodes of 32 panels per
     unit time get 128 steps per unit time for every n_steps up to 94.  The
     chart's quadrature passes its own m_steps."""
-    points = np.asarray(points, dtype=complex)
+    return _march(chart.field, np.asarray(points, dtype=complex), s_values, n_steps)
+
+
+def _march(field, state, s_values, n_steps):
+    """The positions of state along the flow of field at each time, by the step
+    rule of trajectories, in an array of state's shape and dtype per time."""
     s = np.asarray(s_values, dtype=float)
     order = np.argsort(-s)
     spans = np.diff(s[order], prepend=0.0)
-    out = np.empty((len(s),) + points.shape, dtype=complex)
-    state = points
+    out = np.empty((len(s),) + np.shape(state), dtype=np.result_type(state))
     for idx, span in zip(order.tolist(), spans.tolist()):
         if span != 0.0:
             n = max(1, math.ceil(abs(span) * n_steps))
             h = span / n
             for _ in range(n):
-                state = _rk4_step(chart.field, state, h)
+                state = _rk4_step(field, state, h)
         out[idx] = state
     return out
+
+
+def _rk4_multipliers(chart: CollarChart, s_values):
+    """R_s at each time s of a linear chart (disk, ball2), where the sweep's RK4
+    map is p -> R_s p, R_s real: the chart's steps taken from the real scalar 1
+    on the field's velocity rate * x.  Bit for bit the real part of the sweep of
+    the point 1 ((1, 0) on the ball), at one scalar step per node gap."""
+    rate = chart.rate
+    linear = SimpleNamespace(velocity=lambda x: rate * x)
+    return _march(linear, 1.0, s_values, chart.m_steps)
+
+
+def _panel_positions(chart: CollarChart, start, s, per_point):
+    """RK4 positions of the start points at a panel's times s, nodes x points:
+    R_s * start on a linear chart, and each point marched by trajectories on the
+    annulus, whose flow is not linear, or wherever per_point is set.  The one
+    place a quadrature sweep flows its points."""
+    if per_point or chart.domain.kind not in ("disk", "ball2"):
+        return trajectories(chart, start, s, chart.m_steps)
+    return _rk4_multipliers(chart, s).reshape((-1,) + (1,) * start.ndim) * start
 
 
 def _panel_nodes(a: float, b: float, n_panels: int):
@@ -304,7 +333,7 @@ def _entry_sums(weighted, live_values, need, buffer):
     return out
 
 
-def _collar_quadrature(chart, points, terms, *, support, orders=None):
+def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
     integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
@@ -318,6 +347,11 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
     several terms (the same object) is evaluated once per panel.  Each term sums
     its own panels in its own order, so a term's values are bit for bit the ones
     it gets alone.
+
+    A panel's positions come from _panel_positions: on the disk and the ball,
+    the start points scaled by one RK4 multiplier R_s per node, within 12.4 ulp
+    (relative) of marching each point; per_point marches each point by
+    trajectories there too, as on the annulus.
 
     Each panel makes one table and drops it when it ends: a factor that several
     of its integrands read is computed once, at the panel's positions.  |z| and
@@ -361,7 +395,7 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None):
             # and tau only grows from panel to panel: the sum is the zero it holds
             break
         start = pts[cols]
-        pos = trajectories(chart, start, s, chart.m_steps)
+        pos = _panel_positions(chart, start, s, per_point)
         if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))

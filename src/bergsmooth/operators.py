@@ -325,7 +325,7 @@ class _Jets:
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
         out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)],
-                                 support=1.0, orders=orders)[0]
+                                 support=1.0, orders=orders, per_point=True)[0]
         return out if order else out[..., None]
 
     def leaf(self, f, points, order, have=None):

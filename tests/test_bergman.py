@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from bergsmooth.bergman import (
+    _power_sums,
+    _powers,
+    _variables,
     build_basis,
     gram_matrix,
     kernel_eval,
@@ -9,6 +12,7 @@ from bergsmooth.bergman import (
     synthesize,
 )
 from bergsmooth.errors import ContractError, ParameterError
+from bergsmooth.geometry import quadrature_grid
 
 
 @pytest.fixture(scope="module")
@@ -200,3 +204,33 @@ def test_project_and_synthesize_match_element_formulas(case, request, rng):
     for deriv in derivs:
         old = _synthesize_by_elements(cv, grid.nodes, deriv)
         assert _rel_err(synthesize(cv, grid.nodes, deriv), old) < 1e-12, deriv
+
+
+def _power_sums_rescanning(v, xs, exps):
+    """The moments by running products with the exponent tuples scanned again for
+    every leading power: the reference for the grouped _power_sums."""
+    out = {}
+    for p in range(max(e[0] for e in exps) + 1):
+        if p:
+            v = v * xs[0]
+        rest = [e[1:] for e in exps if e[0] == p]
+        if rest and len(xs) == 1:
+            out[(p,)] = v.sum()
+        elif rest:
+            out.update({(p,) + r: m for r, m in _power_sums_rescanning(v, xs[1:], rest).items()})
+    return out
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
+def test_power_sums_group_by_leading_power_bit_for_bit(kind, request, rng):
+    domain = request.getfixturevalue({"ball": "ball2"}.get(kind, kind))
+    basis = request.getfixturevalue(f"{kind}_basis")
+    grid = quadrature_grid(domain, 12, 24) if kind == "ball" else quadrature_grid(domain, 16, 32)
+    v = grid.weights * (rng.normal(size=grid.weights.shape)
+                        + 1j * rng.normal(size=grid.weights.shape))
+    xs, exponents = _variables(domain, grid.nodes)
+    exps = [exponents(e) for e in _powers(basis)[0]]
+    conj = [np.conj(x) for x in xs]
+    grouped, rescanned = _power_sums(v, conj, exps), _power_sums_rescanning(v, conj, exps)
+    assert list(grouped) == list(rescanned)
+    assert all(grouped[e] == rescanned[e] for e in exps)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import bergsmooth.flow as flow_module
 from bergsmooth import functions
-from bergsmooth.decompose import cr_reduction, cutoff_times
+from bergsmooth.decompose import _default_eval_points, cr_reduction, cutoff_times
 from bergsmooth.errors import NotInCollarError, ParameterError
 from bergsmooth.flow import (
     CUTOFF_END,
@@ -20,7 +20,7 @@ from bergsmooth.flow import (
     trajectories,
 )
 from bergsmooth.functions import Holo1, Poly2, smoothstep
-from bergsmooth.geometry import boundary_samples, polar_eval_grid
+from bergsmooth.geometry import boundary_samples, make_domain, polar_eval_grid
 from bergsmooth.operators import collar_ratio_grid
 from bergsmooth.scenarios import _seeded_masked, _transverse_of_cutoff_times
 
@@ -188,6 +188,32 @@ def test_exact_trajectories_match_rk4(disk_chart, annulus_chart):
         rk = trajectories(chart, pts, s, n_steps=64)
         exact = chart.exact_trajectories(pts, s)
         assert np.max(np.abs(rk - exact)) < 1e-9
+
+
+@pytest.mark.parametrize("q_panels, m_steps", [(32, 64), (32, 7), (2, 1)])
+@pytest.mark.parametrize("kind", ["disk", "ball2"])
+def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps):
+    # the field rate * z is linear, so the sweep's steps taken from the real
+    # scalar 1 are the real part of the sweep of the point 1 ((1, 0) on the ball)
+    chart = build_chart(make_domain(kind), q_panels, m_steps)
+    one = np.array([1.0]) if kind == "disk" else np.array([[1.0, 0.0]])
+    for j in range(3):
+        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), q_panels)
+        swept = trajectories(chart, one, s, m_steps).reshape(len(s), -1)[:, 0]
+        assert np.array_equal(flow_module._rk4_multipliers(chart, s), swept.real)
+        assert not np.any(swept.imag)
+
+
+def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart):
+    # R_s * p against p marched by RK4 on its own: 12.4 ulp at most, relative,
+    # on decompose's evaluation points over three panels
+    pts = _default_eval_points(disk_chart)
+    for j in range(3):
+        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), disk_chart.q_panels)
+        scaled = flow_module._panel_positions(disk_chart, pts, s, False)
+        marched = trajectories(disk_chart, pts, s, disk_chart.m_steps)
+        assert np.array_equal(flow_module._panel_positions(disk_chart, pts, s, True), marched)
+        assert np.max(np.abs(scaled - marched) / np.abs(marched)) <= 32 * np.finfo(float).eps
 
 
 def test_hitting_time_boundary(disk_chart):
@@ -434,9 +460,9 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
     alone = [antideriv_chains(chart, [(f, d)], pts, support=support)[0]
              for f, d in ((g, 1), (other, 2), (g, 3), (zero, 2))]
     evaluated, sweeps = [], []
-    trajectories_ = flow_module.trajectories
-    monkeypatch.setattr(flow_module, "trajectories",
-                        lambda *args: sweeps.append(1) or trajectories_(*args))
+    positions = flow_module._panel_positions
+    monkeypatch.setattr(flow_module, "_panel_positions",
+                        lambda *args: sweeps.append(1) or positions(*args))
 
     def counted(p):
         evaluated.append(1)
@@ -505,9 +531,9 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
             held.append(bases(self))
             return value
     monkeypatch.setattr(flow_module, "_Shared", Recorded)
-    trajectories_ = flow_module.trajectories
-    monkeypatch.setattr(flow_module, "trajectories",
-                        lambda *args: sweeps.append(1) or trajectories_(*args))
+    positions = flow_module._panel_positions
+    monkeypatch.setattr(flow_module, "_panel_positions",
+                        lambda *args: sweeps.append(1) or positions(*args))
     batch = antideriv_chains(chart, chains, pts, support=support)
     # at support 1 the points outside the domain reach the second panel, where
     # only the chains of depth 2 and 3 are live

@@ -4,15 +4,19 @@ or by config, never by a changed threshold.  README lists the checks that have
 a control and those that have none."""
 
 import dataclasses
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import bergsmooth.bergman as bergman_module
+import bergsmooth.decompose as decompose_module
 import bergsmooth.flow as flow_module
 import bergsmooth.scenarios as scenarios_module
 from bergsmooth.bergman import CoefficientVector
 from bergsmooth.flow import CollarChart
+from bergsmooth.functions import Holo1
 from bergsmooth.operators import Antideriv
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
                                   check_decomposition, check_duality, check_ftc,
@@ -56,6 +60,59 @@ def test_decomposition_residuals_fail_with_a_shifted_cutoff_rate(monkeypatch):
     verdicts = _verdicts(checks)
     for k in (1, 2):
         assert not verdicts[f"decomposition residual at order {k}"]
+
+
+def _multipliers_one_step_short(chart, s_values):
+    """The linear charts' RK4 multipliers by the sweep's step rule, with each gap
+    one step short of its ceil(gap * m_steps): at the default chart every gap
+    takes one step, so the positions never leave their start points."""
+    rate = chart.rate
+    linear = SimpleNamespace(velocity=lambda x: rate * x)
+    s = np.asarray(s_values, dtype=float)
+    order = np.argsort(-s)
+    out, r = np.empty(len(s)), 1.0
+    for idx, span in zip(order.tolist(), np.diff(s[order], prepend=0.0).tolist()):
+        if span != 0.0:
+            n = max(1, math.ceil(abs(span) * chart.m_steps))
+            for _ in range(n - 1):
+                r = flow_module._rk4_step(linear, r, span / n)
+        out[idx] = r
+    return out
+
+
+def test_residuals_fail_with_multipliers_one_step_short(monkeypatch):
+    # the disk's sweeps scale their points by the multipliers: short of a step per
+    # gap, the flow integrals lose their flow, and C3's residuals read 42, 280 and
+    # 1.6e3, C4's 42 and 280
+    monkeypatch.setattr(flow_module, "_rk4_multipliers", _multipliers_one_step_short)
+    verdicts = _verdicts(check_reproduction(ScenarioConfig("decomposition"))[0])
+    for k in (1, 2, 3):
+        assert not verdicts[f"reproduction residual at order {k}"]
+    verdicts = _verdicts(check_decomposition(ScenarioConfig("decomposition"))[0])
+    for k in (1, 2):
+        assert not verdicts[f"decomposition residual at order {k}"]
+
+
+def test_decomposition_envelope_fails_against_a_norm_of_positive_order(monkeypatch):
+    # each component graded against ||h^(k)||, k derivatives of h, in place of the
+    # order -k stand-in ||d^k h||: the poles near the boundary make the ratios
+    # spread by 1.0e4 across the family, against an envelope of 10
+    norm = decompose_module.weighted_negative_norm
+    monkeypatch.setattr(decompose_module, "weighted_negative_norm",
+                        lambda h, k, domain, grid=None:
+                        norm(Holo1(lambda j: h._deriv(j + k)), 0, domain, grid))
+    checks, _ = check_decomposition(ScenarioConfig("decomposition"))
+    assert not _verdicts(checks)["component-to-weighted-norm ratio envelope over the "
+                                 "singular family"]
+
+
+def test_decomposition_doubling_fails_with_a_sweep_cut_short(monkeypatch):
+    # the sweeps treat the collar as ending at hit time 1/2: the points from there
+    # to the cutoff's end read 0, each component jumps at the cut, and its Sobolev
+    # norms grow by 2.58 under grid doubling, against 1.5
+    monkeypatch.setattr(flow_module, "_swept", lambda t: np.isfinite(t) & (t < 0.5))
+    checks, _ = check_decomposition(ScenarioConfig("decomposition"))
+    assert not _verdicts(checks)["component Sobolev norms under grid doubling"]
 
 
 def test_conj_annulus_fails_on_a_coarse_grid():

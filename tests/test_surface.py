@@ -136,8 +136,10 @@ def _callers(name):
 
 
 def test_only_the_collar_quadrature_sweeps_trajectories():
-    # one sweep loop: every trajectory sweep in the package goes through it
-    assert _callers("trajectories") == {"flow._collar_quadrature"}
+    # one sweep loop: every trajectory sweep in the package goes through it, by the
+    # one seam that yields a panel's positions
+    assert _callers("trajectories") == {"flow._panel_positions"}
+    assert _callers("_panel_positions") == {"flow._collar_quadrature"}
 
 
 def test_one_implementation_per_family_form():
@@ -156,7 +158,10 @@ def test_one_implementation_per_family_form():
 
 
 def test_one_rk4_step_for_sweeps_and_hitting_times():
-    assert _callers("_rk4_step") == {"flow.trajectories", "flow.hitting_time"}
+    # the sweeps of points and of the linear charts' scalar multipliers share one
+    # step rule
+    assert _callers("_rk4_step") == {"flow._march", "flow.hitting_time"}
+    assert _callers("_march") == {"flow.trajectories", "flow._rk4_multipliers"}
 
 
 def test_one_partial_dispatch():

@@ -35,13 +35,16 @@ from test_decompose import _order_two_identity
 
 @pytest.fixture()
 def sweeps(monkeypatch):
+    # the panels swept, by the seam that yields a panel's positions: a multiplier
+    # per node on the disk and the ball, trajectories per point on the annulus and
+    # in apply_op
     calls = []
-    trajectories = flow_module.trajectories
+    positions = flow_module._panel_positions
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return trajectories(*args, **kwargs)
-    monkeypatch.setattr(flow_module, "trajectories", counted)
+        return positions(*args, **kwargs)
+    monkeypatch.setattr(flow_module, "_panel_positions", counted)
     return calls
 
 
@@ -71,15 +74,15 @@ def test_hardy_majorants_end_at_the_cutoffs_end(monkeypatch):
                         lambda *args, **kwargs: inputs.append(args) or real(*args, **kwargs))
     check_hardy(ScenarioConfig("hardy"))
     (args,) = inputs
-    trajectories, values = flow_module.trajectories, flow_module._values
+    positions, values = flow_module._panel_positions, flow_module._values
 
     def swept(support):
         # the majorants, the starts flowed and the pairs evaluated per input
         starts, pairs = [], []
         with monkeypatch.context() as m:
-            m.setattr(flow_module, "trajectories",
-                      lambda chart, p, *rest: starts.append(len(p)) or trajectories(chart, p,
-                                                                                    *rest))
+            m.setattr(flow_module, "_panel_positions",
+                      lambda chart, p, *rest: starts.append(len(p)) or positions(chart, p,
+                                                                                 *rest))
             m.setattr(flow_module, "_values",
                       lambda w, pos, shared: pairs.append(len(pos)) or values(w, pos, shared))
             return real(*args, support=support), starts, pairs
@@ -119,18 +122,18 @@ UNBOUNDED = sys.maxsize
 
 
 def _flowed(monkeypatch, run, budget):
-    """The trajectories calls run() makes with the sweep blocks' node-point budget
-    set to budget, and the start points they flow, sorted, keyed by the first
-    node of their panel."""
+    """The panels run() sweeps with the sweep blocks' node-point budget set to
+    budget, and the start points they flow, sorted, keyed by the first node of
+    their panel."""
     starts = {}
     with monkeypatch.context() as m:
         m.setattr(flow_module, "_SWEEP_PAIRS", budget)
-        trajectories = flow_module.trajectories
+        positions = flow_module._panel_positions
 
-        def recorded(chart, points, s_values, n_steps):
+        def recorded(chart, points, s_values, per_point):
             starts.setdefault(float(s_values[0]), []).append(np.ravel(points))
-            return trajectories(chart, points, s_values, n_steps)
-        m.setattr(flow_module, "trajectories", recorded)
+            return positions(chart, points, s_values, per_point)
+        m.setattr(flow_module, "_panel_positions", recorded)
         run()
     return (sum(map(len, starts.values())),
             {s: np.sort(np.concatenate(parts)) for s, parts in starts.items()})

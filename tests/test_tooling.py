@@ -54,8 +54,13 @@ def test_benchmark_tracer_counts_each_layer(load_bench):
         w = functions.Poly2([[1.0, 0.5], [0.25j, 0.0]])
         g = lambda p: chart.cutoff(p) * w(p)
         pts = np.exp(-chart.rate * np.array([0.1, 0.5]) + 1j * np.array([0.3, 2.0]))
-        flow.antideriv_chains(chart, [(g, 2)], pts)
+        # the annulus marches each point through trajectories (the disk and the
+        # ball scale theirs by one multiplier per node, which no counter sees);
         # the collar points' second panel lies past the collar: one sweep of each
+        ring = flow.build_chart(geometry.make_domain("annulus", rho=0.5), 4, 8)
+        ring_pts = (ring.flow_radius(-np.array([0.1, 0.5]), 1.0)
+                    * np.exp(1j * np.array([0.3, 2.0])))
+        flow.antideriv_chains(ring, [(lambda p: ring.cutoff(p) * w(p), 2)], ring_pts)
         starts = tracer.count["flow.trajectory_starts"]
         flow.hitting_time(chart, pts)
         operators.apply_op(operators.kernel_op(1), g, pts, chart)
