@@ -209,12 +209,14 @@ def rotation_fd(fn, points, orders):
     on a new leading axis.  Order 0 is the centre copy, order 1 the central
     5-point stencil and order 2 the compact 4th-order stencil, whose truncation
     error is a sixth of the order-1 stencil applied twice; each stencil sums its
-    nonzero weights in offset order.  A pointwise fn gives each copy bit for bit
-    the values of evaluating it on its own; a fn that sweeps the collar sums its
-    panels with a matrix product, which may round a point's sum differently by
-    its column in the batch.  fn may return trailing axes past the points'
-    shape, several functions stacked say: the sums run over the leading stencil
-    axis only, so each trailing entry is bit for bit its own call.
+    nonzero weights in offset order.  A pointwise fn gives each copy the values
+    of evaluating it on its own to rounding, not bit for bit: numpy's
+    elementwise complex arithmetic may round a point differently by the size of
+    its batch, and a fn that sweeps the collar also sums its panels with a
+    matrix product, which may round a point's sum differently by its column in
+    the batch.  fn may return trailing axes past the points' shape, several
+    functions stacked say: the sums run over the leading stencil axis only, so
+    each trailing entry is bit for bit its own call.
     """
     orders = tuple(orders)
     if any(order not in (0, 1, 2) for order in orders):

@@ -19,6 +19,7 @@ that the integrands of a quadrature panel read from its shared table.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -43,7 +44,7 @@ DEFAULT_Q_PANELS = 32
 _GAUSS_PER_PANEL = 4
 # The most node-point pairs one sweep of pointwise integrands holds at once: a
 # larger point set is swept in blocks (see _blocked_quadrature)
-_SWEEP_PAIRS = 2**19
+_SWEEP_PAIRS = 2**16
 # A block holds a multiple of this many swept points, all but the last
 _BLOCK_QUANTUM = 16
 
@@ -264,14 +265,33 @@ def _rk4_multipliers(chart: CollarChart, s_values):
     return _march(linear, 1.0, s_values, chart.m_steps)
 
 
-def _panel_positions(chart: CollarChart, start, s, per_point):
+def _panel_positions(chart: CollarChart, start, s, multipliers):
     """RK4 positions of the start points at a panel's times s, nodes x points:
-    R_s * start on a linear chart, and each point marched by trajectories on the
-    annulus, whose flow is not linear, or wherever per_point is set.  The one
-    place a quadrature sweep flows its points."""
-    if per_point or chart.domain.kind not in ("disk", "ball2"):
+    multipliers * start where the sweep has the multipliers R_s of a linear
+    chart at s (see _sweep_panels), and each point marched by trajectories where
+    it has none, on the annulus, whose flow is not linear, or per point.  The
+    one place a quadrature sweep flows its points."""
+    if multipliers is None:
         return trajectories(chart, start, s, chart.m_steps)
-    return _rk4_multipliers(chart, s).reshape((-1,) + (1,) * start.ndim) * start
+    return multipliers.reshape((-1,) + (1,) * start.ndim) * start
+
+
+def _sweep_panels(chart: CollarChart, per_point: bool = False):
+    """The tables every block of one sweep reads, by panel j, each made the first
+    time a block reaches for it: nodes(j), the Gauss nodes and weights on
+    [-(j+1), -j], and multipliers(j), the RK4 multipliers R_s at those nodes on
+    a linear chart (disk, ball2), None where every point is marched: on the
+    annulus, or wherever per_point is set."""
+    linear = not per_point and chart.domain.kind in ("disk", "ball2")
+
+    @functools.cache
+    def nodes(j):
+        return _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
+
+    @functools.cache
+    def multipliers(j):
+        return _rk4_multipliers(chart, nodes(j)[0]) if linear else None
+    return SimpleNamespace(nodes=nodes, multipliers=multipliers)
 
 
 def _panel_nodes(a: float, b: float, n_panels: int):
@@ -333,7 +353,8 @@ def _entry_sums(weighted, live_values, need, buffer):
     return out
 
 
-def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False):
+def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False,
+                       hit_times=None, panels=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
     integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
@@ -351,7 +372,10 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     A panel's positions come from _panel_positions: on the disk and the ball,
     the start points scaled by one RK4 multiplier R_s per node, within 12.4 ulp
     (relative) of marching each point; per_point marches each point by
-    trajectories there too, as on the annulus.
+    trajectories there too, as on the annulus.  The nodes, weights and
+    multipliers of a panel come from panels (_sweep_panels), made for this call
+    unless a blocked sweep hands in the ones its blocks share, along with each
+    block's slice of the hit times, hit_times.
 
     Each panel makes one table and drops it when it ends: a factor that several
     of its integrands read is computed once, at the panel's positions.  |z| and
@@ -364,7 +388,8 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
     a live node are flowed and only the live pairs evaluated.  Where an integrand
-    is indeed zero past the bound, the sum is the one over every pair, bit for bit.
+    is indeed zero past the bound, the sum is the one over every pair, to
+    rounding: the integrands then run on fewer pairs (see _blocked_quadrature).
 
     With orders, the values carry a trailing axis, one entry per derivative
     order |beta|, and the node weight of entry b is further multiplied by
@@ -375,7 +400,9 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     entries array is held.
     """
     points = np.asarray(points, dtype=complex)
-    t = chart.hit_time(points)
+    t = chart.hit_time(points) if hit_times is None else hit_times
+    if panels is None:
+        panels = _sweep_panels(chart, per_point)
     live = _swept(t)
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
@@ -386,7 +413,7 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     for j in range(max((term[2] for term in terms), default=0)):
         if j + t.min() >= support:
             break
-        s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
+        s, weights = panels.nodes(j)
         tau = t[None, :] - s[:, None]
         need = tau < support
         cols = need.any(axis=0)
@@ -395,7 +422,7 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
             # and tau only grows from panel to panel: the sum is the zero it holds
             break
         start = pts[cols]
-        pos = _panel_positions(chart, start, s, per_point)
+        pos = _panel_positions(chart, start, s, panels.multipliers(j))
         if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))
@@ -440,31 +467,35 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
 def _blocked_quadrature(chart, points, terms, *, support):
     """_collar_quadrature of pointwise integrands in blocks of at most
     _SWEEP_PAIRS node-point pairs, one call per block, so that the memory of a
-    sweep stays bounded as the grids refine.  A point set that fits in one block
-    takes one call.  A larger one is flattened, its swept points split into the
-    fewest contiguous blocks of nearly equal size, a multiple of _BLOCK_QUANTUM
-    points each but the last.
+    sweep stays bounded as the grids refine.  The points are flattened and their
+    hit times taken once; the swept points are split into the fewest contiguous
+    blocks of nearly equal size, a multiple of _BLOCK_QUANTUM points each but the
+    last, and each block is handed its slice of the hit times.  The blocks share
+    one _sweep_panels: the Gauss nodes and the RK4 multipliers of a panel are
+    made once per sweep, whatever the number of blocks.
 
-    The values are those of one call over all the points, bit for bit: the
-    integrands and the RK4 sweep act point by point, and the panel sum gives a
-    point's column the same bits in a block as in the whole batch as long as
-    the column keeps its place modulo the quantum (README, "Sweeps in blocks")."""
+    The values agree with those of one call over all the points to rounding,
+    and are bit for bit on the layouts the tests pin; the integrands run on
+    arrays of a block's size, and numpy's elementwise complex arithmetic may
+    round a point differently by the size of its batch (README, "Sweeps in
+    blocks")."""
     points = np.asarray(points, dtype=complex)
     shape = _value_shape(chart.domain, points)
+    flat = points.reshape((-1,) + points.shape[len(shape):])
+    t = chart.hit_time(flat)
+    swept = np.flatnonzero(_swept(t))
     quantum = _BLOCK_QUANTUM
     per_block = max(quantum,
                     _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
-    if math.prod(shape) <= per_block:
-        return _collar_quadrature(chart, points, terms, support=support)
-    flat = points.reshape((-1,) + points.shape[len(shape):])
-    swept = np.flatnonzero(_swept(chart.hit_time(flat)))
     n_blocks = max(1, -(-len(swept) // per_block))
     size = max(quantum, -(-len(swept) // (n_blocks * quantum)) * quantum)
+    panels = _sweep_panels(chart)
     outs = [np.zeros(len(flat), dtype=complex) for _ in terms]
     for first in range(0, len(swept), size):
         block = swept[first:first + size]
         for out, values in zip(outs, _collar_quadrature(chart, flat[block], terms,
-                                                        support=support)):
+                                                        support=support, hit_times=t[block],
+                                                        panels=panels)):
             out[block] = values
     return [out.reshape(shape) for out in outs]
 
@@ -494,8 +525,9 @@ def _chain_terms(chains):
 def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     """depth-fold anti-differentiation of collar-supported functions, for each
     (w, depth) in chains, all at the same points, in one sweep of each panel per
-    block of points (_blocked_quadrature); a w listed at several depths is
-    evaluated once per panel and block.
+    block of points (_blocked_quadrature, whose values agree with those of one
+    unblocked sweep to rounding); a w listed at several depths is evaluated once
+    per panel and block.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
@@ -504,7 +536,8 @@ def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     contract; pass a larger bound, or np.inf, for a w that reaches further, and
     CUTOFF_END for a w that carries the cutoff or its derivative as a factor.
     Returns one array of values at points per chain, zero outside the collar,
-    each bit for bit the one its chain gets alone.  depth is 1, 2 or 3.
+    each bit for bit the one its chain gets alone at the same points, which
+    are blocked alike.  depth is 1, 2 or 3.
     """
     return _blocked_quadrature(chart, points, _chain_terms(chains), support=support)
 
@@ -514,8 +547,9 @@ def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0)
     (hit time at the flow point)^mu * |g o flow|, for a g that vanishes where the
     hit time is support or more, where it is not evaluated: 1 (off the collar)
     by default, CUTOFF_END for a g that carries the cutoff as a factor.  All in
-    one sweep of each panel per block of points (_blocked_quadrature); returns
-    one real array per pair, each bit for bit the one its pair gets alone.
+    one sweep of each panel per block of points (_blocked_quadrature, to
+    rounding the values of one unblocked sweep); returns one real array per
+    pair, each bit for bit the one its pair gets alone at the same points.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.  A RadialHolo g reads

@@ -210,9 +210,10 @@ def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart):
     pts = _default_eval_points(disk_chart)
     for j in range(3):
         s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), disk_chart.q_panels)
-        scaled = flow_module._panel_positions(disk_chart, pts, s, False)
+        multipliers = flow_module._rk4_multipliers(disk_chart, s)
+        scaled = flow_module._panel_positions(disk_chart, pts, s, multipliers)
         marched = trajectories(disk_chart, pts, s, disk_chart.m_steps)
-        assert np.array_equal(flow_module._panel_positions(disk_chart, pts, s, True), marched)
+        assert np.array_equal(flow_module._panel_positions(disk_chart, pts, s, None), marched)
         assert np.max(np.abs(scaled - marched) / np.abs(marched)) <= 32 * np.finfo(float).eps
 
 
@@ -553,8 +554,8 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
 
 
 def test_blocked_sweeps_equal_the_sweeps_of_two_halves(disk_chart, rng):
-    # C4's 96 x 192 doubling grid, 18,432 points in five blocks, and C2's ratio
-    # grid, 1,152 points in one: each equals its two halves swept apart, bit for bit
+    # C4's 96 x 192 doubling grid, 18,432 points in 33 blocks, and C2's ratio
+    # grid, 1,152 points in three: each equals its two halves swept apart, bit for bit
     chart = disk_chart
     h = Holo1.inverse_power(0.9, 0.75)
     zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)

@@ -115,6 +115,18 @@ def test_decomposition_doubling_fails_with_a_sweep_cut_short(monkeypatch):
     assert not _verdicts(checks)["component Sobolev norms under grid doubling"]
 
 
+def test_reproduction_drop_fails_with_the_doubled_chart_at_the_base_resolution(monkeypatch):
+    # every chart is built at the config's resolution, so the "doubled" chart is
+    # the base chart again: the residuals do not fall, and the drop per
+    # resolution doubling reads 1 against a floor of 4
+    cfg = ScenarioConfig("decomposition")
+    build = scenarios_module.build_chart
+    monkeypatch.setattr(scenarios_module, "build_chart", lambda domain, q_panels, m_steps:
+                        build(domain, cfg.q_panels, cfg.m_steps))
+    checks, _ = check_reproduction(cfg)
+    assert not _verdicts(checks)["residual drop per resolution doubling"]
+
+
 def test_conj_annulus_fails_on_a_coarse_grid():
     # at 8 x 16 the projections of conjugate powers are not yet exact: the
     # coefficients off 1/z and the grid-doubling drift both read far past their gates

@@ -1,17 +1,20 @@
 """Regression guards on repeated work: each point set is swept once for every
 integrand computed on it (in blocks of bounded size, which together flow and
-evaluate exactly what one unblocked sweep does), an operator expression sweeps
-each distinct kernel request once per apply_op call, each factor the integrands
-of a panel share is evaluated once per panel (the derivatives of an input once
+evaluate exactly what one unblocked sweep does: the counts below are summed
+over the blocks, so they do not depend on how many there are), the blocks of a
+sweep share its panel tables and hit times, an operator expression sweeps each
+distinct kernel request once per apply_op call, each factor the integrands of
+a panel share is evaluated once per panel (the derivatives of an input once
 while its integrands follow one another), a hitting time steps each point once
 up to its crossing, projection evaluates no basis element, and a Sobolev norm
-takes each derivative order once for all the orders it reports.  Two guards on
-memory: C4's peak stays near the one its bounded sweep blocks hold, and the
-power-expansion identity's near the one its per-entry kernel sums hold."""
+takes each derivative order once for all the orders it reports.  Three guards
+on memory: C3's and C4's peaks stay near the ones their bounded sweep blocks
+hold, and the power-expansion identity's near the one its per-entry kernel
+sums hold."""
 
-import sys
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ import bergsmooth.flow as flow_module
 import bergsmooth.norms as norms_module
 import bergsmooth.scenarios as scenarios_module
 from bergsmooth.bergman import PlanarMonomial
-from bergsmooth.decompose import cr_reduction, cutoff_times, decompose, reproduction_residual
+from bergsmooth.decompose import (component_values, cr_reduction, cutoff_times, decompose,
+                                  reproduction_residual)
 from bergsmooth.flow import CUTOFF_END, CollarChart, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1, Poly2, _ThetaDerivative
 from bergsmooth.geometry import VectorField, make_domain, polar_eval_grid
@@ -35,17 +39,19 @@ from test_decompose import _order_two_identity
 
 @pytest.fixture()
 def sweeps(monkeypatch):
-    # the panels swept, by the seam that yields a panel's positions: a multiplier
-    # per node on the disk and the ball, trajectories per point on the annulus and
-    # in apply_op
-    calls = []
+    # the start points of each panel swept, by the seam that yields a panel's
+    # positions: a multiplier per node on the disk and the ball, trajectories per
+    # point on the annulus and in apply_op.  One entry per panel and block: its
+    # length counts the panels of apply_op, which never blocks, and its sum the
+    # starts flowed, which do not depend on how a point set is blocked
+    starts = []
     positions = flow_module._panel_positions
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return positions(*args, **kwargs)
+    def counted(chart, start, *rest):
+        starts.append(len(start))
+        return positions(chart, start, *rest)
     monkeypatch.setattr(flow_module, "_panel_positions", counted)
-    return calls
+    return starts
 
 
 @pytest.fixture(scope="module")
@@ -54,20 +60,24 @@ def chart(disk):
 
 
 def test_ftc_sweeps_once_per_domain(sweeps):
+    # each domain's 1,152 points swept once: 720 starts flowed on the disk and
+    # 672 on the annulus, in the first panel
     check_ftc(ScenarioConfig("ftc"))
-    assert len(sweeps) == 2
+    assert sum(sweeps) == 720 + 672
 
 
 def test_hardy_sweeps_its_grid_once(sweeps):
     # the majorants of all 40 seeded functions, at both weights, from one sweep
+    # of the 1,152-point ratio grid: 912 starts flowed up to the cutoff's end
     check_hardy(ScenarioConfig("hardy"))
-    assert len(sweeps) == 1
+    assert sum(sweeps) == 912
 
 
 def test_hardy_majorants_end_at_the_cutoffs_end(monkeypatch):
     # C2's inputs are cutoff * Poly2, exactly 0 from hit time 3/4 on: swept only
     # that far, the majorants keep their bits while 912 of the 1,104 collar points
-    # are flowed and 49,200 of 82,080 node-point pairs evaluated, per input
+    # are flowed and 49,200 of 82,080 node-point pairs evaluated, per input,
+    # summed over the blocks
     real = flow_module.flow_moment_apply
     inputs = []
     monkeypatch.setattr(scenarios_module, "flow_moment_apply",
@@ -78,70 +88,72 @@ def test_hardy_majorants_end_at_the_cutoffs_end(monkeypatch):
 
     def swept(support):
         # the majorants, the starts flowed and the pairs evaluated per input
-        starts, pairs = [], []
+        starts, pairs = [], Counter()
         with monkeypatch.context() as m:
             m.setattr(flow_module, "_panel_positions",
                       lambda chart, p, *rest: starts.append(len(p)) or positions(chart, p,
                                                                                  *rest))
             m.setattr(flow_module, "_values",
-                      lambda w, pos, shared: pairs.append(len(pos)) or values(w, pos, shared))
-            return real(*args, support=support), starts, pairs
+                      lambda w, pos, shared: pairs.update({id(w): len(pos)})
+                      or values(w, pos, shared))
+            return real(*args, support=support), sum(starts), sorted(pairs.values())
     collar, starts, pairs = swept(1.0)
-    assert starts == [1_104] and pairs == [82_080] * 40
+    assert starts == 1_104 and pairs == [82_080] * 40
     ended, starts, pairs = swept(CUTOFF_END)
-    assert starts == [912] and pairs == [49_200] * 40
+    assert starts == 912 and pairs == [49_200] * 40
     assert all(np.array_equal(a, b) for a, b in zip(collar, ended))
 
 
-def test_no_sweep_holds_more_than_its_budget(monkeypatch):
-    # C2's grid takes one sweep, and the C4 point sets larger than the budget's
-    # 4,096 points (5,600, 4,608 and 18,432) are split into the fewest blocks of
-    # nearly equal size, a multiple of 16 swept points each but the last: 4,600,
-    # 4,224 and 16,896 points lie in the collar
+def _work(run):
+    """What run() sweeps and evaluates, counted over every block: per point set
+    swept (one _blocked_quadrature call), the sizes of its blocks and, per panel
+    keyed by its first node, the start points flowed, sorted; the derivative
+    orders of every inverse-power evaluation; and the number of points at which
+    each inverse-power input, keyed by its pole and power, is evaluated."""
+    sets, orders, poles = [], [], Counter()
+    blocked = flow_module._blocked_quadrature
     quadrature = flow_module._collar_quadrature
-    swept = []
+    positions = flow_module._panel_positions
+    make = Holo1.inverse_power
 
-    def recorded(chart, points, terms, **kwargs):
-        swept.append(np.size(points))
-        assert np.size(points) * 4 * chart.q_panels <= flow_module._SWEEP_PAIRS == 2**19
-        return quadrature(chart, points, terms, **kwargs)
-    monkeypatch.setattr(flow_module, "_collar_quadrature", recorded)
-    check_hardy(ScenarioConfig("hardy"))
-    check_decomposition(ScenarioConfig("decomposition"))
-    assert swept == [1152, 2304, 2296, 2048, 2112, 2112, 3392, 3392, 3392, 3392, 3328]
+    def sweep(*args, **kwargs):
+        sets.append(SimpleNamespace(blocks=[], starts={}))
+        return blocked(*args, **kwargs)
 
+    def block(chart, points, *args, **kwargs):
+        sets[-1].blocks.append(len(points))
+        return quadrature(chart, points, *args, **kwargs)
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_reproduction_residual_sweeps_once(sweeps, chart, k):
-    reproduction_residual([Holo1.inverse_power(0.9, 1.0)], [k], chart)
-    assert len(sweeps) == 1
+    def panel(chart, start, s, *rest):
+        sets[-1].starts.setdefault(float(s[0]), []).append(np.ravel(start))
+        return positions(chart, start, s, *rest)
 
+    def recorded(a, p):
+        factory = make(a, p)._deriv
 
-# a node-point budget that no point set reaches: every sweep in one call
-UNBOUNDED = sys.maxsize
-
-
-def _flowed(monkeypatch, run, budget):
-    """The panels run() sweeps with the sweep blocks' node-point budget set to
-    budget, and the start points they flow, sorted, keyed by the first node of
-    their panel."""
-    starts = {}
-    with monkeypatch.context() as m:
-        m.setattr(flow_module, "_SWEEP_PAIRS", budget)
-        positions = flow_module._panel_positions
-
-        def recorded(chart, points, s_values, per_point):
-            starts.setdefault(float(s_values[0]), []).append(np.ravel(points))
-            return positions(chart, points, s_values, per_point)
-        m.setattr(flow_module, "_panel_positions", recorded)
+        def deriv(j):
+            def ev(z):
+                orders.append(j)
+                poles[a, p] += np.size(z)
+                return factory(j)(z)
+            return ev
+        return Holo1(deriv)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flow_module, "_blocked_quadrature", sweep)
+        m.setattr(flow_module, "_collar_quadrature", block)
+        m.setattr(flow_module, "_panel_positions", panel)
+        m.setattr(Holo1, "inverse_power", staticmethod(recorded))
         run()
-    return (sum(map(len, starts.values())),
-            {s: np.sort(np.concatenate(parts)) for s, parts in starts.items()})
+    for swept in sets:
+        swept.starts = {s: np.sort(np.concatenate(parts)) for s, parts in swept.starts.items()}
+    return SimpleNamespace(sets=sets, orders=orders, poles=dict(poles))
 
 
-def _same(a, b):
-    """Dicts of arrays with equal keys and equal arrays, bit for bit."""
-    return a.keys() == b.keys() and all(np.array_equal(a[k], b[k]) for k in a)
+def _starts(work):
+    """The number of start points each point set flows, per panel, or None where a
+    panel flows a point twice."""
+    return [{s: len(p) if len(np.unique(p)) == len(p) else None
+             for s, p in swept.starts.items()} for swept in work.sets]
 
 
 def _decompose_one_pole():
@@ -152,28 +164,88 @@ def _check_decomposition():
     check_decomposition(ScenarioConfig("decomposition"))
 
 
-def test_decompose_sweeps_each_point_set_once(monkeypatch):
+def _sweep_first_point_set_twice():
+    """A mutation: the first point set a run sweeps is swept twice, the first
+    values thrown away."""
+    blocked = flow_module._blocked_quadrature
+    seen = []
+
+    def twice(*args, **kwargs):
+        if not seen:
+            seen.append(blocked(*args, **kwargs))
+        return blocked(*args, **kwargs)
+    return twice
+
+
+@pytest.fixture(scope="module")
+def c4_work():
+    # one default-config C4 run feeds every count of C4's sweeps below
+    return _work(_check_decomposition)
+
+
+@pytest.fixture(scope="module")
+def c4_work_twice():
+    # and one with its first point set swept twice, for their controls
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(flow_module, "_blocked_quadrature", _sweep_first_point_set_twice())
+        return _work(_check_decomposition)
+
+
+# the first node of the first panel at the default chart's 32 panels per unit time
+PANEL_0 = -0.9978302548686571
+# C4's four point sets, each flowed in its first panel only, since all its
+# chains end at the cutoff's end: the 5,600 evaluation points with their four
+# rotated copies, the 2,048-point norm grid, and the doubling study's 4,608 and
+# 18,432 points, of which 3,800, 960, 3,456 and 13,824 have a node-point pair
+# before the cutoff's end
+C4_STARTS = [{PANEL_0: 3_800}, {PANEL_0: 960}, {PANEL_0: 3_456}, {PANEL_0: 13_824}]
+# the points at which each of C4's inverse-power inputs, the near pole of its
+# input set and the three poles of its singular family, is evaluated: its
+# target, its weighted norms and every live node-point pair of its sweeps; the
+# doubling study's input is the pole at 0.9 again
+C4_POLE_POINTS = {(0.9, 1.0): 274_888, (0.9, 0.75): 1_194_376, (0.99, 0.75): 274_888,
+                  (0.999, 0.75): 274_888}
+
+
+def test_no_sweep_holds_more_than_its_budget(c4_work):
+    # C2's grid and C4's point sets, their swept points (hit time below 1) split
+    # into the fewest blocks of at most 2**16 node-point pairs, 512 points, of
+    # nearly equal size, a multiple of 16 swept points each but the last
+    hardy = _work(lambda: check_hardy(ScenarioConfig("hardy")))
+    blocks = [swept.blocks for swept in hardy.sets + c4_work.sets]
+    assert flow_module._SWEEP_PAIRS == 2**16
+    assert all(size * 4 * 32 <= flow_module._SWEEP_PAIRS for sizes in blocks for size in sizes)
+    assert blocks == [[368] * 3, [512] * 8 + [504], [368, 368, 352], [480] * 8 + [384],
+                      [512] * 33]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reproduction_residual_sweeps_once(chart, k):
+    # the 1,120 evaluation points swept once, 760 of them flowed in the first
+    # panel, and the input evaluated there and at the targets
+    work = _work(lambda: reproduction_residual([Holo1.inverse_power(0.9, 1.0)], [k], chart))
+    assert _starts(work) == [{PANEL_0: 760}]
+    assert work.poles == {(0.9, 1.0): {1: 84_080, 2: 125_560, 3: 167_040}[k]}
+
+
+def test_decompose_sweeps_each_point_set_once():
     # the evaluation points with their four rotated copies, then the norm grid:
-    # two sweeps in all, and the blocks of the first flow the same start points
-    calls, once = _flowed(monkeypatch, _decompose_one_pole, UNBOUNDED)
-    assert calls == 2
-    assert _same(_flowed(monkeypatch, _decompose_one_pole, flow_module._SWEEP_PAIRS)[1], once)
+    # two point sets, each of whose points is flowed once per panel, whatever
+    # the blocks
+    assert _starts(_work(_decompose_one_pole)) == C4_STARTS[:2]
 
 
 def test_reproduction_check_sweeps_once_per_chart(sweeps):
-    # every input and order of C3, and the drop study, in one sweep per chart
+    # every input and order of C3, and the drop study, in one sweep per chart:
+    # 760 of the 1,120 evaluation points flowed at each
     check_reproduction(ScenarioConfig("decomposition"))
-    assert len(sweeps) <= 2
+    assert sum(sweeps) == 2 * 760
 
 
-def test_decomposition_check_sweeps_each_point_set_once(monkeypatch):
-    # all inputs and both orders on the two point sets of decompose, then
-    # one sweep per grid of the doubling study; blocked, three of the four point
-    # sets take 9 calls, which flow exactly the start points of one sweep each
-    calls, once = _flowed(monkeypatch, _check_decomposition, UNBOUNDED)
-    assert calls <= 4
-    assert _same(_flowed(monkeypatch, _check_decomposition, flow_module._SWEEP_PAIRS)[1],
-                 once)
+def test_decomposition_check_sweeps_each_point_set_once(c4_work):
+    # all inputs and both orders on the two point sets of decompose, then one
+    # sweep per grid of the doubling study
+    assert _starts(c4_work) == C4_STARTS
 
 
 def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
@@ -247,90 +319,75 @@ def test_seeded_cutoff_products_take_one_hit_time_per_panel_position(monkeypatch
 def test_reproduction_check_evaluates_each_derivative_once_per_panel(monkeypatch):
     # C3 lists its chains input by input, and a panel's table keeps the
     # derivatives of one input while its integrands follow one another: 25
-    # derivatives of the inputs and 30 of rotated levels (chains interleaved
-    # across the inputs would compute them again)
-    calls = Counter()
+    # derivatives of the inputs and 30 of rotated levels, each evaluated once at
+    # the live positions of its panel, 1,000,800 and 1,492,800 points summed over
+    # the blocks (chains interleaved across the inputs would compute them again)
+    points = Counter()
     for cls in (Holo1, _ThetaDerivative):
         compute = cls.__dict__["_compute"]
         monkeypatch.setattr(cls, "_compute", lambda self, j, z, shared, cls=cls, compute=compute:
-                            calls.update([cls]) or compute(self, j, z, shared))
+                            points.update({cls: np.size(z)}) or compute(self, j, z, shared))
     check_reproduction(ScenarioConfig("decomposition"))
-    assert calls[Holo1] <= 25 and calls[_ThetaDerivative] <= 30
+    assert points == {Holo1: 1_000_800, _ThetaDerivative: 1_492_800}
 
 
-def _pole_evaluations(monkeypatch, run, budget):
-    """The derivative orders of every inverse-power evaluation run() makes with the
-    sweep blocks' node-point budget set to budget, and the points at which each
-    input, keyed by its pole and power, is evaluated, sorted."""
-    orders, points = [], {}
-    make = Holo1.inverse_power
-
-    def recorded(a, p):
-        factory = make(a, p)._deriv
-
-        def deriv(j):
-            def ev(z):
-                orders.append(j)
-                points.setdefault((a, p), []).append(np.ravel(z))
-                return factory(j)(z)
-            return ev
-        return Holo1(deriv)
-    with monkeypatch.context() as m:
-        m.setattr(flow_module, "_SWEEP_PAIRS", budget)
-        m.setattr(Holo1, "inverse_power", staticmethod(recorded))
-        run()
-    return orders, {key: np.sort(np.concatenate(zs)) for key, zs in points.items()}
-
-
-def test_decomposition_check_evaluates_each_pole_once_per_point_set(monkeypatch):
+def test_decomposition_check_evaluates_each_pole_once_per_point_set(c4_work):
     # C4's four inverse-power inputs are each evaluated once per point set swept
     # (the evaluation points with their rotated copies, the norm grid), once for
     # the target and twice for the weighted norms, and the doubling study's input
-    # once per grid: 4 * 5 + 2 = 22 evaluator calls, every one of derivative
-    # order 0 (30 with the points and the two stencils swept apart, 44 when
-    # cutoff * h and its transverse defect each evaluated h).  Blocked, each
-    # input is evaluated at exactly the same points
-    orders, once = _pole_evaluations(monkeypatch, _check_decomposition, UNBOUNDED)
-    assert len(orders) <= 22 and set(orders) == {0}
-    blocked = _pole_evaluations(monkeypatch, _check_decomposition, flow_module._SWEEP_PAIRS)
-    assert set(blocked[0]) == {0} and _same(blocked[1], once)
+    # once per grid, every evaluation of derivative order 0 (cutoff * h and its
+    # transverse defect read h from one table): each input at exactly the points
+    # of one unblocked run, counted over the blocks
+    assert set(c4_work.orders) == {0}
+    assert c4_work.poles == C4_POLE_POINTS
 
 
-def _sweep_first_point_set_twice(monkeypatch):
-    # a mutation: the first point set a run sweeps is swept twice, the first
-    # values thrown away
-    blocked = flow_module._blocked_quadrature
-    seen = []
-
-    def twice(*args, **kwargs):
-        if not seen:
-            seen.append(blocked(*args, **kwargs))
-        return blocked(*args, **kwargs)
-    monkeypatch.setattr(flow_module, "_blocked_quadrature", twice)
-
-
-@pytest.mark.parametrize("measure, run", [(_flowed, _decompose_one_pole),
-                                          (_flowed, _check_decomposition),
-                                          (_pole_evaluations, _check_decomposition)],
-                         ids=["decompose-starts", "C4-starts", "C4-poles"])
-def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(monkeypatch, measure, run):
+@pytest.mark.parametrize("measure", ["decompose-starts", "C4-starts", "C4-poles"])
+def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(c4_work_twice, measure):
     # the control of the three tests above: their pinned work is not that of a
     # blocked run that sweeps one point set twice
-    _, once = measure(monkeypatch, run, UNBOUNDED)
-    _sweep_first_point_set_twice(monkeypatch)
-    _, twice = measure(monkeypatch, run, flow_module._SWEEP_PAIRS)
-    assert not _same(twice, once)
+    if measure == "decompose-starts":
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(flow_module, "_blocked_quadrature", _sweep_first_point_set_twice())
+            assert _starts(_work(_decompose_one_pole)) != C4_STARTS[:2]
+    elif measure == "C4-starts":
+        assert _starts(c4_work_twice) != C4_STARTS
+    else:
+        assert c4_work_twice.poles != C4_POLE_POINTS
+
+
+def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, chart):
+    # C4's 96 x 192 doubling grid, 16,896 of its 18,432 points swept in 33
+    # blocks: the Gauss nodes and the RK4 multipliers of its one panel are made
+    # once for all the blocks, and the hit times taken once, of all the points
+    # (once per block as well when each block made its own)
+    calls = Counter()
+    for name in ("_panel_nodes", "_rk4_multipliers", "_collar_quadrature"):
+        real = getattr(flow_module, name)
+        monkeypatch.setattr(flow_module, name, lambda *args, name=name, real=real, **kwargs:
+                            calls.update([name]) or real(*args, **kwargs))
+    hit_times = []
+    hit_time = CollarChart.hit_time
+    monkeypatch.setattr(CollarChart, "hit_time",
+                        lambda self, p: hit_times.append(np.size(p)) or hit_time(self, p))
+    grid = polar_eval_grid(chart.domain, 96, 192, r_inner=0.4).nodes().ravel()
+    component_values([Holo1.inverse_power(0.9, 0.75)], (1, 2), chart, grid)
+    assert calls == {"_collar_quadrature": 33, "_panel_nodes": 1, "_rk4_multipliers": 1}
+    assert hit_times == [18_432]
 
 
 # tracemalloc peaks, with Python 3.11.7 and numpy 2.4.6, of one default-config
 # check_decomposition with the sweeps of pointwise integrands in blocks of at most
-# 2**19 node-point pairs: 40.9e6 bytes (113.6e6 when the doubling study's 18,432
-# points were swept in one call, 175.3e6 before the panels shared their factors);
-# and of the order-2 power-expansion identity at its twelve points, with each
-# kernel panel's derivative entries summed one at a time through one nodes x
-# points buffer and every jet filled in place: 15.6e6 bytes (22.9e6 with one
-# 128 x 1,035 x 6 buffer of every entry, and stacked copies of the leaf jets)
-PARENT_C4_PEAK_BYTES = 44e6
+# 2**16 node-point pairs: 11.2e6 bytes (40.9e6 in blocks of 2**19, 113.6e6 when
+# the doubling study's 18,432 points were swept in one call, 175.3e6 before the
+# panels shared their factors); of one check_reproduction: 10.1e6 bytes (24.3e6
+# in blocks of 2**19); and of the order-2 power-expansion identity at its twelve
+# points, with each kernel panel's derivative entries summed one at a time
+# through one nodes x points buffer and every jet filled in place: 15.6e6 bytes
+# (22.9e6 with one 128 x 1,035 x 6 buffer of every entry, and stacked copies of
+# the leaf jets)
+PARENT_C4_PEAK_BYTES = 12.5e6
+PARENT_C3_PEAK_BYTES = 11.5e6
 IDENTITY_PEAK_BYTES = 17e6
 
 
@@ -349,6 +406,11 @@ def _traced_peak(run):
 # allocator layout: the benchmark's peak RSS is the gate
 def test_decomposition_check_holds_no_more_memory_than_before():
     assert _traced_peak(_check_decomposition) <= PARENT_C4_PEAK_BYTES
+
+
+def test_reproduction_check_holds_no_more_memory_than_before():
+    assert (_traced_peak(lambda: check_reproduction(ScenarioConfig("decomposition")))
+            <= PARENT_C3_PEAK_BYTES)
 
 
 def test_order_two_identity_holds_no_node_point_entry_array(chart, rng):
