@@ -1,15 +1,12 @@
 """Boundary hitting times, the collar chart, and anti-differentiation along the
 backward flow of the transverse field.
 
-The transverse field on every model domain is radial, so the chart carries
-closed-form hitting times and flow radii.  The numerical paths share one
-fixed-step RK4 step: `trajectories` sweeps it through a sorted list of times,
-and `hitting_time` marches it to the boundary and bisects the crossing step,
-with the closed forms serving as cross-checks.  On the disk and the ball the
-field is rate * z, linear, so the RK4 map of a sweep multiplies every point by
-one real number per time: the quadrature sweeps there step that number alone
-and scale the start points by it.  The annulus, and operators.apply_op by its
-per_point opt-out, march every point.
+The transverse field N on every model domain is radial with a real factor, so
+the chart carries closed-form hitting times and flow radii, the oracles of the
+numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Those
+paths share one RK4 step: the quadrature sweeps march their distinct radii and
+scale their points (only operators.apply_op's per_point marches each point, by
+`trajectories`), and `hitting_time` marches to the boundary and bisects.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
 (`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
@@ -234,7 +231,7 @@ def trajectories(chart: CollarChart, points, s_values, n_steps: int):
     Each gap between successive times takes ceil(gap * n_steps) steps, at least
     one, so n_steps is a floor on the rate: the 128 Gauss nodes of 32 panels per
     unit time get 128 steps per unit time for every n_steps up to 94.  The
-    chart's quadrature passes its own m_steps."""
+    quadrature sweeps pass the chart's m_steps, and march their radii alike."""
     return _march(chart.field, np.asarray(points, dtype=complex), s_values, n_steps)
 
 
@@ -255,43 +252,43 @@ def _march(field, state, s_values, n_steps):
     return out
 
 
-def _rk4_multipliers(chart: CollarChart, s_values):
-    """R_s at each time s of a linear chart (disk, ball2), where the sweep's RK4
-    map is p -> R_s p, R_s real: the chart's steps taken from the real scalar 1
-    on the field's velocity rate * x.  Bit for bit the real part of the sweep of
-    the point 1 ((1, 0) on the ball), at one scalar step per node gap."""
-    rate = chart.rate
-    linear = SimpleNamespace(velocity=lambda x: rate * x)
-    return _march(linear, 1.0, s_values, chart.m_steps)
+def _radius_scales(chart: CollarChart, radii, s_values):
+    """The multipliers lambda_s(r) = (r marched to s) / r, times s by radii r, each
+    radius marched as a real scalar through the chart's N by trajectories' rule;
+    one radius alone steps as a numpy scalar, to the same bits in about half the time."""
+    state = radii[0] if len(radii) == 1 else radii
+    return _march(chart.field, state, s_values, chart.m_steps).reshape(-1, len(radii)) / radii
 
 
-def _panel_positions(chart: CollarChart, start, s, multipliers):
-    """RK4 positions of the start points at a panel's times s, nodes x points:
-    multipliers * start where the sweep has the multipliers R_s of a linear
-    chart at s (see _sweep_panels), and each point marched by trajectories where
-    it has none, on the annulus, whose flow is not linear, or per point.  The
-    one place a quadrature sweep flows its points."""
-    if multipliers is None:
+def _panel_positions(chart: CollarChart, start, s, scales):
+    """RK4 positions of the start points p at a panel's times s, nodes x points:
+    lambda_s(|p|) p from scales, or each point marched by trajectories where
+    scales is None (per_point).  The one place a quadrature sweep flows points."""
+    if scales is None:
         return trajectories(chart, start, s, chart.m_steps)
-    return multipliers.reshape((-1,) + (1,) * start.ndim) * start
+    return scales.reshape(scales.shape + (1,) * (start.ndim - 1)) * start
 
 
-def _sweep_panels(chart: CollarChart, per_point: bool = False):
-    """The tables every block of one sweep reads, by panel j, each made the first
-    time a block reaches for it: nodes(j), the Gauss nodes and weights on
-    [-(j+1), -j], and multipliers(j), the RK4 multipliers R_s at those nodes on
-    a linear chart (disk, ball2), None where every point is marched: on the
-    annulus, or wherever per_point is set."""
-    linear = not per_point and chart.domain.kind in ("disk", "ball2")
+def _sweep_panels(chart: CollarChart, points):
+    """The tables every block of one sweep of points reads, by panel j, each made
+    the first time a block reaches for it: nodes(j), the Gauss nodes and weights
+    on [-(j+1), -j], and scales(j), _radius_scales there at the sweep's radii,
+    columns naming each point's: the one radius 1 on the disk and the ball,
+    where lambda_s does not depend on r (columns a zero-strided view, no array
+    per point), and the points' distinct |p| on the annulus."""
+    if chart.domain.kind in ("disk", "ball2"):
+        radii, columns = np.ones(1), np.broadcast_to(np.intp(0), (len(points),))
+    else:
+        radii, columns = np.unique(chart.domain.radius(points), return_inverse=True)
 
     @functools.cache
     def nodes(j):
         return _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
 
     @functools.cache
-    def multipliers(j):
-        return _rk4_multipliers(chart, nodes(j)[0]) if linear else None
-    return SimpleNamespace(nodes=nodes, multipliers=multipliers)
+    def scales(j):
+        return _radius_scales(chart, radii, nodes(j)[0])
+    return SimpleNamespace(nodes=nodes, scales=scales, columns=columns)
 
 
 def _panel_nodes(a: float, b: float, n_panels: int):
@@ -354,7 +351,7 @@ def _entry_sums(weighted, live_values, need, buffer):
 
 
 def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False,
-                       hit_times=None, panels=None):
+                       hit_times=None, panels=None, columns=None):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
     integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
@@ -369,13 +366,11 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     its own panels in its own order, so a term's values are bit for bit the ones
     it gets alone.
 
-    A panel's positions come from _panel_positions: on the disk and the ball,
-    the start points scaled by one RK4 multiplier R_s per node, within 12.4 ulp
-    (relative) of marching each point; per_point marches each point by
-    trajectories there too, as on the annulus.  The nodes, weights and
-    multipliers of a panel come from panels (_sweep_panels), made for this call
-    unless a blocked sweep hands in the ones its blocks share, along with each
-    block's slice of the hit times, hit_times.
+    A panel's positions come from _panel_positions: each start point p scaled by
+    lambda_s(|p|), within 12.4 ulp (relative) of marching it, or marched by
+    trajectories with per_point.  Nodes, weights and multipliers come from
+    panels (_sweep_panels), made here unless a blocked sweep hands in the one
+    its blocks share, with the block's slices of the hit times and columns.
 
     Each panel makes one table and drops it when it ends: a factor that several
     of its integrands read is computed once, at the panel's positions.  |z| and
@@ -391,24 +386,24 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     is indeed zero past the bound, the sum is the one over every pair, to
     rounding: the integrands then run on fewer pairs (see _blocked_quadrature).
 
-    With orders, the values carry a trailing axis, one entry per derivative
-    order |beta|, and the node weight of entry b is further multiplied by
-    R_s**orders[b]: on a linear flow the RK4 map is p -> R_s p, R_s real, so
-    this is the chain rule for D^beta of the integral.  R_s is read off the
-    sweep itself, the derivative of the discrete map.  The entries pass through
-    the panel's buffer one at a time (_entry_sums), so no nodes x points x
-    entries array is held.
+    With orders (on the disk or the ball, where lambda_s is one R_s per node),
+    the values carry a trailing axis, one entry per derivative order |beta|, and
+    the node weight of entry b is further multiplied by R_s**orders[b], read off
+    the sweep itself: the chain rule for D^beta of the integral.  The entries
+    pass through the panel's buffer one at a time (_entry_sums), so no nodes x
+    points x entries array is held.
     """
     points = np.asarray(points, dtype=complex)
     t = chart.hit_time(points) if hit_times is None else hit_times
-    if panels is None:
-        panels = _sweep_panels(chart, per_point)
     live = _swept(t)
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
     if not np.any(live):
         return outs
     pts, t = points[live], t[live]
+    if panels is None:
+        panels = _sweep_panels(chart, pts)
+        columns = panels.columns
     totals = [0.0] * len(terms)
     for j in range(max((term[2] for term in terms), default=0)):
         if j + t.min() >= support:
@@ -422,7 +417,10 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
             # and tau only grows from panel to panel: the sum is the zero it holds
             break
         start = pts[cols]
-        pos = _panel_positions(chart, start, s, panels.multipliers(j))
+        scales = None if per_point else panels.scales(j)
+        if scales is not None and scales.shape[1] > 1:  # one radius serves every point
+            scales = scales[:, columns[cols]]
+        pos = _panel_positions(chart, start, s, scales)
         if orders is not None:
             # R_s of the swept map p -> R_s p, read at the start point of largest modulus
             ref = int(np.argmax(np.abs(start)))
@@ -470,9 +468,9 @@ def _blocked_quadrature(chart, points, terms, *, support):
     sweep stays bounded as the grids refine.  The points are flattened and their
     hit times taken once; the swept points are split into the fewest contiguous
     blocks of nearly equal size, a multiple of _BLOCK_QUANTUM points each but the
-    last, and each block is handed its slice of the hit times.  The blocks share
-    one _sweep_panels: the Gauss nodes and the RK4 multipliers of a panel are
-    made once per sweep, whatever the number of blocks.
+    last, and each block is handed its slices of the hit times and the columns.
+    The blocks share one _sweep_panels: the Gauss nodes and the multipliers of a
+    panel are made once per sweep, whatever the number of blocks.
 
     The values agree with those of one call over all the points to rounding,
     and are bit for bit on the layouts the tests pin; the integrands run on
@@ -489,13 +487,13 @@ def _blocked_quadrature(chart, points, terms, *, support):
                     _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
     n_blocks = max(1, -(-len(swept) // per_block))
     size = max(quantum, -(-len(swept) // (n_blocks * quantum)) * quantum)
-    panels = _sweep_panels(chart)
+    panels = _sweep_panels(chart, flat[swept])
     outs = [np.zeros(len(flat), dtype=complex) for _ in terms]
     for first in range(0, len(swept), size):
         block = swept[first:first + size]
-        for out, values in zip(outs, _collar_quadrature(chart, flat[block], terms,
-                                                        support=support, hit_times=t[block],
-                                                        panels=panels)):
+        for out, values in zip(outs, _collar_quadrature(
+                chart, flat[block], terms, support=support, hit_times=t[block],
+                panels=panels, columns=panels.columns[first:first + size])):
             out[block] = values
     return [out.reshape(shape) for out in outs]
 

@@ -20,7 +20,8 @@ from bergsmooth.flow import (
     trajectories,
 )
 from bergsmooth.functions import Holo1, Poly2, smoothstep
-from bergsmooth.geometry import boundary_samples, make_domain, polar_eval_grid
+from bergsmooth.geometry import (boundary_samples, make_domain, polar_eval_grid,
+                                 quadrature_grid)
 from bergsmooth.operators import collar_ratio_grid
 from bergsmooth.scenarios import _seeded_masked, _transverse_of_cutoff_times
 
@@ -190,31 +191,89 @@ def test_exact_trajectories_match_rk4(disk_chart, annulus_chart):
         assert np.max(np.abs(rk - exact)) < 1e-9
 
 
+def sweep_points(chart):
+    """The points a sweep flows among C1's evaluation grid (the ball's quadrature
+    nodes): hit time below 1."""
+    dom = chart.domain
+    if dom.kind == "ball2":
+        pts = quadrature_grid(dom, 6, 8).nodes
+    else:
+        pts = polar_eval_grid(dom, 24, 48,
+                              r_inner=0.3 if dom.kind == "disk" else None).nodes().ravel()
+    return pts[flow_module._swept(chart.hit_time(pts))]
+
+
 @pytest.mark.parametrize("q_panels, m_steps", [(32, 64), (32, 7), (2, 1)])
-@pytest.mark.parametrize("kind", ["disk", "ball2"])
+@pytest.mark.parametrize("kind", ["disk", "ball2", "annulus"])
 def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps):
-    # the field rate * z is linear, so the sweep's steps taken from the real
-    # scalar 1 are the real part of the sweep of the point 1 ((1, 0) on the ball)
-    chart = build_chart(make_domain(kind), q_panels, m_steps)
-    one = np.array([1.0]) if kind == "disk" else np.array([[1.0, 0.0]])
+    # N is radial with a real factor, so the radii of the sweeps' multiplier table,
+    # marched as real scalars, are the real part of the sweep of the points r on
+    # the real axis ((r, 0) on the ball); the point one, stepped alone as a
+    # scalar, is the table of the disk and the ball, and one of the radii here
+    chart = build_chart(make_domain(kind, rho=0.5 if kind == "annulus" else None),
+                        q_panels, m_steps)
+    pts = collar_points(chart, np.random.default_rng(3))
+    radii = np.append(chart.domain.radius(pts), 1.0)
+    axis = radii if kind != "ball2" else np.stack([radii, np.zeros_like(radii)], axis=-1)
+    panels = flow_module._sweep_panels(chart, pts)
+    columns = np.unique(radii[:-1], return_index=True)[1] if kind == "annulus" else [-1]
     for j in range(3):
-        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), q_panels)
-        swept = trajectories(chart, one, s, m_steps).reshape(len(s), -1)[:, 0]
-        assert np.array_equal(flow_module._rk4_multipliers(chart, s), swept.real)
+        s, _ = panels.nodes(j)
+        swept = trajectories(chart, axis, s, m_steps).reshape(len(s), len(radii), -1)[..., 0]
+        assert np.array_equal(flow_module._radius_scales(chart, radii, s), swept.real / radii)
+        assert np.array_equal(panels.scales(j), (swept.real / radii)[:, columns])
         assert not np.any(swept.imag)
 
 
-def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart):
-    # R_s * p against p marched by RK4 on its own: 12.4 ulp at most, relative,
-    # on decompose's evaluation points over three panels
-    pts = _default_eval_points(disk_chart)
-    for j in range(3):
-        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), disk_chart.q_panels)
-        multipliers = flow_module._rk4_multipliers(disk_chart, s)
-        scaled = flow_module._panel_positions(disk_chart, pts, s, multipliers)
-        marched = trajectories(disk_chart, pts, s, disk_chart.m_steps)
-        assert np.array_equal(flow_module._panel_positions(disk_chart, pts, s, None), marched)
-        assert np.max(np.abs(scaled - marched) / np.abs(marched)) <= 32 * np.finfo(float).eps
+def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart, annulus_chart,
+                                                                  ball_chart):
+    # lambda_s(|p|) * p against p marched by RK4 on its own, relative, over three
+    # panels: at most 12.4 ulp on decompose's disk points, 8.3 on C1's annulus
+    # grid and 9.8 on the ball's quadrature nodes
+    for chart, pts in ((disk_chart, _default_eval_points(disk_chart)),
+                       (annulus_chart, sweep_points(annulus_chart)),
+                       (ball_chart, sweep_points(ball_chart))):
+        panels = flow_module._sweep_panels(chart, pts)
+        radius = chart.domain.radius
+        for j in range(3):
+            s, _ = panels.nodes(j)
+            scaled = flow_module._panel_positions(chart, pts, s,
+                                                  panels.scales(j)[:, panels.columns])
+            marched = trajectories(chart, pts, s, chart.m_steps)
+            assert np.array_equal(flow_module._panel_positions(chart, pts, s, None), marched)
+            assert (np.max(radius(scaled - marched) / radius(marched))
+                    <= 32 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("chart_name", ["disk_chart", "annulus_chart", "ball_chart"])
+def test_a_point_gets_the_same_positions_alone_and_in_its_batch(monkeypatch, request,
+                                                                 chart_name):
+    # a radius is marched in elementwise real arithmetic and a position is its
+    # point times a real scale, so a point's positions keep their bits whatever
+    # else is swept with it: here C1's grid against 8 of its points each alone (on
+    # the annulus 768 points of 50 radii in 2 blocks).  No pointwise sweep marches
+    # a point through trajectories
+    chart = request.getfixturevalue(chart_name)
+    recorded = {}
+    positions = flow_module._panel_positions
+
+    def record(chart, start, s, scales):
+        pos = positions(chart, start, s, scales)
+        for k, p in enumerate(start):
+            recorded.setdefault(p.tobytes(), {})[s[0]] = pos[:, k]
+        return pos
+    monkeypatch.setattr(flow_module, "_panel_positions", record)
+    monkeypatch.setattr(flow_module, "trajectories", None)
+    pts = sweep_points(chart)
+    antideriv_chains(chart, [(chart.cutoff, 2)], pts)
+    batch = dict(recorded)
+    for p in pts[::-(-len(pts) // 8)]:
+        recorded.clear()
+        antideriv_chains(chart, [(chart.cutoff, 2)], p[None])
+        alone = recorded[p.tobytes()]
+        assert alone.keys() == batch[p.tobytes()].keys()
+        for panel, pos in alone.items():
+            assert np.array_equal(pos, batch[p.tobytes()][panel])
 
 
 def test_hitting_time_boundary(disk_chart):

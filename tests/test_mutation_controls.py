@@ -5,7 +5,6 @@ a control and those that have none."""
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -62,35 +61,45 @@ def test_decomposition_residuals_fail_with_a_shifted_cutoff_rate(monkeypatch):
         assert not verdicts[f"decomposition residual at order {k}"]
 
 
-def _multipliers_one_step_short(chart, s_values):
-    """The linear charts' RK4 multipliers by the sweep's step rule, with each gap
-    one step short of its ceil(gap * m_steps): at the default chart every gap
-    takes one step, so the positions never leave their start points."""
-    rate = chart.rate
-    linear = SimpleNamespace(velocity=lambda x: rate * x)
+def _multipliers_one_step_short(chart, radii, s_values):
+    """The sweeps' multiplier table by their step rule, each gap one step short of
+    its ceil(gap * m_steps): at the default chart every gap takes one step, so the
+    positions never leave their start points."""
     s = np.asarray(s_values, dtype=float)
     order = np.argsort(-s)
-    out, r = np.empty(len(s)), 1.0
+    out, r = np.empty((len(s),) + np.shape(radii)), radii
     for idx, span in zip(order.tolist(), np.diff(s[order], prepend=0.0).tolist()):
         if span != 0.0:
             n = max(1, math.ceil(abs(span) * chart.m_steps))
             for _ in range(n - 1):
-                r = flow_module._rk4_step(linear, r, span / n)
+                r = flow_module._rk4_step(chart.field, r, span / n)
         out[idx] = r
-    return out
+    return out / radii
 
 
 def test_residuals_fail_with_multipliers_one_step_short(monkeypatch):
-    # the disk's sweeps scale their points by the multipliers: short of a step per
-    # gap, the flow integrals lose their flow, and C3's residuals read 42, 280 and
-    # 1.6e3, C4's 42 and 280
-    monkeypatch.setattr(flow_module, "_rk4_multipliers", _multipliers_one_step_short)
+    # the disk's sweeps scale their points by the multiplier table: short of a step
+    # per gap, the flow integrals lose their flow, and C3's residuals read 42, 280
+    # and 1.6e3, C4's 42 and 280
+    monkeypatch.setattr(flow_module, "_radius_scales", _multipliers_one_step_short)
     verdicts = _verdicts(check_reproduction(ScenarioConfig("decomposition"))[0])
     for k in (1, 2, 3):
         assert not verdicts[f"reproduction residual at order {k}"]
     verdicts = _verdicts(check_decomposition(ScenarioConfig("decomposition"))[0])
     for k in (1, 2):
         assert not verdicts[f"decomposition residual at order {k}"]
+
+
+def test_ftc_fails_with_the_annulus_scaled_at_the_neighbouring_radius(monkeypatch):
+    # each annulus point flowed by lambda_s of the next smaller radius of its sweep
+    # (the smallest by its own): C1's sup-defect reads 0.78 against 1e-6.  The
+    # disk's table has the one radius 1, which the shift leaves in place
+    scales = flow_module._radius_scales
+    monkeypatch.setattr(flow_module, "_radius_scales", lambda chart, radii, s: scales(
+        chart, radii, s)[:, np.maximum(np.arange(len(radii)) - 1, 0)])
+    checks, _ = check_ftc(ScenarioConfig("ftc"))
+    assert not _verdicts(checks)["flow reproduction sup-defect, 10 seeded cutoff functions "
+                                 "on disk and annulus"]
 
 
 def test_decomposition_envelope_fails_against_a_norm_of_positive_order(monkeypatch):

@@ -39,6 +39,7 @@ UNREACHED = {
     "flow.CollarChart.exact_trajectories": "oracle",
     "flow._entry_sums": "benchmark",
     "flow.hitting_time": "benchmark",
+    "flow.trajectories": "benchmark",
     "geometry.Domain.contains": "oracle",
     "geometry.Domain.volume": "oracle",
     "geometry.VectorField.applied_to_defining": "oracle",
@@ -158,10 +159,10 @@ def test_one_implementation_per_family_form():
 
 
 def test_one_rk4_step_for_sweeps_and_hitting_times():
-    # the sweeps of points and of the linear charts' scalar multipliers share one
+    # the sweeps of points and of the radii of a sweep's radius table share one
     # step rule
     assert _callers("_rk4_step") == {"flow._march", "flow.hitting_time"}
-    assert _callers("_march") == {"flow.trajectories", "flow._rk4_multipliers"}
+    assert _callers("_march") == {"flow.trajectories", "flow._radius_scales"}
 
 
 def test_one_partial_dispatch():

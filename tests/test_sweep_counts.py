@@ -40,8 +40,8 @@ from test_decompose import _order_two_identity
 @pytest.fixture()
 def sweeps(monkeypatch):
     # the start points of each panel swept, by the seam that yields a panel's
-    # positions: a multiplier per node on the disk and the ball, trajectories per
-    # point on the annulus and in apply_op.  One entry per panel and block: its
+    # positions: the points scaled by the sweep's radius table, or marched per
+    # point in apply_op.  One entry per panel and block: its
     # length counts the panels of apply_op, which never blocks, and its sum the
     # starts flowed, which do not depend on how a point set is blocked
     starts = []
@@ -358,11 +358,11 @@ def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(c4_work_twice,
 
 def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, chart):
     # C4's 96 x 192 doubling grid, 16,896 of its 18,432 points swept in 33
-    # blocks: the Gauss nodes and the RK4 multipliers of its one panel are made
+    # blocks: the Gauss nodes and the radius table of its one panel are made
     # once for all the blocks, and the hit times taken once, of all the points
     # (once per block as well when each block made its own)
     calls = Counter()
-    for name in ("_panel_nodes", "_rk4_multipliers", "_collar_quadrature"):
+    for name in ("_panel_nodes", "_radius_scales", "_collar_quadrature"):
         real = getattr(flow_module, name)
         monkeypatch.setattr(flow_module, name, lambda *args, name=name, real=real, **kwargs:
                             calls.update([name]) or real(*args, **kwargs))
@@ -372,7 +372,7 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
                         lambda self, p: hit_times.append(np.size(p)) or hit_time(self, p))
     grid = polar_eval_grid(chart.domain, 96, 192, r_inner=0.4).nodes().ravel()
     component_values([Holo1.inverse_power(0.9, 0.75)], (1, 2), chart, grid)
-    assert calls == {"_collar_quadrature": 33, "_panel_nodes": 1, "_rk4_multipliers": 1}
+    assert calls == {"_collar_quadrature": 33, "_panel_nodes": 1, "_radius_scales": 1}
     assert hit_times == [18_432]
 
 
