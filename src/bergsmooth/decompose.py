@@ -262,23 +262,18 @@ def _components(hs, orders, chart: CollarChart) -> dict:
     return out
 
 
-def _component_values(components, chart: CollarChart, points):
-    """Values at points of components (input, depth, combine), in one sweep of the
-    points (per block of a large point set, flow._blocked_quadrature): a chain
-    that several components share is integrated once.  Every input carries the
-    cutoff or its derivative, so the chains end at the cutoff's end."""
-    chains = list(dict.fromkeys((w, depth) for w, depth, _ in components))
-    values = dict(zip(chains, antideriv_chains(chart, chains, points, support=CUTOFF_END)))
-    return [combine(values[w, depth]) for w, depth, combine in components]
-
-
 def component_values(hs, orders, chart: CollarChart, points) -> dict:
     """Values at points of the components of cutoff * hs[i] at each order k in
     orders, 1 or 2: one list per (i, k), in one sweep of the points (per block
-    of a large point set)."""
+    of a large point set, flow._blocked_quadrature).  A chain that several
+    components share, of one (i, k) or of several, is integrated once.  Every
+    input carries the cutoff or its derivative, so the chains end at the
+    cutoff's end."""
     family = _components(hs, orders, chart)
-    values = iter(_component_values([c for cs in family.values() for c in cs], chart, points))
-    return {key: [next(values) for _ in cs] for key, cs in family.items()}
+    chains = list(dict.fromkeys((w, depth) for cs in family.values() for w, depth, _ in cs))
+    values = dict(zip(chains, antideriv_chains(chart, chains, points, support=CUTOFF_END)))
+    return {key: [combine(values[w, depth]) for w, depth, combine in cs]
+            for key, cs in family.items()}
 
 
 def decompose(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
@@ -290,20 +285,19 @@ def decompose(hs, orders, chart: CollarChart, points=None, grid=None) -> dict:
     re-differentiates the computed components by rotation finite differences
     (honest derivatives of the numerical output, not of the construction).
     Component norms are quadrature collar norms, reported against the
-    distance-weighted norm of h.  Each point set is swept once for the whole
-    family, in blocks of bounded size when it is large: the points with their
-    four rotated copies, every component of every (h, k) on a trailing axis,
-    from which rotation_fd takes the components themselves (the centre copy)
-    and both derivatives; then the quadrature nodes.
-    The components of one h are built once, so the chains its orders share are
-    integrated once.  Each result is bit for bit the one of its h and k alone,
+    distance-weighted norm of h.  Each point set is swept by one
+    component_values call for the whole family, in blocks of bounded size when
+    it is large: the points with their four rotated copies, every component of
+    every (h, k) stacked on a trailing axis, from which rotation_fd takes the
+    components themselves (the centre copy) and both derivatives; then the
+    quadrature nodes.  Each result is bit for bit the one of its h and k alone,
     decompose([h], [k], chart)[0, k].
     """
     family = _components(hs, orders, chart)
     if points is None:
         points = _default_eval_points(chart)
-    flat = [c for cs in family.values() for c in cs]
-    fn = lambda p: np.stack(_component_values(flat, chart, p), axis=-1)
+    fn = lambda p: np.stack([v for vs in component_values(hs, orders, chart, p).values()
+                             for v in vs], axis=-1)
     at_points, *derivs = rotation_fd(fn, points, range(max(orders) + 1))
     comps, recons, first = {}, {}, 0
     for key, cs in family.items():

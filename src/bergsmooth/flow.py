@@ -377,8 +377,9 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     the cutoff profiles are kept for the whole panel, the derivatives of an h
     while the integrands of h follow one another (C3 and C4 list their chains
     input by input).  The integrands of a panel also scatter their live values
-    into one nodes x points zero buffer per dtype (and, without orders, trailing
-    shape): all of them fill the same live entries, so the dead ones stay zero.
+    into one nodes x points zero buffer per dtype: a pointwise integrand returns
+    one value per live pair, and all of them fill the same live entries, so the
+    dead ones stay zero.
 
     The integrands are taken to vanish where tau >= support: a panel with no pair
     below the bound is not swept, and in a panel with some, only the points with
@@ -436,18 +437,13 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
                 reach.setdefault(integrand, []).append(i)
         shared = _Shared()
         buffers = {}
-
-        def buffer(kind):
-            if kind not in buffers:
-                buffers[kind] = np.zeros(need.shape + kind[1], dtype=kind[0])
-            return buffers[kind]
         for integrand, members in reach.items():
             live_values = integrand(live_pos, live_tau, shared)
+            if live_values.dtype not in buffers:
+                buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
+            values = buffers[live_values.dtype]
             if orders is None:
-                values = buffer((live_values.dtype, live_values.shape[1:]))
                 values[need] = live_values
-            else:
-                values = buffer((live_values.dtype, ()))
             for i in members:
                 node_weights = weights * terms[i][0](s)
                 if orders is None:

@@ -208,10 +208,11 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
     B-spline kernel of depth <= 3 by the flow group property.  Finite
     differences are taken only at the leaves: of g when it has no tracked
     partials (a SmoothFunction's are used), and of the field coefficients.
-    Each distinct request, the factors still to apply and the kernels passed
-    on the way to them, is computed once within the call, so a kernel sweep
-    shared by several terms of a sum runs once; the leaf jets of g are the
-    requests with no factors left.  Nothing is kept past the call.
+    Each distinct request, the factors still to apply, the kernels passed on
+    the way to them and the order, is computed once within the call and at the
+    order asked, so a kernel sweep shared by several terms of a sum runs once;
+    the leaf jets of g are the requests with no factors left.  Nothing is kept
+    past the call.
 
     A kernel evaluates its integrand only where the hit time is below 1, so g
     must vanish off the collar wherever a kernel acts on it, the contract of
@@ -251,19 +252,18 @@ def _index(beta) -> int:
 
 
 class _Jets:
-    """The jets of one apply_op call, each kept under its request (factors,
-    path): the factors still to apply, and the kernel path, the depth of each
-    kernel group between the top and them and the panel of its sweep.  Within
-    one call the points are fixed, so the path fixes the points of a request (a
-    kernel of weight mu > 0 sweeps the nodes of a plain one, and a point just
-    outside the domain, of negative hit time, reaches a group's second panel).
-    Each jet is kept at the highest order requested so far, and a lower order
-    reads its prefix: bit for bit, except a kernel's order 0, summed by
-    tensordot where higher orders use einsum, so it agrees to rounding.  The
-    leaf jets of g are the requests with no factors left, extended by the
-    partials a higher order adds.  Every jet is one array filled in place,
-    partial by partial (leaves), term by term (sums) or entry by entry (fields
-    and kernels), with no stacked copies.  Nothing outlives the call."""
+    """The jets of one apply_op call, each kept under its request (factors, path,
+    order): the factors still to apply; the kernel path, the depth of each kernel
+    group between the top and them and the panel of its sweep; and the order of
+    the jet.  Within one call the points are fixed, so the path fixes the points
+    of a request (a kernel of weight mu > 0 sweeps the nodes of a plain one, and
+    a point just outside the domain, of negative hit time, reaches a group's
+    second panel).  Each request is computed at the order asked, so a request
+    asked at two orders is computed twice, and a jet's bits do not depend on what
+    was asked before it.  The leaf jets of g are the requests with no factors
+    left.  Every jet is one array filled in place, partial by partial (leaves),
+    term by term (sums) or entry by entry (fields and kernels), with no stacked
+    copies.  Nothing outlives the call."""
 
     def __init__(self, chart: CollarChart, g):
         self.chart = chart
@@ -273,15 +273,14 @@ class _Jets:
     def jet(self, factors, points, order, path=()):
         """D^beta of (factors[0] o ... o factors[-1])(g) at points, |beta| <= order,
         along a trailing axis laid out by _multi_indices."""
-        size = len(_multi_indices(order))
-        have = self.memo.get((factors, path))
-        if have is None or have.shape[-1] < size:
-            have = self.memo[factors, path] = self.compute(factors, points, order, path, have)
-        return have[..., :size]
+        key = (factors, path, order)
+        if key not in self.memo:
+            self.memo[key] = self.compute(factors, points, order, path)
+        return self.memo[key]
 
-    def compute(self, factors, points, order, path, have):
+    def compute(self, factors, points, order, path):
         if not factors:
-            return self.leaf(self.g, points, order, have)
+            return self.leaf(self.g, points, order)
         f, rest = factors[0], factors[1:]
         if isinstance(f, Compose):
             return self.jet(f.factors + rest, points, order, path)
@@ -328,20 +327,15 @@ class _Jets:
                                  support=1.0, orders=orders, per_point=True)[0]
         return out if order else out[..., None]
 
-    def leaf(self, f, points, order, have=None):
+    def leaf(self, f, points, order):
         """The jet of a leaf, g or a field coefficient, at points: one complex
-        array filled partial by partial, with have, a jet of f of lower order at
-        the same points, copied in as its prefix.  A real partial is cast to
-        complex here rather than in the first product with a complex jet."""
+        array filled partial by partial.  A real partial is cast to complex here
+        rather than in the first product with a complex jet."""
         betas = _multi_indices(order)
         jet = np.empty(_value_shape(self.chart.domain, points) + (len(betas),),
                        dtype=complex)
-        done = 0
-        if have is not None:
-            done = have.shape[-1]
-            jet[..., :done] = have
-        for i in range(done, len(betas)):
-            jet[..., i] = _partial(f, betas[i], points)
+        for i, beta in enumerate(betas):
+            jet[..., i] = _partial(f, beta, points)
         return jet
 
 

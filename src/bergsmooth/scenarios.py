@@ -169,13 +169,13 @@ def _domain(cfg: ScenarioConfig):
                        rho=cfg.rho if cfg.domain_kind == "annulus" else None)
 
 
-def _seeded_masked(chart, rng, degree=3):
-    """cutoff * w for a seeded polynomial w, its cutoff read from a panel's table."""
-    return RadialHolo(chart.cutoff_profiles, [(0, Poly2.random(rng, degree=degree))])
+def _seeded_masked(chart, rng):
+    """cutoff * w for a seeded degree-3 polynomial w, its cutoff read from a panel's table."""
+    return RadialHolo(chart.cutoff_profiles, [(0, Poly2.random(rng, degree=3))])
 
 
-def _band_limited(rng, n_terms=11, decay=0.65):
-    c = (rng.normal(size=n_terms) + 1j * rng.normal(size=n_terms)) * decay ** np.arange(n_terms)
+def _band_limited(rng):
+    c = (rng.normal(size=11) + 1j * rng.normal(size=11)) * 0.65 ** np.arange(11)
     return Holo1.from_coeffs(c)
 
 

@@ -94,6 +94,21 @@ def test_sum_linearity(chart, collar_pts, rng):
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
+def test_sum_does_not_depend_on_the_order_of_its_terms(chart, rng):
+    # K is asked at order 0 by one term and at order 1 by the other; each request
+    # is computed at the order asked, so which term comes first moves no bit (a
+    # kernel's order-0 entry read off its order-1 jet differed in the last bit)
+    r = np.exp(-chart.rate * np.linspace(0.05, 0.6, 4))
+    pts = (r[:, None] * np.exp(1j * np.array([0.5, 2.7, 4.4]))[None, :]).ravel()
+    g = masked(chart, Poly2.random(rng, degree=2))
+    k = kernel_op()
+    xk = compose(field_op(VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j),
+                                      real=True, name="dx")), k)
+    forward = apply_op(op_sum((1.0, k), (1.0, xk)), g, pts, chart)
+    backward = apply_op(op_sum((1.0, xk), (1.0, k)), g, pts, chart)
+    assert np.array_equal(forward, backward)
+
+
 def test_ftc_through_expression(chart, collar_pts, rng):
     w = Poly2.random(rng, degree=2)
     g = masked(chart, w)

@@ -151,6 +151,9 @@ def test_one_implementation_per_family_form():
     # C4's grid-doubling study calls it from its nested norms_at
     assert _callers("component_values") == {"decompose.decompose", "scenarios.norms_at",
                                             "scenarios.check_decomposition"}
+    # one component evaluator: decompose's stencil sweeps through component_values
+    assert {c for c in _callers("antideriv_chains") if c.startswith("decompose.")} == {
+        "decompose.reproduction_residual", "decompose.component_values"}
     tree = ast.parse((SRC / "scenarios.py").read_text(encoding="utf-8"))
     private = [alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module == "decompose"
