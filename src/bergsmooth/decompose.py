@@ -264,10 +264,10 @@ def _components(hs, orders, chart: CollarChart) -> dict:
 
 def component_values(hs, orders, chart: CollarChart, points) -> dict:
     """Values at points of the components of cutoff * hs[i] at each order k in
-    orders, 1 or 2: one list per (i, k), in one sweep of the points (per block
-    of a large point set, flow._blocked_quadrature).  A chain that several
-    components share, of one (i, k) or of several, is integrated once.  Every
-    input carries the cutoff or its derivative, so the chains end at the
+    orders, 1 or 2: one list per (i, k), in one sweep of the points
+    (flow._collar_quadrature, block by block within each panel).  A chain that
+    several components share, of one (i, k) or of several, is integrated once.
+    Every input carries the cutoff or its derivative, so the chains end at the
     cutoff's end."""
     family = _components(hs, orders, chart)
     chains = list(dict.fromkeys((w, depth) for cs in family.values() for w, depth, _ in cs))

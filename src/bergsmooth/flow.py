@@ -3,9 +3,11 @@ backward flow of the transverse field.
 
 The transverse field N on every model domain is radial with a real factor, so
 the chart carries closed-form hitting times and flow radii, the oracles of the
-numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Those
-paths share one RK4 step: the quadrature sweeps march their distinct radii and
-scale their points (only operators.apply_op's per_point marches each point, by
+numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Every
+quadrature along the flow is one `_collar_quadrature` sweep, panel by panel
+and, within a panel, block by block of points.  The numerical paths share one
+RK4 step: the quadrature sweeps march their distinct radii and scale their
+points (only operators.apply_op's per_point marches each point, by
 `trajectories`), and `hitting_time` marches to the boundary and bisects.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
@@ -16,10 +18,8 @@ that the integrands of a quadrature panel read from its shared table.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ DEFAULT_M_STEPS = 64
 DEFAULT_Q_PANELS = 32
 _GAUSS_PER_PANEL = 4
 # The most node-point pairs one sweep of pointwise integrands holds at once: a
-# larger point set is swept in blocks (see _blocked_quadrature)
+# larger point set is swept in blocks (see _blocks)
 _SWEEP_PAIRS = 2**16
 # A block holds a multiple of this many swept points, all but the last
 _BLOCK_QUANTUM = 16
@@ -269,28 +269,6 @@ def _panel_positions(chart: CollarChart, start, s, scales):
     return scales.reshape(scales.shape + (1,) * (start.ndim - 1)) * start
 
 
-def _sweep_panels(chart: CollarChart, points):
-    """The tables every block of one sweep of points reads, by panel j, each made
-    the first time a block reaches for it: nodes(j), the Gauss nodes and weights
-    on [-(j+1), -j], and scales(j), _radius_scales there at the sweep's radii,
-    columns naming each point's: the one radius 1 on the disk and the ball,
-    where lambda_s does not depend on r (columns a zero-strided view, no array
-    per point), and the points' distinct |p| on the annulus."""
-    if chart.domain.kind in ("disk", "ball2"):
-        radii, columns = np.ones(1), np.broadcast_to(np.intp(0), (len(points),))
-    else:
-        radii, columns = np.unique(chart.domain.radius(points), return_inverse=True)
-
-    @functools.cache
-    def nodes(j):
-        return _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
-
-    @functools.cache
-    def scales(j):
-        return _radius_scales(chart, radii, nodes(j)[0])
-    return SimpleNamespace(nodes=nodes, scales=scales, columns=columns)
-
-
 def _panel_nodes(a: float, b: float, n_panels: int):
     """Composite Gauss nodes and weights on [a, b]."""
     gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_PANEL)
@@ -350,148 +328,131 @@ def _entry_sums(weighted, live_values, need, buffer):
     return out
 
 
-def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False,
-                       hit_times=None, panels=None, columns=None):
+def _blocks(chart: CollarChart, n: int):
+    """The blocks of a sweep of n points, as slices: the fewest contiguous runs of
+    at most _SWEEP_PAIRS node-point pairs per panel, of nearly equal size, a
+    multiple of _BLOCK_QUANTUM points each but the last."""
+    quantum = _BLOCK_QUANTUM
+    per_block = max(quantum,
+                    _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
+    n_blocks = max(1, -(-n // per_block))
+    size = max(quantum, -(-n // (n_blocks * quantum)) * quantum)
+    return [slice(first, min(first + size, n)) for first in range(0, n, size)]
+
+
+def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
     integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
     kernel(s) against integrand(pos, tau, shared), the values at the positions
     pos of the live points with hit times tau = t - s there.  shared is the
-    panel's table of shared factors (functions._Shared).
+    table of shared factors (functions._Shared) of a panel and block.
 
-    Returns one array of values per term.  One call sweeps each panel once for
-    all its points and all the terms deep enough to reach it (_blocked_quadrature
-    splits a large point set over several calls), and an integrand listed in
-    several terms (the same object) is evaluated once per panel.  Each term sums
-    its own panels in its own order, so a term's values are bit for bit the ones
-    it gets alone.
+    Returns one array of values per term, of the points' value shape.  The one
+    sweep of the package: the hit times, swept points and radii are taken once
+    per call; each panel makes its Gauss nodes and weights, its multiplier table
+    and each term's node weights once, then sweeps the points block by block
+    (_blocks), adding each block's panel sum in place into its points' values,
+    so that a sweep's memory stays bounded as the grids refine.  Every term deep
+    enough to reach a panel is summed there, and an integrand listed in several
+    terms (the same object) is evaluated once per panel and block.  Each term
+    sums its own panels in its own order, so its values are bit for bit the
+    ones it gets alone; against one block they agree to rounding, bit for bit
+    on the layouts the tests pin, since numpy's elementwise complex arithmetic
+    may round a point by the size of its batch (README, "Sweeps in blocks").
 
     A panel's positions come from _panel_positions: each start point p scaled by
-    lambda_s(|p|), within 12.4 ulp (relative) of marching it, or marched by
-    trajectories with per_point.  Nodes, weights and multipliers come from
-    panels (_sweep_panels), made here unless a blocked sweep hands in the one
-    its blocks share, with the block's slices of the hit times and columns.
+    lambda_s(|p|), within 12.4 ulp (relative) of marching it, from a table at
+    the one radius 1 on the disk and the ball, where lambda_s does not depend
+    on r, and at the points' distinct |p| on the annulus.  With per_point, which
+    only operators.apply_op passes, each point is marched by trajectories, and
+    the call is one block: apply_op's integrand keys its jet requests by panel,
+    one call per panel, and orders read R_s off the call's largest start point.
 
-    Each panel makes one table and drops it when it ends: a factor that several
-    of its integrands read is computed once, at the panel's positions.  |z| and
-    the cutoff profiles are kept for the whole panel, the derivatives of an h
-    while the integrands of h follow one another (C3 and C4 list their chains
-    input by input).  The integrands of a panel also scatter their live values
-    into one nodes x points zero buffer per dtype: a pointwise integrand returns
-    one value per live pair, and all of them fill the same live entries, so the
-    dead ones stay zero.
+    Each block of a panel makes one table and drops it when it ends: a factor
+    that several of its integrands read is computed once.  |z| and the cutoff
+    profiles are kept for the whole block, the derivatives of an h while the
+    integrands of h follow one another (C3 and C4 list their chains input by
+    input).  The integrands also scatter their live values into one nodes x
+    points zero buffer per dtype, whose dead entries stay zero.
 
-    The integrands are taken to vanish where tau >= support: a panel with no pair
-    below the bound is not swept, and in a panel with some, only the points with
-    a live node are flowed and only the live pairs evaluated.  Where an integrand
-    is indeed zero past the bound, the sum is the one over every pair, to
-    rounding: the integrands then run on fewer pairs (see _blocked_quadrature).
+    The integrands are taken to vanish where tau >= support: a panel or block
+    with no pair below the bound is not swept, and in one with some, only the
+    points with a live node are flowed and only the live pairs evaluated.
+    Where an integrand is indeed zero past the bound, the sum is the one over
+    every pair, to rounding: the integrands then run on fewer pairs.
 
     With orders (on the disk or the ball, where lambda_s is one R_s per node),
     the values carry a trailing axis, one entry per derivative order |beta|, and
     the node weight of entry b is further multiplied by R_s**orders[b], read off
     the sweep itself: the chain rule for D^beta of the integral.  The entries
-    pass through the panel's buffer one at a time (_entry_sums), so no nodes x
-    points x entries array is held.
+    pass through the buffer one at a time (_entry_sums), so no nodes x points x
+    entries array is held.
     """
     points = np.asarray(points, dtype=complex)
-    t = chart.hit_time(points) if hit_times is None else hit_times
-    live = _swept(t)
+    t = chart.hit_time(points)
+    shape, flat = t.shape, points.reshape((t.size,) + points.shape[t.ndim:])
+    t = t.ravel()
+    swept = np.flatnonzero(_swept(t))
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
-    if not np.any(live):
-        return outs
-    pts, t = points[live], t[live]
-    if panels is None:
-        panels = _sweep_panels(chart, pts)
-        columns = panels.columns
-    totals = [0.0] * len(terms)
+    t = t[swept]
+    if chart.domain.kind in ("disk", "ball2"):
+        radii, columns = np.ones(1), None
+    else:
+        radii, columns = np.unique(chart.domain.radius(flat[swept]), return_inverse=True)
+    blocks = [slice(0, len(t))] if per_point else _blocks(chart, len(t))
     for j in range(max((term[2] for term in terms), default=0)):
-        if j + t.min() >= support:
+        if j + t.min(initial=np.inf) >= support:
             break
-        s, weights = panels.nodes(j)
-        tau = t[None, :] - s[:, None]
-        need = tau < support
-        cols = need.any(axis=0)
-        if not cols.any():
-            # near the collar's edge every node of the panel lies past the bound,
-            # and tau only grows from panel to panel: the sum is the zero it holds
-            break
-        start = pts[cols]
-        scales = None if per_point else panels.scales(j)
-        if scales is not None and scales.shape[1] > 1:  # one radius serves every point
-            scales = scales[:, columns[cols]]
-        pos = _panel_positions(chart, start, s, scales)
-        if orders is not None:
-            # R_s of the swept map p -> R_s p, read at the start point of largest modulus
-            ref = int(np.argmax(np.abs(start)))
-            factor = (pos[:, ref] / start[ref]).real
-            powers = factor[:, None] ** np.asarray(orders)
-        live_pos, live_tau = pos[need[:, cols]], tau[need]
-        # only the live pairs are read from here on
-        del pos, tau
-        # the terms that reach this panel, by integrand, and the table they read
+        s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
+        scales = None if per_point else _radius_scales(chart, radii, s)
+        # the terms that reach this panel, by integrand, with their node weights
         reach = {}
-        for i, (_, integrand, depth) in enumerate(terms):
+        for i, (kernel, integrand, depth) in enumerate(terms):
             if depth > j:
-                reach.setdefault(integrand, []).append(i)
-        shared = _Shared()
-        buffers = {}
-        for integrand, members in reach.items():
-            live_values = integrand(live_pos, live_tau, shared)
-            if live_values.dtype not in buffers:
-                buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
-            values = buffers[live_values.dtype]
-            if orders is None:
-                values[need] = live_values
-            for i in members:
-                node_weights = weights * terms[i][0](s)
+                reach.setdefault(integrand, []).append((i, weights * kernel(s)))
+        for block in blocks:
+            if j + t[block].min() >= support:
+                continue
+            tau = t[block][None, :] - s[:, None]
+            need = tau < support
+            cols = need.any(axis=0)
+            if not cols.any():
+                continue
+            start = flat[swept[block][cols]]
+            block_scales = scales
+            if scales is not None and scales.shape[1] > 1:  # one radius serves every point
+                block_scales = scales[:, columns[block][cols]]
+            pos = _panel_positions(chart, start, s, block_scales)
+            if orders is not None:
+                # R_s of the swept map p -> R_s p, read at the start point of largest modulus
+                ref = int(np.argmax(np.abs(start)))
+                factor = (pos[:, ref] / start[ref]).real
+                powers = factor[:, None] ** np.asarray(orders)
+            live_pos, live_tau = pos[need[:, cols]], tau[need]
+            # only the live pairs are read from here on
+            del pos, tau
+            shared = _Shared()
+            buffers = {}
+            for integrand, members in reach.items():
+                live_values = integrand(live_pos, live_tau, shared)
+                if live_values.dtype not in buffers:
+                    buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
+                values = buffers[live_values.dtype]
                 if orders is None:
-                    totals[i] = totals[i] + np.tensordot(node_weights, values, axes=(0, 0))
-                else:
-                    totals[i] = totals[i] + _entry_sums(node_weights[:, None] * powers,
-                                                        live_values, need, values)
-            # the next integrand's values replace these rather than join them
-            del live_values
-    for out, total in zip(outs, totals):
-        out[live] = total
-    return outs
-
-
-def _blocked_quadrature(chart, points, terms, *, support):
-    """_collar_quadrature of pointwise integrands in blocks of at most
-    _SWEEP_PAIRS node-point pairs, one call per block, so that the memory of a
-    sweep stays bounded as the grids refine.  The points are flattened and their
-    hit times taken once; the swept points are split into the fewest contiguous
-    blocks of nearly equal size, a multiple of _BLOCK_QUANTUM points each but the
-    last, and each block is handed its slices of the hit times and the columns.
-    The blocks share one _sweep_panels: the Gauss nodes and the multipliers of a
-    panel are made once per sweep, whatever the number of blocks.
-
-    The values agree with those of one call over all the points to rounding,
-    and are bit for bit on the layouts the tests pin; the integrands run on
-    arrays of a block's size, and numpy's elementwise complex arithmetic may
-    round a point differently by the size of its batch (README, "Sweeps in
-    blocks")."""
-    points = np.asarray(points, dtype=complex)
-    shape = _value_shape(chart.domain, points)
-    flat = points.reshape((-1,) + points.shape[len(shape):])
-    t = chart.hit_time(flat)
-    swept = np.flatnonzero(_swept(t))
-    quantum = _BLOCK_QUANTUM
-    per_block = max(quantum,
-                    _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
-    n_blocks = max(1, -(-len(swept) // per_block))
-    size = max(quantum, -(-len(swept) // (n_blocks * quantum)) * quantum)
-    panels = _sweep_panels(chart, flat[swept])
-    outs = [np.zeros(len(flat), dtype=complex) for _ in terms]
-    for first in range(0, len(swept), size):
-        block = swept[first:first + size]
-        for out, values in zip(outs, _collar_quadrature(
-                chart, flat[block], terms, support=support, hit_times=t[block],
-                panels=panels, columns=panels.columns[first:first + size])):
-            out[block] = values
-    return [out.reshape(shape) for out in outs]
+                    values[need] = live_values
+                for i, node_weights in members:
+                    if orders is None:
+                        outs[i][swept[block]] += np.tensordot(node_weights, values, axes=(0, 0))
+                    else:
+                        outs[i][swept[block]] += _entry_sums(node_weights[:, None] * powers,
+                                                             live_values, need, values)
+                # the next integrand's values replace these rather than join them
+                del live_values
+            # the next block's table, buffers and live pairs replace these
+            del shared, buffers, values, live_pos, live_tau, need
+    return [out.reshape(shape + trailing) for out in outs]
 
 
 def _values(w, pos, shared):
@@ -518,10 +479,9 @@ def _chain_terms(chains):
 
 def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     """depth-fold anti-differentiation of collar-supported functions, for each
-    (w, depth) in chains, all at the same points, in one sweep of each panel per
-    block of points (_blocked_quadrature, whose values agree with those of one
-    unblocked sweep to rounding); a w listed at several depths is evaluated once
-    per panel and block.
+    (w, depth) in chains, all at the same points, in one _collar_quadrature (each
+    panel swept once, block by block); a w listed at several depths is evaluated
+    once per panel and block.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
@@ -533,7 +493,7 @@ def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     each bit for bit the one its chain gets alone at the same points, which
     are blocked alike.  depth is 1, 2 or 3.
     """
-    return _blocked_quadrature(chart, points, _chain_terms(chains), support=support)
+    return _collar_quadrature(chart, points, _chain_terms(chains), support=support)
 
 
 def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0):
@@ -541,9 +501,9 @@ def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0)
     (hit time at the flow point)^mu * |g o flow|, for a g that vanishes where the
     hit time is support or more, where it is not evaluated: 1 (off the collar)
     by default, CUTOFF_END for a g that carries the cutoff as a factor.  All in
-    one sweep of each panel per block of points (_blocked_quadrature, to
-    rounding the values of one unblocked sweep); returns one real array per
-    pair, each bit for bit the one its pair gets alone at the same points.
+    one _collar_quadrature (each panel swept once, block by block); returns one
+    real array per pair, each bit for bit the one its pair gets alone at the
+    same points.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.  A RadialHolo g reads
@@ -554,4 +514,4 @@ def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0)
               lambda pos, tau, shared, mu=mu, g=g:
               tau**mu * np.abs(np.asarray(_values(g, pos, shared))), 1)
              for mu, g in moments]
-    return [out.real for out in _blocked_quadrature(chart, points, terms, support=support)]
+    return [out.real for out in _collar_quadrature(chart, points, terms, support=support)]

@@ -115,8 +115,8 @@ class _Shared:
     focus(bases), called at the start of each RadialHolo evaluation, drops the
     held derivatives of every base not in bases: the derivatives of one input
     live while its evaluations follow one another, and |z| and the profiles for
-    the whole table.  The table belongs to its points: one per quadrature panel,
-    made and dropped by `flow._collar_quadrature`, or one per call of an
+    the whole table.  The table belongs to its points: one per quadrature panel
+    and block, made and dropped by `flow._collar_quadrature`, or one per call of an
     evaluation given none.
     """
 

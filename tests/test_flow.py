@@ -215,13 +215,15 @@ def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps)
     pts = collar_points(chart, np.random.default_rng(3))
     radii = np.append(chart.domain.radius(pts), 1.0)
     axis = radii if kind != "ball2" else np.stack([radii, np.zeros_like(radii)], axis=-1)
-    panels = flow_module._sweep_panels(chart, pts)
+    # the table a sweep of pts makes: the distinct radii on the annulus, 1 elsewhere
+    table = np.unique(radii[:-1]) if kind == "annulus" else np.ones(1)
     columns = np.unique(radii[:-1], return_index=True)[1] if kind == "annulus" else [-1]
     for j in range(3):
-        s, _ = panels.nodes(j)
+        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), q_panels)
         swept = trajectories(chart, axis, s, m_steps).reshape(len(s), len(radii), -1)[..., 0]
         assert np.array_equal(flow_module._radius_scales(chart, radii, s), swept.real / radii)
-        assert np.array_equal(panels.scales(j), (swept.real / radii)[:, columns])
+        assert np.array_equal(flow_module._radius_scales(chart, table, s),
+                              (swept.real / radii)[:, columns])
         assert not np.any(swept.imag)
 
 
@@ -233,12 +235,15 @@ def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart, an
     for chart, pts in ((disk_chart, _default_eval_points(disk_chart)),
                        (annulus_chart, sweep_points(annulus_chart)),
                        (ball_chart, sweep_points(ball_chart))):
-        panels = flow_module._sweep_panels(chart, pts)
         radius = chart.domain.radius
+        # the sweep's table and each point's column in it
+        table, columns = (np.unique(radius(pts), return_inverse=True)
+                          if chart.domain.kind == "annulus" else (np.ones(1), [0] * len(pts)))
         for j in range(3):
-            s, _ = panels.nodes(j)
+            s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
             scaled = flow_module._panel_positions(chart, pts, s,
-                                                  panels.scales(j)[:, panels.columns])
+                                                  flow_module._radius_scales(chart, table, s)
+                                                  [:, columns])
             marched = trajectories(chart, pts, s, chart.m_steps)
             assert np.array_equal(flow_module._panel_positions(chart, pts, s, None), marched)
             assert (np.max(radius(scaled - marched) / radius(marched))
@@ -648,10 +653,13 @@ def test_blocks_keep_the_layout_of_the_points(disk_chart, ball_chart, kind, rng,
         w = lambda p: chart.cutoff(p) * (1.0 + p[..., 0] * np.conj(p[..., 1]))
     one_call = antideriv_chains(chart, [(w, 2)], pts)[0]
     swept = []
-    quadrature = flow_module._collar_quadrature
-    monkeypatch.setattr(flow_module, "_collar_quadrature",
-                        lambda chart, p, *args, **kwargs: swept.append(len(p))
-                        or quadrature(chart, p, *args, **kwargs))
+    blocks = flow_module._blocks
+
+    def cut(chart, n):
+        slices = blocks(chart, n)
+        swept.extend(block.stop - block.start for block in slices)
+        return slices
+    monkeypatch.setattr(flow_module, "_blocks", cut)
     monkeypatch.setattr(flow_module, "_SWEEP_PAIRS", 32 * 4 * chart.q_panels)
     blocked = antideriv_chains(chart, [(w, 2)], pts)[0]
     assert swept == ([32, 32, 32] if kind == "disk" else [32, 16])

@@ -38,6 +38,7 @@ UNREACHED = {
     "errors.ConditioningError.__init__": "raises",
     "flow.CollarChart.exact_trajectories": "oracle",
     "flow._entry_sums": "benchmark",
+    "flow._value_shape": "benchmark",
     "flow.hitting_time": "benchmark",
     "flow.trajectories": "benchmark",
     "geometry.Domain.contains": "oracle",
@@ -141,6 +142,18 @@ def test_only_the_collar_quadrature_sweeps_trajectories():
     # one seam that yields a panel's positions
     assert _callers("trajectories") == {"flow._panel_positions"}
     assert _callers("_panel_positions") == {"flow._collar_quadrature"}
+
+
+def test_one_sweep_entry():
+    # every quadrature along the flow is one _collar_quadrature call, which cuts
+    # its points into blocks inside its panel loop: no block driver or panel
+    # cache between the callers and the sweep
+    assert _callers("_collar_quadrature") == {"flow.antideriv_chains", "flow.flow_moment_apply",
+                                              "operators._Jets.kernel"}
+    tree = ast.parse((SRC / "flow.py").read_text(encoding="utf-8"))
+    names = {getattr(node, attr, None)
+             for node in ast.walk(tree) for attr in ("id", "attr", "name")}
+    assert not {"_blocked_quadrature", "_sweep_panels"} & names
 
 
 def test_one_implementation_per_family_form():

@@ -1,16 +1,16 @@
 """Regression guards on repeated work: each point set is swept once for every
-integrand computed on it (in blocks of bounded size, which together flow and
-evaluate exactly what one unblocked sweep does: the counts below are summed
-over the blocks, so they do not depend on how many there are), the blocks of a
-sweep share its panel tables and hit times, an operator expression sweeps each
-distinct kernel request once per apply_op call, each factor the integrands of
-a panel share is evaluated once per panel (the derivatives of an input once
-while its integrands follow one another), a hitting time steps each point once
-up to its crossing, projection evaluates no basis element, and a Sobolev norm
-takes each derivative order once for all the orders it reports.  Three guards
-on memory: C3's and C4's peaks stay near the ones their bounded sweep blocks
-hold, and the power-expansion identity's near the one its per-entry kernel
-sums hold."""
+integrand computed on it (one sweep, in blocks of bounded size within each
+panel, which together flow and evaluate exactly what one block does: the counts
+below are summed over the blocks, so they do not depend on how many there
+are), a sweep makes each panel's tables and takes its hit times once, an
+operator expression sweeps each distinct kernel request once per apply_op
+call, each factor the integrands of a panel share is evaluated once per panel
+(the derivatives of an input once while its integrands follow one another), a
+hitting time steps each point once up to its crossing, projection evaluates no
+basis element, and a Sobolev norm takes each derivative order once for all the
+orders it reports.  Three guards on memory: C3's and C4's peaks stay near the
+ones their bounded sweep blocks hold, and the power-expansion identity's near
+the one its per-entry kernel sums hold."""
 
 import tracemalloc
 from collections import Counter
@@ -41,9 +41,9 @@ from test_decompose import _order_two_identity
 def sweeps(monkeypatch):
     # the start points of each panel swept, by the seam that yields a panel's
     # positions: the points scaled by the sweep's radius table, or marched per
-    # point in apply_op.  One entry per panel and block: its
-    # length counts the panels of apply_op, which never blocks, and its sum the
-    # starts flowed, which do not depend on how a point set is blocked
+    # point in apply_op.  One entry per panel and block: its length counts the
+    # panels of apply_op, whose sweeps are one block, and its sum the starts
+    # flowed, which do not depend on how a point set is blocked
     starts = []
     positions = flow_module._panel_positions
 
@@ -106,23 +106,25 @@ def test_hardy_majorants_end_at_the_cutoffs_end(monkeypatch):
 
 def _work(run):
     """What run() sweeps and evaluates, counted over every block: per point set
-    swept (one _blocked_quadrature call), the sizes of its blocks and, per panel
-    keyed by its first node, the start points flowed, sorted; the derivative
-    orders of every inverse-power evaluation; and the number of points at which
-    each inverse-power input, keyed by its pole and power, is evaluated."""
+    swept (one _collar_quadrature call), the sizes of its blocks, as _blocks cuts
+    them, and, per panel keyed by its first node, the start points flowed,
+    sorted; the derivative orders of every inverse-power evaluation; and the
+    number of points at which each inverse-power input, keyed by its pole and
+    power, is evaluated."""
     sets, orders, poles = [], [], Counter()
-    blocked = flow_module._blocked_quadrature
     quadrature = flow_module._collar_quadrature
+    blocks = flow_module._blocks
     positions = flow_module._panel_positions
     make = Holo1.inverse_power
 
     def sweep(*args, **kwargs):
         sets.append(SimpleNamespace(blocks=[], starts={}))
-        return blocked(*args, **kwargs)
+        return quadrature(*args, **kwargs)
 
-    def block(chart, points, *args, **kwargs):
-        sets[-1].blocks.append(len(points))
-        return quadrature(chart, points, *args, **kwargs)
+    def cut(chart, n):
+        slices = blocks(chart, n)
+        sets[-1].blocks += [block.stop - block.start for block in slices]
+        return slices
 
     def panel(chart, start, s, *rest):
         sets[-1].starts.setdefault(float(s[0]), []).append(np.ravel(start))
@@ -139,8 +141,8 @@ def _work(run):
             return ev
         return Holo1(deriv)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(flow_module, "_blocked_quadrature", sweep)
-        m.setattr(flow_module, "_collar_quadrature", block)
+        m.setattr(flow_module, "_collar_quadrature", sweep)
+        m.setattr(flow_module, "_blocks", cut)
         m.setattr(flow_module, "_panel_positions", panel)
         m.setattr(Holo1, "inverse_power", staticmethod(recorded))
         run()
@@ -167,13 +169,13 @@ def _check_decomposition():
 def _sweep_first_point_set_twice():
     """A mutation: the first point set a run sweeps is swept twice, the first
     values thrown away."""
-    blocked = flow_module._blocked_quadrature
+    quadrature = flow_module._collar_quadrature
     seen = []
 
     def twice(*args, **kwargs):
         if not seen:
-            seen.append(blocked(*args, **kwargs))
-        return blocked(*args, **kwargs)
+            seen.append(quadrature(*args, **kwargs))
+        return quadrature(*args, **kwargs)
     return twice
 
 
@@ -187,7 +189,7 @@ def c4_work():
 def c4_work_twice():
     # and one with its first point set swept twice, for their controls
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(flow_module, "_blocked_quadrature", _sweep_first_point_set_twice())
+        m.setattr(flow_module, "_collar_quadrature", _sweep_first_point_set_twice())
         return _work(_check_decomposition)
 
 
@@ -337,7 +339,7 @@ def test_decomposition_check_evaluates_each_pole_once_per_point_set(c4_work):
     # the target and twice for the weighted norms, and the doubling study's input
     # once per grid, every evaluation of derivative order 0 (cutoff * h and its
     # transverse defect read h from one table): each input at exactly the points
-    # of one unblocked run, counted over the blocks
+    # of a sweep in one block, counted over the blocks
     assert set(c4_work.orders) == {0}
     assert c4_work.poles == C4_POLE_POINTS
 
@@ -348,7 +350,7 @@ def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(c4_work_twice,
     # blocked run that sweeps one point set twice
     if measure == "decompose-starts":
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(flow_module, "_blocked_quadrature", _sweep_first_point_set_twice())
+            m.setattr(flow_module, "_collar_quadrature", _sweep_first_point_set_twice())
             assert _starts(_work(_decompose_one_pole)) != C4_STARTS[:2]
     elif measure == "C4-starts":
         assert _starts(c4_work_twice) != C4_STARTS
@@ -358,9 +360,10 @@ def test_blocked_work_counts_fail_when_a_point_set_is_swept_twice(c4_work_twice,
 
 def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, chart):
     # C4's 96 x 192 doubling grid, 16,896 of its 18,432 points swept in 33
-    # blocks: the Gauss nodes and the radius table of its one panel are made
-    # once for all the blocks, and the hit times taken once, of all the points
-    # (once per block as well when each block made its own)
+    # blocks by one call: the Gauss nodes and the radius table of its one panel
+    # are made once for all the blocks, and the hit times taken once, of all
+    # the points (once per block as well when each block was a call that made
+    # its own)
     calls = Counter()
     for name in ("_panel_nodes", "_radius_scales", "_collar_quadrature"):
         real = getattr(flow_module, name)
@@ -372,7 +375,7 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
                         lambda self, p: hit_times.append(np.size(p)) or hit_time(self, p))
     grid = polar_eval_grid(chart.domain, 96, 192, r_inner=0.4).nodes().ravel()
     component_values([Holo1.inverse_power(0.9, 0.75)], (1, 2), chart, grid)
-    assert calls == {"_collar_quadrature": 33, "_panel_nodes": 1, "_radius_scales": 1}
+    assert calls == {"_collar_quadrature": 1, "_panel_nodes": 1, "_radius_scales": 1}
     assert hit_times == [18_432]
 
 
@@ -420,8 +423,9 @@ def test_order_two_identity_holds_no_node_point_entry_array(chart, rng):
 
 
 def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart):
-    # one march of at most 2 m_steps steps and one bisection of the last step,
-    # for the whole band together
+    # one march and one bisection of the crossing step, for the whole band
+    # together: 61 steps of 1/64 until the point at t = 0.95 crosses, then 28
+    # halvings of the step's fraction while 2 * half / m_steps > 1e-10
     calls = []
     step = flow_module._rk4_step
 
@@ -431,7 +435,8 @@ def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart)
     monkeypatch.setattr(flow_module, "_rk4_step", counted)
     t = np.linspace(0.05, 0.95, 16)
     flow_module.hitting_time(chart, np.exp(-chart.rate * t + 1j * np.arange(16.0)))
-    assert 0 < len(calls) <= 2 * chart.m_steps + 40
+    assert chart.m_steps == 64
+    assert len(calls) == 61 + 28
 
 
 def test_conj_disk_evaluates_no_basis_element(monkeypatch):
