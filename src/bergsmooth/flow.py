@@ -25,7 +25,8 @@ import numpy as np
 
 from .errors import ContractError, NotInCollarError, ParameterError
 from .functions import RadialHolo, _Shared, _smoothstep_pair, smoothstep
-from .geometry import Domain, VectorField, _annulus_logs, canonical_fields, collar_rate
+from .geometry import (Domain, VectorField, _annulus_logs, _gauss_legendre, canonical_fields,
+                       collar_rate)
 
 __all__ = [
     "CollarChart",
@@ -271,7 +272,7 @@ def _panel_positions(chart: CollarChart, start, s, scales):
 
 def _panel_nodes(a: float, b: float, n_panels: int):
     """Composite Gauss nodes and weights on [a, b]."""
-    gx, gw = np.polynomial.legendre.leggauss(_GAUSS_PER_PANEL)
+    gx, gw = _gauss_legendre(_GAUSS_PER_PANEL)
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])

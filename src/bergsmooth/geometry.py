@@ -7,6 +7,7 @@ points in C^2 are complex arrays whose last axis has length 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -148,8 +149,17 @@ class QuadratureGrid:
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2).real))
 
 
-def _gauss_on(a: float, b: float, n: int):
+@functools.cache
+def _gauss_legendre(n: int):
+    """The n-point Gauss-Legendre nodes and weights on [-1, 1], numpy's leggauss,
+    built once per process and n; the arrays are read-only."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _gauss_on(a: float, b: float, n: int):
+    x, w = _gauss_legendre(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -157,10 +167,17 @@ def quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
     """Tensor quadrature grid over the open domain.
 
     Exact (up to rounding) for radial polynomials of degree <= 2*n_r - 1 and
-    trigonometric degree <= n_theta - 1.  All nodes are strictly interior.
+    trigonometric degree <= n_theta - 1.  All nodes are strictly interior.  Equal
+    arguments return the same grid, built once and kept among the last 16; its
+    nodes and weights are read-only.
     """
     if n_r < 4 or n_theta < 4:
         raise ParameterError("need n_r >= 4 and n_theta >= 4")
+    return _quadrature_grid(domain, n_r, n_theta)
+
+
+@functools.lru_cache(maxsize=16)
+def _quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
     th = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     w_th = np.full(n_theta, 2.0 * np.pi / n_theta)
     if domain.kind in ("disk", "annulus"):
@@ -181,6 +198,7 @@ def quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
         z2 = r2 * np.exp(1j * B)
         nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
         weights = (W1 * WS * WA * WB * R1 * (1.0 - R1**2) * S).ravel()
+    nodes.flags.writeable = weights.flags.writeable = False
     return QuadratureGrid(domain, nodes, weights)
 
 

@@ -9,8 +9,6 @@ constants drop out or are reported empirically.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .bergman import CoefficientVector, OrthonormalBasis, gram_matrix, project, synthesize
@@ -40,7 +38,6 @@ __all__ = [
 MAX_ORDER = 3
 
 
-@functools.lru_cache(maxsize=8)
 def _default_grid(domain: Domain) -> QuadratureGrid:
     if domain.kind == "ball2":
         return quadrature_grid(domain, 12, 24)

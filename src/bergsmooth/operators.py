@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractError, DegenerateInputError, ParameterError
 from .flow import CollarChart, _chain_kernel, _collar_quadrature, _value_shape
 from .functions import _field_formula, _partial
-from .geometry import PolarEvalGrid, VectorField
+from .geometry import PolarEvalGrid, VectorField, _gauss_legendre
 from .norms import _multi_indices
 
 __all__ = [
@@ -380,8 +380,7 @@ def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48):
     return nodes, weights, chart.hit_time(nodes)
 
 
-def _weighted_norm(values, weights, t, power):
-    w = np.where(np.isfinite(t) & (t < 2.0), t, 0.0) ** power
+def _weighted_norm(values, weights, w):
     return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
 
 
@@ -390,16 +389,20 @@ def weighted_ratio_sweep(values, tag: ClassTag, g, ells, grid):
     values of A(g) on the grid nodes (apply_op of an expression, or the Hardy
     majorants of flow.flow_moment_apply).
 
-    k and nu come from A's class tag; the values are reweighted across the sweep.
+    k and nu come from A's class tag; the values are reweighted across the sweep,
+    by the hit time masked to the collar once and each of its powers once.
     """
     nodes, weights, t = grid
     k = tag.s_gain
     nu = tag.s_deriv
     dg = [_partial(g, beta, nodes) for beta in _multi_indices(nu)]
+    ells = list(ells)
+    masked = np.where(np.isfinite(t) & (t < 2.0), t, 0.0)
+    powers = {p: masked ** p for p in {*ells, *(ell + k for ell in ells)}}
     out = []
     for ell in ells:
-        numer = _weighted_norm(values, weights, t, ell)
-        denom = sum(_weighted_norm(d, weights, t, ell + k) for d in dg)
+        numer = _weighted_norm(values, weights, powers[ell])
+        denom = sum(_weighted_norm(d, weights, powers[ell + k]) for d in dg)
         if denom == 0.0:
             raise DegenerateInputError("weighted denominator vanishes identically")
         out.append(numer / denom)
@@ -412,7 +415,7 @@ def hardy_line_case():
     Returns (lhs_squared, rhs_squared): the integral of (integral_x^1 1)^2
     equals 1/3, and 4 times the integral of t^2 equals 4/3.
     """
-    x, w = np.polynomial.legendre.leggauss(64)
+    x, w = _gauss_legendre(64)
     x = 0.5 * (x + 1.0)
     w = 0.5 * w
     lhs2 = float(np.sum(w * (1.0 - x) ** 2))

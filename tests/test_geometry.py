@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bergsmooth import geometry
 from bergsmooth.errors import ContractError, DomainError, ParameterError
 from bergsmooth.geometry import (
     boundary_distance,
@@ -100,6 +101,31 @@ def test_quadrature_geometric_convergence(disk):
 def test_quadrature_parameter_validation(disk):
     with pytest.raises(ParameterError):
         quadrature_grid(disk, 3, 64)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32, 64])
+def test_gauss_rule_is_leggauss_built_once_and_read_only(n):
+    x, w = geometry._gauss_legendre(n)
+    ref_x, ref_w = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes()
+    assert not x.flags.writeable and not w.flags.writeable
+    assert geometry._gauss_legendre(n) is geometry._gauss_legendre(n)
+
+
+@pytest.mark.parametrize("kind, n", [("disk", (16, 32)), ("annulus", (16, 32)),
+                                     ("ball2", (6, 8))])
+def test_quadrature_grid_is_built_once_read_only_and_bitwise(kind, n):
+    dom = make_domain(kind, rho=0.5 if kind == "annulus" else None)
+    grid = quadrature_grid(dom, *n)
+    # equal arguments, a domain made anew: the key is by value, not identity
+    assert quadrature_grid(make_domain(kind, rho=dom.rho), *n) is grid
+    for arr in (grid.nodes, grid.weights):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    fresh = geometry._quadrature_grid.__wrapped__(dom, *n)
+    assert fresh is not grid
+    assert grid.nodes.tobytes() == fresh.nodes.tobytes()
+    assert grid.weights.tobytes() == fresh.weights.tobytes()
 
 
 def test_canonical_fields_disk_directions(disk):

@@ -136,6 +136,19 @@ def test_reproduction_drop_fails_with_the_doubled_chart_at_the_base_resolution(m
     assert not _verdicts(checks)["residual drop per resolution doubling"]
 
 
+@pytest.mark.parametrize("seed", [None, 0, 7])
+def test_duality_drift_fails_with_the_doubled_basis_graded_one_order_up(monkeypatch, seed):
+    # the doubled basis's sups taken over the ball of order k1 + 1, a norm the
+    # base basis does not use: the constant moves by 2.83, 2.96 and 3.00 at the
+    # default seed, seed 0 and seed 7, against a drift bound of 2
+    cfg = ScenarioConfig("duality") if seed is None else ScenarioConfig("duality", seed=seed)
+    sup = scenarios_module.duality_sup
+    monkeypatch.setattr(scenarios_module, "duality_sup", lambda fs, k1, basis, grid: sup(
+        fs, k1 + 1 if basis.size == 2 * cfg.basis_size else k1, basis, grid))
+    checks, _ = check_duality(cfg)
+    assert not _verdicts(checks)["duality constant drift under basis doubling"]
+
+
 def test_conj_annulus_fails_on_a_coarse_grid():
     # at 8 x 16 the projections of conjugate powers are not yet exact: the
     # coefficients off 1/z and the grid-doubling drift both read far past their gates

@@ -1,6 +1,8 @@
 import dataclasses
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -230,6 +232,35 @@ def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):
     scenarios.check_partial_smoothing(ScenarioConfig.from_dict(
         {"scenario": "partial-smoothing", "n_r": 16, "n_theta": 32, "basis_size": 16}))
     assert calls == {"quadrature_grid": 2, "project": 2}
+
+
+@pytest.fixture()
+def cold_caches():
+    """The package's module-level caches emptied before and after the test."""
+    def clear():
+        for module in pkgutil.iter_modules(bergsmooth.__path__):
+            for obj in vars(importlib.import_module(f"bergsmooth.{module.name}")).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_quadrature_scenarios_build_each_gauss_rule_once(monkeypatch, cold_caches):
+    # C5-C9 at one config seed ask for the 32- and 64-node rules on many grids; each
+    # is built once, counted at numpy's own builder
+    calls = {}
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counted(n):
+        calls[n] = calls.get(n, 0) + 1
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    for scenario in ("conj-smoothing", "partial-smoothing", "duality"):
+        run_scenario(ScenarioConfig(scenario))
+    assert calls == {32: 1, 64: 1}
 
 
 @pytest.mark.parametrize("check, scenario, expected", [
