@@ -143,9 +143,9 @@ def _default_eval_points(chart: CollarChart):
 def power_expansion(k: int, chart: CollarChart, fld: VectorField) -> dict:
     """Coefficient operators of (kernel o X)^l = sum_m X^m o G[l, m], l <= k.
 
-    Built by the commutator recursion; each returned expression's class tag
-    satisfies the expected constraint (derivative count at most l - m, never
-    exceeding the total time weight).
+    Built by the commutator recursion, with A the kernel and C_j the j-fold
+    commutator [...[A, X], X]: G[1, 1] = A, G[1, 0] = C_1, and G[l, m] sums
+    A o G[l-1, m-1] and comb(m', m) C_(m'-m) o G[l-1, m'-1] over m' > m.
     """
     if k < 1 or k > 2:
         raise ParameterError("full expansion implemented for orders 1 and 2")

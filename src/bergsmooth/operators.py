@@ -1,19 +1,18 @@
-"""Expression algebra over flow-kernel operators, field powers, compositions,
-sums, and commutators with a first-order field.
+"""Flow-kernel operator expressions, their evaluation by jets, and the weighted
+ratio sweeps that grade C2's Hardy majorants.
 
-Every expression carries a class tag: a set of memberships (alpha, nu),
-where alpha is the tuple of kernel time-weight exponents (its length is the
-number of kernel factors) and nu counts differentiations.  The tag of a
-commutator is assigned from the commutator calculus, not recomputed; its
-numerical content is the uniform-in-weight ratio bound measured by
-weighted_ratio_sweep.
+An expression is built from the flow kernel, powers of a first-order field,
+compositions, sums, and commutators with a first-order field; apply_op
+evaluates one on points.  weighted_ratio_sweep measures how an operator maps
+weights: it takes the gain in powers of the hit time and the derivative count
+as plain integers.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +23,6 @@ from .geometry import PolarEvalGrid, VectorField, _gauss_legendre
 from .norms import _multi_indices
 
 __all__ = [
-    "OperatorExpr",
     "Antideriv",
     "FieldPower",
     "Compose",
@@ -43,99 +41,33 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# class tags
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ClassTag:
-    """Sum-of-classes membership: tuple of (alpha, nu) alternatives."""
-
-    memberships: tuple
-
-    @property
-    def s_gain(self) -> int:
-        """Weight-power gain k of the mapping class: min over memberships."""
-        return min(len(a) + sum(a) for a, _ in self.memberships)
-
-    @property
-    def s_deriv(self) -> int:
-        """Derivative count nu of the mapping class: max over memberships."""
-        return max(nu for _, nu in self.memberships)
-
-    def combined(self, other: "ClassTag") -> "ClassTag":
-        mems = tuple(sorted(set(
-            (a1 + a2, n1 + n2)
-            for a1, n1 in self.memberships for a2, n2 in other.memberships)))
-        return ClassTag(mems)
-
-    def union(self, other: "ClassTag") -> "ClassTag":
-        return ClassTag(tuple(sorted(set(self.memberships) | set(other.memberships))))
-
-
-# ---------------------------------------------------------------------------
 # expression nodes
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class OperatorExpr:
-    tag_override: ClassTag | None = dc_field(default=None, kw_only=True)
-
-    @property
-    def tag(self) -> ClassTag:
-        if self.tag_override is not None:
-            return self.tag_override
-        return self._structural_tag()
+class Antideriv:
+    """Kernel operator: integral of g(flow(s, x)) over [-1, 0]."""
 
 
 @dataclass(frozen=True)
-class Antideriv(OperatorExpr):
-    """Kernel operator: integral of s^mu g(flow(s, x)) over [-1, 0]."""
-
-    mu: int = 0
-
-    def _structural_tag(self):
-        return ClassTag((((self.mu,), 0),))
+class FieldPower:
+    fld: VectorField
+    power: int
 
 
 @dataclass(frozen=True)
-class FieldPower(OperatorExpr):
-    fld: VectorField = None
-    power: int = 1
-
-    def _structural_tag(self):
-        return ClassTag((((), self.power),))
+class Compose:
+    factors: tuple
 
 
 @dataclass(frozen=True)
-class Compose(OperatorExpr):
-    factors: tuple = ()
-
-    def _structural_tag(self):
-        tag = ClassTag((((), 0),))
-        for f in self.factors:
-            tag = tag.combined(f.tag)
-        return tag
+class OpSum:
+    terms: tuple   # of (scalar, expression)
 
 
-@dataclass(frozen=True)
-class OpSum(OperatorExpr):
-    terms: tuple = ()   # of (scalar, OperatorExpr)
-
-    def _structural_tag(self):
-        if not self.terms:
-            return ClassTag((((), 0),))
-        tag = self.terms[0][1].tag
-        for _, t in self.terms[1:]:
-            tag = tag.union(t.tag)
-        return tag
-
-
-def kernel_op(mu: int = 0) -> Antideriv:
-    if mu < 0:
-        raise ParameterError("kernel weight exponent must be nonnegative")
-    return Antideriv(mu)
+def kernel_op() -> Antideriv:
+    return Antideriv()
 
 
 def field_op(fld: VectorField, power: int = 1) -> FieldPower:
@@ -158,25 +90,13 @@ def op_sum(*terms) -> OpSum:
     return OpSum(tuple(terms))
 
 
-def commutator(expr_a: OperatorExpr, fld: VectorField) -> OpSum:
-    """[A, X] with the first-order field X = field_op(fld), as an explicit
-    difference of compositions, tagged by the calculus.
-
-    For a kernel-class A the commutator lands in the same class plus one with
-    an extra time weight and one extra derivative.
-    """
-    mems = []
-    for alpha, nu in expr_a.tag.memberships:
-        mems.append((alpha, nu))
-        for j in range(len(alpha)):
-            bumped = tuple(a + (1 if i == j else 0) for i, a in enumerate(alpha))
-            mems.append((bumped, nu + 1))
+def commutator(expr_a, fld: VectorField) -> OpSum:
+    """[A, X] = A o X - X o A with the first-order field X = field_op(fld)."""
     x = field_op(fld)
-    return OpSum(((1.0, compose(expr_a, x)), (-1.0, compose(x, expr_a))),
-                 tag_override=ClassTag(tuple(sorted(set(mems)))))
+    return op_sum((1.0, compose(expr_a, x)), (-1.0, compose(x, expr_a)))
 
 
-def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> OperatorExpr:
+def iterated_commutator(expr_a, fld: VectorField, order: int):
     """order-fold commutator [...[A, X], X]; order 0 is A itself."""
     if not isinstance(order, numbers.Integral) or order < 0:
         raise ParameterError(f"a commutator order is an integer >= 0, got {order!r}")
@@ -191,11 +111,7 @@ def iterated_commutator(expr_a: OperatorExpr, fld: VectorField, order: int) -> O
 # ---------------------------------------------------------------------------
 
 
-def _plain(expr) -> bool:
-    return isinstance(expr, Antideriv) and expr.mu == 0
-
-
-def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
+def apply_op(expr, g, points, chart: CollarChart):
     """Evaluate an operator expression applied to g at the given points.
 
     Factors are evaluated left to right as jet requests: each asks the factors
@@ -204,7 +120,7 @@ def apply_op(expr: OperatorExpr, g, points, chart: CollarChart):
     and a kernel factor integrates the jet along RK4 backward trajectories at
     the chart's resolution, each partial of order |beta| weighted by
     R_s^|beta|, the derivative of the RK4 map p -> R_s p of the linear disk
-    flow (the chain rule).  Runs of plain kernel factors collapse to one
+    flow (the chain rule).  Runs of kernel factors collapse to one
     B-spline kernel of depth <= 3 by the flow group property.  Finite
     differences are taken only at the leaves: of g when it has no tracked
     partials (a SmoothFunction's are used), and of the field coefficients.
@@ -256,14 +172,13 @@ class _Jets:
     order): the factors still to apply; the kernel path, the depth of each kernel
     group between the top and them and the panel of its sweep; and the order of
     the jet.  Within one call the points are fixed, so the path fixes the points
-    of a request (a kernel of weight mu > 0 sweeps the nodes of a plain one, and
-    a point just outside the domain, of negative hit time, reaches a group's
-    second panel).  Each request is computed at the order asked, so a request
-    asked at two orders is computed twice, and a jet's bits do not depend on what
-    was asked before it.  The leaf jets of g are the requests with no factors
-    left.  Every jet is one array filled in place, partial by partial (leaves),
-    term by term (sums) or entry by entry (fields and kernels), with no stacked
-    copies.  Nothing outlives the call."""
+    of a request (a point just outside the domain, of negative hit time, reaches
+    a group's second panel).  Each request is computed at the order asked, so a
+    request asked at two orders is computed twice, and a jet's bits do not depend
+    on what was asked before it.  The leaf jets of g are the requests with no
+    factors left.  Every jet is one array filled in place, partial by partial
+    (leaves), term by term (sums) or entry by entry (fields and kernels), with no
+    stacked copies.  Nothing outlives the call."""
 
     def __init__(self, chart: CollarChart, g):
         self.chart = chart
@@ -304,18 +219,13 @@ class _Jets:
         raise ContractError(f"cannot evaluate factor {f!r}")
 
     def kernel(self, factors, points, order, path):
-        """A kernel factor, or the leftmost group of a run of plain kernels: runs
-        collapse in groups of at most three from the right."""
-        f = factors[0]
-        if _plain(f):
-            run = 1
-            while run < len(factors) and _plain(factors[run]):
-                run += 1
-            depth = run % 3 or 3
-            kern = lambda s: _chain_kernel(depth, s)
-        else:
-            depth = 1
-            kern = lambda s: s**f.mu
+        """The leftmost group of a run of kernels: runs collapse in groups of at
+        most three from the right."""
+        run = 1
+        while run < len(factors) and isinstance(factors[run], Antideriv):
+            run += 1
+        depth = run % 3 or 3
+        kern = lambda s: _chain_kernel(depth, s)
         rest, panels = factors[depth:], iter(range(depth))
 
         def integrand(pos, tau, shared):
@@ -384,17 +294,16 @@ def _weighted_norm(values, weights, w):
     return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
 
 
-def weighted_ratio_sweep(values, tag: ClassTag, g, ells, grid):
+def weighted_ratio_sweep(values, k: int, nu: int, g, ells, grid):
     """Ratios ||t^l A(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l, from the
     values of A(g) on the grid nodes (apply_op of an expression, or the Hardy
-    majorants of flow.flow_moment_apply).
+    majorants of flow.flow_moment_apply), for an A that gains k powers of the hit
+    time against nu derivatives of g.
 
-    k and nu come from A's class tag; the values are reweighted across the sweep,
-    by the hit time masked to the collar once and each of its powers once.
+    The values are reweighted across the sweep, by the hit time masked to the
+    collar once and each of its powers once.
     """
     nodes, weights, t = grid
-    k = tag.s_gain
-    nu = tag.s_deriv
     dg = [_partial(g, beta, nodes) for beta in _multi_indices(nu)]
     ells = list(ells)
     masked = np.where(np.isfinite(t) & (t < 2.0), t, 0.0)

@@ -31,7 +31,7 @@ from .geometry import (
     quadrature_grid,
 )
 from .norms import directional_sobolev_norm, duality_sup, sobolev_norm, sobolev_norms
-from .operators import collar_ratio_grid, hardy_line_case, kernel_op, weighted_ratio_sweep
+from .operators import collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
 
 __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
            "emit_report", "SCENARIOS"]
@@ -119,6 +119,10 @@ class ScenarioConfig:
         if cfg.basis_size < _BASIS_FLOOR.get(cfg.scenario, 1):
             raise ParameterError(f"{cfg.scenario} needs basis_size >= "
                                  f"{_BASIS_FLOOR[cfg.scenario]}, got {cfg.basis_size}")
+        if cfg.scenario == "duality" and 2 * cfg.basis_size > cfg.n_theta:
+            # past that the trapezoid rule in theta aliases the doubled basis's modes
+            raise ParameterError(f"duality needs 2 * basis_size <= n_theta, got basis_size "
+                                 f"{cfg.basis_size} and n_theta {cfg.n_theta}")
         if cfg.q_panels < 1 or cfg.m_steps < 1:
             raise ParameterError("q_panels and m_steps must be at least 1")
         if not 0.0 < cfg.rho < 1.0:
@@ -239,8 +243,9 @@ def check_hardy(cfg: ScenarioConfig):
     sweep_max = {mu: np.zeros(9) for mu in (0, 1)}
     majorants = flow_moment_apply(chart, moments, grid[0], support=CUTOFF_END)
     for (mu, g), values in zip(moments, majorants):
-        # the weight-mu majorant is graded in the weight-mu kernel's class
-        ratios = weighted_ratio_sweep(values, kernel_op(mu).tag, g, range(9), grid)
+        # the weight-mu majorant gains mu + 1 powers of the hit time, with no
+        # derivative
+        ratios = weighted_ratio_sweep(values, mu + 1, 0, g, range(9), grid)
         sweep_max[mu] = np.maximum(sweep_max[mu], ratios)
     rows = [[mu, ell, float(r), 2.0 / (2 * ell + 1)]
             for mu in (0, 1) for ell, r in enumerate(sweep_max[mu])]

@@ -34,9 +34,9 @@ def test_defining_gradient_nonvanishing_on_boundary(disk, annulus, ball2):
 
 
 def test_expressions_immutable():
-    op = kernel_op(1)
+    op = field_op(None, 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        op.mu = 2
+        op.power = 3
 
 
 @pytest.mark.parametrize("q_panels, m_steps", [

@@ -14,7 +14,7 @@ from bergsmooth.errors import ContractError, ParameterError
 from bergsmooth.flow import CUTOFF_END, antideriv_chains, build_chart
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
-from bergsmooth.operators import apply_op, compose, field_op, kernel_op
+from bergsmooth.operators import apply_op, commutator, compose, field_op, kernel_op
 
 
 @pytest.fixture(scope="module")
@@ -111,27 +111,7 @@ def test_power_expansion_order_one(chart):
     ops = power_expansion(1, chart, t1)
     assert set(ops) == {(1, 0), (1, 1)}
     assert ops[(1, 1)] == kernel_op()
-    assert set(ops[(1, 0)].tag.memberships) == {((0,), 0), ((1,), 1)}
-
-
-def test_power_expansion_tags_order_two(chart):
-    t1 = matched_tangential(chart)
-    ops = power_expansion(2, chart, t1)
-    for (ell, m), expr in ops.items():
-        for alpha, nu in expr.tag.memberships:
-            assert nu <= ell - m
-            assert sum(alpha) >= nu
-            assert len(alpha) == ell
-
-
-def test_power_expansion_exact_tags_order_two(chart):
-    x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
-                    name="dx")
-    ops = power_expansion(2, chart, x)
-    assert ops[(2, 0)].tag.memberships == (
-        ((0, 0), 0), ((0, 1), 1), ((1, 0), 1), ((1, 1), 2), ((2, 0), 2))
-    assert ops[(2, 1)].tag.memberships == (((0, 0), 0), ((0, 1), 1), ((1, 0), 1))
-    assert ops[(2, 2)].tag.memberships == (((0, 0), 0),)
+    assert ops[(1, 0)] == commutator(kernel_op(), t1)
 
 
 def _order_two_identity(chart, g):

@@ -16,7 +16,6 @@ import bergsmooth.scenarios as scenarios_module
 from bergsmooth.bergman import CoefficientVector
 from bergsmooth.flow import CollarChart
 from bergsmooth.functions import Holo1
-from bergsmooth.operators import Antideriv
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
                                   check_decomposition, check_duality, check_ftc,
                                   check_hardy, check_partial_smoothing, check_reproduction)
@@ -170,10 +169,11 @@ def test_partial_smoothing_projection_rows_fail_on_a_coarse_grid():
 
 
 def test_hardy_fails_with_an_over_claimed_class(monkeypatch):
-    # each majorant graded in the class of the kernel one weight up, which claims
-    # a power of the hit time more than the majorant gains: the ratios outgrow
-    # the Hardy bound
-    monkeypatch.setattr(scenarios_module, "kernel_op", lambda mu=0: Antideriv(mu + 1))
+    # each majorant graded with a gain of one power of the hit time more than it
+    # has: the ratios outgrow the Hardy bound
+    sweep = scenarios_module.weighted_ratio_sweep
+    monkeypatch.setattr(scenarios_module, "weighted_ratio_sweep",
+                        lambda values, k, nu, *rest: sweep(values, k + 1, nu, *rest))
     checks, _ = check_hardy(ScenarioConfig("hardy"))
     assert not _verdicts(checks)["majorant kernel ratio minus Hardy bound, mu in {0,1}, "
                                  "weights 0..8, 20 seeded functions"]

@@ -348,15 +348,49 @@ def test_cli_basis_below_the_scenario_floor(tmp_path, scenario, basis_size):
 
 
 def test_cli_unfactorable_duality_gram(tmp_path):
-    # a valid config whose distance-weighted Gram matrix has no Cholesky factor
-    # (4 angles alias the basis's modes) is refused as a config, not as a
-    # failed check
+    # 4 angles alias the default basis's modes, so its distance-weighted Gram
+    # matrix has no Cholesky factor: the config is refused before anything runs,
+    # by duality's rule 2 * basis_size <= n_theta, not as a failed check
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"n_theta": 4}))
     out = run_cli("run", "duality", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
     assert out.returncode == 2, out.stderr
     assert out.stderr.startswith("config error:")
     assert "Traceback" not in out.stderr
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("n_theta", [30, 32, 40, 64, 128])
+def test_duality_basis_doubles_within_the_angular_grid(n_theta):
+    # C8 doubles the basis, and past n_theta angles the trapezoid rule aliases
+    # the doubled basis's modes: duality takes basis_size up to n_theta / 2
+    ScenarioConfig.from_dict({"scenario": "duality", "n_theta": n_theta,
+                              "basis_size": n_theta // 2})
+    with pytest.raises(ParameterError):
+        ScenarioConfig.from_dict({"scenario": "duality", "n_theta": n_theta,
+                                  "basis_size": n_theta // 2 + 1})
+    # the other scenarios do not double their basis
+    ScenarioConfig.from_dict({"scenario": "conj-smoothing", "n_theta": n_theta,
+                              "basis_size": n_theta // 2 + 1})
+
+
+def test_duality_rule_refuses_exactly_where_the_drift_fails():
+    # built directly, past the rule's check: C8's drift reads exactly 1 at the
+    # largest basis the rule takes and FAILs (4.79) one element above it
+    drift = "duality constant drift under basis doubling"
+    for basis_size, passed in ((32, True), (33, False)):
+        checks, _ = scenarios.check_duality(ScenarioConfig("duality", basis_size=basis_size))
+        assert {c.description: c.passed for c in checks}[drift] is passed
+
+
+def test_cli_duality_exit_code_at_the_rule(tmp_path):
+    # one element past the default (32, 64), which sits at the rule and exits 0
+    # in test_surface.py::test_reach_is_pinned
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"basis_size": 33, "n_theta": 64}))
+    out = run_cli("run", "duality", "--config", str(cfgfile), "--out", str(tmp_path / "rep"))
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("config error:")
     assert not (tmp_path / "rep").exists()
 
 

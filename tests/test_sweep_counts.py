@@ -268,7 +268,7 @@ def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
 def test_a_sum_of_one_expression_twice_sweeps_it_once_per_call(sweeps, chart, rng):
     x = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
                     name="dx")
-    e = compose(kernel_op(1), field_op(x), kernel_op())
+    e = compose(kernel_op(), field_op(x), kernel_op())
     w = Poly2.random(rng, degree=2)
     g = lambda p: chart.cutoff(p) * w(p)
     pts = np.exp(-chart.rate * np.array([0.1, 0.3, 0.5]) + 1j * np.arange(3.0))

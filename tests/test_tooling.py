@@ -58,7 +58,7 @@ def test_benchmark_tracer_counts_each_layer(load_bench):
         # apply_op's per_point sweep is the one that marches each point through
         # trajectories (every other sweep scales its points by a radius table,
         # which no counter sees): its one panel flows each collar point once
-        operators.apply_op(operators.kernel_op(1), g, pts, chart)
+        operators.apply_op(operators.kernel_op(), g, pts, chart)
         starts = tracer.count["flow.trajectory_starts"]
         # a derivative through a kernel goes by jets, still through the public
         # trajectories and the integrand classes
