@@ -6,9 +6,10 @@ the chart carries closed-form hitting times and flow radii, the oracles of the
 numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Every
 quadrature along the flow is one `_collar_quadrature` sweep, panel by panel
 and, within a panel, block by block of points.  The numerical paths share one
-RK4 step: the quadrature sweeps march their distinct radii and scale their
-points (only operators.apply_op's per_point marches each point, by
-`trajectories`), and `hitting_time` marches to the boundary and bisects.
+RK4 step and march distinct radii as real scalars: the quadrature sweeps
+scale their points by the marched radii (only operators.apply_op's per_point
+marches each point, by `trajectories`), and `hitting_time` marches its radii
+to the boundary and bisects.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
 (`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
@@ -43,8 +44,6 @@ _GAUSS_PER_PANEL = 4
 # The most node-point pairs one sweep of pointwise integrands holds at once: a
 # larger point set is swept in blocks (see _blocks)
 _SWEEP_PAIRS = 2**16
-# A block holds a multiple of this many swept points, all but the last
-_BLOCK_QUANTUM = 16
 
 
 def _rk4_step(field, x, h):
@@ -55,11 +54,6 @@ def _rk4_step(field, x, h):
     k3 = vel(x + 0.5 * h * k2)
     k4 = vel(x + h * k3)
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
-def _value_shape(domain, points):
-    """Shape of one value per point: points in C^2 carry a trailing axis of 2."""
-    return points.shape[:points.ndim + 1 - domain.complex_dimension]
 
 
 @dataclass(frozen=True)
@@ -181,24 +175,25 @@ def hitting_time(chart: CollarChart, x):
     """Boundary hitting time along the flow, to a tolerance of 1e-10 within the
     time window [0, 2].
 
-    Each point takes RK4 steps of 1/m_steps while the end of the next step stays
-    inside; the fraction of that crossing step is then bisected, one RK4 step of
-    the fraction per iteration, for all points together.  A point on the
-    boundary has time 0."""
+    The field is radial with a real factor, so the time depends on |x| alone:
+    each distinct radius of the inside points is marched as a real scalar, as
+    the sweeps march theirs (on the ball, as a point of C^2 with one
+    coordinate).  Each radius takes RK4 steps of 1/m_steps while the end of the
+    next step stays inside; the fraction of that crossing step is then bisected,
+    one RK4 step of the fraction per iteration, for all radii together.  A point
+    on the boundary has time 0."""
     x = np.asarray(x, dtype=complex)
-    scalar = _value_shape(chart.domain, x) == ()
-    pts = x[None, ...] if scalar else x
     defining = chart.domain.defining_function
-    rho0 = defining(pts)
+    rho0 = defining(x)
     if np.any(rho0 > 1e-12):
         raise ContractError("hitting time needs points in the closed domain")
+    inside = rho0 < 0
+    radii, where = np.unique(chart.domain.radius(x[inside]), return_inverse=True)
+    state = radii[:, None] if chart.domain.kind == "ball2" else radii
     m = chart.m_steps
-    tail = pts.shape[rho0.ndim:]
-    state = pts.reshape((-1,) + tail).copy()
-    inside = rho0.ravel() < 0
-    # march: point i stays inside for k[i] steps, and its next step crosses
-    k = np.zeros(len(state), dtype=int)
-    going = np.flatnonzero(inside)
+    # march: radius i stays inside for k[i] steps, and its next step crosses
+    k = np.zeros(len(radii), dtype=int)
+    going = np.arange(len(radii))
     for _ in range(2 * m):
         if going.size == 0:
             break
@@ -210,15 +205,16 @@ def hitting_time(chart: CollarChart, x):
     if going.size:
         raise NotInCollarError("no boundary crossing within the time window")
     # bisect the crossing step's fraction, bracketed by [lo, lo + 2 half]
-    lo = np.zeros(len(state))
+    lo = np.zeros(len(radii))
     half = 0.5
     while 2 * half / m > 1e-10:
         mid = lo + half
-        moved = _rk4_step(chart.field, state, (mid / m).reshape((-1,) + (1,) * len(tail)))
+        moved = _rk4_step(chart.field, state, (mid / m).reshape(mid.shape + state.shape[1:]))
         lo = np.where(defining(moved) < 0, mid, lo)
         half *= 0.5
-    t = np.where(inside, (k + lo + half) / m, 0.0).reshape(rho0.shape)
-    return float(t[0]) if scalar else t
+    t = np.zeros(rho0.shape)
+    t[inside] = ((k + lo + half) / m)[where]
+    return float(t) if t.ndim == 0 else t
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +327,10 @@ def _entry_sums(weighted, live_values, need, buffer):
 
 def _blocks(chart: CollarChart, n: int):
     """The blocks of a sweep of n points, as slices: the fewest contiguous runs of
-    at most _SWEEP_PAIRS node-point pairs per panel, of nearly equal size, a
-    multiple of _BLOCK_QUANTUM points each but the last."""
-    quantum = _BLOCK_QUANTUM
-    per_block = max(quantum,
-                    _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels) // quantum * quantum)
+    at most _SWEEP_PAIRS node-point pairs per panel, of nearly equal size."""
+    per_block = max(1, _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels))
     n_blocks = max(1, -(-n // per_block))
-    size = max(quantum, -(-n // (n_blocks * quantum)) * quantum)
+    size = max(1, -(-n // n_blocks))
     return [slice(first, min(first + size, n)) for first in range(0, n, size)]
 
 

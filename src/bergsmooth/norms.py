@@ -1,5 +1,6 @@
 """Sobolev norms, directional Sobolev norms, boundary-distance weighted norms,
-sup-weighted norms, and the duality functional over a truncated basis ball.
+sup-weighted norms, the duality functional over a truncated basis ball, and the
+hit-time weighted ratios that grade C2's Hardy majorants.
 
 The boundary-distance weighted norm ||d^k h|| stands in for the norm of
 order -k throughout: for holomorphic h the two are comparable on the model
@@ -12,13 +13,16 @@ from __future__ import annotations
 import numpy as np
 
 from .bergman import CoefficientVector, OrthonormalBasis, gram_matrix, project, synthesize
-from .errors import ConditioningError, ContractError, ParameterError, ResolutionError
+from .errors import (ConditioningError, ContractError, DegenerateInputError, ParameterError,
+                     ResolutionError)
 from .finitediff import polar_cartesian_partials
+from .flow import CollarChart
 from .functions import AngularFamily, Holo1, _partial, apply_field
 from .geometry import (
     Domain,
     PolarEvalGrid,
     QuadratureGrid,
+    _gauss_legendre,
     boundary_distance,
     boundary_samples,
     polar_eval_grid,
@@ -33,6 +37,9 @@ __all__ = [
     "sup_weighted_norm",
     "duality_sup",
     "rotation_multiplier",
+    "weighted_ratio_sweep",
+    "collar_ratio_grid",
+    "hardy_line_case",
 ]
 
 MAX_ORDER = 3
@@ -223,3 +230,66 @@ def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> l
             f"weighted Gram matrix not positive definite at truncation {basis.size}",
             truncation=basis.size) from exc
     return [float(np.linalg.norm(np.linalg.solve(L, v))) for v in vs]
+
+
+def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48):
+    """Uniform polar nodes covering the collar, with trapezoid weights.
+
+    Inset from the boundary so finite-difference stencils on closures stay
+    interior; returns (nodes, weights, hit_times).
+    """
+    dom = chart.domain
+    if dom.kind == "ball2":
+        raise ContractError("ratio grids are planar")
+    inset = 8e-3
+    th = np.linspace(0, 2 * np.pi, n_th, endpoint=False)
+    # the collar {hit time < 1} ends at the time-one radius of each boundary circle
+    bands = [(float(chart.flow_radius(-1.0, 1.0)), 1.0 - inset)]
+    if dom.kind == "annulus":
+        bands.append((dom.rho + inset, float(chart.flow_radius(-1.0, dom.rho))))
+    grids = [PolarEvalGrid(dom, np.linspace(lo, hi, n_r), th) for lo, hi in bands]
+    nodes = np.concatenate([g.nodes().ravel() for g in grids])
+    weights = np.concatenate([g.weights().ravel() for g in grids])
+    return nodes, weights, chart.hit_time(nodes)
+
+
+def _weighted_norm(values, weights, w):
+    return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
+
+
+def weighted_ratio_sweep(values, k: int, nu: int, g, ells, grid):
+    """Ratios ||t^l A(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l, from the
+    values of A(g) on the grid nodes (operators.apply_op of an expression, or the
+    Hardy majorants of flow.flow_moment_apply), for an A that gains k powers of
+    the hit time against nu derivatives of g.
+
+    The values are reweighted across the sweep, by the hit time masked to the
+    collar once and each of its powers once.
+    """
+    nodes, weights, t = grid
+    dg = [_partial(g, beta, nodes) for beta in _multi_indices(nu)]
+    ells = list(ells)
+    masked = np.where(np.isfinite(t) & (t < 2.0), t, 0.0)
+    powers = {p: masked ** p for p in {*ells, *(ell + k for ell in ells)}}
+    out = []
+    for ell in ells:
+        numer = _weighted_norm(values, weights, powers[ell])
+        denom = sum(_weighted_norm(d, weights, powers[ell + k]) for d in dg)
+        if denom == 0.0:
+            raise DegenerateInputError("weighted denominator vanishes identically")
+        out.append(numer / denom)
+    return out
+
+
+def hardy_line_case():
+    """The closed one-dimensional case: f = 1 on [0, 1], weight exponent 0.
+
+    Returns (lhs_squared, rhs_squared): the integral of (integral_x^1 1)^2
+    equals 1/3, and 4 times the integral of t^2 equals 4/3.
+    """
+    x, w = _gauss_legendre(64)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    lhs2 = float(np.sum(w * (1.0 - x) ** 2))
+    rhs2 = 4.0 * float(np.sum(w * x**2))
+    return lhs2, rhs2

@@ -1,11 +1,8 @@
-"""Flow-kernel operator expressions, their evaluation by jets, and the weighted
-ratio sweeps that grade C2's Hardy majorants.
+"""Flow-kernel operator expressions and their evaluation by jets.
 
 An expression is built from the flow kernel, powers of a first-order field,
 compositions, sums, and commutators with a first-order field; apply_op
-evaluates one on points.  weighted_ratio_sweep measures how an operator maps
-weights: it takes the gain in powers of the hit time and the derivative count
-as plain integers.
+evaluates one on points.
 """
 
 from __future__ import annotations
@@ -16,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ParameterError
-from .flow import CollarChart, _chain_kernel, _collar_quadrature, _value_shape
+from .errors import ContractError, ParameterError
+from .flow import CollarChart, _chain_kernel, _collar_quadrature
 from .functions import _field_formula, _partial
-from .geometry import PolarEvalGrid, VectorField, _gauss_legendre
+from .geometry import VectorField
 from .norms import _multi_indices
 
 __all__ = [
@@ -34,9 +31,6 @@ __all__ = [
     "commutator",
     "iterated_commutator",
     "apply_op",
-    "weighted_ratio_sweep",
-    "collar_ratio_grid",
-    "hardy_line_case",
 ]
 
 
@@ -160,6 +154,11 @@ def _derivative_through_kernel(expr):
     return through, deriv, kern
 
 
+def _value_shape(domain, points):
+    """Shape of one value per point: points in C^2 carry a trailing axis of 2."""
+    return points.shape[:points.ndim + 1 - domain.complex_dimension]
+
+
 def _index(beta) -> int:
     """Position of beta along a jet's trailing axis, laid out by _multi_indices: by
     total order and then by the x order, so a jet of lower order is a prefix."""
@@ -262,71 +261,3 @@ def _field_jet(a, b, jet, n):
                 out[..., _index((gx, gy))] += (math.comb(gx, dx) * math.comb(gy, dy)
                                                * _field_formula(a[..., d], b[..., d], fx, fy))
     return out
-
-
-# ---------------------------------------------------------------------------
-# weighted mapping-class ratios
-# ---------------------------------------------------------------------------
-
-
-def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48):
-    """Uniform polar nodes covering the collar, with trapezoid weights.
-
-    Inset from the boundary so finite-difference stencils on closures stay
-    interior; returns (nodes, weights, hit_times).
-    """
-    dom = chart.domain
-    if dom.kind == "ball2":
-        raise ContractError("ratio grids are planar")
-    inset = 8e-3
-    th = np.linspace(0, 2 * np.pi, n_th, endpoint=False)
-    # the collar {hit time < 1} ends at the time-one radius of each boundary circle
-    bands = [(float(chart.flow_radius(-1.0, 1.0)), 1.0 - inset)]
-    if dom.kind == "annulus":
-        bands.append((dom.rho + inset, float(chart.flow_radius(-1.0, dom.rho))))
-    grids = [PolarEvalGrid(dom, np.linspace(lo, hi, n_r), th) for lo, hi in bands]
-    nodes = np.concatenate([g.nodes().ravel() for g in grids])
-    weights = np.concatenate([g.weights().ravel() for g in grids])
-    return nodes, weights, chart.hit_time(nodes)
-
-
-def _weighted_norm(values, weights, w):
-    return float(np.sqrt(np.sum(weights * np.abs(w * values) ** 2)))
-
-
-def weighted_ratio_sweep(values, k: int, nu: int, g, ells, grid):
-    """Ratios ||t^l A(g)|| / sum_{|b| <= nu} ||t^{l+k} D^b g|| for each l, from the
-    values of A(g) on the grid nodes (apply_op of an expression, or the Hardy
-    majorants of flow.flow_moment_apply), for an A that gains k powers of the hit
-    time against nu derivatives of g.
-
-    The values are reweighted across the sweep, by the hit time masked to the
-    collar once and each of its powers once.
-    """
-    nodes, weights, t = grid
-    dg = [_partial(g, beta, nodes) for beta in _multi_indices(nu)]
-    ells = list(ells)
-    masked = np.where(np.isfinite(t) & (t < 2.0), t, 0.0)
-    powers = {p: masked ** p for p in {*ells, *(ell + k for ell in ells)}}
-    out = []
-    for ell in ells:
-        numer = _weighted_norm(values, weights, powers[ell])
-        denom = sum(_weighted_norm(d, weights, powers[ell + k]) for d in dg)
-        if denom == 0.0:
-            raise DegenerateInputError("weighted denominator vanishes identically")
-        out.append(numer / denom)
-    return out
-
-
-def hardy_line_case():
-    """The closed one-dimensional case: f = 1 on [0, 1], weight exponent 0.
-
-    Returns (lhs_squared, rhs_squared): the integral of (integral_x^1 1)^2
-    equals 1/3, and 4 times the integral of t^2 equals 4/3.
-    """
-    x, w = _gauss_legendre(64)
-    x = 0.5 * (x + 1.0)
-    w = 0.5 * w
-    lhs2 = float(np.sum(w * (1.0 - x) ** 2))
-    rhs2 = 4.0 * float(np.sum(w * x**2))
-    return lhs2, rhs2

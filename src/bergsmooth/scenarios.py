@@ -20,7 +20,8 @@ from . import __version__
 from .bergman import CoefficientVector, build_basis, project
 from .decompose import component_values, decompose, reproduction_residual
 from .errors import ParameterError
-from .flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
+from .flow import (CUTOFF_END, DEFAULT_M_STEPS, DEFAULT_Q_PANELS, antideriv_chains, build_chart,
+                   flow_moment_apply)
 from .functions import AngularFamily, Holo1, Poly2, RadialHolo, apply_field
 from .geometry import (
     boundary_distance,
@@ -30,8 +31,8 @@ from .geometry import (
     polar_eval_grid,
     quadrature_grid,
 )
-from .norms import directional_sobolev_norm, duality_sup, sobolev_norm, sobolev_norms
-from .operators import collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
+from .norms import (collar_ratio_grid, directional_sobolev_norm, duality_sup, hardy_line_case,
+                    sobolev_norm, sobolev_norms, weighted_ratio_sweep)
 
 __all__ = ["ScenarioConfig", "ReportBundle", "CheckResult", "run_scenario",
            "emit_report", "SCENARIOS"]
@@ -89,8 +90,8 @@ class ScenarioConfig:
     n_r: int = 32
     n_theta: int = 64
     delta: float = 1e-3
-    m_steps: int = 64
-    q_panels: int = 32
+    m_steps: int = DEFAULT_M_STEPS
+    q_panels: int = DEFAULT_Q_PANELS
     seed: int = 20260808
     output_dir: str = "reports"
 

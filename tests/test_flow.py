@@ -22,7 +22,7 @@ from bergsmooth.flow import (
 from bergsmooth.functions import Holo1, Poly2, smoothstep
 from bergsmooth.geometry import (boundary_samples, make_domain, polar_eval_grid,
                                  quadrature_grid)
-from bergsmooth.operators import collar_ratio_grid
+from bergsmooth.norms import collar_ratio_grid
 from bergsmooth.scenarios import _seeded_masked, _transverse_of_cutoff_times
 
 
@@ -322,6 +322,41 @@ def test_hitting_time_lies_in_the_crossing_step(name, request, rng):
             state = flow_module._rk4_step(chart.field, state, 1.0 / m)
         assert defining(state)[0] < 0
         assert defining(flow_module._rk4_step(chart.field, state, 1.0 / m))[0] >= 0
+
+
+@pytest.mark.parametrize("name, band", [("disk_chart", "outer"), ("annulus_chart", "outer"),
+                                        ("annulus_chart", "inner"), ("ball_chart", "outer")])
+def test_hitting_time_marches_each_distinct_radius_once(name, band, request, rng, monkeypatch):
+    # 16 points on 4 circles, shuffled: a circle's four points p, conj p, -p and
+    # -conj p (on the ball, its coordinates swapped, conjugated and negated) have
+    # the same modulus to the bit, so the march steps one row per circle and the
+    # four share their time to the bit
+    chart = request.getfixturevalue(name)
+    t = np.array([0.2, 0.4, 0.6, 0.8])
+    r = chart.flow_radius(-t, 1.0 if band == "outer" else chart.domain.rho)
+    if chart.domain.kind == "ball2":
+        v = rng.normal(size=(4, 4))
+        a, b = (v[:, :2] + 1j * v[:, 2:]).T * r / np.linalg.norm(v, axis=1)
+        pts = np.stack([np.stack(c, axis=-1) for c in
+                        ((a, b), (b, a), (a.conj(), -b), (-b.conj(), a.conj()))], axis=1)
+    else:
+        p = r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, 4))
+        pts = np.stack([p, p.conj(), -p, -p.conj()], axis=1)
+    pts = pts.reshape((16,) + pts.shape[2:])
+    order = rng.permutation(16)
+    widths = []
+    step = flow_module._rk4_step
+
+    def counted(field, x, h):
+        widths.append(len(x))
+        return step(field, x, h)
+    monkeypatch.setattr(flow_module, "_rk4_step", counted)
+    times = np.empty(16)
+    times[order] = hitting_time(chart, pts[order])
+    assert widths[0] == 4
+    times = times.reshape(4, 4)
+    assert np.all(times == times[:, :1])
+    np.testing.assert_allclose(times[:, 0], t, atol=1e-8, rtol=0)
 
 
 def test_hitting_time_not_in_collar(annulus_chart):
@@ -662,7 +697,7 @@ def test_blocks_keep_the_layout_of_the_points(disk_chart, ball_chart, kind, rng,
     monkeypatch.setattr(flow_module, "_blocks", cut)
     monkeypatch.setattr(flow_module, "_SWEEP_PAIRS", 32 * 4 * chart.q_panels)
     blocked = antideriv_chains(chart, [(w, 2)], pts)[0]
-    assert swept == ([32, 32, 32] if kind == "disk" else [32, 16])
+    assert swept == ([32, 32, 32] if kind == "disk" else [24, 24])
     assert blocked.shape == one_call.shape == pts.shape[:3 - chart.domain.complex_dimension]
     assert np.array_equal(blocked, one_call)
     assert np.all((blocked != 0) == (chart.hit_time(pts) < CUTOFF_END))

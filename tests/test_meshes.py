@@ -8,8 +8,7 @@ from bergsmooth.decompose import _default_eval_points
 from bergsmooth.errors import ContractError
 from bergsmooth.flow import build_chart
 from bergsmooth.geometry import make_domain
-from bergsmooth.norms import _sup_grid_nodes
-from bergsmooth.operators import collar_ratio_grid
+from bergsmooth.norms import _sup_grid_nodes, collar_ratio_grid
 
 DOMAINS = [("disk", None), ("annulus", 0.3), ("annulus", 0.5), ("annulus", 0.8)]
 

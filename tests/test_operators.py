@@ -6,17 +6,15 @@ from bergsmooth.errors import ContractError, DegenerateInputError
 from bergsmooth.flow import antideriv_chains, build_chart, flow_moment_apply
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
+from bergsmooth.norms import collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
 from bergsmooth.operators import (
     apply_op,
-    collar_ratio_grid,
     commutator,
     compose,
     field_op,
-    hardy_line_case,
     iterated_commutator,
     kernel_op,
     op_sum,
-    weighted_ratio_sweep,
 )
 
 

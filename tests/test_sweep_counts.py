@@ -212,12 +212,13 @@ C4_POLE_POINTS = {(0.9, 1.0): 274_888, (0.9, 0.75): 1_194_376, (0.99, 0.75): 274
 def test_no_sweep_holds_more_than_its_budget(c4_work):
     # C2's grid and C4's point sets, their swept points (hit time below 1) split
     # into the fewest blocks of at most 2**16 node-point pairs, 512 points, of
-    # nearly equal size, a multiple of 16 swept points each but the last
+    # nearly equal size: each but the last holds the swept points over the
+    # number of blocks, rounded up
     hardy = _work(lambda: check_hardy(ScenarioConfig("hardy")))
     blocks = [swept.blocks for swept in hardy.sets + c4_work.sets]
     assert flow_module._SWEEP_PAIRS == 2**16
     assert all(size * 4 * 32 <= flow_module._SWEEP_PAIRS for sizes in blocks for size in sizes)
-    assert blocks == [[368] * 3, [512] * 8 + [504], [368, 368, 352], [480] * 8 + [384],
+    assert blocks == [[368] * 3, [512] * 8 + [504], [363, 363, 362], [470] * 8 + [464],
                       [512] * 33]
 
 
