@@ -6,10 +6,10 @@ the chart carries closed-form hitting times and flow radii, the oracles of the
 numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Every
 quadrature along the flow is one `_collar_quadrature` sweep, panel by panel
 and, within a panel, block by block of points.  The numerical paths share one
-RK4 step and march distinct radii as real scalars: the quadrature sweeps
-scale their points by the marched radii (only operators.apply_op's per_point
-marches each point, by `trajectories`), and `hitting_time` marches its radii
-to the boundary and bisects.
+RK4 step and march radii as real scalars: the quadrature sweeps scale their
+points by their marched distinct radii (only operators.apply_op's per_point
+marches each point, by `trajectories`), and `hitting_time` marches the radius
+of each point to the boundary and bisects.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
 (`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
@@ -176,19 +176,19 @@ def hitting_time(chart: CollarChart, x):
     time window [0, 2].
 
     The field is radial with a real factor, so the time depends on |x| alone:
-    each distinct radius of the inside points is marched as a real scalar, as
-    the sweeps march theirs (on the ball, as a point of C^2 with one
-    coordinate).  Each radius takes RK4 steps of 1/m_steps while the end of the
-    next step stays inside; the fraction of that crossing step is then bisected,
-    one RK4 step of the fraction per iteration, for all radii together.  A point
-    on the boundary has time 0."""
+    the radius of each inside point is marched as a real scalar, as the sweeps
+    march theirs (on the ball, as a point of C^2 with one coordinate).  Each
+    radius takes RK4 steps of 1/m_steps while the end of the next step stays
+    inside; the fraction of that crossing step is then bisected, one RK4 step
+    of the fraction per iteration, for all radii together.  A point on the
+    boundary has time 0."""
     x = np.asarray(x, dtype=complex)
     defining = chart.domain.defining_function
     rho0 = defining(x)
     if np.any(rho0 > 1e-12):
         raise ContractError("hitting time needs points in the closed domain")
     inside = rho0 < 0
-    radii, where = np.unique(chart.domain.radius(x[inside]), return_inverse=True)
+    radii = chart.domain.radius(x[inside])
     state = radii[:, None] if chart.domain.kind == "ball2" else radii
     m = chart.m_steps
     # march: radius i stays inside for k[i] steps, and its next step crosses
@@ -213,7 +213,7 @@ def hitting_time(chart: CollarChart, x):
         lo = np.where(defining(moved) < 0, mid, lo)
         half *= 0.5
     t = np.zeros(rho0.shape)
-    t[inside] = ((k + lo + half) / m)[where]
+    t[inside] = (k + lo + half) / m
     return float(t) if t.ndim == 0 else t
 
 

@@ -326,11 +326,12 @@ def test_hitting_time_lies_in_the_crossing_step(name, request, rng):
 
 @pytest.mark.parametrize("name, band", [("disk_chart", "outer"), ("annulus_chart", "outer"),
                                         ("annulus_chart", "inner"), ("ball_chart", "outer")])
-def test_hitting_time_marches_each_distinct_radius_once(name, band, request, rng, monkeypatch):
+def test_hitting_time_marches_the_real_radius_of_each_point(name, band, request, rng,
+                                                            monkeypatch):
     # 16 points on 4 circles, shuffled: a circle's four points p, conj p, -p and
     # -conj p (on the ball, its coordinates swapped, conjugated and negated) have
-    # the same modulus to the bit, so the march steps one row per circle and the
-    # four share their time to the bit
+    # the same modulus to the bit, so the march, one real row per point, gives
+    # the four the same time to the bit
     chart = request.getfixturevalue(name)
     t = np.array([0.2, 0.4, 0.6, 0.8])
     r = chart.flow_radius(-t, 1.0 if band == "outer" else chart.domain.rho)
@@ -344,16 +345,17 @@ def test_hitting_time_marches_each_distinct_radius_once(name, band, request, rng
         pts = np.stack([p, p.conj(), -p, -p.conj()], axis=1)
     pts = pts.reshape((16,) + pts.shape[2:])
     order = rng.permutation(16)
-    widths = []
+    steps = []
     step = flow_module._rk4_step
 
     def counted(field, x, h):
-        widths.append(len(x))
+        steps.append((len(x), np.isrealobj(x)))
         return step(field, x, h)
     monkeypatch.setattr(flow_module, "_rk4_step", counted)
     times = np.empty(16)
     times[order] = hitting_time(chart, pts[order])
-    assert widths[0] == 4
+    assert steps[0] == (16, True)
+    assert all(real for _, real in steps)
     times = times.reshape(4, 4)
     assert np.all(times == times[:, :1])
     np.testing.assert_allclose(times[:, 0], t, atol=1e-8, rtol=0)
