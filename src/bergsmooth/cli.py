@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .errors import ConditioningError, ParameterError
+from .errors import ParameterError
 from .scenarios import SCENARIOS, ScenarioConfig, emit_report, run_scenario
 
 
@@ -51,11 +51,7 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ParameterError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        bundle = run_scenario(cfg)
-    except ConditioningError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    bundle = run_scenario(cfg)
     try:
         paths = emit_report(bundle, cfg.output_dir)
     except OSError as exc:

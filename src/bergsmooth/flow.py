@@ -374,7 +374,11 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     with no pair below the bound is not swept, and in one with some, only the
     points with a live node are flowed and only the live pairs evaluated.
     Where an integrand is indeed zero past the bound, the sum is the one over
-    every pair, to rounding: the integrands then run on fewer pairs.
+    every pair, to rounding: the integrands then run on fewer pairs.  The
+    callers' bounds: 1, the collar, for antideriv_chains and flow_moment_apply
+    by default; CUTOFF_END for integrands that carry the cutoff; and for the
+    kernels of operators.apply_op, CUTOFF_END widened by the reach of the leaf
+    stencils below them (operators._support).
 
     With orders (on the disk or the ball, where lambda_s is one R_s per node),
     the values carry a trailing axis, one entry per derivative order |beta|, and

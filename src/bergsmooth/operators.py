@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .flow import CollarChart, _chain_kernel, _collar_quadrature
+from .finitediff import FD_STEP
+from .flow import CUTOFF_END, CollarChart, _chain_kernel, _collar_quadrature
 from .functions import _field_formula, _partial
 from .geometry import VectorField
 from .norms import _multi_indices
@@ -124,10 +125,14 @@ def apply_op(expr, g, points, chart: CollarChart):
     the leaf jets of g are the requests with no factors left.  Nothing is kept
     past the call.
 
-    A kernel evaluates its integrand only where the hit time is below 1, so g
-    must vanish off the collar wherever a kernel acts on it, the contract of
-    antideriv_chains.  On the annulus the flow is not linear, and a derivative
-    factor acting through a kernel factor raises ContractError.
+    g must vanish from hit time CUTOFF_END on wherever a kernel acts on it, that
+    is, carry the chart's cutoff.  A kernel evaluates its integrand only where
+    the hit time is below its support bound (_support): CUTOFF_END when the
+    leaf jets of g below it are of order 0, and past it by the reach of the
+    leaf's finite-difference stencils otherwise, since a stencil centred past
+    CUTOFF_END still reads g inside the cutoff's support.  On the annulus the
+    flow is not linear, and a derivative factor acting through a kernel factor
+    raises ContractError.
     """
     points = np.asarray(points, dtype=complex)
     if chart.domain.kind == "annulus" and _derivative_through_kernel(expr)[0]:
@@ -233,7 +238,8 @@ class _Jets:
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
         out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)],
-                                 support=1.0, orders=orders, per_point=True)[0]
+                                 support=_support(self.chart, _leaf_order(rest, order)),
+                                 orders=orders, per_point=True)[0]
         return out if order else out[..., None]
 
     def leaf(self, f, points, order):
@@ -246,6 +252,41 @@ class _Jets:
         for i, beta in enumerate(betas):
             jet[..., i] = _partial(f, beta, points)
         return jet
+
+
+def _leaf_order(factors, order):
+    """The highest order at which the request (factors, order) asks for the leaf jet
+    of g: each field power on the way raises the order by its power, and kernels
+    pass it on."""
+    if not factors:
+        return order
+    f, rest = factors[0], factors[1:]
+    if isinstance(f, Compose):
+        return _leaf_order(f.factors + rest, order)
+    if isinstance(f, OpSum):
+        return max((_leaf_order((term,) + rest, order) for _, term in f.terms), default=order)
+    return _leaf_order(rest, order + f.power if isinstance(f, FieldPower) else order)
+
+
+def _support(chart: CollarChart, n: int) -> float:
+    """The hit time from which a kernel's integrand is exactly zero, for a g that
+    vanishes from hit time CUTOFF_END on and a leaf jet of g of order n.
+
+    At order 0 g is read at the flowed points alone: CUTOFF_END.  At order n the
+    leaf's nested 5-point stencils (finitediff.partial_callable) read g up to
+    2 n FD_STEP away from a point, so the bound is the hit time past which no
+    stencil point reaches below CUTOFF_END: on the disk and the ball, that of the
+    radius where the cutoff ends less the reach; on the annulus, the larger of
+    its outer and inner collars' values.  Without the margin a stencil reaches
+    back into the cutoff's support and the dropped pairs are not zero."""
+    if n == 0:
+        return CUTOFF_END
+    reach = 2 * n * FD_STEP
+    r_outer = chart.flow_radius(-CUTOFF_END, 1.0) - reach
+    if chart.domain.kind != "annulus":
+        return float(chart.hit_time_radial(r_outer))
+    r_inner = chart.flow_radius(-CUTOFF_END, chart.domain.rho) + reach
+    return float(max(chart.hit_time_radial(r_outer), chart.hit_time_radial(r_inner)))
 
 
 def _field_jet(a, b, jet, n):

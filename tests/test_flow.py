@@ -711,7 +711,8 @@ def test_entry_sums_equal_the_slices_of_one_einsum(dtype, columns):
     # the jets path sums a panel's derivative entries one at a time through one
     # nodes x points buffer: bit for bit the slices of the single einsum over the
     # nodes x points x entries panel it replaced, dead pairs included (zero in
-    # the panel, never written in the buffer), up to fanout's 1,035 points
+    # the panel, never written in the buffer), up to 1,035 points, fanout's
+    # largest panel when its kernels swept the whole collar
     rng = np.random.default_rng(columns)
     nodes, orders = 4 * 32, [0, 1, 1, 2, 2, 2]
     need = rng.random((nodes, columns)) < 0.7

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from bergsmooth import finitediff, flow
+from bergsmooth import finitediff, flow, operators
 from bergsmooth.errors import ContractError, DegenerateInputError
-from bergsmooth.flow import antideriv_chains, build_chart, flow_moment_apply
+from bergsmooth.flow import CUTOFF_END, antideriv_chains, build_chart, flow_moment_apply
 from bergsmooth.functions import Holo1, Poly2, apply_field
 from bergsmooth.geometry import VectorField
 from bergsmooth.norms import collar_ratio_grid, hardy_line_case, weighted_ratio_sweep
@@ -16,6 +16,7 @@ from bergsmooth.operators import (
     kernel_op,
     op_sum,
 )
+from test_decompose import _order_two_expressions
 
 
 @pytest.fixture(scope="module")
@@ -178,6 +179,86 @@ def test_annulus_kernel_of_field_evaluates(annulus_chart, rng):
     direct = antideriv_chains(annulus_chart,
                               [(lambda p: apply_field(annulus_chart.field, g, p), 1)], pts)[0]
     np.testing.assert_allclose(out, direct, atol=1e-13)
+
+
+BOUND_CASES = ["lhs", "rhs0", "rhs1", "rhs2", "dx.K", "annulus K.N"]
+
+
+@pytest.fixture(scope="module")
+def bound_cases(chart, annulus_chart):
+    """(chart, expression, points) by name: the four expressions of the order-2
+    identity, a derivative of a kernel, and the annulus kernel of its field."""
+    pts, lhs, rhs = _order_two_expressions(chart)
+    dx = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
+                     name="dx")
+    exprs = [lhs, *rhs, compose(field_op(dx), kernel_op())]
+    cases = {name: (chart, e, pts) for name, e in zip(BOUND_CASES, exprs)}
+    cases["annulus K.N"] = (annulus_chart, compose(kernel_op(), field_op(annulus_chart.field)),
+                            _annulus_collar_points(annulus_chart))
+    return cases
+
+
+def _bounded(monkeypatch, case, g, bound=None):
+    """apply_op of case on g, each kernel's support bound replaced by bound if one
+    is given."""
+    chart, expr, pts = case
+    with monkeypatch.context() as patched:
+        if bound is not None:
+            patched.setattr(operators, "_support", lambda chart, n: bound)
+        return apply_op(expr, g, pts, chart)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_kernel_support_bound_moves_no_bit(monkeypatch, bound_cases, name, seed):
+    # on a g that carries the cutoff, every pair a kernel drops past its support
+    # bound has an integrand of exactly 0, so the values are the bits of kernels
+    # that sweep the whole collar
+    case = bound_cases[name]
+    g = masked(case[0], Poly2.random(np.random.default_rng(seed), degree=3))
+    assert np.array_equal(_bounded(monkeypatch, case, g), _bounded(monkeypatch, case, g, 1.0))
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_kernel_support_bound_controls(monkeypatch, bound_cases, name):
+    # the bound drops pairs that are not zero, so the values move: past hit time
+    # CUTOFF_END a g that lives up to the collar's edge, and, at the bare
+    # CUTOFF_END, the pairs whose leaf stencils still reach the cutoff.  The
+    # cutoff is flat at its end (below e^-55 where a first-order stencil
+    # reaches), so d/dx of one kernel, whose values are of order 1, shows no bit
+    # of the bare bound
+    case = bound_cases[name]
+    chart = case[0]
+    w = Poly2.random(np.random.default_rng(1), degree=3)
+    sharp = lambda p: np.where(chart.hit_time(p) < 1.0 - 1e-6, w(p), 0.0)
+    assert not np.array_equal(_bounded(monkeypatch, case, sharp),
+                              _bounded(monkeypatch, case, sharp, 1.0))
+    if name != "dx.K":
+        g = masked(chart, w)
+        assert not np.array_equal(_bounded(monkeypatch, case, g, CUTOFF_END),
+                                  _bounded(monkeypatch, case, g, 1.0))
+
+
+@pytest.mark.parametrize("name", BOUND_CASES)
+def test_leaf_evaluated_only_below_its_kernels_support_bound(monkeypatch, bound_cases,
+                                                             name, rng):
+    # the sibling of test_integrand_evaluated_only_inside_the_collar: every point
+    # at which a leaf jet of g is taken lies below the support bound of the
+    # kernels above it, the bound at the highest leaf order of the expression
+    chart, expr, pts = bound_cases[name]
+    g = masked(chart, Poly2.random(rng, degree=3))
+    seen = []
+    partial = operators._partial
+
+    def recorded(f, beta, points, *rest):
+        if f is g:
+            seen.append(np.array(points))
+        return partial(f, beta, points, *rest)
+    monkeypatch.setattr(operators, "_partial", recorded)
+    apply_op(expr, g, pts, chart)
+    bound = operators._support(chart, operators._leaf_order((expr,), 0))
+    assert CUTOFF_END < bound < 1.0
+    assert np.max(chart.hit_time(np.concatenate(seen))) < bound + 1e-6
 
 
 def test_commutator_is_definition(chart, collar_pts, rng):

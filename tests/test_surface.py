@@ -56,6 +56,8 @@ UNREACHED = {
     "operators._derivative_through_kernel": "calculus",
     "operators._field_jet": "benchmark",
     "operators._index": "benchmark",
+    "operators._leaf_order": "benchmark",
+    "operators._support": "benchmark",
     "operators._value_shape": "benchmark",
     "operators.apply_op": "benchmark",
     "operators.commutator": "benchmark",
@@ -246,12 +248,14 @@ def test_only_build_chart_takes_the_trajectory_resolution():
 def test_one_cutoff_evaluation():
     # the cutoff's value alone (smoothstep, for CollarChart.cutoff) or the value and
     # its slope from the same exponentials (the pair, for the chart's two profiles);
-    # every hit time of the cutoff profiles comes from one call per radius array
+    # every hit time of the cutoff profiles comes from one call per radius array;
+    # the only other caller takes the hit times of apply_op's support bounds
     assert not _definers("smoothstep_prime") | _definers("_psi_prime")
     assert _callers("_psi") == {"functions.smoothstep", "functions._smoothstep_pair"}
     assert _callers("_smoothstep_pair") == {"flow.CollarChart.cutoff_profiles"}
     assert _callers("hit_time_radial") == {"flow.CollarChart.hit_time",
-                                           "flow.CollarChart.cutoff_profiles"}
+                                           "flow.CollarChart.cutoff_profiles",
+                                           "operators._support"}
 
 
 def test_every_gate_declares_its_bound():

@@ -254,7 +254,8 @@ def test_decomposition_check_sweeps_each_point_set_once(c4_work):
 def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
     # the four apply_op calls of the identity: a kernel request that several terms
     # of a sum share is swept once per call, 15 sweeps (22 when each term swept
-    # it again); g is evaluated at the same points as before
+    # it again); each kernel evaluates g only below its support bound, at
+    # 4,100,409 points (8,566,587 when every kernel swept the whole collar)
     w = Poly2.random(rng, degree=2)
     evaluated = []
 
@@ -263,7 +264,7 @@ def test_order_two_identity_sweeps_each_kernel_request_once(sweeps, chart, rng):
         return chart.cutoff(p) * w(p)
     _order_two_identity(chart, g)
     assert len(sweeps) == 15
-    assert sum(evaluated) == 8_566_587
+    assert sum(evaluated) == 4_100_409
 
 
 def test_a_sum_of_one_expression_twice_sweeps_it_once_per_call(sweeps, chart, rng):
@@ -387,9 +388,10 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
 # panels shared their factors); of one check_reproduction: 10.1e6 bytes (24.3e6
 # in blocks of 2**19); and of the order-2 power-expansion identity at its twelve
 # points, with each kernel panel's derivative entries summed one at a time
-# through one nodes x points buffer and every jet filled in place: 15.6e6 bytes
-# (22.9e6 with one 128 x 1,035 x 6 buffer of every entry, and stacked copies of
-# the leaf jets)
+# through one nodes x points buffer and every jet filled in place, and each
+# kernel swept only below its support bound: 7.8e6 bytes (15.6e6 when every
+# kernel swept the whole collar, 22.9e6 with one 128 x 1,035 x 6 buffer of
+# every entry, and stacked copies of the leaf jets)
 PARENT_C4_PEAK_BYTES = 12.5e6
 PARENT_C3_PEAK_BYTES = 11.5e6
 IDENTITY_PEAK_BYTES = 17e6
