@@ -4,8 +4,12 @@ and the orthogonal projection onto them, on the model domains.
 All bases are closed-form: normalized monomials z^k on the disk, normalized
 Laurent monomials on the annulus (the k = -1 norm involves the logarithm),
 and normalized monomials z1^a z2^b on the ball, ordered by total degree.
-Synthesis runs the Horner evaluator of `functions`; the elements' `eval` and the
-annulus kernel series keep explicit powers, as independent references.
+Projection and synthesis take one input or a list of them, and either way run
+as one matrix product per chunk of points against a table of the monomials
+there, built by running products (of z and 1/z on the annulus, of z1 and z2 on
+the ball), with at most about 1 MB of table at a time.  The elements' `eval`,
+which the Gram matrix reads, and the annulus kernel series keep explicit
+powers, as independent references.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .functions import _falling, _polynomial
+from .functions import _falling
 from .geometry import Domain, QuadratureGrid
 
 __all__ = [
@@ -142,72 +146,139 @@ def _powers(basis: OrthonormalBasis):
 
 
 def _variables(domain: Domain, points):
-    """Coordinates whose nonnegative powers make up the basis monomials, and the
-    map from element powers to exponents in them: z1, z2 on the ball, z on the
-    disk, and z, 1/z on the annulus, where z^k has exponents (max(k, 0), max(-k, 0))."""
+    """The points' coordinates whose nonnegative powers make up the basis monomials,
+    each flattened, the points' shape, and the map from element powers to exponents
+    in the coordinates: z1, z2 on the ball, z on the disk, and z, 1/z on the annulus,
+    where z^k has exponents (max(k, 0), max(-k, 0))."""
     points = np.asarray(points)
     if domain.kind == "ball2":
-        return [points[..., 0], points[..., 1]], tuple
+        flat = points.reshape(-1, 2)
+        return [flat[:, 0], flat[:, 1]], points.shape[:-1], tuple
+    flat = points.reshape(-1)
     if domain.kind == "disk":
-        return [points], tuple
-    return [points, 1.0 / points], lambda e: (max(e[0], 0), max(-e[0], 0))
+        return [flat], points.shape, tuple
+    return [flat, 1.0 / flat], points.shape, lambda e: (max(e[0], 0), max(-e[0], 0))
 
 
-def _power_sums(v, xs, exps):
-    """sum(v * prod_i xs[i]**e_i) for each nonnegative exponent tuple e, by
-    running products per coordinate: one multiply and one reduction per tuple.
-    The tuples are grouped by their leading power once, in their given order."""
-    by_power = {}
-    for e in exps:
-        by_power.setdefault(e[0], []).append(e[1:])
-    out = {}
-    for p in range(max(by_power) + 1):
-        if p:
-            v = v * xs[0]
-        rest = by_power.get(p)
-        if rest and len(xs) == 1:
-            out[(p,)] = v.sum()
-        elif rest:
-            out.update({(p,) + r: m for r, m in _power_sums(v, xs[1:], rest).items()})
-    return out
+# the bytes of a basis's worth of table rows at one chunk of points: a table adds
+# at most the few rows below the annulus basis that derivatives reach
+_TABLE_BYTES = 2**20
 
 
-def project(f, basis: OrthonormalBasis, grid: QuadratureGrid) -> CoefficientVector:
-    """Orthogonal projection coefficients (f, e_k) under the grid quadrature.
+def _chunk(basis: OrthonormalBasis) -> int:
+    """The points per chunk of a power table: set by the basis alone, so that every
+    table of one basis cuts the points alike, whatever its rows."""
+    return max(1, _TABLE_BYTES // (16 * basis.size))
 
-    The moments sum(w f conj(z)^k) come from running powers of conj(z) (of
-    conj(1/z) for the annulus's negative powers, of conj(z1) and conj(z2) on
-    the ball), never from element values.
+
+def _table_rows(exps):
+    """The rows of a power table holding every exponent tuple of exps, a set closed
+    under lowering any exponent: by total degree, each row after the row one
+    exponent below it.  Returns the rows' index by tuple and, for each row after
+    the constant, the index of that row and the coordinate that multiplies it."""
+    rows = sorted(set(exps), key=lambda e: (sum(e), e))
+    index = {e: r for r, e in enumerate(rows)}
+    steps = []
+    for e in rows[1:]:
+        i = max(i for i, p in enumerate(e) if p)
+        steps.append((index[e[:i] + (e[i] - 1,) + e[i + 1:]], i))
+    return index, steps
+
+
+def _power_tables(xs, steps, chunk):
+    """For each chunk of at most `chunk` points, its slice and the table of the
+    monomials at it, filled by running products into one array preallocated for
+    all the chunks: row 0 holds ones, and each later row the row of `steps` times
+    its coordinate.  A table lives until the next chunk's is filled."""
+    n = len(xs[0])
+    rows = np.empty((len(steps) + 1, min(chunk, n)), dtype=complex)
+    for start in range(0, n, chunk):
+        cut = slice(start, min(start + chunk, n))
+        table = rows[:, :cut.stop - start]
+        table[0] = 1.0
+        for r, (below, i) in enumerate(steps, 1):
+            np.multiply(table[below], xs[i][cut], out=table[r])
+        yield cut, table
+
+
+def project(f, basis: OrthonormalBasis, grid: QuadratureGrid):
+    """Orthogonal projection coefficients (f, e_k) under the grid quadrature, of one
+    input or of each of a list of inputs (callables or sample arrays on the grid):
+    a CoefficientVector, or a list of them.
+
+    The moments sum(w f conj(z)^k) of the whole family are one matrix product, per
+    chunk of nodes, against a table of the powers of conj(z) (of conj(1/z) for the
+    annulus's negative powers, of conj(z1) and conj(z2) on the ball), never
+    against element values.
     """
     if basis.domain.kind != grid.domain.kind:
         raise ContractError("basis and grid live on different domains")
-    v = grid.weights * _values_on(f, grid)
+    fs = f if isinstance(f, list) else [f]
+    v = np.stack([grid.weights * _values_on(g, grid) for g in fs])
     powers, norms = _powers(basis)
-    xs, exponents = _variables(basis.domain, grid.nodes)
+    xs, _, exponents = _variables(basis.domain, grid.nodes)
     exps = [exponents(e) for e in powers]
-    sums = _power_sums(v, [np.conj(x) for x in xs], exps)
-    return CoefficientVector(basis, np.array([sums[e] for e in exps]) / norms)
+    index, steps = _table_rows(exps)
+    moments = np.zeros((len(fs), len(index)), dtype=complex)
+    for cut, table in _power_tables([np.conj(x) for x in xs], steps, _chunk(basis)):
+        moments += v[:, cut] @ table.T
+    cvs = [CoefficientVector(basis, c)
+           for c in moments[:, [index[e] for e in exps]] / norms]
+    return cvs if isinstance(f, list) else cvs[0]
 
 
-def synthesize(coeffs: CoefficientVector, points, deriv=None):
-    """Pointwise sum of c_k D^beta e_k for a holomorphic derivative multi-index.
+def _expansions(cvs, points, derivs):
+    """D^d of each expansion sum_k c_k e_k of the coefficient vectors cvs, one basis
+    for all, at the points, for each holomorphic derivative multi-index d of
+    derivs: one array per d, of shape (len(cvs),) + the points' shape.
 
-    The derivative of the expansion is a (Laurent) polynomial with coefficient
-    c_k k(k-1)...(k-j+1) / norm_k at power k - j (per coordinate on the ball),
-    evaluated by Horner's rule; no element is evaluated.
+    The derivative of an expansion is a (Laurent) polynomial with coefficient
+    c_k k(k-1)...(k-j+1) / norm_k at power k - j (per coordinate on the ball), so
+    each d is one matrix product, per chunk of points, against one table of powers
+    for all of derivs.  A derivative reads the rows up to the last one it reaches,
+    which a table for it alone would hold the same: every d has the same values
+    whatever else derivs asks for.  No element is evaluated.
     """
-    domain = coeffs.basis.domain
-    if deriv is None:
-        deriv = (0, 0) if domain.kind == "ball2" else 0
-    d = tuple(deriv) if domain.kind == "ball2" else (deriv,)
-    powers, norms = _powers(coeffs.basis)
-    xs, exponents = _variables(domain, points)
-    terms = {}
-    for e, c, norm in zip(powers, coeffs.coeffs, norms):
-        fac = math.prod(_falling(k, j) for k, j in zip(e, d))
-        if fac != 0.0:
-            terms[exponents([k - j for k, j in zip(e, d)])] = c * (fac / norm)
-    return _polynomial(xs, terms)
+    basis = cvs[0].basis
+    if any(cv.basis != basis for cv in cvs):
+        raise ContractError("a family of expansions shares one basis")
+    domain = basis.domain
+    ball = domain.kind == "ball2"
+    powers, norms = _powers(basis)
+    xs, shape, exponents = _variables(domain, points)
+    coeffs = np.stack([cv.coeffs for cv in cvs])
+    terms = []
+    for d in derivs:
+        if d is None:
+            d = (0, 0) if ball else 0
+        d = tuple(d) if ball else (d,)
+        facs = [math.prod(_falling(k, j) for k, j in zip(e, d)) for e in powers]
+        terms.append([(i, exponents([k - j for k, j in zip(e, d)]), fac / norm)
+                      for i, (e, fac, norm) in enumerate(zip(powers, facs, norms)) if fac])
+    index, steps = _table_rows([exponents(e) for e in powers]
+                               + [e for t in terms for _, e, _ in t])
+    mats = []
+    for t in terms:
+        reach = 1 + max((index[e] for _, e, _ in t), default=0)
+        a = np.zeros((len(cvs), reach), dtype=complex)
+        for i, e, scale in t:
+            a[:, index[e]] = coeffs[:, i] * scale
+        mats.append(a)
+    outs = [np.empty((len(cvs), len(xs[0])), dtype=complex) for _ in mats]
+    for cut, table in _power_tables(xs, steps, _chunk(basis)):
+        for a, out in zip(mats, outs):
+            np.matmul(a, table[:a.shape[1]], out=out[:, cut])
+    return [out.reshape((len(cvs),) + shape) for out in outs]
+
+
+def synthesize(coeffs, points, deriv=None):
+    """Pointwise sum of c_k D^beta e_k for a holomorphic derivative multi-index, of
+    one CoefficientVector or of each of a list of them on one basis: an array of
+    the points' shape, or a list of them, from one table of powers (see
+    `_expansions`)."""
+    cvs = coeffs if isinstance(coeffs, list) else [coeffs]
+    (values,) = _expansions(cvs, points, [deriv])
+    return list(values) if isinstance(coeffs, list) else values[0, ...]
 
 
 def gram_matrix(basis: OrthonormalBasis, grid: QuadratureGrid, weight=None):

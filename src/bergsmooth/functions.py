@@ -5,9 +5,10 @@ arbitrary interior points (trajectory quadrature lands between grid nodes).
 Classes here carry whatever analytic derivative structure they have; anything
 else falls back to high-order finite differences on the callable.
 
-Every polynomial of the package, `bergman.synthesize`'s included, is evaluated
-by one Horner's rule, `_horner`, with falling-factorial derivative coefficients,
-in place after its first product.
+Every polynomial of these classes, `Poly2`'s and `Holo1`'s, is evaluated by one
+Horner's rule, `_horner`, with falling-factorial derivative coefficients, in
+place after its first product; `bergman` evaluates its expansions against a
+table of powers instead.
 
 A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
 holomorphic factors through a `_Shared` table, so that the integrands of one
@@ -70,7 +71,7 @@ def _falling(k: int, j: int) -> float:
     return fac
 
 
-# The one polynomial evaluator; bergman's element evals and kernel_eval keep explicit powers.
+# The polynomial evaluator of Poly2 and Holo1.
 def _horner(xs, coeffs):
     """sum a_e * prod_i xs[i]**e_i over a map from nonnegative exponent tuples e
     to coefficients a_e, by Horner's rule in each coordinate in turn; in the last

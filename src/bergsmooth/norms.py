@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bergman import CoefficientVector, OrthonormalBasis, gram_matrix, project, synthesize
+from .bergman import (CoefficientVector, OrthonormalBasis, _expansions, gram_matrix, project,
+                      synthesize)
 from .errors import (ConditioningError, ContractError, DegenerateInputError, ParameterError,
                      ResolutionError)
 from .finitediff import polar_cartesian_partials
@@ -66,19 +67,31 @@ def sobolev_norm(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
 def sobolev_norms(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
                   eval_grid: PolarEvalGrid | None = None) -> list:
     """Sobolev norms of orders 0..k, as the running prefixes of one sum over
-    derivative orders: entry j is sobolev_norm(f, j) bit for bit.
+    derivative orders: entry j is sobolev_norm(f, j) bit for bit.  Given a list of
+    coefficient vectors on one basis, one such list per vector.
 
     Holomorphic data (coefficient vectors, tracked holomorphic functions) is
-    differentiated analytically and integrated on the quadrature grid; other
-    samplable functions are finite-differenced on an inset polar evaluation
-    grid.
+    differentiated analytically and integrated on the quadrature grid, the
+    derivatives of every order of a family of coefficient vectors from one table
+    of powers; other samplable functions are finite-differenced on an inset polar
+    evaluation grid.
     """
     if not 0 <= k <= MAX_ORDER:
         raise ParameterError(f"orders 0 to {MAX_ORDER} are supported, got {k}")
     if grid is None:
         grid = _default_grid(domain)
-    if isinstance(f, (CoefficientVector, Holo1)):
-        return _sobolev_analytic(f, k, domain, grid)
+    if isinstance(f, list):
+        if not all(isinstance(g, CoefficientVector) for g in f):
+            raise ContractError("a family of norms takes coefficient vectors")
+        return _sobolev_coefficients(f, k, domain, grid)
+    if isinstance(f, CoefficientVector):
+        return _sobolev_coefficients([f], k, domain, grid)[0]
+    if isinstance(f, Holo1):
+        if domain.kind == "ball2":
+            raise ContractError("analytic norms on the ball take coefficient vectors")
+        # the j-th complex derivative feeds all j+1 cartesian multi-indices
+        return _prefix_roots([(j + 1) * grid.norm(_partial(f, (j, 0), grid.nodes)) ** 2]
+                             for j in range(k + 1))
     if domain.kind == "ball2":
         raise ContractError("finite-difference norms are planar only")
     if eval_grid is None:
@@ -107,23 +120,20 @@ def _prefix_roots(orders):
     return out
 
 
-def _sobolev_analytic(f, k, domain, grid):
+def _sobolev_coefficients(cvs, k, domain, grid):
     if domain.kind == "ball2":
-        if not isinstance(f, CoefficientVector):
-            raise ContractError("analytic norms on the ball take coefficient vectors")
         # the (m1, m2) terms summed by total order
-        return _prefix_roots(
-            [(m1 + 1) * (j - m1 + 1)
-             * grid.norm(synthesize(f, grid.nodes, deriv=(m1, j - m1))) ** 2
-             for m1 in range(j + 1)]
-            for j in range(k + 1))
-
-    def derivative(j):
-        if isinstance(f, CoefficientVector):
-            return synthesize(f, grid.nodes, deriv=j)
-        return _partial(f, (j, 0), grid.nodes)
-    # the j-th complex derivative feeds all j+1 cartesian multi-indices
-    return _prefix_roots([(j + 1) * grid.norm(derivative(j)) ** 2] for j in range(k + 1))
+        derivs = [[(m1, j - m1) for m1 in range(j + 1)] for j in range(k + 1)]
+        weight = lambda d: (d[0] + 1) * (d[1] + 1)
+    else:
+        # the j-th complex derivative feeds all j+1 cartesian multi-indices
+        derivs = [[j] for j in range(k + 1)]
+        weight = lambda j: j + 1
+    flat = [d for level in derivs for d in level]
+    values = dict(zip(flat, _expansions(cvs, grid.nodes, flat)))
+    return [_prefix_roots([weight(d) * grid.norm(values[d][i]) ** 2 for d in level]
+                          for level in derivs)
+            for i in range(len(cvs))]
 
 
 def rotation_multiplier(domain: Domain):
@@ -215,11 +225,18 @@ def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> l
     """sup |(f, h)| over the truncated basis ball { ||d^{k1} h|| <= 1 }, for each f in fs.
 
     Exact in the truncated space: with v the projection coefficients of f and
-    G the distance-weighted Gram matrix, the value is sqrt(v* G^{-1} v),
-    via a symmetric positive-definite factorization made once for all of fs.
+    G the distance-weighted Gram matrix, the value is sqrt(v* G^{-1} v), via
+    one symmetric positive-definite factorization G = L L* for all of fs.  A
+    coefficient vector on a leading part of basis, its first n elements, is
+    graded in that part's truncated ball, with the leading n x n block of L: the
+    factor of a leading block of G is the leading block of its factor.  Every
+    other input is projected onto basis, all of them in one call, and the inputs
+    of each truncation are solved together.
     """
-    vs = [f.coeffs if isinstance(f, CoefficientVector) else project(f, basis, grid).coeffs
-          for f in fs]
+    others = [f for f in fs if not isinstance(f, CoefficientVector)]
+    projected = iter(project(others, basis, grid) if others else ())
+    vs = [next(projected).coeffs if not isinstance(f, CoefficientVector)
+          else _leading_coeffs(f, basis) for f in fs]
     d = boundary_distance(basis.domain, grid.nodes)
     G = gram_matrix(basis, grid, weight=d ** (2 * k1))
     G = 0.5 * (G + np.conj(G.T))
@@ -229,7 +246,22 @@ def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> l
         raise ConditioningError(
             f"weighted Gram matrix not positive definite at truncation {basis.size}",
             truncation=basis.size) from exc
-    return [float(np.linalg.norm(np.linalg.solve(L, v))) for v in vs]
+    sups = [0.0] * len(vs)
+    for n in {v.size for v in vs}:
+        members = [i for i, v in enumerate(vs) if v.size == n]
+        y = np.linalg.solve(L[:n, :n], np.stack([vs[i] for i in members], axis=1))
+        for i, column in zip(members, y.T):
+            sups[i] = float(np.linalg.norm(column))
+    return sups
+
+
+def _leading_coeffs(cv: CoefficientVector, basis: OrthonormalBasis):
+    """The coefficients of cv, whose basis must be the first elements of basis."""
+    n = cv.basis.size
+    if cv.basis.domain != basis.domain or cv.basis.elements != basis.elements[:n]:
+        raise ContractError("a coefficient vector's basis is not a leading part of the "
+                            "duality basis")
+    return cv.coeffs
 
 
 def collar_ratio_grid(chart: CollarChart, n_r: int = 24, n_th: int = 48):

@@ -358,11 +358,13 @@ def check_conj_disk(cfg: ScenarioConfig):
     dom = make_domain("disk")
     grid = quadrature_grid(dom, cfg.n_r, cfg.n_theta)
     basis = build_basis(dom, cfg.basis_size)
+    coeffs = [(rng.normal(size=9) + 1j * rng.normal(size=9)) * 0.7 ** np.arange(9)
+              for _ in range(10)]
+    fs = [Holo1.from_coeffs(a) for a in coeffs]
+    projections = project([lambda z, f=f: np.conj(f(z)) for f in fs], basis, grid)
     rows = []
-    for i in range(10):
-        a = (rng.normal(size=9) + 1j * rng.normal(size=9)) * 0.7 ** np.arange(9)
-        f = Holo1.from_coeffs(a)
-        c = project(lambda z: np.conj(f(z)), basis, grid).coeffs
+    for i, (a, cv) in enumerate(zip(coeffs, projections)):
+        c = cv.coeffs
         expected0 = np.conj(a[0]) * np.sqrt(np.pi)
         err = float(np.sqrt(np.abs(c[0] - expected0) ** 2 + np.sum(np.abs(c[1:]) ** 2)))
         rows.append([i, err])
@@ -389,30 +391,30 @@ def check_conj_annulus(cfg: ScenarioConfig):
     checks.append(CheckResult("C6", "projected conjugate coordinate: coefficients off 1/z",
                               np.abs(np.delete(c, idx[-1])), "<=", 1e-9))
 
-    # Sobolev norms of projected conjugate powers: finite, refinement-stable
+    # Sobolev norms of projected conjugate powers: finite, refinement-stable; the
+    # three powers projected, and their ladders taken, as one family per grid
+    powers = (1, 2, 3)
+    ladders = {res: sobolev_norms(project([lambda z, m=m: np.conj(z) ** m for m in powers],
+                                          basis, grid), 2, dom, grid=grid)
+               for res, grid in grids.items()}
     drifts = []
-    for m in (1, 2, 3):
-        ladders = {res: sobolev_norms(project(lambda z: np.conj(z) ** m, basis, grid),
-                                      2, dom, grid=grid)
-                   for res, grid in grids.items()}
+    for i, m in enumerate(powers):
         for k in (0, 1, 2):
-            vals, _, (drift,) = _refinement(lambda res: ladders[res][k])
+            vals, _, (drift,) = _refinement(lambda res: ladders[res][i][k])
             rows.append([m, k, *vals])
             drifts.append(drift)
     checks.append(CheckResult("C6", "projected conjugate-power norms drift under "
                               "grid doubling", drifts, "<=", 1e-2))
 
     # bounded ratios across a seeded conjugate-holomorphic family
-    env = {k: [] for k in (0, 1, 2)}
-    for i in range(10):
+    fbars = []
+    for _ in range(10):
         coeff = {p: (rng.normal() + 1j * rng.normal()) * 0.6 ** abs(p)
                  for p in range(-4, 5)}
-        f = Holo1.laurent(coeff)
-        fbar = np.conj(f(grids[1].nodes))
-        fnorm = grids[1].norm(fbar)
-        ladder = sobolev_norms(project(fbar, basis, grids[1]), 2, dom, grid=grids[1])
-        for k in env:
-            env[k].append(ladder[k] / fnorm)
+        fbars.append(np.conj(Holo1.laurent(coeff)(grids[1].nodes)))
+    family = sobolev_norms(project(fbars, basis, grids[1]), 2, dom, grid=grids[1])
+    fnorms = [grids[1].norm(fbar) for fbar in fbars]
+    env = {k: [ladder[k] / fnorm for fnorm, ladder in zip(fnorms, family)] for k in (0, 1, 2)}
     checks.append(CheckResult("C6", "projected-to-input norm ratio envelope over the "
                               "seeded conjugate family",
                               [np.max(v) / np.min(v) for v in env.values()], "<=", 10.0))
@@ -506,23 +508,25 @@ def check_duality(cfg: ScenarioConfig):
     fs = [_band_limited(rng) for _ in range(20)]
     ladders = [sobolev_norms(f, 2, dom, grid=grid) for f in fs]
     nks = {(k, i): ladder[k] for k in (1, 2) for i, ladder in enumerate(ladders)}
-    # each sample projected once, on the doubled basis: the disk basis runs by
-    # power and its moments are running powers of conj(z), so a smaller basis's
-    # coefficients are the leading ones, bit for bit
-    doubled_basis = build_basis(dom, 2 * cfg.basis_size)
-    doubled = [project(f, doubled_basis, grid).coeffs for f in fs]
+    # the samples projected once, as one family, on the doubled basis: the disk
+    # basis runs by power, so the base basis is its leading part and a sample's
+    # coefficients on it are the leading ones.  Both bases' sups of an order come
+    # from one call, one weighted Gram matrix and one factor
+    levels = (cfg.basis_size, 2 * cfg.basis_size)
+    basis, doubled_basis = (build_basis(dom, nb) for nb in levels)
+    doubled = project(fs, doubled_basis, grid)
+    cvs = [CoefficientVector(basis, cv.coeffs[:cfg.basis_size]) for cv in doubled] + doubled
+    sups = {k: duality_sup(cvs, k, doubled_basis, grid) for k in (1, 2)}
 
     def constant_at(nb):
-        basis = build_basis(dom, nb)
-        cvs = [CoefficientVector(basis, c[:nb]) for c in doubled]
-        sups = {k: duality_sup(cvs, k, basis, grid) for k in (1, 2)}
-        table = [[k, i, sups[k][i], nk, nk / sups[k][i]] for (k, i), nk in nks.items()]
+        start = levels.index(nb) * len(fs)
+        table = [[k, i, sups[k][start + i], nk, nk / sups[k][start + i]]
+                 for (k, i), nk in nks.items()]
         if nb == cfg.basis_size:
             rows.extend(table)
         return np.max([ratio for *_, ratio in table])
 
-    c_emp, (drift,), _ = _refinement(constant_at, levels=(cfg.basis_size,
-                                                          2 * cfg.basis_size))
+    c_emp, (drift,), _ = _refinement(constant_at, levels=levels)
     checks = [
         CheckResult("C8", "empirical duality constant (finite, single constant "
                     "across the family)", c_emp[0], "<", float("inf")),

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
+import bergsmooth.bergman as bergman_module
 from bergsmooth.bergman import (
-    _power_sums,
-    _powers,
-    _variables,
+    CoefficientVector,
     build_basis,
     gram_matrix,
     kernel_eval,
@@ -116,7 +115,6 @@ def test_kernel_annulus_matches_quadrature(annulus, annulus_basis, annulus_grid)
 
 
 def test_synthesize_examples(disk_basis):
-    from bergsmooth.bergman import CoefficientVector
     coeffs = np.zeros(32, dtype=complex)
     coeffs[0] = 1.0
     cv = CoefficientVector(disk_basis, coeffs)
@@ -192,7 +190,6 @@ def _rel_err(new, old):
 
 @pytest.mark.parametrize("case", ["disk", "annulus-even", "annulus-odd", "ball"])
 def test_project_and_synthesize_match_element_formulas(case, request, rng):
-    from bergsmooth.bergman import CoefficientVector
     kind = case.split("-")[0]
     grid = request.getfixturevalue({"ball": "ball2_grid"}.get(kind, f"{kind}_grid"))
     basis = build_basis(grid.domain, 31 if case == "annulus-odd" else 32)
@@ -206,31 +203,74 @@ def test_project_and_synthesize_match_element_formulas(case, request, rng):
         assert _rel_err(synthesize(cv, grid.nodes, deriv), old) < 1e-12, deriv
 
 
-def _power_sums_rescanning(v, xs, exps):
-    """The moments by running products with the exponent tuples scanned again for
-    every leading power: the reference for the grouped _power_sums."""
-    out = {}
-    for p in range(max(e[0] for e in exps) + 1):
-        if p:
-            v = v * xs[0]
-        rest = [e[1:] for e in exps if e[0] == p]
-        if rest and len(xs) == 1:
-            out[(p,)] = v.sum()
-        elif rest:
-            out.update({(p,) + r: m for r, m in _power_sums_rescanning(v, xs[1:], rest).items()})
-    return out
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball2"])
+def test_a_family_projects_and_synthesizes_as_its_members_do(kind, request, rng):
+    # one call for a list of inputs, one matrix product per chunk of points, gives
+    # each member's coefficients and values as a call of its own does, to rounding
+    grid = request.getfixturevalue(f"{kind}_grid")
+    basis = build_basis(grid.domain, 32)
+    shape = grid.weights.shape
+    samples = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(5)]
+    family = project(samples, basis, grid)
+    assert isinstance(family, list) and len(family) == 5
+    for values, cv in zip(samples, family):
+        assert _rel_err(cv.coeffs, project(values, basis, grid).coeffs) <= 1e-13
+    derivs = [(0, 0), (1, 2)] if kind == "ball2" else [0, 2]
+    for deriv in derivs:
+        synthesized = synthesize(family, grid.nodes, deriv)
+        assert isinstance(synthesized, list) and len(synthesized) == 5
+        for cv, values in zip(family, synthesized):
+            assert _rel_err(values, synthesize(cv, grid.nodes, deriv)) <= 1e-13
 
 
-@pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
-def test_power_sums_group_by_leading_power_bit_for_bit(kind, request, rng):
-    domain = request.getfixturevalue({"ball": "ball2"}.get(kind, kind))
-    basis = request.getfixturevalue(f"{kind}_basis")
-    grid = quadrature_grid(domain, 12, 24) if kind == "ball" else quadrature_grid(domain, 16, 32)
-    v = grid.weights * (rng.normal(size=grid.weights.shape)
-                        + 1j * rng.normal(size=grid.weights.shape))
-    xs, exponents = _variables(domain, grid.nodes)
-    exps = [exponents(e) for e in _powers(basis)[0]]
-    conj = [np.conj(x) for x in xs]
-    grouped, rescanned = _power_sums(v, conj, exps), _power_sums_rescanning(v, conj, exps)
-    assert list(grouped) == list(rescanned)
-    assert all(grouped[e] == rescanned[e] for e in exps)
+def test_no_power_table_holds_more_than_about_a_megabyte(monkeypatch, annulus, rng):
+    # the 8,192 nodes of the 64 x 128 annulus grid, 32 elements: four chunks of
+    # 2,048 nodes, each table one row per power, three rows below the basis for
+    # the third derivative
+    grid = quadrature_grid(annulus, 64, 128)
+    basis = build_basis(annulus, 32)
+    tables = []
+    real = bergman_module._power_tables
+
+    def recorded(*args):
+        for cut, table in real(*args):
+            tables.append(table.shape)
+            yield cut, table
+    monkeypatch.setattr(bergman_module, "_power_tables", recorded)
+    cv = project(rng.normal(size=grid.weights.shape) + 0j, basis, grid)
+    synthesize(cv, grid.nodes, 3)
+    assert tables == [(32, 2048)] * 4 + [(35, 2048)] * 4
+    assert max(rows * cols * 16 for rows, cols in tables) <= 1.1 * 2**20
+
+
+def _bergman_by_kernel(domain, values, grid, z):
+    """Bf(z) as the grid sum of K(z, .) f, by the kernel's closed form."""
+    return np.array([np.sum(grid.weights * kernel_eval(domain, zi, grid.nodes) * values)
+                     for zi in z])
+
+
+def test_project_agrees_with_the_kernel_route(disk, rng):
+    # Bf at four points with |z| <= 0.7, as the expansion of its projection and as
+    # the quadrature of the reproducing kernel's closed form against f, which
+    # reads no basis norm; the input mixes z, conj(z) and |z|^2
+    grid = quadrature_grid(disk, 64, 128)
+    a = rng.normal(size=3) + 1j * rng.normal(size=3)
+    f = lambda z: a[0] * z + a[1] * np.conj(z) + a[2] * np.abs(z) ** 2
+    z = 0.7 * rng.uniform(0.2, 1.0, size=4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    by_expansion = synthesize(project(f, build_basis(disk, 32), grid), z)
+    by_kernel = _bergman_by_kernel(disk, f(grid.nodes), grid, z)
+    assert np.max(np.abs(by_expansion - by_kernel)) <= 1e-12
+
+
+def test_the_kernel_route_catches_a_norm_off(disk, monkeypatch, rng):
+    # its control: the constant element normalised by a norm 1% off scales the
+    # expansion's constant term, the mean 1.5, by 1/1.01^2, far past the route's
+    # tolerance
+    grid = quadrature_grid(disk, 64, 128)
+    f = lambda z: 1.0 + np.conj(z) + np.abs(z) ** 2
+    z = np.array([0.3 + 0.2j, -0.5j])
+    norm = bergman_module._planar_norm
+    monkeypatch.setattr(bergman_module, "_planar_norm",
+                        lambda domain, k: norm(domain, k) * (1.01 if k == 0 else 1.0))
+    by_expansion = synthesize(project(f, build_basis(disk, 32), grid), z)
+    assert np.max(np.abs(by_expansion - _bergman_by_kernel(disk, f(grid.nodes), grid, z))) > 1e-3

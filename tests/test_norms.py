@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergsmooth.bergman import CoefficientVector, build_basis, project, synthesize
+from bergsmooth.errors import ContractError
 from bergsmooth.decompose import matched_tangential
 from bergsmooth.finitediff import diff_uniform, polar_cartesian_partials
 from bergsmooth.flow import build_chart
@@ -270,6 +271,70 @@ def test_duality_sup_invariance(disk, disk_basis, disk_grid, rng):
     perturbed = lambda z: f(z) + 0.7 * np.conj(z) ** 2
     base, moved = duality_sup([f, perturbed], 1, disk_basis, disk_grid)
     assert moved == pytest.approx(base, abs=1e-9)
+
+
+def _families(request, rng):
+    """A seeded family of five coefficient vectors on a 32-element basis of each
+    model domain, with its grid."""
+    out = {}
+    for kind in ("disk", "annulus", "ball2"):
+        grid = request.getfixturevalue(f"{kind}_grid")
+        basis = build_basis(grid.domain, 32)
+        out[kind] = grid, [CoefficientVector(basis, rng.normal(size=32) + 1j * rng.normal(size=32))
+                           for _ in range(5)]
+    return out
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball2"])
+def test_sobolev_norms_of_a_family_are_its_members_norms(kind, request, rng):
+    # one table of powers for every order and member gives each member's ladder
+    # as a call of its own does, to rounding; and entry j of the family's ladders
+    # is the family's order-j norm bit for bit
+    grid, cvs = _families(request, rng)[kind]
+    ladders = sobolev_norms(cvs, 3, grid.domain, grid=grid)
+    assert len(ladders) == 5
+    for cv, ladder in zip(cvs, ladders):
+        alone = sobolev_norms(cv, 3, grid.domain, grid=grid)
+        assert np.max(np.abs(np.subtract(ladder, alone)) / np.abs(alone)) <= 1e-13
+    for j in range(4):
+        assert [ladder[j] for ladder in ladders] == [
+            ladder[j] for ladder in sobolev_norms(cvs, j, grid.domain, grid=grid)]
+
+
+def test_sobolev_norms_family_takes_coefficient_vectors(disk):
+    with pytest.raises(ContractError):
+        sobolev_norms([Holo1.constant(1.0)], 1, disk)
+
+
+def test_duality_sup_grades_a_leading_truncation_with_the_leading_factor(disk, disk_grid, rng):
+    # inputs on the first 16 and 24 elements of a 32-element basis, graded in one
+    # call with the leading blocks of its one factor, as separate calls on the
+    # smaller bases grade them; projected inputs share the call
+    big = build_basis(disk, 32)
+    family = project([Holo1.from_coeffs(rng.normal(size=9) + 1j * rng.normal(size=9))
+                      for _ in range(4)], big, disk_grid)
+    f = lambda z: np.abs(z) ** 2 + np.conj(z) * z ** 3
+    for k1 in (1, 2):
+        cvs = {nb: [CoefficientVector(build_basis(disk, nb), cv.coeffs[:nb]) for cv in family]
+               for nb in (16, 24)}
+        together = duality_sup(cvs[16] + [f] + cvs[24], k1, big, disk_grid)
+        apart = (duality_sup(cvs[16], k1, build_basis(disk, 16), disk_grid)
+                 + duality_sup([f], k1, big, disk_grid)
+                 + duality_sup(cvs[24], k1, build_basis(disk, 24), disk_grid))
+        assert np.max(np.abs(np.subtract(together, apart)) / np.abs(apart)) <= 1e-12
+
+
+def test_duality_sup_refuses_a_basis_that_is_not_a_leading_part(disk, annulus, annulus_grid):
+    # the annulus basis of 16 elements is the middle of the one of 32, z^-8..z^7
+    # against z^-16..z^15, not its leading part
+    small, big = build_basis(annulus, 16), build_basis(annulus, 32)
+    assert small.elements == big.elements[8:24]
+    with pytest.raises(ContractError):
+        duality_sup([CoefficientVector(small, np.ones(16, dtype=complex))], 1, big,
+                    annulus_grid)
+    with pytest.raises(ContractError):
+        duality_sup([CoefficientVector(build_basis(disk, 16), np.ones(16, dtype=complex))], 1,
+                    build_basis(annulus, 16), annulus_grid)
 
 
 @settings(max_examples=20, deadline=None)

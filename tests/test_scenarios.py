@@ -264,18 +264,23 @@ def test_quadrature_scenarios_build_each_gauss_rule_once(monkeypatch, cold_cache
 
 
 @pytest.mark.parametrize("check, scenario, expected", [
-    ("check_conj_annulus", "conj-smoothing", {"project": 17, "gram_matrix": 0}),
-    ("check_duality", "duality", {"project": 20, "gram_matrix": 4}),
+    ("check_conj_annulus", "conj-smoothing", {"project": 4, "inputs": 17, "gram_matrix": 0}),
+    ("check_duality", "duality", {"project": 1, "inputs": 20, "gram_matrix": 2}),
 ])
 def test_one_projection_per_input_and_one_gram_per_order(monkeypatch, check, scenario,
                                                          expected):
-    # C6 projects each conjugate power once per grid; C8 projects each sample once,
-    # on the doubled basis (40 when it projected again on each basis), and factors
-    # one weighted Gram matrix per (order, basis)
-    calls = {"project": 0, "gram_matrix": 0}
+    # C6 projects conj(z), then each grid's three conjugate powers as one family,
+    # then the seeded family: 17 inputs in 4 calls (17 calls of one input each
+    # before).  C8 projects its 20 samples once, as one family, on the doubled
+    # basis (40 inputs when it projected again on each basis), and factors one
+    # weighted Gram matrix per order for both bases (one per order and basis, 4,
+    # before)
+    calls = {"project": 0, "inputs": 0, "gram_matrix": 0}
     for mod, name in ((scenarios, "project"), (norms, "project"), (norms, "gram_matrix")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
             calls[_name] += 1
+            if _name == "project":
+                calls["inputs"] += len(args[0]) if isinstance(args[0], list) else 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     getattr(scenarios, check)(ScenarioConfig.from_dict(

@@ -32,6 +32,7 @@ UNREACHED = {
     "bergman._ball_norm": "ball",
     "bergman.annulus_kernel_tail_bound": "oracle",
     "bergman.kernel_eval": "oracle",
+    "bergman.synthesize": "oracle",
     "decompose.matched_tangential": "oracle",
     "decompose.power_expansion": "benchmark",
     "errors.ConditioningError.__init__": "raises",
@@ -209,13 +210,18 @@ def _definers(name):
 
 
 def test_one_polynomial_evaluator():
-    # Poly2, Holo1's polynomials and synthesize share functions._horner; numpy's
+    # functions._horner serves Poly2 and Holo1; project and synthesize share one
+    # power table, whose rows sums and expansions read by matrix products; numpy's
     # polynomial evaluators are left to the tests, as references
     assert not _callers("polyval") | _callers("polyval2d") | _callers("polyder")
     assert _definers("_horner") == _definers("_falling") == {"functions"}
     assert _callers("_horner") == {"functions._horner", "functions._polynomial"}
-    assert {"functions.Poly2._derivative", "functions.Holo1.laurent",
-            "bergman.synthesize"} <= _callers("_polynomial")
+    assert {"functions.Poly2._derivative", "functions.Holo1.laurent"} <= \
+        _callers("_polynomial")
+    assert {caller.split(".")[0] for caller in _callers("_polynomial")} == {"functions"}
+    assert not _definers("_power_sums")
+    assert _callers("_power_tables") == {"bergman.project", "bergman._expansions"}
+    assert _callers("_expansions") == {"bergman.synthesize", "norms._sobolev_coefficients"}
 
 
 def test_one_field_formula():

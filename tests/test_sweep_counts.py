@@ -7,10 +7,11 @@ operator expression sweeps each distinct kernel request once per apply_op
 call, each factor the integrands of a panel share is evaluated once per panel
 (the derivatives of an input once while its integrands follow one another), a
 hitting time steps each point once up to its crossing, projection evaluates no
-basis element, and a Sobolev norm takes each derivative order once for all the
-orders it reports.  Three guards on memory: C3's and C4's peaks stay near the
-ones their bounded sweep blocks hold, and the power-expansion identity's near
-the one its per-entry kernel sums hold."""
+basis element, and the Sobolev norms of a family take every derivative order
+from one power table.  Guards on memory: C3's and C4's peaks stay near the ones
+their bounded sweep blocks hold, the power-expansion identity's near the one its
+per-entry kernel sums hold, and C6's and C8's near the ones their chunked power
+tables hold."""
 
 import tracemalloc
 from collections import Counter
@@ -32,7 +33,7 @@ from bergsmooth.geometry import VectorField, make_domain, polar_eval_grid
 from bergsmooth.norms import sobolev_norm
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op, op_sum
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
-                                  check_decomposition, check_ftc, check_hardy,
+                                  check_decomposition, check_duality, check_ftc, check_hardy,
                                   check_reproduction)
 from test_decompose import _order_two_identity
 
@@ -389,12 +390,13 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
 # in blocks of 2**19); and of the order-2 power-expansion identity at its twelve
 # points, with each kernel panel's derivative entries summed one at a time
 # through one nodes x points buffer and every jet filled in place, and each
-# kernel swept only below its support bound: 7.8e6 bytes (15.6e6 when every
-# kernel swept the whole collar, 22.9e6 with one 128 x 1,035 x 6 buffer of
+# kernel swept only below its support bound: 7.1e6 to 7.8e6 bytes (15.6e6 when
+# every kernel swept the whole collar, 22.9e6 with one 128 x 1,035 x 6 buffer of
 # every entry, and stacked copies of the leaf jets)
 PARENT_C4_PEAK_BYTES = 12.5e6
 PARENT_C3_PEAK_BYTES = 11.5e6
-IDENTITY_PEAK_BYTES = 17e6
+IDENTITY_PEAK_BYTES = 9e6
+FAMILY_PEAK_BYTES = 8e6
 
 
 def _traced_peak(run):
@@ -443,7 +445,7 @@ def test_hitting_time_marches_then_bisects_the_crossing_step(monkeypatch, chart)
 
 
 def test_conj_disk_evaluates_no_basis_element(monkeypatch):
-    # C5's ten projections take their moments from running powers of conj(z)
+    # C5's ten projections take their moments from one table of powers of conj(z)
     calls = []
     evaluate = PlanarMonomial.eval
 
@@ -474,10 +476,27 @@ def test_finite_difference_norm_differences_each_inner_partial_once(monkeypatch,
 
 
 def test_conj_annulus_synthesizes_each_derivative_order_once(monkeypatch):
-    # one Sobolev ladder of orders 0..2 per projection: 3 conjugate powers on 2
-    # grids and 10 seeded functions, 3 derivative orders each, 48 calls (96 when
-    # each order's norm summed its lower orders again)
-    seen = _counting(monkeypatch, norms_module, "synthesize")
+    # one Sobolev ladder of orders 0..2 per projected family, every order from one
+    # power table: the 3 conjugate powers on each of 2 grids and the 10 seeded
+    # functions, 3 calls for all 48 (input, order) pairs (48 calls of one input
+    # and one order each, 96 when each order's norm summed its lower orders again)
+    seen = []
+    expansions = norms_module._expansions
+    monkeypatch.setattr(norms_module, "_expansions", lambda cvs, points, derivs: seen.append(
+        (len(cvs), list(derivs))) or expansions(cvs, points, derivs))
+    synthesized = _counting(monkeypatch, norms_module, "synthesize")
     check_conj_annulus(ScenarioConfig.from_dict(
         {"scenario": "conj-smoothing", "n_r": 16, "n_theta": 32, "basis_size": 16}))
-    assert len(seen) == 48
+    assert seen == [(3, [0, 1, 2]), (3, [0, 1, 2]), (10, [0, 1, 2])]
+    assert synthesized == []
+
+
+@pytest.mark.parametrize("check, scenario", [(check_conj_annulus, "conj-smoothing"),
+                                             (check_duality, "duality")], ids=["C6", "C8"])
+def test_projected_families_hold_little_memory(check, scenario):
+    # tracemalloc peaks at the default config, one power table of at most about
+    # 1 MB per chunk of nodes: C6 2.8e6 bytes (1.1e6 projecting one input at a
+    # time, 7.5e6 with one table over all of a grid's nodes) and C8 6.5e6 (as
+    # before), both below C7's 14.0e6, which sets the quadrature workload's peak.
+    # test_bergman.py pins the chunks themselves
+    assert _traced_peak(lambda: check(ScenarioConfig(scenario))) <= FAMILY_PEAK_BYTES

@@ -70,11 +70,16 @@ def test_benchmark_tracer_counts_each_layer(load_bench):
         jet_sweeps = tracer.count["flow.trajectories.calls"] - sweeps
         basis, grid = bergman.build_basis(disk, 4), geometry.quadrature_grid(disk, 4, 8)
         bergman.project(w, basis, grid)
-        # projection takes running powers; the Gram matrix still evaluates elements
+        # a family of inputs is one call, and the tracer counts calls, not inputs
+        projections = tracer.count["bergman.project.calls"]
+        bergman.project([w, g], basis, grid)
+        family_calls = tracer.count["bergman.project.calls"] - projections
+        # projection reads a power table; the Gram matrix still evaluates elements
         bergman.gram_matrix(basis, grid)
     finally:
         tracer.uninstall()
     assert starts == len(pts)
+    assert projections >= 1 and family_calls == 1
     assert jet_evals > 0 and jet_sweeps > 0
     for counter in ("flow.trajectories.calls", "flow.hitting_time.calls", "functions.evals",
                     "bergman.basis_evals"):
