@@ -7,9 +7,10 @@ and normalized monomials z1^a z2^b on the ball, ordered by total degree.
 Projection and synthesis take one input or a list of them, and either way run
 as one matrix product per chunk of points against a table of the monomials
 there, built by running products (of z and 1/z on the annulus, of z1 and z2 on
-the ball), with at most about 1 MB of table at a time.  The elements' `eval`,
-which the Gram matrix reads, and the annulus kernel series keep explicit
-powers, as independent references.
+the ball), with at most about 1 MB of table at a time; the Gram matrix reads the
+same table, for one weight or a list of them.  The elements' `eval` (and
+`OrthonormalBasis.eval_matrix`) and the annulus kernel series keep explicit
+powers, as independent references that the package's checks never read.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ParameterError
-from .functions import _falling
+from .functions import _falling, _on_grid
 from .geometry import Domain, QuadratureGrid
 
 __all__ = [
@@ -132,7 +133,7 @@ def build_basis(domain: Domain, n_b: int) -> OrthonormalBasis:
 
 def _values_on(f, grid: QuadratureGrid):
     if callable(f):
-        return np.asarray(f(grid.nodes), dtype=complex)
+        return _on_grid(f, grid)
     values = np.asarray(f, dtype=complex)
     if values.shape != grid.weights.shape:
         raise ContractError("sample array does not match the grid")
@@ -185,6 +186,17 @@ def _table_rows(exps):
     return index, steps
 
 
+def _basis_table(basis: OrthonormalBasis, points):
+    """The coordinates of the points, flattened, the steps of the power table that
+    holds the basis's monomials there, the elements' rows in it, and the element
+    norms."""
+    powers, norms = _powers(basis)
+    xs, _, exponents = _variables(basis.domain, points)
+    exps = [exponents(e) for e in powers]
+    index, steps = _table_rows(exps)
+    return xs, steps, [index[e] for e in exps], norms
+
+
 def _power_tables(xs, steps, chunk):
     """For each chunk of at most `chunk` points, its slice and the table of the
     monomials at it, filled by running products into one array preallocated for
@@ -215,15 +227,11 @@ def project(f, basis: OrthonormalBasis, grid: QuadratureGrid):
         raise ContractError("basis and grid live on different domains")
     fs = f if isinstance(f, list) else [f]
     v = np.stack([grid.weights * _values_on(g, grid) for g in fs])
-    powers, norms = _powers(basis)
-    xs, _, exponents = _variables(basis.domain, grid.nodes)
-    exps = [exponents(e) for e in powers]
-    index, steps = _table_rows(exps)
-    moments = np.zeros((len(fs), len(index)), dtype=complex)
+    xs, steps, rows, norms = _basis_table(basis, grid.nodes)
+    moments = np.zeros((len(fs), len(steps) + 1), dtype=complex)
     for cut, table in _power_tables([np.conj(x) for x in xs], steps, _chunk(basis)):
         moments += v[:, cut] @ table.T
-    cvs = [CoefficientVector(basis, c)
-           for c in moments[:, [index[e] for e in exps]] / norms]
+    cvs = [CoefficientVector(basis, c) for c in moments[:, rows] / norms]
     return cvs if isinstance(f, list) else cvs[0]
 
 
@@ -282,10 +290,25 @@ def synthesize(coeffs, points, deriv=None):
 
 
 def gram_matrix(basis: OrthonormalBasis, grid: QuadratureGrid, weight=None):
-    """Gram matrix of the basis under quadrature, optionally with a weight."""
-    E = basis.eval_matrix(grid.nodes)
-    w = grid.weights if weight is None else grid.weights * weight
-    return (E * w) @ np.conj(E.T)
+    """Gram matrix sum w e_j conj(e_k) of the basis under the grid quadrature, times
+    a weight on the nodes if given; given a list of weights (None for none), one
+    matrix per weight, in a list.
+
+    The element values are rows of the power table that `project` reads, scaled
+    by the elements' norms, per chunk of nodes: one table pass serves every
+    weight, and no element is evaluated.
+    """
+    weights = weight if isinstance(weight, list) else [weight]
+    ws = [grid.weights if w is None else grid.weights * w for w in weights]
+    xs, steps, rows, norms = _basis_table(basis, grid.nodes)
+    grams = [np.zeros((basis.size, basis.size), dtype=complex) for _ in ws]
+    for cut, table in _power_tables(xs, steps, _chunk(basis)):
+        values = table[rows]
+        values /= norms[:, None]
+        conj = np.conj(values.T)
+        for w, gram in zip(ws, grams):
+            gram += (values * w[cut]) @ conj
+    return grams if isinstance(weight, list) else grams[0]
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from . import finitediff as fd
+from .geometry import PolarEvalGrid
 
 __all__ = [
     "SmoothFunction",
@@ -270,7 +271,9 @@ class AngularFamily(SmoothFunction):
     """Finite sum of separated terms u_m(|z|) e^{i m theta}.
 
     The rotation field acts diagonally on such sums, which keeps directional
-    Sobolev norms exact for these test families.
+    Sobolev norms exact for these test families.  On a tensor polar grid the sum
+    is sampled on the grid's axes (`on_polar_axes`, through `_on_grid`); a call
+    evaluates it at arbitrary points.
     """
 
     def __init__(self, terms):
@@ -284,6 +287,15 @@ class AngularFamily(SmoothFunction):
         out = np.zeros_like(z, dtype=complex)
         for m, u in self.terms:
             out = out + u(r) * np.exp(1j * m * th)
+        return out
+
+    def on_polar_axes(self, r, theta):
+        """The sum at the nodes r e^{i theta} of a tensor polar grid, shape
+        (r.size, theta.size): each u_m once per radius and each e^{i m theta} once
+        per angle, combined as an outer product."""
+        out = np.zeros((r.size, theta.size), dtype=complex)
+        for m, u in self.terms:
+            out += np.multiply.outer(u(r), np.exp(1j * m * theta))
         return out
 
     def rotation_applied(self, multiplier_fn):
@@ -352,6 +364,17 @@ class _ThetaDerivative(Holo1):
         if j > 0:
             out = out + j * self.inner._read(j, z, shared)
         return 1j * out
+
+
+def _on_grid(f, grid):
+    """f at the nodes of a quadrature or evaluation grid, in the shape of its nodes:
+    an AngularFamily on a grid with polar axes (a PolarEvalGrid, a planar
+    QuadratureGrid) sampled on the axes, anything else called at the nodes."""
+    polar = isinstance(grid, PolarEvalGrid)
+    if isinstance(f, AngularFamily) and grid.r is not None:
+        values = f.on_polar_axes(grid.r, grid.theta)
+        return values if polar else values.ravel()
+    return np.asarray(f(grid.nodes() if polar else grid.nodes), dtype=complex)
 
 
 def apply_field(field, f, points, h=fd.FD_STEP):

@@ -139,11 +139,18 @@ def boundary_samples(domain: Domain, n: int = 64):
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Interior tensor quadrature grid: Gauss-Legendre radially, trapezoid in angle."""
+    """Interior tensor quadrature grid: Gauss-Legendre radially, trapezoid in angle.
+
+    On planar domains the nodes are r e^{i theta} over the radial Gauss nodes r
+    and the angles theta, radius outermost, and the grid keeps both axes; on the
+    ball both are None.
+    """
 
     domain: Domain
     nodes: np.ndarray          # (npts,) complex, or (npts, 2) for ball2
     weights: np.ndarray        # (npts,) positive
+    r: np.ndarray | None = None
+    theta: np.ndarray | None = None
 
     def norm(self, values):
         return float(np.sqrt(np.sum(self.weights * np.abs(values) ** 2).real))
@@ -169,7 +176,7 @@ def quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
     Exact (up to rounding) for radial polynomials of degree <= 2*n_r - 1 and
     trigonometric degree <= n_theta - 1.  All nodes are strictly interior.  Equal
     arguments return the same grid, built once and kept among the last 16; its
-    nodes and weights are read-only.
+    nodes, weights and axes are read-only.
     """
     if n_r < 4 or n_theta < 4:
         raise ParameterError("need n_r >= 4 and n_theta >= 4")
@@ -187,6 +194,8 @@ def _quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
         WR, WTH = np.meshgrid(w_r, w_th, indexing="ij")
         nodes = (R * np.exp(1j * TH)).ravel()
         weights = (WR * WTH * R).ravel()
+        r.flags.writeable = th.flags.writeable = False
+        axes = (r, th)
     else:
         # polar-polar form: z1 = r1 e^{i a}, z2 = sqrt(1-r1^2) s e^{i b}
         r1, w1 = _gauss_on(0.0, 1.0, n_r)
@@ -198,8 +207,9 @@ def _quadrature_grid(domain: Domain, n_r: int, n_theta: int) -> QuadratureGrid:
         z2 = r2 * np.exp(1j * B)
         nodes = np.stack([z1.ravel(), z2.ravel()], axis=-1)
         weights = (W1 * WS * WA * WB * R1 * (1.0 - R1**2) * S).ravel()
+        axes = ()
     nodes.flags.writeable = weights.flags.writeable = False
-    return QuadratureGrid(domain, nodes, weights)
+    return QuadratureGrid(domain, nodes, weights, *axes)
 
 
 @dataclass(frozen=True)

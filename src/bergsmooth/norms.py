@@ -18,7 +18,7 @@ from .errors import (ConditioningError, ContractError, DegenerateInputError, Par
                      ResolutionError)
 from .finitediff import polar_cartesian_partials
 from .flow import CollarChart
-from .functions import AngularFamily, Holo1, _partial, apply_field
+from .functions import AngularFamily, Holo1, _on_grid, _partial, apply_field
 from .geometry import (
     Domain,
     PolarEvalGrid,
@@ -103,7 +103,7 @@ def sobolev_norms(f, k: int, domain: Domain, grid: QuadratureGrid | None = None,
         if samples.shape != eval_grid.shape:
             raise ContractError("sample array does not match the evaluation grid")
     else:
-        samples = np.asarray(f(eval_grid.nodes()), dtype=complex)
+        samples = _on_grid(f, eval_grid)
     return _prefix_roots([eval_grid.norm(d) ** 2 for d in level]
                          for level in polar_cartesian_partials(samples, eval_grid, k))
 
@@ -163,8 +163,7 @@ def directional_sobolev_norm(f, fld, k: int, grid: QuadratureGrid | None = None)
         total = 0.0
         cur = f
         for j in range(k + 1):
-            vals = cur(grid.nodes)
-            total += grid.norm(vals) ** 2
+            total += grid.norm(_on_grid(cur, grid)) ** 2
             cur = cur.rotation_applied(q)
         return float(np.sqrt(total))
     if domain.kind == "ball2":
@@ -221,31 +220,42 @@ def sup_weighted_norm(h, m: int, domain: Domain, n_r: int = 200, n_th: int = 128
     return float(np.max(np.abs(vals) * d**power))
 
 
-def duality_sup(fs, k1: int, basis: OrthonormalBasis, grid: QuadratureGrid) -> list:
-    """sup |(f, h)| over the truncated basis ball { ||d^{k1} h|| <= 1 }, for each f in fs.
+def duality_sup(fs, k1, basis: OrthonormalBasis, grid: QuadratureGrid) -> list:
+    """sup |(f, h)| over the truncated basis ball { ||d^{k1} h|| <= 1 }, for each f in
+    fs; given a list of orders k1, one such list per order.
 
     Exact in the truncated space: with v the projection coefficients of f and
     G the distance-weighted Gram matrix, the value is sqrt(v* G^{-1} v), via
-    one symmetric positive-definite factorization G = L L* for all of fs.  A
+    one symmetric positive-definite factorization G = L L* per order for all of
+    fs, the Gram matrices of every order from one `gram_matrix` call.  A
     coefficient vector on a leading part of basis, its first n elements, is
     graded in that part's truncated ball, with the leading n x n block of L: the
     factor of a leading block of G is the leading block of its factor.  Every
     other input is projected onto basis, all of them in one call, and the inputs
     of each truncation are solved together.
     """
+    orders = k1 if isinstance(k1, list) else [k1]
     others = [f for f in fs if not isinstance(f, CoefficientVector)]
     projected = iter(project(others, basis, grid) if others else ())
     vs = [next(projected).coeffs if not isinstance(f, CoefficientVector)
           else _leading_coeffs(f, basis) for f in fs]
     d = boundary_distance(basis.domain, grid.nodes)
-    G = gram_matrix(basis, grid, weight=d ** (2 * k1))
+    grams = gram_matrix(basis, grid, weight=[d ** (2 * k) for k in orders])
+    out = [_graded(vs, G) for G in grams]
+    return out if isinstance(k1, list) else out[0]
+
+
+def _graded(vs, G):
+    """sqrt(v* G^{-1} v) for each coefficient vector v, graded in the leading block of
+    G of its length, through one Cholesky factor of G."""
+    size = len(G)
     G = 0.5 * (G + np.conj(G.T))
     try:
         L = np.linalg.cholesky(G)
     except np.linalg.LinAlgError as exc:
         raise ConditioningError(
-            f"weighted Gram matrix not positive definite at truncation {basis.size}",
-            truncation=basis.size) from exc
+            f"weighted Gram matrix not positive definite at truncation {size}",
+            truncation=size) from exc
     sups = [0.0] * len(vs)
     for n in {v.size for v in vs}:
         members = [i for i, v in enumerate(vs) if v.size == n]

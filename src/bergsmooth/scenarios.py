@@ -510,13 +510,14 @@ def check_duality(cfg: ScenarioConfig):
     nks = {(k, i): ladder[k] for k in (1, 2) for i, ladder in enumerate(ladders)}
     # the samples projected once, as one family, on the doubled basis: the disk
     # basis runs by power, so the base basis is its leading part and a sample's
-    # coefficients on it are the leading ones.  Both bases' sups of an order come
-    # from one call, one weighted Gram matrix and one factor
+    # coefficients on it are the leading ones.  Both bases' sups of both orders come
+    # from one call: one table pass for both weighted Gram matrices, one factor
+    # per order
     levels = (cfg.basis_size, 2 * cfg.basis_size)
     basis, doubled_basis = (build_basis(dom, nb) for nb in levels)
     doubled = project(fs, doubled_basis, grid)
     cvs = [CoefficientVector(basis, cv.coeffs[:cfg.basis_size]) for cv in doubled] + doubled
-    sups = {k: duality_sup(cvs, k, doubled_basis, grid) for k in (1, 2)}
+    sups = dict(zip((1, 2), duality_sup(cvs, [1, 2], doubled_basis, grid)))
 
     def constant_at(nb):
         start = levels.index(nb) * len(fs)

@@ -11,7 +11,7 @@ from bergsmooth.bergman import (
     synthesize,
 )
 from bergsmooth.errors import ContractError, ParameterError
-from bergsmooth.geometry import quadrature_grid
+from bergsmooth.geometry import boundary_distance, quadrature_grid
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,8 @@ def test_kernel_series_consistency(disk, rng):
         assert errs[2] <= max(errs[1], floor)
 
 
-# Oracles: the element-by-element formulas that project and synthesize replace.
+# Oracles: the element-by-element formulas that project, synthesize and the Gram
+# matrix replace.
 
 def _project_by_elements(values, basis, grid):
     return np.array([np.sum(grid.weights * values * np.conj(e.eval(grid.nodes)))
@@ -221,6 +222,31 @@ def test_a_family_projects_and_synthesizes_as_its_members_do(kind, request, rng)
         assert isinstance(synthesized, list) and len(synthesized) == 5
         for cv, values in zip(family, synthesized):
             assert _rel_err(values, synthesize(cv, grid.nodes, deriv)) <= 1e-13
+
+
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball2"])
+def test_the_table_gram_matches_the_element_values(kind, request):
+    # the Gram matrix from the power table, unweighted and with the d^2 and d^4
+    # weights of C8's duality orders, against (E w) E^H with E the elements' values
+    grid = request.getfixturevalue(f"{kind}_grid")
+    basis = build_basis(grid.domain, 32)
+    E = basis.eval_matrix(grid.nodes)
+    d = boundary_distance(grid.domain, grid.nodes)
+    for weight in (None, d**2, d**4):
+        w = grid.weights if weight is None else grid.weights * weight
+        old = (E * w) @ np.conj(E.T)
+        assert _rel_err(gram_matrix(basis, grid, weight), old) <= 1e-13
+
+
+def test_a_list_of_weights_gives_each_weight_its_own_gram(annulus_grid):
+    # one table pass for every weight gives the matrices separate calls give
+    basis = build_basis(annulus_grid.domain, 32)
+    d = boundary_distance(annulus_grid.domain, annulus_grid.nodes)
+    weights = [None, d**2, d**4]
+    grams = gram_matrix(basis, annulus_grid, weights)
+    assert isinstance(grams, list) and len(grams) == 3
+    for G, weight in zip(grams, weights):
+        assert np.array_equal(G, gram_matrix(basis, annulus_grid, weight))
 
 
 def test_no_power_table_holds_more_than_about_a_megabyte(monkeypatch, annulus, rng):

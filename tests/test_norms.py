@@ -8,9 +8,9 @@ from bergsmooth.errors import ContractError
 from bergsmooth.decompose import matched_tangential
 from bergsmooth.finitediff import diff_uniform, polar_cartesian_partials
 from bergsmooth.flow import build_chart
-from bergsmooth.functions import AngularFamily, Holo1, _partial
-from bergsmooth.geometry import (boundary_distance, canonical_fields, make_domain,
-                                 polar_eval_grid)
+from bergsmooth.functions import AngularFamily, Holo1, _on_grid, _partial
+from bergsmooth.geometry import (PolarEvalGrid, boundary_distance, canonical_fields,
+                                 make_domain, polar_eval_grid, quadrature_grid)
 from bergsmooth.norms import (
     directional_sobolev_norm,
     duality_sup,
@@ -186,6 +186,21 @@ def test_directional_norm_radial_invariant(disk, disk_grid):
                           rel=1e-12)
 
 
+@pytest.mark.parametrize("make_grid", [polar_eval_grid, quadrature_grid])
+@pytest.mark.parametrize("kind", ["disk", "annulus"])
+def test_an_angular_family_on_the_polar_axes_is_its_values_at_the_nodes(kind, make_grid,
+                                                                         request):
+    # each profile once per radius and each e^{i m theta} once per angle, against
+    # the family evaluated node by node
+    fam = AngularFamily([(-2, lambda r: np.abs(2.0 * r - 1.0) ** 0.3),
+                         (3, lambda r: r**3 - 0.5 * r)])
+    grid = make_grid(request.getfixturevalue(kind), 32, 64)
+    nodes = grid.nodes() if isinstance(grid, PolarEvalGrid) else grid.nodes
+    on_axes, at_nodes = _on_grid(fam, grid), fam(nodes)
+    assert on_axes.shape == at_nodes.shape
+    assert np.max(np.abs(on_axes - at_nodes)) <= 1e-13 * np.max(np.abs(at_nodes))
+
+
 def test_directional_norm_fd_agrees(disk, disk_grid):
     # the matched tangential field is -rate times the rotation field: its norm
     # is not the rotation field's, whatever the field is named
@@ -322,6 +337,17 @@ def test_duality_sup_grades_a_leading_truncation_with_the_leading_factor(disk, d
                  + duality_sup([f], k1, big, disk_grid)
                  + duality_sup(cvs[24], k1, build_basis(disk, 24), disk_grid))
         assert np.max(np.abs(np.subtract(together, apart)) / np.abs(apart)) <= 1e-12
+
+
+def test_duality_sup_of_a_list_of_orders_grades_each_as_its_own_call(disk, disk_grid, rng):
+    # one Gram pass for orders 0, 1 and 2 gives the sups one call per order gives
+    big = build_basis(disk, 32)
+    family = project([Holo1.from_coeffs(rng.normal(size=9) + 1j * rng.normal(size=9))
+                      for _ in range(4)], big, disk_grid)
+    fs = [CoefficientVector(build_basis(disk, 16), cv.coeffs[:16]) for cv in family] + family
+    fs.append(lambda z: np.abs(z) ** 2 + np.conj(z) * z ** 3)
+    sups = duality_sup(fs, [0, 1, 2], big, disk_grid)
+    assert sups == [duality_sup(fs, k1, big, disk_grid) for k1 in (0, 1, 2)]
 
 
 def test_duality_sup_refuses_a_basis_that_is_not_a_leading_part(disk, annulus, annulus_grid):

@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergsmooth
-from bergsmooth import cli, norms, scenarios
+from bergsmooth import bergman, cli, norms, scenarios
 from bergsmooth.errors import ParameterError
+from bergsmooth.functions import AngularFamily
+from bergsmooth.geometry import PolarEvalGrid
 from bergsmooth.scenarios import (
     SCENARIOS,
     CheckResult,
@@ -234,6 +236,49 @@ def test_partial_smoothing_builds_each_grid_and_projection_once(monkeypatch):
     assert calls == {"quadrature_grid": 2, "project": 2}
 
 
+def test_partial_smoothing_reads_the_same_on_the_polar_axes_as_at_the_nodes(monkeypatch):
+    # C7's input sampled on each grid's polar axes, and again node by node with the
+    # sampling route forced to call the family at the nodes: the growth row (red)
+    # and the tangential drift keep their bits, the projections agree to 1e-12 of
+    # their largest coefficient (the off-mode ones are rounding, about 1e-15) and
+    # the Sobolev-3 drift to 1e-12 of itself.  The family is called 13 times node
+    # by node (2 projections, 8 rotation powers, 3 finite-difference grids), and
+    # never on the axes
+    cfg = ScenarioConfig("partial-smoothing")
+    calls, projections = [], []
+    call, project = AngularFamily.__call__, scenarios.project
+
+    def counted(self, points):
+        calls.append(1)
+        return call(self, points)
+
+    def recorded(*args, **kwargs):
+        out = project(*args, **kwargs)
+        projections.append(out.coeffs)
+        return out
+    monkeypatch.setattr(AngularFamily, "__call__", counted)
+    monkeypatch.setattr(scenarios, "project", recorded)
+    on_axes, _ = scenarios.check_partial_smoothing(cfg)
+    assert calls == []
+
+    def at_nodes(f, grid):
+        nodes = grid.nodes() if isinstance(grid, PolarEvalGrid) else grid.nodes
+        return np.asarray(f(nodes), dtype=complex)
+    for module in (bergman, norms):
+        monkeypatch.setattr(module, "_on_grid", at_nodes)
+    by_nodes, _ = scenarios.check_partial_smoothing(cfg)
+    assert len(calls) == 13
+    rows = {a.description: (a.measured, b.measured) for a, b in zip(on_axes, by_nodes)}
+    for description in ("full first-order norm estimate growth per grid doubling",
+                        "tangential norm of order 3 drift under grid doubling"):
+        assert rows[description][0] == rows[description][1], description
+    axes, nodes = rows["projection Sobolev-3 norm drift under grid doubling"]
+    assert abs(axes - nodes) <= 1e-12 * nodes
+    assert len(projections) == 4
+    for a, b in zip(projections[:2], projections[2:]):
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
 @pytest.fixture()
 def cold_caches():
     """The package's module-level caches emptied before and after the test."""
@@ -264,23 +309,28 @@ def test_quadrature_scenarios_build_each_gauss_rule_once(monkeypatch, cold_cache
 
 
 @pytest.mark.parametrize("check, scenario, expected", [
-    ("check_conj_annulus", "conj-smoothing", {"project": 4, "inputs": 17, "gram_matrix": 0}),
-    ("check_duality", "duality", {"project": 1, "inputs": 20, "gram_matrix": 2}),
+    ("check_conj_annulus", "conj-smoothing",
+     {"project": 4, "inputs": 17, "gram_matrix": 0, "weights": 0}),
+    ("check_duality", "duality", {"project": 1, "inputs": 20, "gram_matrix": 1, "weights": 2}),
 ])
 def test_one_projection_per_input_and_one_gram_per_order(monkeypatch, check, scenario,
                                                          expected):
     # C6 projects conj(z), then each grid's three conjugate powers as one family,
     # then the seeded family: 17 inputs in 4 calls (17 calls of one input each
     # before).  C8 projects its 20 samples once, as one family, on the doubled
-    # basis (40 inputs when it projected again on each basis), and factors one
-    # weighted Gram matrix per order for both bases (one per order and basis, 4,
-    # before)
-    calls = {"project": 0, "inputs": 0, "gram_matrix": 0}
+    # basis (40 inputs when it projected again on each basis), and builds the
+    # weighted Gram matrices of both orders, for both bases, in one call holding
+    # 2 weights (one call per order, 2, before that; one per order and basis, 4,
+    # before that)
+    calls = {"project": 0, "inputs": 0, "gram_matrix": 0, "weights": 0}
     for mod, name in ((scenarios, "project"), (norms, "project"), (norms, "gram_matrix")):
         def counted(*args, _name=name, _real=getattr(mod, name), **kwargs):
             calls[_name] += 1
             if _name == "project":
                 calls["inputs"] += len(args[0]) if isinstance(args[0], list) else 1
+            else:
+                weight = kwargs["weight"]
+                calls["weights"] += len(weight) if isinstance(weight, list) else 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(mod, name, counted)
     getattr(scenarios, check)(ScenarioConfig.from_dict(

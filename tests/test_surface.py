@@ -28,6 +28,8 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bergsmooth.__path__))
 #   raises     runs only on its way to an error
 UNREACHED = {
     "bergman.BallMonomial.eval": "ball",
+    "bergman.OrthonormalBasis.eval_matrix": "oracle",
+    "bergman.PlanarMonomial.eval": "oracle",
     "bergman._annulus_truncation": "oracle",
     "bergman._ball_norm": "ball",
     "bergman.annulus_kernel_tail_bound": "oracle",
@@ -40,6 +42,7 @@ UNREACHED = {
     "flow._entry_sums": "benchmark",
     "flow.hitting_time": "benchmark",
     "flow.trajectories": "benchmark",
+    "functions.AngularFamily.__call__": "oracle",
     "geometry.Domain.contains": "oracle",
     "geometry.Domain.volume": "oracle",
     "geometry.VectorField.applied_to_defining": "oracle",
@@ -210,9 +213,10 @@ def _definers(name):
 
 
 def test_one_polynomial_evaluator():
-    # functions._horner serves Poly2 and Holo1; project and synthesize share one
-    # power table, whose rows sums and expansions read by matrix products; numpy's
-    # polynomial evaluators are left to the tests, as references
+    # functions._horner serves Poly2 and Holo1; project, synthesize and the Gram
+    # matrix share one power table, whose rows sums, expansions and Gram matrices
+    # read by matrix products; numpy's polynomial evaluators are left to the tests,
+    # as references
     assert not _callers("polyval") | _callers("polyval2d") | _callers("polyder")
     assert _definers("_horner") == _definers("_falling") == {"functions"}
     assert _callers("_horner") == {"functions._horner", "functions._polynomial"}
@@ -220,7 +224,8 @@ def test_one_polynomial_evaluator():
         _callers("_polynomial")
     assert {caller.split(".")[0] for caller in _callers("_polynomial")} == {"functions"}
     assert not _definers("_power_sums")
-    assert _callers("_power_tables") == {"bergman.project", "bergman._expansions"}
+    assert _callers("_power_tables") == {"bergman.project", "bergman._expansions",
+                                         "bergman.gram_matrix"}
     assert _callers("_expansions") == {"bergman.synthesize", "norms._sobolev_coefficients"}
 
 

@@ -396,7 +396,7 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
 PARENT_C4_PEAK_BYTES = 12.5e6
 PARENT_C3_PEAK_BYTES = 11.5e6
 IDENTITY_PEAK_BYTES = 9e6
-FAMILY_PEAK_BYTES = 8e6
+FAMILY_PEAK_BYTES = 6e6
 
 
 def _traced_peak(run):
@@ -495,8 +495,10 @@ def test_conj_annulus_synthesizes_each_derivative_order_once(monkeypatch):
                                              (check_duality, "duality")], ids=["C6", "C8"])
 def test_projected_families_hold_little_memory(check, scenario):
     # tracemalloc peaks at the default config, one power table of at most about
-    # 1 MB per chunk of nodes: C6 2.8e6 bytes (1.1e6 projecting one input at a
-    # time, 7.5e6 with one table over all of a grid's nodes) and C8 6.5e6 (as
-    # before), both below C7's 14.0e6, which sets the quadrature workload's peak.
+    # 1 MB per chunk of nodes: C6 2.5e6 bytes once its grids are built, 4.2e6 in a
+    # fresh process (1.1e6 projecting one input at a time, 7.5e6 with one table
+    # over all of a grid's nodes), and C8 4.6e6, its Gram matrices read from the
+    # power table by chunk (6.5e6 with every element evaluated over all the
+    # nodes), both below C7's 14.0e6, which sets the quadrature workload's peak.
     # test_bergman.py pins the chunks themselves
     assert _traced_peak(lambda: check(ScenarioConfig(scenario))) <= FAMILY_PEAK_BYTES

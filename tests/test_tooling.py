@@ -74,8 +74,9 @@ def test_benchmark_tracer_counts_each_layer(load_bench):
         projections = tracer.count["bergman.project.calls"]
         bergman.project([w, g], basis, grid)
         family_calls = tracer.count["bergman.project.calls"] - projections
-        # projection reads a power table; the Gram matrix still evaluates elements
-        bergman.gram_matrix(basis, grid)
+        # projection and the Gram matrix read a power table; the elements' values,
+        # the tests' reference, come from eval_matrix
+        basis.eval_matrix(grid.nodes)
     finally:
         tracer.uninstall()
     assert starts == len(pts)
