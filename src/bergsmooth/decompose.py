@@ -62,8 +62,8 @@ def cutoff_times(chart: CollarChart, h: Holo1) -> RadialHolo:
     """The tracked product cutoff(x) * h(x).
 
     Its profile is the cutoff half of the chart's cutoff_profiles, one key of a
-    quadrature panel's shared table for every h on the chart: the pair is
-    evaluated once per panel for all of them, and h once for this product and
+    sweep block's shared table for every h on the chart: the pair is
+    evaluated once per block for all of them, and h once for this product and
     the cr_reduction of h."""
     return RadialHolo(chart.cutoff_profiles, [(0, h)])
 
@@ -212,7 +212,7 @@ def rotation_fd(fn, points, orders):
     nonzero weights in offset order.  A pointwise fn gives each copy the values
     of evaluating it on its own to rounding, not bit for bit: numpy's
     elementwise complex arithmetic may round a point differently by the size of
-    its batch, and a fn that sweeps the collar also sums its panels with a
+    its batch, and a fn that sweeps the collar also sums its nodes with a
     matrix product, which may round a point's sum differently by its column in
     the batch.  fn may return trailing axes past the points' shape, several
     functions stacked say: the sums run over the leading stencil axis only, so
@@ -265,7 +265,7 @@ def _components(hs, orders, chart: CollarChart) -> dict:
 def component_values(hs, orders, chart: CollarChart, points) -> dict:
     """Values at points of the components of cutoff * hs[i] at each order k in
     orders, 1 or 2: one list per (i, k), in one sweep of the points
-    (flow._collar_quadrature, block by block within each panel).  A chain that
+    (flow._collar_quadrature, block by block).  A chain that
     several components share, of one (i, k) or of several, is integrated once.
     Every input carries the cutoff or its derivative, so the chains end at the
     cutoff's end."""

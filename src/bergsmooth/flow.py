@@ -4,17 +4,17 @@ backward flow of the transverse field.
 The transverse field N on every model domain is radial with a real factor, so
 the chart carries closed-form hitting times and flow radii, the oracles of the
 numerical paths, and the RK4 map of a sweep is p -> lambda_s(|p|) p.  Every
-quadrature along the flow is one `_collar_quadrature` sweep, panel by panel
-and, within a panel, block by block of points.  The numerical paths share one
-RK4 step and march radii as real scalars: the quadrature sweeps scale their
-points by their marched distinct radii (only operators.apply_op's per_point
-marches each point, by `trajectories`), and `hitting_time` marches the radius
-of each point to the boundary and bisects.
+quadrature along the flow is one `_collar_quadrature` sweep of points of the
+closed domain over flow times [-1, 0], block by block of points.  The numerical
+paths share one RK4 step and march radii as real scalars: the quadrature sweeps
+scale their points by their marched distinct radii (only operators.apply_op's
+per_point marches each point, by `trajectories`), and `hitting_time` marches the
+radius of each point to the boundary and bisects.
 
 The chart's cutoff is evaluated in one of two ways: its value alone at points
 (`CollarChart.cutoff`), or the value and its rate, minus its time derivative,
 together at radii from one hit time (`CollarChart.cutoff_profiles`), the pair
-that the integrands of a quadrature panel read from its shared table.
+that the integrands of a sweep read from its shared table.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class CollarChart:
     def cutoff_profiles(self, r):
         """The cutoff and minus its time derivative at radii r, from one hit time
         and one smoothstep argument.  Bound methods of one chart compare and hash
-        equal, so the pair is one key of a quadrature panel's shared factor table."""
+        equal, so the pair is one key of a sweep block's shared factor table."""
         value, slope = _smoothstep_pair(_cutoff_argument(self.hit_time_radial(r)))
         # the argument (CUTOFF_END - t) / 0.5 falls at rate 2 in the hit time t
         return value, 2.0 * slope
@@ -258,7 +258,7 @@ def _radius_scales(chart: CollarChart, radii, s_values):
 
 
 def _panel_positions(chart: CollarChart, start, s, scales):
-    """RK4 positions of the start points p at a panel's times s, nodes x points:
+    """RK4 positions of the start points p at the sweep's times s, nodes x points:
     lambda_s(|p|) p from scales, or each point marched by trajectories where
     scales is None (per_point).  The one place a quadrature sweep flows points."""
     if scales is None:
@@ -266,10 +266,11 @@ def _panel_positions(chart: CollarChart, start, s, scales):
     return scales.reshape(scales.shape + (1,) * (start.ndim - 1)) * start
 
 
-def _panel_nodes(a: float, b: float, n_panels: int):
-    """Composite Gauss nodes and weights on [a, b]."""
+def _panel_nodes(n_panels: int):
+    """Composite Gauss nodes and weights of n_panels panels on [-1, 0], the flow
+    times of a sweep."""
     gx, gw = _gauss_legendre(_GAUSS_PER_PANEL)
-    edges = np.linspace(a, b, n_panels + 1)
+    edges = np.linspace(-1.0, 0.0, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
     nodes = (mid[:, None] + half * gx[None, :]).ravel()
@@ -278,30 +279,23 @@ def _panel_nodes(a: float, b: float, n_panels: int):
 
 
 def _chain_kernel(depth: int, u):
-    """Kernel of the depth-fold plain anti-differentiation, supported on [-depth, 0],
-    for depth 1, 2 or 3.
+    """Kernel of the depth-fold plain anti-differentiation, for depth 1, 2 or 3,
+    at the times u in [-1, 0] that a sweep reaches.
 
     This is the length/area of {s in [-1,0]^depth : sum s_i = u}: the
-    B-spline of order depth.
+    B-spline of order depth, supported on [-depth, 0].
     """
     v = -np.asarray(u, dtype=float)
     if depth == 1:
         return np.ones_like(v)
     if depth == 2:
         return 1.0 - np.abs(v - 1.0)
-    out = np.zeros_like(v)
-    m1 = v <= 1.0
-    m2 = (v > 1.0) & (v <= 2.0)
-    m3 = v > 2.0
-    out[m1] = 0.5 * v[m1] ** 2
-    out[m2] = 0.5 * (-2.0 * v[m2] ** 2 + 6.0 * v[m2] - 3.0)
-    out[m3] = 0.5 * (3.0 - v[m3]) ** 2
-    return out
+    return 0.5 * v ** 2
 
 
 def _swept(t):
-    """Where the hit times t lie in the collar or outside the domain: the points
-    whose trajectories a quadrature sweeps."""
+    """Where the hit times t lie in the collar: the points whose trajectories a
+    quadrature sweeps."""
     return np.isfinite(t) & (t < 1.0)
 
 
@@ -327,7 +321,7 @@ def _entry_sums(weighted, live_values, need, buffer):
 
 def _blocks(chart: CollarChart, n: int):
     """The blocks of a sweep of n points, as slices: the fewest contiguous runs of
-    at most _SWEEP_PAIRS node-point pairs per panel, of nearly equal size."""
+    at most _SWEEP_PAIRS node-point pairs, of nearly equal size."""
     per_block = max(1, _SWEEP_PAIRS // (_GAUSS_PER_PANEL * chart.q_panels))
     n_blocks = max(1, -(-n // per_block))
     size = max(1, -(-n // n_blocks))
@@ -337,40 +331,43 @@ def _blocks(chart: CollarChart, n: int):
 def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=False):
     """Gauss quadrature along the backward trajectories of the collar points at the
     chart's resolution, zero off the collar, for terms, a sequence of (kernel,
-    integrand, depth): on each [-(j+1), -j], j < depth, the node weight factors
+    integrand) pairs: over the flow times s in [-1, 0] the node weight factors
     kernel(s) against integrand(pos, tau, shared), the values at the positions
     pos of the live points with hit times tau = t - s there.  shared is the
-    table of shared factors (functions._Shared) of a panel and block.
+    table of shared factors (functions._Shared) of a block.
+
+    The points lie in the closed domain (Domain.contains, to hitting_time's
+    1e-12), or ContractError is raised: the integrands vanish from hit time 1
+    on, which a point of hit time t >= 0 reaches within [-1, 0].
 
     Returns one array of values per term, of the points' value shape.  The one
-    sweep of the package: the hit times, swept points and radii are taken once
-    per call; each panel makes its Gauss nodes and weights, its multiplier table
-    and each term's node weights once, then sweeps the points block by block
-    (_blocks), adding each block's panel sum in place into its points' values,
-    so that a sweep's memory stays bounded as the grids refine.  Every term deep
-    enough to reach a panel is summed there, and an integrand listed in several
-    terms (the same object) is evaluated once per panel and block.  Each term
-    sums its own panels in its own order, so its values are bit for bit the
-    ones it gets alone; against one block they agree to rounding, bit for bit
-    on the layouts the tests pin, since numpy's elementwise complex arithmetic
-    may round a point by the size of its batch (README, "Sweeps in blocks").
+    sweep of the package: the hit times, radii, Gauss nodes, multiplier table
+    and each term's node weights are made once per call; then the points are
+    swept block by block (_blocks), each block's sum added in place into its
+    points' values, so that a sweep's memory stays bounded as the grids
+    refine.  An integrand listed in several terms (the same object) is
+    evaluated once per block.  Each term sums in its own order, so its values
+    are bit for bit the ones it gets alone; against one block they agree to
+    rounding, bit for bit on the layouts the tests pin, since numpy's
+    elementwise complex arithmetic may round a point by the size of its batch
+    (README, "Sweeps in blocks").
 
-    A panel's positions come from _panel_positions: each start point p scaled by
+    The positions come from _panel_positions: each start point p scaled by
     lambda_s(|p|), within 12.4 ulp (relative) of marching it, from a table at
     the one radius 1 on the disk and the ball, where lambda_s does not depend
     on r, and at the points' distinct |p| on the annulus.  With per_point, which
     only operators.apply_op passes, each point is marched by trajectories, and
-    the call is one block: apply_op's integrand keys its jet requests by panel,
-    one call per panel, and orders read R_s off the call's largest start point.
+    the call is one block: apply_op's integrand is called once per call, and
+    orders read R_s off the call's largest start point.
 
-    Each block of a panel makes one table and drops it when it ends: a factor
-    that several of its integrands read is computed once.  |z| and the cutoff
-    profiles are kept for the whole block, the derivatives of an h while the
-    integrands of h follow one another (C3 and C4 list their chains input by
-    input).  The integrands also scatter their live values into one nodes x
-    points zero buffer per dtype, whose dead entries stay zero.
+    Each block makes one table and drops it when it ends: a factor that several
+    of its integrands read is computed once.  |z| and the cutoff profiles are
+    kept for the whole block, the derivatives of an h while the integrands of h
+    follow one another (C3 and C4 list their chains input by input).  The
+    integrands also scatter their live values into one nodes x points zero
+    buffer per dtype, whose dead entries stay zero.
 
-    The integrands are taken to vanish where tau >= support: a panel or block
+    The integrands are taken to vanish where tau >= support: a call or block
     with no pair below the bound is not swept, and in one with some, only the
     points with a live node are flowed and only the live pairs evaluated.
     Where an integrand is indeed zero past the bound, the sum is the one over
@@ -380,14 +377,16 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     kernels of operators.apply_op, CUTOFF_END widened by the reach of the leaf
     stencils below them (operators._support).
 
-    With orders (on the disk or the ball, where lambda_s is one R_s per node),
-    the values carry a trailing axis, one entry per derivative order |beta|, and
-    the node weight of entry b is further multiplied by R_s**orders[b], read off
-    the sweep itself: the chain rule for D^beta of the integral.  The entries
-    pass through the buffer one at a time (_entry_sums), so no nodes x points x
+    With orders (on the disk, where lambda_s is one R_s per node), the values
+    carry a trailing axis, one entry per derivative order |beta|, and the node
+    weight of entry b is further multiplied by R_s**orders[b], read off the
+    sweep itself: the chain rule for D^beta of the integral.  The entries pass
+    through the buffer one at a time (_entry_sums), so no nodes x points x
     entries array is held.
     """
     points = np.asarray(points, dtype=complex)
+    if not np.all(chart.domain.contains(points)):
+        raise ContractError("a collar sweep needs points in the closed domain")
     t = chart.hit_time(points)
     shape, flat = t.shape, points.reshape((t.size,) + points.shape[t.ndim:])
     t = t.ravel()
@@ -395,66 +394,63 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
     t = t[swept]
+    if not terms or t.min(initial=np.inf) >= support:
+        return [out.reshape(shape + trailing) for out in outs]
     if chart.domain.kind in ("disk", "ball2"):
         radii, columns = np.ones(1), None
     else:
         radii, columns = np.unique(chart.domain.radius(flat[swept]), return_inverse=True)
-    blocks = [slice(0, len(t))] if per_point else _blocks(chart, len(t))
-    for j in range(max((term[2] for term in terms), default=0)):
-        if j + t.min(initial=np.inf) >= support:
-            break
-        s, weights = _panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
-        scales = None if per_point else _radius_scales(chart, radii, s)
-        # the terms that reach this panel, by integrand, with their node weights
-        reach = {}
-        for i, (kernel, integrand, depth) in enumerate(terms):
-            if depth > j:
-                reach.setdefault(integrand, []).append((i, weights * kernel(s)))
-        for block in blocks:
-            if j + t[block].min() >= support:
-                continue
-            tau = t[block][None, :] - s[:, None]
-            need = tau < support
-            cols = need.any(axis=0)
-            if not cols.any():
-                continue
-            start = flat[swept[block][cols]]
-            block_scales = scales
-            if scales is not None and scales.shape[1] > 1:  # one radius serves every point
-                block_scales = scales[:, columns[block][cols]]
-            pos = _panel_positions(chart, start, s, block_scales)
-            if orders is not None:
-                # R_s of the swept map p -> R_s p, read at the start point of largest modulus
-                ref = int(np.argmax(np.abs(start)))
-                factor = (pos[:, ref] / start[ref]).real
-                powers = factor[:, None] ** np.asarray(orders)
-            live_pos, live_tau = pos[need[:, cols]], tau[need]
-            # only the live pairs are read from here on
-            del pos, tau
-            shared = _Shared()
-            buffers = {}
-            for integrand, members in reach.items():
-                live_values = integrand(live_pos, live_tau, shared)
-                if live_values.dtype not in buffers:
-                    buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
-                values = buffers[live_values.dtype]
+    s, weights = _panel_nodes(chart.q_panels)
+    scales = None if per_point else _radius_scales(chart, radii, s)
+    # the terms by integrand, with their node weights
+    by_integrand = {}
+    for i, (kernel, integrand) in enumerate(terms):
+        by_integrand.setdefault(integrand, []).append((i, weights * kernel(s)))
+    for block in [slice(0, len(t))] if per_point else _blocks(chart, len(t)):
+        if t[block].min() >= support:
+            continue
+        tau = t[block][None, :] - s[:, None]
+        need = tau < support
+        cols = need.any(axis=0)
+        if not cols.any():
+            continue
+        start = flat[swept[block][cols]]
+        block_scales = scales
+        if scales is not None and scales.shape[1] > 1:  # one radius serves every point
+            block_scales = scales[:, columns[block][cols]]
+        pos = _panel_positions(chart, start, s, block_scales)
+        if orders is not None:
+            # R_s of the swept map p -> R_s p, read at the start point of largest modulus
+            ref = int(np.argmax(np.abs(start)))
+            factor = (pos[:, ref] / start[ref]).real
+            powers = factor[:, None] ** np.asarray(orders)
+        live_pos, live_tau = pos[need[:, cols]], tau[need]
+        # only the live pairs are read from here on
+        del pos, tau
+        shared = _Shared()
+        buffers = {}
+        for integrand, members in by_integrand.items():
+            live_values = integrand(live_pos, live_tau, shared)
+            if live_values.dtype not in buffers:
+                buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
+            values = buffers[live_values.dtype]
+            if orders is None:
+                values[need] = live_values
+            for i, node_weights in members:
                 if orders is None:
-                    values[need] = live_values
-                for i, node_weights in members:
-                    if orders is None:
-                        outs[i][swept[block]] += np.tensordot(node_weights, values, axes=(0, 0))
-                    else:
-                        outs[i][swept[block]] += _entry_sums(node_weights[:, None] * powers,
-                                                             live_values, need, values)
-                # the next integrand's values replace these rather than join them
-                del live_values
-            # the next block's table, buffers and live pairs replace these
-            del shared, buffers, values, live_pos, live_tau, need
+                    outs[i][swept[block]] += np.tensordot(node_weights, values, axes=(0, 0))
+                else:
+                    outs[i][swept[block]] += _entry_sums(node_weights[:, None] * powers,
+                                                         live_values, need, values)
+            # the next integrand's values replace these rather than join them
+            del live_values
+        # the next block's table, buffers and live pairs replace these
+        del shared, buffers, values, live_pos, live_tau, need
     return [out.reshape(shape + trailing) for out in outs]
 
 
 def _values(w, pos, shared):
-    """w at the positions pos; a RadialHolo reads its factors through the panel's
+    """w at the positions pos; a RadialHolo reads its factors through the block's
     table shared."""
     return w(pos, shared) if isinstance(w, RadialHolo) else w(pos)
 
@@ -470,46 +466,48 @@ def _chain_terms(chains):
         if id(w) not in integrands:
             integrands[id(w)] = lambda pos, tau, shared, w=w: np.asarray(
                 _values(w, pos, shared), complex)
-        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)],
-                      depth))
+        terms.append((lambda s, depth=depth: _chain_kernel(depth, s), integrands[id(w)]))
     return terms
 
 
 def antideriv_chains(chart: CollarChart, chains, points, support: float = 1.0):
     """depth-fold anti-differentiation of collar-supported functions, for each
-    (w, depth) in chains, all at the same points, in one _collar_quadrature (each
-    panel swept once, block by block); a w listed at several depths is evaluated
-    once per panel and block.
+    (w, depth) in chains, all at the same points of the closed domain, in one
+    _collar_quadrature (swept once, block by block); a w listed at several
+    depths is evaluated once per block.
 
     By the flow group property the iterated backward-trajectory integrals
     collapse to a single integral against a B-spline kernel; this is exact
-    whenever w vanishes off the collar, which the cutoff guarantees.  w is
-    evaluated only where the hit time is below support, 1 (the collar) by that
-    contract; pass a larger bound, or np.inf, for a w that reaches further, and
-    CUTOFF_END for a w that carries the cutoff or its derivative as a factor.
-    Returns one array of values at points per chain, zero outside the collar,
-    each bit for bit the one its chain gets alone at the same points, which
-    are blocked alike.  depth is 1, 2 or 3.
+    whenever w vanishes from hit time 1 on, off the collar, which the cutoff
+    guarantees.  Then only the flow times in [-1, 0] contribute, and they are
+    all that is swept.  w is evaluated only where the hit time is below
+    support, 1 (the collar) by that contract; pass a larger bound, or np.inf,
+    for a w that reaches further, and CUTOFF_END for a w that carries the
+    cutoff or its derivative as a factor.  Returns one array of values at
+    points per chain, zero outside the collar, each bit for bit the one its
+    chain gets alone at the same points, which are blocked alike.  depth is 1,
+    2 or 3, and a point outside the closed domain raises ContractError.
     """
     return _collar_quadrature(chart, points, _chain_terms(chains), support=support)
 
 
 def flow_moment_apply(chart: CollarChart, moments, points, support: float = 1.0):
-    """The Hardy majorants: for each (mu, g) in moments, the integral of
-    (hit time at the flow point)^mu * |g o flow|, for a g that vanishes where the
-    hit time is support or more, where it is not evaluated: 1 (off the collar)
-    by default, CUTOFF_END for a g that carries the cutoff as a factor.  All in
-    one _collar_quadrature (each panel swept once, block by block); returns one
-    real array per pair, each bit for bit the one its pair gets alone at the
-    same points.
+    """The Hardy majorants: for each (mu, g) in moments, the integral over flow
+    times [-1, 0] of (hit time at the flow point)^mu * |g o flow|, for a g that
+    vanishes where the hit time is support or more, where it is not evaluated:
+    1 (off the collar) by default, CUTOFF_END for a g that carries the cutoff
+    as a factor.  The points lie in the closed domain (ContractError
+    otherwise).  All in one _collar_quadrature (swept once, block by block);
+    returns one real array per pair, each bit for bit the one its pair gets
+    alone at the same points.
 
     The hitting time along the trajectory is the base hitting time minus the
     flow time, which the group property gives exactly.  A RadialHolo g reads
-    its factors through the panel's table, so the cutoff profiles of C2's
-    seeded cutoff products are computed once per panel for all of them.
+    its factors through the block's table, so the cutoff profiles of C2's
+    seeded cutoff products are computed once per block for all of them.
     """
     terms = [(lambda s: 1.0,
               lambda pos, tau, shared, mu=mu, g=g:
-              tau**mu * np.abs(np.asarray(_values(g, pos, shared))), 1)
+              tau**mu * np.abs(np.asarray(_values(g, pos, shared))))
              for mu, g in moments]
     return [out.real for out in _collar_quadrature(chart, points, terms, support=support)]

@@ -12,8 +12,8 @@ table of powers instead.
 
 A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
 holomorphic factors through a `_Shared` table, so that the integrands of one
-quadrature panel evaluate each factor they share once: |z| and the profiles once
-per panel, and the derivatives of each input once while its integrands follow
+sweep block evaluate each factor they share once: |z| and the profiles once
+per block, and the derivatives of each input once while its integrands follow
 one another.  The collar cutoff and its rate come as one pair of profiles from
 one hit time, by `_smoothstep_pair`; `smoothstep` alone gives the value.
 """
@@ -117,9 +117,9 @@ class _Shared:
     focus(bases), called at the start of each RadialHolo evaluation, drops the
     held derivatives of every base not in bases: the derivatives of one input
     live while its evaluations follow one another, and |z| and the profiles for
-    the whole table.  The table belongs to its points: one per quadrature panel
-    and block, made and dropped by `flow._collar_quadrature`, or one per call of an
-    evaluation given none.
+    the whole table.  The table belongs to its points: one per sweep block, made
+    and dropped by `flow._collar_quadrature`, or one per call of an evaluation
+    given none.
     """
 
     def __init__(self):

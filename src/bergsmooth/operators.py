@@ -107,7 +107,8 @@ def iterated_commutator(expr_a, fld: VectorField, order: int):
 
 
 def apply_op(expr, g, points, chart: CollarChart):
-    """Evaluate an operator expression applied to g at the given points.
+    """Evaluate an operator expression applied to g at the given points of the
+    closed disk.
 
     Factors are evaluated left to right as jet requests: each asks the factors
     to its right for the values and cartesian partials D^beta, |beta| <= n,
@@ -130,38 +131,14 @@ def apply_op(expr, g, points, chart: CollarChart):
     the hit time is below its support bound (_support): CUTOFF_END when the
     leaf jets of g below it are of order 0, and past it by the reach of the
     leaf's finite-difference stencils otherwise, since a stencil centred past
-    CUTOFF_END still reads g inside the cutoff's support.  On the annulus the
-    flow is not linear, and a derivative factor acting through a kernel factor
-    raises ContractError.
+    CUTOFF_END still reads g inside the cutoff's support.  The chain rule needs
+    the linear flow of the disk: a chart of any other domain raises
+    ContractError, and a kernel, like every collar sweep, refuses a point
+    outside the closed disk.
     """
-    points = np.asarray(points, dtype=complex)
-    if chart.domain.kind == "annulus" and _derivative_through_kernel(expr)[0]:
-        raise ContractError("a derivative through a flow kernel needs the linear flow "
-                            "of the disk; the annulus flow is not linear")
-    return _Jets(chart, g).jet((expr,), points, 0)[..., 0]
-
-
-def _derivative_through_kernel(expr):
-    """(some product term of expr has a derivative factor left of a kernel factor,
-    expr has a derivative factor, expr has a kernel factor)."""
-    if isinstance(expr, Antideriv):
-        return False, False, True
-    if isinstance(expr, FieldPower):
-        return False, True, False
-    if isinstance(expr, OpSum):
-        parts = [_derivative_through_kernel(t) for _, t in expr.terms]
-        return tuple(any(p[i] for p in parts) for i in range(3))
-    through = deriv = kern = False
-    for f in expr.factors if isinstance(expr, Compose) else ():
-        t, d, k = _derivative_through_kernel(f)
-        through = through or t or (deriv and k)
-        deriv, kern = deriv or d, kern or k
-    return through, deriv, kern
-
-
-def _value_shape(domain, points):
-    """Shape of one value per point: points in C^2 carry a trailing axis of 2."""
-    return points.shape[:points.ndim + 1 - domain.complex_dimension]
+    if chart.domain.kind != "disk":
+        raise ContractError("operator expressions are evaluated on the disk alone")
+    return _Jets(chart, g).jet((expr,), np.asarray(points, dtype=complex), 0)[..., 0]
 
 
 def _index(beta) -> int:
@@ -174,15 +151,14 @@ def _index(beta) -> int:
 class _Jets:
     """The jets of one apply_op call, each kept under its request (factors, path,
     order): the factors still to apply; the kernel path, the depth of each kernel
-    group between the top and them and the panel of its sweep; and the order of
-    the jet.  Within one call the points are fixed, so the path fixes the points
-    of a request (a point just outside the domain, of negative hit time, reaches
-    a group's second panel).  Each request is computed at the order asked, so a
-    request asked at two orders is computed twice, and a jet's bits do not depend
-    on what was asked before it.  The leaf jets of g are the requests with no
-    factors left.  Every jet is one array filled in place, partial by partial
-    (leaves), term by term (sums) or entry by entry (fields and kernels), with no
-    stacked copies.  Nothing outlives the call."""
+    group between the top and them; and the order of the jet.  Within one call
+    the points are fixed, so the path fixes the points of a request.  Each
+    request is computed at the order asked, so a request asked at two orders is
+    computed twice, and a jet's bits do not depend on what was asked before it.
+    The leaf jets of g are the requests with no factors left.  Every jet is one
+    array filled in place, partial by partial (leaves), term by term (sums) or
+    entry by entry (fields and kernels), with no stacked copies.  Nothing
+    outlives the call."""
 
     def __init__(self, chart: CollarChart, g):
         self.chart = chart
@@ -204,16 +180,13 @@ class _Jets:
         if isinstance(f, Compose):
             return self.jet(f.factors + rest, points, order, path)
         if isinstance(f, OpSum):
-            out = np.zeros(_value_shape(self.chart.domain, points)
-                           + (len(_multi_indices(order)),), dtype=complex)
+            out = np.zeros(points.shape + (len(_multi_indices(order)),), dtype=complex)
             for c, term in f.terms:
                 out += c * self.jet((term,) + rest, points, order, path)
             return out
         if isinstance(f, Antideriv):
             return self.kernel(factors, points, order, path)
         if isinstance(f, FieldPower):
-            if f.fld.domain.kind == "ball2":
-                raise NotImplementedError("field application on the ball is analytic-only")
             top = order + f.power - 1
             jet = self.jet(rest, points, top + 1, path)
             coeffs = [self.leaf(c, points, top) for c in (f.fld.z_coeffs, f.fld.zbar)]
@@ -230,14 +203,13 @@ class _Jets:
             run += 1
         depth = run % 3 or 3
         kern = lambda s: _chain_kernel(depth, s)
-        rest, panels = factors[depth:], iter(range(depth))
+        rest = factors[depth:]
 
         def integrand(pos, tau, shared):
-            # called once per panel swept, panel j at its j-th call
-            inner = self.jet(rest, pos, order, path + ((depth, next(panels)),))
+            inner = self.jet(rest, pos, order, path + (depth,))
             return inner if order else inner[..., 0]
         orders = [sum(beta) for beta in _multi_indices(order)] if order else None
-        out = _collar_quadrature(self.chart, points, [(kern, integrand, depth)],
+        out = _collar_quadrature(self.chart, points, [(kern, integrand)],
                                  support=_support(self.chart, _leaf_order(rest, order)),
                                  orders=orders, per_point=True)[0]
         return out if order else out[..., None]
@@ -247,8 +219,7 @@ class _Jets:
         array filled partial by partial.  A real partial is cast to complex here
         rather than in the first product with a complex jet."""
         betas = _multi_indices(order)
-        jet = np.empty(_value_shape(self.chart.domain, points) + (len(betas),),
-                       dtype=complex)
+        jet = np.empty(points.shape + (len(betas),), dtype=complex)
         for i, beta in enumerate(betas):
             jet[..., i] = _partial(f, beta, points)
         return jet
@@ -275,18 +246,12 @@ def _support(chart: CollarChart, n: int) -> float:
     At order 0 g is read at the flowed points alone: CUTOFF_END.  At order n the
     leaf's nested 5-point stencils (finitediff.partial_callable) read g up to
     2 n FD_STEP away from a point, so the bound is the hit time past which no
-    stencil point reaches below CUTOFF_END: on the disk and the ball, that of the
-    radius where the cutoff ends less the reach; on the annulus, the larger of
-    its outer and inner collars' values.  Without the margin a stencil reaches
-    back into the cutoff's support and the dropped pairs are not zero."""
+    stencil point reaches below CUTOFF_END: that of the radius where the cutoff
+    ends less the reach.  Without the margin a stencil reaches back into the
+    cutoff's support and the dropped pairs are not zero."""
     if n == 0:
         return CUTOFF_END
-    reach = 2 * n * FD_STEP
-    r_outer = chart.flow_radius(-CUTOFF_END, 1.0) - reach
-    if chart.domain.kind != "annulus":
-        return float(chart.hit_time_radial(r_outer))
-    r_inner = chart.flow_radius(-CUTOFF_END, chart.domain.rho) + reach
-    return float(max(chart.hit_time_radial(r_outer), chart.hit_time_radial(r_inner)))
+    return float(chart.hit_time_radial(chart.flow_radius(-CUTOFF_END, 1.0) - 2 * n * FD_STEP))
 
 
 def _field_jet(a, b, jet, n):

@@ -175,7 +175,7 @@ def _domain(cfg: ScenarioConfig):
 
 
 def _seeded_masked(chart, rng):
-    """cutoff * w for a seeded degree-3 polynomial w, its cutoff read from a panel's table."""
+    """cutoff * w for a seeded degree-3 polynomial w, its cutoff read from a block's table."""
     return RadialHolo(chart.cutoff_profiles, [(0, Poly2.random(rng, degree=3))])
 
 

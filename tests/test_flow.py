@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import bergsmooth.flow as flow_module
 from bergsmooth import functions
 from bergsmooth.decompose import _default_eval_points, cr_reduction, cutoff_times
-from bergsmooth.errors import NotInCollarError, ParameterError
+from bergsmooth.errors import ContractError, NotInCollarError, ParameterError
 from bergsmooth.flow import (
     CUTOFF_END,
     _collar_quadrature,
@@ -209,7 +209,9 @@ def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps)
     # N is radial with a real factor, so the radii of the sweeps' multiplier table,
     # marched as real scalars, are the real part of the sweep of the points r on
     # the real axis ((r, 0) on the ball); the point one, stepped alone as a
-    # scalar, is the table of the disk and the ball, and one of the radii here
+    # scalar, is the table of the disk and the ball, and one of the radii here.
+    # The times are the sweep's nodes on [-1, 0] and the same nodes one and two
+    # units of flow time further back
     chart = build_chart(make_domain(kind, rho=0.5 if kind == "annulus" else None),
                         q_panels, m_steps)
     pts = collar_points(chart, np.random.default_rng(3))
@@ -218,8 +220,8 @@ def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps)
     # the table a sweep of pts makes: the distinct radii on the annulus, 1 elsewhere
     table = np.unique(radii[:-1]) if kind == "annulus" else np.ones(1)
     columns = np.unique(radii[:-1], return_index=True)[1] if kind == "annulus" else [-1]
-    for j in range(3):
-        s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), q_panels)
+    nodes, _ = flow_module._panel_nodes(q_panels)
+    for s in (nodes - j for j in range(3)):
         swept = trajectories(chart, axis, s, m_steps).reshape(len(s), len(radii), -1)[..., 0]
         assert np.array_equal(flow_module._radius_scales(chart, radii, s), swept.real / radii)
         assert np.array_equal(flow_module._radius_scales(chart, table, s),
@@ -229,8 +231,9 @@ def test_rk4_multipliers_are_the_sweep_of_the_point_one(kind, q_panels, m_steps)
 
 def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart, annulus_chart,
                                                                   ball_chart):
-    # lambda_s(|p|) * p against p marched by RK4 on its own, relative, over three
-    # panels: at most 12.4 ulp on decompose's disk points, 8.3 on C1's annulus
+    # lambda_s(|p|) * p against p marched by RK4 on its own, relative, at the
+    # sweep's nodes and the same nodes one and two units of flow time further
+    # back: at most 12.4 ulp on decompose's disk points, 8.3 on C1's annulus
     # grid and 9.8 on the ball's quadrature nodes
     for chart, pts in ((disk_chart, _default_eval_points(disk_chart)),
                        (annulus_chart, sweep_points(annulus_chart)),
@@ -239,8 +242,8 @@ def test_scaled_positions_stay_within_ulps_of_marching_each_point(disk_chart, an
         # the sweep's table and each point's column in it
         table, columns = (np.unique(radius(pts), return_inverse=True)
                           if chart.domain.kind == "annulus" else (np.ones(1), [0] * len(pts)))
-        for j in range(3):
-            s, _ = flow_module._panel_nodes(-(j + 1.0), -float(j), chart.q_panels)
+        nodes, _ = flow_module._panel_nodes(chart.q_panels)
+        for s in (nodes - j for j in range(3)):
             scaled = flow_module._panel_positions(chart, pts, s,
                                                   flow_module._radius_scales(chart, table, s)
                                                   [:, columns])
@@ -501,18 +504,19 @@ def points_at_hit_times(chart, times, rng):
     return r * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, r.size))
 
 
-SUPPORT_TIMES = [-0.02, -0.005, 0.0, 0.03, 0.2, 0.45, 0.7, 0.8, 0.97, 1.0, 1.2]
+SUPPORT_TIMES = [0.0, 0.03, 0.2, 0.45, 0.7, 0.8, 0.97, 1.0, 1.2]
 
 
 @pytest.fixture(params=["disk", "annulus", "ball"])
 def support_case(request, disk_chart, annulus_chart, ball_chart, rng):
-    """A chart, an integrand to mask (a Poly2 in the plane) and points with hit
-    times just outside the domain, at 0, across (0, 1), at and past 1 and, on
-    the disk and ball, infinite."""
+    """A chart, an integrand to mask (a Poly2 in the plane) and points of the
+    closed domain with hit times 0 (on the boundary), across (0, 1), at and past
+    1 and, on the disk and ball, infinite."""
     chart = {"disk": disk_chart, "annulus": annulus_chart, "ball": ball_chart}[request.param]
     pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
     t = chart.hit_time(pts)
-    assert np.min(t) < -0.015 and np.any(np.abs(t) < 1e-12) and np.any(t >= 1.0)
+    assert np.all(chart.domain.contains(pts))
+    assert np.any(np.abs(t) < 1e-12) and np.any(t >= 1.0)
     if request.param == "ball":
         w = lambda p: 1.0 + p[..., 0] * np.conj(p[..., 1])
     else:
@@ -534,10 +538,6 @@ def test_support_skip_is_exact(support_case, depth, mask):
     skipped = antideriv_chains(chart, [(g, depth)], pts)[0]
     assert np.array_equal(skipped, antideriv_chains(chart, [(g, depth)], pts, support=np.inf)[0])
     assert np.any(skipped != 0)
-    # points outside the domain only: every pair of the first panel is live
-    outside = pts[chart.hit_time(pts) < 0]
-    assert np.array_equal(antideriv_chains(chart, [(g, depth)], outside)[0],
-                          antideriv_chains(chart, [(g, depth)], outside, support=np.inf)[0])
 
 
 @pytest.mark.parametrize("mask", [cutoff_masked, sharp_masked])
@@ -546,7 +546,7 @@ def test_flow_moment_support_skip_is_exact(support_case, mu, mask):
     chart, w, pts = support_case
     g = mask(chart, w)
     integrand = lambda pos, tau, shared: tau**mu * np.abs(np.asarray(g(pos)))
-    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand, 1)],
+    everywhere = _collar_quadrature(chart, pts, [(lambda s: 1.0, integrand)],
                                     support=np.inf)[0].real
     assert np.array_equal(flow_moment_apply(chart, [(mu, g)], pts)[0], everywhere)
 
@@ -575,17 +575,17 @@ def test_batch_equals_its_terms_one_at_a_time(support_case, support, monkeypatch
         assert np.array_equal(one, together)
         assert np.any(together != 0)
     assert np.array_equal(alone[3], batch[3]) and not np.any(batch[3])
-    # g, listed at depths 1 and 3, is evaluated once on each panel swept
-    assert len(evaluated) == len(sweeps) == (2 if support == 1.0 else 1)
+    # g, listed at depths 1 and 3, is evaluated once in the one sweep of [-1, 0]
+    assert len(evaluated) == len(sweeps) == 1
     if chart.domain.kind == "disk":
         # jets: values on a trailing axis weighted by R_s**order, real and complex
         # integrands in one batch, the zero one last
         jet = lambda f: lambda pos, tau, shared: np.stack([f(pos), tau * f(pos)], axis=-1)
         real = lambda pos, tau, shared: np.abs(jet(other)(pos, tau, shared))
-        terms = [(lambda s: 1.0, jet(g), 1),
-                 (lambda s: 1.0 - s, real, 2),
-                 (lambda s: s * s, jet(g), 3),
-                 (lambda s: 1.0, jet(zero), 2)]
+        terms = [(lambda s: 1.0, jet(g)),
+                 (lambda s: 1.0 - s, real),
+                 (lambda s: s * s, jet(g)),
+                 (lambda s: 1.0, jet(zero))]
         alone = [_collar_quadrature(chart, pts, [term], support=support, orders=[0, 1])[0]
                  for term in terms]
         batch = _collar_quadrature(chart, pts, terms, support=support, orders=[0, 1])
@@ -637,9 +637,8 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
     monkeypatch.setattr(flow_module, "_panel_positions",
                         lambda *args: sweeps.append(1) or positions(*args))
     batch = antideriv_chains(chart, chains, pts, support=support)
-    # at support 1 the points outside the domain reach the second panel, where
-    # only the chains of depth 2 and 3 are live
-    assert len(sweeps) == len(tables) == (2 if support == 1.0 else 1)
+    # one sweep of [-1, 0], in one block, whatever the depths
+    assert len(sweeps) == len(tables) == 1
     # a table holds the derivatives of the input being evaluated only: those of
     # h until the second input's integrands begin, and only theirs at the end
     assert all(len(b) <= 1 for b in held) and set().union(*held) == {h, second}
@@ -730,6 +729,37 @@ def test_entry_sums_equal_the_slices_of_one_einsum(dtype, columns):
     assert sums.dtype == dense.dtype and np.array_equal(sums, dense)
 
 
+@pytest.mark.parametrize("kind", ["disk", "annulus", "ball"])
+def test_a_sweep_refuses_points_outside_the_closed_domain(disk_chart, annulus_chart,
+                                                           ball_chart, kind, rng):
+    # the integrands vanish from hit time 1 on, so the one unit of flow time
+    # [-1, 0] is the whole integral from a point of the closed domain only: a
+    # point of hit time -0.02 is refused, at every support bound, before
+    # anything is evaluated.  Points on the boundary, of hit time 0 up to
+    # rounding, are swept, as hitting_time takes them
+    chart = {"disk": disk_chart, "annulus": annulus_chart, "ball": ball_chart}[kind]
+    w = ((lambda p: 1.0 + p[..., 0] * np.conj(p[..., 1])) if kind == "ball"
+         else Poly2.random(rng, degree=2))
+    seen = []
+    g = lambda p: seen.append(1) or chart.cutoff(p) * np.asarray(w(p))
+    outside = points_at_hit_times(chart, [-0.02, 0.3], rng)
+    assert np.min(chart.hit_time(outside)) < -0.015
+    for support in (1.0, CUTOFF_END, np.inf):
+        with pytest.raises(ContractError):
+            antideriv_chains(chart, [(g, 2)], outside, support=support)
+        with pytest.raises(ContractError):
+            flow_moment_apply(chart, [(1, g)], outside, support=support)
+    assert seen == []
+    boundary = points_at_hit_times(chart, [0.0], rng)
+    t = chart.hit_time(boundary)
+    on = np.isfinite(t)
+    assert np.all(np.abs(t[on]) < 1e-12)
+    assert np.all(hitting_time(chart, boundary[on]) < 1e-10)
+    for depth in (1, 2, 3):
+        assert np.all(antideriv_chains(chart, [(g, depth)], boundary)[0][on] != 0)
+    assert np.all(flow_moment_apply(chart, [(1, g)], boundary)[0][on] > 0)
+
+
 @pytest.mark.parametrize("resolution", [(32, 64), (2, 1)])
 @pytest.mark.parametrize("kind", ["disk", "annulus"])
 def test_cutoff_end_bound_is_exact(disk, annulus, kind, resolution, rng):
@@ -769,7 +799,8 @@ def test_integrand_evaluated_only_inside_the_collar(disk_chart, annulus_chart, b
     antideriv_chains(chart, [(w, 2)], pts)
     positions = np.concatenate(seen)
     assert np.max(chart.hit_time(positions)) < 1.0 + 1e-6
-    # 2 panels of 4 * q_panels Gauss nodes per point
+    # fewer than the 4 * q_panels Gauss nodes of [-1, 0] per point: the pairs
+    # past the collar are neither flowed to nor evaluated
     assert len(positions) < 2 * 4 * chart.q_panels * len(pts) / 2
 
 

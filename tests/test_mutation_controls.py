@@ -177,6 +177,25 @@ def test_partial_smoothing_projection_rows_fail_on_a_coarse_grid():
     assert not verdicts["projection Sobolev-3 norm drift under grid doubling"]
 
 
+def test_partial_smoothing_tangential_drift_fails_with_heavier_doubled_grid_weights(
+        monkeypatch):
+    # only the doubled grid's weights 5% heavy: its tangential norm of order 3
+    # grows with the square root of the scale, so the drift under grid doubling
+    # reads 0.0239 against 0.02 (0.000752 unbroken; 0.0141 at 3% heavy, which
+    # still passes)
+    cfg = ScenarioConfig("partial-smoothing")
+    grid = scenarios_module.quadrature_grid
+
+    def heavy(domain, n_r, n_theta):
+        built = grid(domain, n_r, n_theta)
+        if (n_r, n_theta) != (2 * cfg.n_r, 2 * cfg.n_theta):
+            return built
+        return dataclasses.replace(built, weights=1.05 * built.weights)
+    monkeypatch.setattr(scenarios_module, "quadrature_grid", heavy)
+    checks, _ = check_partial_smoothing(cfg)
+    assert not _verdicts(checks)["tangential norm of order 3 drift under grid doubling"]
+
+
 def test_hardy_fails_with_an_over_claimed_class(monkeypatch):
     # each majorant graded with a gain of one power of the hit time more than it
     # has: the ratios outgrow the Hardy bound

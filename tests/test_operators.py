@@ -49,14 +49,22 @@ def test_plain_kernel_matches_antiderivative(chart, collar_pts, rng):
 
 @pytest.mark.parametrize("depth", [2, 3])
 def test_kernel_chain_just_outside_the_disk_matches_antiderivative(chart, rng, depth):
-    # a point just outside has a negative hit time and reaches the chain's second
-    # panel, at positions of its own: a jet kept under the kernel depths alone
-    # served it the first panel's leaf, and the panel's scatter raised ValueError
+    # a chain of kernels and antideriv_chains agree at the edge of the closed
+    # disk: both refuse a point just outside, of negative hit time, and a point
+    # on the boundary, of hit time 0, is swept by both to the same values
     g = masked(chart, Poly2.random(rng, degree=2))
-    pts = np.array([1.0005 + 0.0j, 0.9 * np.exp(1j)])
-    assert chart.hit_time(pts)[0] < 0
-    via_expr = apply_op(compose(*[kernel_op()] * depth), g, pts, chart)
+    chain = compose(*[kernel_op()] * depth)
+    outside = np.array([1.0005 + 0.0j, 0.9 * np.exp(1j)])
+    assert chart.hit_time(outside)[0] < 0
+    with pytest.raises(ContractError):
+        apply_op(chain, g, outside, chart)
+    with pytest.raises(ContractError):
+        antideriv_chains(chart, [(g, depth)], outside)
+    pts = np.array([1.0 + 0.0j, 0.9 * np.exp(1j)])
+    assert chart.hit_time(pts)[0] == 0
+    via_expr = apply_op(chain, g, pts, chart)
     direct = antideriv_chains(chart, [(g, depth)], pts, support=1.0)[0]
+    assert np.all(direct != 0)
     np.testing.assert_allclose(via_expr, direct, atol=1e-13)
 
 
@@ -144,19 +152,18 @@ def _annulus_collar_points(chart):
     return (r[:, None] * np.exp(1j * np.linspace(0, 2 * np.pi, 5, endpoint=False))).ravel()
 
 
-@pytest.mark.parametrize("kind", ["disk", "annulus"])
-def test_field_op_equals_apply_field(chart, annulus_chart, collar_pts, kind, rng):
+@pytest.mark.parametrize("kind", ["disk"])
+def test_field_op_equals_apply_field(chart, collar_pts, kind, rng):
     # both entry points take one pair of partials through one dispatch and form
-    # a df/dz + b df/dzbar with one formula, for tracked and plain functions alike
-    chart = {"disk": chart, "annulus": annulus_chart}[kind]
-    pts = collar_pts if kind == "disk" else _annulus_collar_points(chart)
+    # a df/dz + b df/dzbar with one formula, for tracked and plain functions
+    # alike (apply_op evaluates on the disk alone)
     dx = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
                      name="dx")
     for g in (Poly2.random(rng, degree=3), Holo1.from_coeffs([0.3, 1.0, 0.5j, -0.2]),
               lambda p: np.exp(p) * np.conj(p)):
         for fld in (chart.field, dx):
-            assert np.array_equal(apply_op(field_op(fld), g, pts, chart),
-                                  apply_field(fld, g, pts))
+            assert np.array_equal(apply_op(field_op(fld), g, collar_pts, chart),
+                                  apply_field(fld, g, collar_pts))
 
 
 @pytest.mark.parametrize("which", ["field", "commutator"])
@@ -171,30 +178,44 @@ def test_annulus_derivative_through_kernel_raises(annulus_chart, rng, monkeypatc
         apply_op(expr, g, _annulus_collar_points(annulus_chart), annulus_chart)
 
 
-def test_annulus_kernel_of_field_evaluates(annulus_chart, rng):
+@pytest.mark.parametrize("kind", ["annulus", "ball2"])
+def test_apply_op_refuses_every_chart_but_the_disk(request, monkeypatch, kind):
+    # the chain rule through a kernel needs the linear flow of the disk, and no
+    # check evaluates an expression elsewhere: any other chart is refused,
+    # whatever the expression, before anything is swept or g evaluated
+    chart = build_chart(request.getfixturevalue(kind))
+    monkeypatch.setattr(operators, "_collar_quadrature", lambda *a, **k: pytest.fail("swept"))
+    g = lambda p: pytest.fail("evaluated")
+    pts = _annulus_collar_points(chart) if kind == "annulus" else np.full((4, 2), 0.6 + 0.1j)
+    for expr in (kernel_op(), field_op(chart.field),
+                 compose(kernel_op(), field_op(chart.field))):
+        with pytest.raises(ContractError):
+            apply_op(expr, g, pts, chart)
+
+
+def test_kernel_of_field_evaluates(chart, collar_pts, rng):
     # no derivative to the left of the kernel: the field acts on g at the leaves
-    g = masked(annulus_chart, Poly2.random(rng, degree=2))
-    pts = _annulus_collar_points(annulus_chart)
-    out = apply_op(compose(kernel_op(), field_op(annulus_chart.field)), g, pts, annulus_chart)
-    direct = antideriv_chains(annulus_chart,
-                              [(lambda p: apply_field(annulus_chart.field, g, p), 1)], pts)[0]
+    g = masked(chart, Poly2.random(rng, degree=2))
+    out = apply_op(compose(kernel_op(), field_op(chart.field)), g, collar_pts, chart)
+    direct = antideriv_chains(chart, [(lambda p: apply_field(chart.field, g, p), 1)],
+                              collar_pts)[0]
     np.testing.assert_allclose(out, direct, atol=1e-13)
 
 
-BOUND_CASES = ["lhs", "rhs0", "rhs1", "rhs2", "dx.K", "annulus K.N"]
+BOUND_CASES = ["lhs", "rhs0", "rhs1", "rhs2", "dx.K", "K.N^2"]
 
 
 @pytest.fixture(scope="module")
-def bound_cases(chart, annulus_chart):
+def bound_cases(chart, collar_pts):
     """(chart, expression, points) by name: the four expressions of the order-2
-    identity, a derivative of a kernel, and the annulus kernel of its field."""
+    identity, a derivative of a kernel, and the kernel of the transverse field's
+    square, whose leaf jets of g are of order 2."""
     pts, lhs, rhs = _order_two_expressions(chart)
     dx = VectorField(chart.domain, lambda p: np.full_like(p, 1.0 + 0.0j), real=True,
                      name="dx")
     exprs = [lhs, *rhs, compose(field_op(dx), kernel_op())]
     cases = {name: (chart, e, pts) for name, e in zip(BOUND_CASES, exprs)}
-    cases["annulus K.N"] = (annulus_chart, compose(kernel_op(), field_op(annulus_chart.field)),
-                            _annulus_collar_points(annulus_chart))
+    cases["K.N^2"] = (chart, compose(kernel_op(), field_op(chart.field, 2)), collar_pts)
     return cases
 
 

@@ -23,7 +23,6 @@ SUBMODULES = sorted(m.name for m in pkgutil.iter_modules(bergsmooth.__path__))
 # module.qualname, with the reason it is kept:
 #   oracle     a test compares the implementation against it
 #   ball       the ball in C^2, which no check builds
-#   calculus   the derivative-through-kernel test, which only tests reach
 #   benchmark  reached by the benchmark's fanout and hitting operations
 #   raises     runs only on its way to an error
 UNREACHED = {
@@ -43,7 +42,6 @@ UNREACHED = {
     "flow.hitting_time": "benchmark",
     "flow.trajectories": "benchmark",
     "functions.AngularFamily.__call__": "oracle",
-    "geometry.Domain.contains": "oracle",
     "geometry.Domain.volume": "oracle",
     "geometry.VectorField.applied_to_defining": "oracle",
     "geometry.boundary_samples": "oracle",
@@ -57,12 +55,10 @@ UNREACHED = {
     "operators._Jets.kernel": "benchmark",
     "operators._Jets.kernel.<locals>.integrand": "benchmark",
     "operators._Jets.leaf": "benchmark",
-    "operators._derivative_through_kernel": "calculus",
     "operators._field_jet": "benchmark",
     "operators._index": "benchmark",
     "operators._leaf_order": "benchmark",
     "operators._support": "benchmark",
-    "operators._value_shape": "benchmark",
     "operators.apply_op": "benchmark",
     "operators.commutator": "benchmark",
     "operators.compose": "benchmark",
@@ -348,7 +344,7 @@ def test_reach_is_pinned(tmp_path, monkeypatch, load_bench):
     assert codes == {name: int(name == "partial-smoothing") for name in scenarios.SCENARIOS}
     assert {name: workloads.judge(name, bundle)[0] for name, bundle in bundles.items()} == {
         name: [] for name in scenarios.SCENARIOS}
-    assert set(UNREACHED.values()) <= {"oracle", "ball", "calculus", "benchmark", "raises"}
+    assert set(UNREACHED.values()) <= {"oracle", "ball", "benchmark", "raises"}
     assert _package_functions() - checks == set(UNREACHED)
 
 

@@ -297,11 +297,11 @@ def test_shared_factors_run_once_per_panel(sweeps, chart, monkeypatch):
     base = Holo1.from_coeffs([0.3, 1.0, 0.5j])
     h = Holo1(lambda j: lambda z: calls.update([("h", j)]) or base._deriv(j)(z))
     zh, cr = cutoff_times(chart, h), cr_reduction(h, chart)
-    # hit times from just outside the domain into the collar: two panels swept
-    pts = np.exp(-chart.rate * np.array([-0.01, 0.1, 0.4, 0.7]) + 1j * np.arange(4.0))
+    # hit times from the boundary into the collar: the one sweep of [-1, 0]
+    pts = np.exp(-chart.rate * np.array([0.0, 0.1, 0.4, 0.7]) + 1j * np.arange(4.0))
     antideriv_chains(chart, [(zh, 1), (cr, 1), (zh, 2), (cr, 2)], pts)
-    assert len(sweeps) == 2
-    assert calls == {"cutoff_profiles": 2, ("h", 0): 2}
+    assert len(sweeps) == 1
+    assert calls == {"cutoff_profiles": 1, ("h", 0): 1}
 
 
 # hit_time_radial points of one default-config call, while each seeded function
