@@ -42,8 +42,14 @@ DEFAULT_M_STEPS = 64
 DEFAULT_Q_PANELS = 32
 _GAUSS_PER_PANEL = 4
 # The most node-point pairs one sweep of pointwise integrands holds at once: a
-# larger point set is swept in blocks (see _blocks)
-_SWEEP_PAIRS = 2**16
+# larger point set is swept in blocks (see _blocks).  A block's monomial table of
+# a Poly2Family holds 16 doubles per live pair, which this budget keeps within
+# the memory the sweeps held before the table
+_SWEEP_PAIRS = 2**14
+# The panel sums of the pointwise sweeps run over a multiple of this many points,
+# zero-padded: BLAS then sums every point by its main kernel, never by the path
+# it takes for the last few, so a point's sum does not depend on its column
+_SUM_QUANTUM = 16
 
 
 def _rk4_step(field, x, h):
@@ -347,7 +353,9 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     points' values, so that a sweep's memory stays bounded as the grids
     refine.  An integrand listed in several terms (the same object) is
     evaluated once per block.  Each term sums in its own order, so its values
-    are bit for bit the ones it gets alone; against one block they agree to
+    are bit for bit the ones it gets alone.  A point's panel sum runs over a
+    buffer padded to a whole number of _SUM_QUANTUM points, so it does not
+    depend on the point's column; against one block the values agree to
     rounding, bit for bit on the layouts the tests pin, since numpy's
     elementwise complex arithmetic may round a point by the size of its batch
     (README, "Sweeps in blocks").
@@ -363,13 +371,15 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     Each block makes one table and drops it when it ends: a factor that several
     of its integrands read is computed once.  |z| and the cutoff profiles are
     kept for the whole block, the derivatives of an h while the integrands of h
-    follow one another (C3 and C4 list their chains input by input).  The
+    follow one another (C3 and C4 list their chains input by input), and the
+    monomial table of a Poly2Family while its members' integrands do (C1's and
+    C2's seeded polynomials, one family per sweep).  The
     integrands also scatter their live values into one nodes x points zero
     buffer per dtype, whose dead entries stay zero.
 
-    The integrands are taken to vanish where tau >= support: a call or block
-    with no pair below the bound is not swept, and in one with some, only the
-    points with a live node are flowed and only the live pairs evaluated.
+    The integrands are taken to vanish where tau >= support: the blocks are cut
+    from the points of hit time below both 1 and the bound, and in a block only
+    the points with a live node are flowed and only the live pairs evaluated.
     Where an integrand is indeed zero past the bound, the sum is the one over
     every pair, to rounding: the integrands then run on fewer pairs.  The
     callers' bounds: 1, the collar, for antideriv_chains and flow_moment_apply
@@ -390,11 +400,11 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     t = chart.hit_time(points)
     shape, flat = t.shape, points.reshape((t.size,) + points.shape[t.ndim:])
     t = t.ravel()
-    swept = np.flatnonzero(_swept(t))
+    swept = np.flatnonzero(_swept(t) & (t < support))
     trailing = () if orders is None else (len(orders),)
     outs = [np.zeros(t.shape + trailing, dtype=complex) for _ in terms]
     t = t[swept]
-    if not terms or t.min(initial=np.inf) >= support:
+    if not terms or not swept.size:
         return [out.reshape(shape + trailing) for out in outs]
     if chart.domain.kind in ("disk", "ball2"):
         radii, columns = np.ones(1), None
@@ -407,8 +417,6 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
     for i, (kernel, integrand) in enumerate(terms):
         by_integrand.setdefault(integrand, []).append((i, weights * kernel(s)))
     for block in [slice(0, len(t))] if per_point else _blocks(chart, len(t)):
-        if t[block].min() >= support:
-            continue
         tau = t[block][None, :] - s[:, None]
         need = tau < support
         cols = need.any(axis=0)
@@ -429,23 +437,27 @@ def _collar_quadrature(chart, points, terms, *, support, orders=None, per_point=
         del pos, tau
         shared = _Shared()
         buffers = {}
+        n = need.shape[1]
+        width = n if orders is not None else _SUM_QUANTUM * -(-n // _SUM_QUANTUM)
         for integrand, members in by_integrand.items():
             live_values = integrand(live_pos, live_tau, shared)
             if live_values.dtype not in buffers:
-                buffers[live_values.dtype] = np.zeros(need.shape, dtype=live_values.dtype)
-            values = buffers[live_values.dtype]
+                buffers[live_values.dtype] = np.zeros((len(s), width), dtype=live_values.dtype)
+            buffer = buffers[live_values.dtype]
+            values = buffer[:, :n]
             if orders is None:
                 values[need] = live_values
             for i, node_weights in members:
                 if orders is None:
-                    outs[i][swept[block]] += np.tensordot(node_weights, values, axes=(0, 0))
+                    outs[i][swept[block]] += np.tensordot(node_weights, buffer,
+                                                          axes=(0, 0))[:n]
                 else:
                     outs[i][swept[block]] += _entry_sums(node_weights[:, None] * powers,
                                                          live_values, need, values)
             # the next integrand's values replace these rather than join them
             del live_values
         # the next block's table, buffers and live pairs replace these
-        del shared, buffers, values, live_pos, live_tau, need
+        del shared, buffers, buffer, values, live_pos, live_tau, need
     return [out.reshape(shape + trailing) for out in outs]
 
 

@@ -5,17 +5,22 @@ arbitrary interior points (trajectory quadrature lands between grid nodes).
 Classes here carry whatever analytic derivative structure they have; anything
 else falls back to high-order finite differences on the callable.
 
-Every polynomial of these classes, `Poly2`'s and `Holo1`'s, is evaluated by one
-Horner's rule, `_horner`, with falling-factorial derivative coefficients, in
-place after its first product; `bergman` evaluates its expansions against a
-table of powers instead.
+A plain polynomial of these classes, `Poly2`'s and `Holo1`'s, is evaluated by
+one Horner's rule, `_horner`, with falling-factorial derivative coefficients,
+in place after its first product.  The members of a `Poly2Family` (C1's and
+C2's seeded inputs) are read instead against one table of the monomials x^i y^j
+that the whole family shares, one small matrix product per member and
+derivative order, as `bergman` evaluates its expansions against a table of
+powers.
 
-A `RadialHolo` reads |z|, its radial profiles and the derivatives of its
-holomorphic factors through a `_Shared` table, so that the integrands of one
-sweep block evaluate each factor they share once: |z| and the profiles once
-per block, and the derivatives of each input once while its integrands follow
-one another.  The collar cutoff and its rate come as one pair of profiles from
-one hit time, by `_smoothstep_pair`; `smoothstep` alone gives the value.
+A `RadialHolo` reads |z|, its radial profiles and its tracked factors (the
+derivatives of its holomorphic factors, the monomial table of a family)
+through a `_Shared` table, so that the integrands of one sweep block evaluate
+each factor they share once: |z| and the profiles once per block, and the
+derivatives of each input, or the table of each family, once while its
+integrands follow one another.  The collar cutoff and its rate come as one
+pair of profiles from one hit time, by `_smoothstep_pair`; `smoothstep` alone
+gives the value.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from .geometry import PolarEvalGrid
 __all__ = [
     "SmoothFunction",
     "Poly2",
+    "Poly2Family",
     "Holo1",
     "AngularFamily",
     "RadialHolo",
@@ -111,15 +117,17 @@ def _polynomial(xs, coeffs):
 
 class _Shared:
     """Values that several evaluations at the same points share, each computed at
-    its first read and kept: |z|, the radial profiles, and the derivatives of the
-    holomorphic factors, keyed (base, level, j) (see Holo1.base).
+    its first read and kept: |z|, the radial profiles, the derivatives of the
+    holomorphic factors, keyed (base, level, j) (see Holo1.base), and the
+    monomial table of a Poly2Family and the field coefficients applied to its
+    members, keyed (family, "monomials") and (family, field).
 
     focus(bases), called at the start of each RadialHolo evaluation, drops the
-    held derivatives of every base not in bases: the derivatives of one input
-    live while its evaluations follow one another, and |z| and the profiles for
-    the whole table.  The table belongs to its points: one per sweep block, made
-    and dropped by `flow._collar_quadrature`, or one per call of an evaluation
-    given none.
+    held entries of every base not in bases: the derivatives of one input, or
+    the table of one family, live while its evaluations follow one another, and
+    |z| and the profiles for the whole table.  The table belongs to its points:
+    one per sweep block, made and dropped by `flow._collar_quadrature`, or one
+    per call of an evaluation given none.
     """
 
     def __init__(self):
@@ -140,6 +148,15 @@ class SmoothFunction:
 
     def partial(self, beta, points):
         return fd.partial_callable(self, points, beta)
+
+
+class _Tracked(SmoothFunction):
+    """A factor that a RadialHolo reads through the _Shared table of its points,
+    under keys led by its base: _value(z, shared) is its value at the points z.
+    Called, it makes a table of its own."""
+
+    def __call__(self, points):
+        return self._value(np.asarray(points), _Shared())
 
 
 class Poly2(SmoothFunction):
@@ -180,7 +197,99 @@ class Poly2(SmoothFunction):
         return Poly2(c * damp)
 
 
-class Holo1(SmoothFunction):
+class Poly2Family:
+    """Poly2 inputs read together: members[i] stands for polys[i].
+
+    A member reads D^beta at points z through the _Shared table of z, from one
+    real table of the monomials x^i y^j there, kept under (family, "monomials")
+    for every member: one (points x 16) @ (16 x 2) product against its two rows
+    of the family's coefficient matrix of order beta, made at the first ask.
+    That matrix has 2F rows, the real and imaginary parts of each member's
+    coefficients with the falling factors of Poly2._derivative, and one column
+    per monomial of the largest degrees among the members.  The values are
+    Poly2's to rounding, not bit for bit.
+    """
+
+    def __init__(self, polys):
+        shape = tuple(max(p.coeffs.shape[axis] for p in polys) for axis in (0, 1))
+        self.coeffs = np.zeros((len(polys),) + shape, dtype=complex)
+        for c, p in zip(self.coeffs, polys):
+            c[:p.coeffs.shape[0], :p.coeffs.shape[1]] = p.coeffs
+        self.matrices = {}
+        self.members = tuple(_Member(self, i) for i in range(len(polys)))
+
+    def _matrix(self, beta):
+        if beta not in self.matrices:
+            bx, by = beta
+            _, nx, ny = self.coeffs.shape
+            c = np.zeros_like(self.coeffs)
+            for i in range(bx, nx):
+                for j in range(by, ny):
+                    c[:, i - bx, j - by] = self.coeffs[:, i, j] * (_falling(i, bx)
+                                                                   * _falling(j, by))
+            self.matrices[beta] = np.stack([c.real, c.imag], axis=1).reshape(2 * len(c), -1)
+        return self.matrices[beta]
+
+    def _monomials(self, z):
+        """x^i y^j at the points z, row i * ny + j: the powers of y, then each run of
+        ny rows the one before times x, every running product made in the table."""
+        _, nx, ny = self.coeffs.shape
+        z = np.ravel(z)
+        table = np.empty((nx * ny, z.size))
+        table[0] = 1.0
+        for j in range(1, ny):
+            np.multiply(table[j - 1], z.imag, out=table[j])
+        for i in range(1, nx):
+            np.multiply(table[(i - 1) * ny:i * ny], z.real, out=table[i * ny:(i + 1) * ny])
+        return table
+
+    def _read(self, index, beta, z, shared):
+        table = shared.get((self, "monomials"), lambda: self._monomials(z))
+        rows = self._matrix(beta)[2 * index:2 * index + 2]
+        # the (points x 2) real product, C-ordered, is the complex values' memory
+        return (table.T @ rows.T).view(complex).reshape(np.shape(z))
+
+
+class _Member(_Tracked):
+    """One polynomial of a Poly2Family, its values and exact partials read through
+    the family's monomial table (see Poly2Family)."""
+
+    def __init__(self, family, index):
+        self.base = family
+        self.index = index
+
+    def partial(self, beta, points, shared=None):
+        """D^beta at the points, read through shared, the _Shared table of the
+        points; given none, it makes its own."""
+        return self.base._read(self.index, fd.derivative_order(beta), np.asarray(points),
+                               _Shared() if shared is None else shared)
+
+    def _value(self, z, shared):
+        return self.partial((0, 0), z, shared)
+
+    def field_applied(self, field):
+        """The planar vector field applied to the member, as a factor of a RadialHolo."""
+        return _FieldApplied(field, self)
+
+
+class _FieldApplied(_Tracked):
+    """a df/dz + b df/dzbar for a field with coefficients a, b and a family member
+    f: a and b read once per table for all the family's members, and f's first
+    partials from the family's monomial table."""
+
+    def __init__(self, field, member):
+        self.field = field
+        self.member = member
+        self.base = member.base
+
+    def _value(self, z, shared):
+        a, b = shared.get((self.base, self.field), lambda: (
+            np.asarray(self.field.z_coeffs(z)), np.asarray(self.field.zbar(z))))
+        return _field_formula(a, b, self.member.partial((1, 0), z, shared),
+                              self.member.partial((0, 1), z, shared))
+
+
+class Holo1(_Tracked):
     """Holomorphic function of one variable with closed-form z-derivatives.
 
     Stored as a factory deriv(j) -> callable for the j-th complex derivative.
@@ -207,6 +316,9 @@ class Holo1(SmoothFunction):
 
     def _read(self, j, z, shared):
         return shared.get((self.base, self.level, j), lambda: self._compute(j, z, shared))
+
+    def _value(self, z, shared):
+        return self._read(0, z, shared)
 
     def _compute(self, j, z, shared):
         return self._deriv(j)(z)
@@ -308,15 +420,16 @@ class RadialHolo(SmoothFunction):
     """Sum of products u_i(|z|) * h_i(z), the profiles u_i read off one radial
     callable, profiles, that returns them all (the chart's cutoff and its rate).
 
-    h_i is a tracked holomorphic Holo1, on which the rotation field acts by
-    differentiating it alone, or any other function of the points, evaluated as
-    it is (C1's and C2's seeded polynomials).  An evaluation reads |z|, the
-    profiles (keyed by the callable, so a bound method of one object is one key)
-    and each Holo1 through shared, the `_Shared` table of the points, and so
-    shares them with every other RadialHolo read through the same table; given
-    none, it makes its own.  It first focuses the table on the bases of its
-    Holo1 factors, so a table read by the evaluations of one input after another
-    holds one input's derivatives.
+    h_i is a tracked factor: a holomorphic Holo1, on which the rotation field
+    acts by differentiating it alone, or a Poly2Family member or a field applied
+    to one (C1's and C2's seeded polynomials); or any other function of the
+    points, evaluated as it is.  An evaluation reads |z|, the profiles (keyed by
+    the callable, so a bound method of one object is one key) and each tracked
+    factor through shared, the `_Shared` table of the points, and so shares them
+    with every other RadialHolo read through the same table; given none, it
+    makes its own.  It first focuses the table on the bases of its tracked
+    factors, so a table read by the evaluations of one input after another holds
+    one input's derivatives, or one family's monomials.
     """
 
     def __init__(self, profiles, pairs):
@@ -328,12 +441,12 @@ class RadialHolo(SmoothFunction):
         z = np.asarray(points)
         if shared is None:
             shared = _Shared()
-        shared.focus({h.base for _, h in self.pairs if isinstance(h, Holo1)})
+        shared.focus({h.base for _, h in self.pairs if isinstance(h, _Tracked)})
         r = shared.get("|z|", lambda: np.abs(z))
         u = shared.get(self.profiles, lambda: self.profiles(r))
         out = np.zeros_like(z, dtype=complex)
         for i, h in self.pairs:
-            out += u[i] * (h._read(0, z, shared) if isinstance(h, Holo1) else h(z))
+            out += u[i] * (h._value(z, shared) if isinstance(h, _Tracked) else h(z))
         return out
 
     def rotation_applied(self):

@@ -22,7 +22,7 @@ from .decompose import component_values, decompose, reproduction_residual
 from .errors import ParameterError
 from .flow import (CUTOFF_END, DEFAULT_M_STEPS, DEFAULT_Q_PANELS, antideriv_chains, build_chart,
                    flow_moment_apply)
-from .functions import AngularFamily, Holo1, Poly2, RadialHolo, apply_field
+from .functions import AngularFamily, Holo1, Poly2, Poly2Family, RadialHolo
 from .geometry import (
     boundary_distance,
     canonical_fields,
@@ -174,9 +174,15 @@ def _domain(cfg: ScenarioConfig):
                        rho=cfg.rho if cfg.domain_kind == "annulus" else None)
 
 
-def _seeded_masked(chart, rng):
-    """cutoff * w for a seeded degree-3 polynomial w, its cutoff read from a block's table."""
-    return RadialHolo(chart.cutoff_profiles, [(0, Poly2.random(rng, degree=3))])
+def _seeded_polynomials(rng, n):
+    """n seeded degree-3 polynomials, drawn one after another, as members of one family."""
+    return Poly2Family([Poly2.random(rng, degree=3) for _ in range(n)]).members
+
+
+def _seeded_masked(chart, rng, n):
+    """cutoff * w for n seeded degree-3 polynomials w, each read with its cutoff from a
+    block's table."""
+    return [RadialHolo(chart.cutoff_profiles, [(0, w)]) for w in _seeded_polynomials(rng, n)]
 
 
 def _band_limited(rng):
@@ -199,11 +205,11 @@ def _refinement(value_at, levels=(1, 2)):
 
 
 def _transverse_of_cutoff_times(chart, w):
-    """The transverse field applied to cutoff * w by Leibniz's rule, the hit time
-    falling at unit rate along it: the cutoff's rate times w plus the cutoff times
-    the field applied to w, both profiles from the chart's one pair."""
-    return RadialHolo(chart.cutoff_profiles,
-                      [(1, w), (0, lambda p: apply_field(chart.field, w, p))])
+    """The transverse field applied to cutoff * w, for a Poly2Family member w, by
+    Leibniz's rule, the hit time falling at unit rate along it: the cutoff's rate
+    times w plus the cutoff times the field applied to w, both profiles from the
+    chart's one pair."""
+    return RadialHolo(chart.cutoff_profiles, [(1, w), (0, w.field_applied(chart.field))])
 
 
 def check_ftc(cfg: ScenarioConfig):
@@ -214,7 +220,7 @@ def check_ftc(cfg: ScenarioConfig):
         chart = build_chart(dom, cfg.q_panels, cfg.m_steps)
         grid = polar_eval_grid(dom, 24, 48, r_inner=0.3 if dom.kind == "disk" else None)
         pts = grid.nodes().ravel()
-        ws = [Poly2.random(rng, degree=3) for _ in range(10)]
+        ws = _seeded_polynomials(rng, 10)
         ags = antideriv_chains(chart, [(_transverse_of_cutoff_times(chart, w), 1) for w in ws],
                                pts, support=CUTOFF_END)
         cutoff = chart.cutoff(pts)
@@ -240,7 +246,7 @@ def check_hardy(cfg: ScenarioConfig):
     grid = collar_ratio_grid(chart, n_r=24, n_th=48)
     # 20 seeded functions per weight exponent mu, every majorant from one sweep,
     # which ends where the cutoff does
-    moments = [(mu, _seeded_masked(chart, rng)) for mu in (0, 1) for _ in range(20)]
+    moments = list(zip([0] * 20 + [1] * 20, _seeded_masked(chart, rng, 40)))
     sweep_max = {mu: np.zeros(9) for mu in (0, 1)}
     majorants = flow_moment_apply(chart, moments, grid[0], support=CUTOFF_END)
     for (mu, g), values in zip(moments, majorants):
@@ -566,13 +572,32 @@ def run_scenario(cfg: ScenarioConfig) -> ReportBundle:
     return ReportBundle(cfg.scenario, tables, checks, _provenance(cfg))
 
 
+def _format_bool(x):
+    return "true" if x else "false"
+
+
+def _format_float(x):
+    return f"{float(x):.17g}"
+
+
+# the formatters of the cell types the reports hold, found by one lookup per cell
+_CELL_FORMATS = {bool: _format_bool, np.bool_: _format_bool, int: str, np.int64: str,
+                 float: _format_float, np.float64: _format_float, str: str}
+
+
 def _format_cell(x):
+    """A bool as true or false, an integer as itself, a float to 17 significant
+    digits, anything else by str: by the exact type of the reports' cells, by
+    isinstance for any other."""
+    format_ = _CELL_FORMATS.get(type(x))
+    if format_ is not None:
+        return format_(x)
     if isinstance(x, (bool, np.bool_)):
-        return "true" if x else "false"
+        return _format_bool(x)
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return f"{float(x):.17g}"
+        return _format_float(x)
     return str(x)
 
 
@@ -600,7 +625,7 @@ def emit_report(bundle: ReportBundle, output_dir: str):
         with _create(path) as fh:
             fh.write(",".join(header) + "\n")
             for row in rows:
-                fh.write(",".join(_format_cell(x) for x in row) + "\n")
+                fh.write(",".join(map(_format_cell, row)) + "\n")
         paths.append(path)
     summary = os.path.join(output_dir, "summary.txt")
     with _create(summary) as fh:

@@ -19,7 +19,7 @@ from bergsmooth.flow import (
     hitting_time,
     trajectories,
 )
-from bergsmooth.functions import Holo1, Poly2, smoothstep
+from bergsmooth.functions import Holo1, Poly2, Poly2Family, smoothstep
 from bergsmooth.geometry import (boundary_samples, make_domain, polar_eval_grid,
                                  quadrature_grid)
 from bergsmooth.norms import collar_ratio_grid
@@ -653,6 +653,29 @@ def test_shared_factor_table_is_bit_for_bit_and_lives_one_panel(disk_chart, supp
         assert np.any(together != 0)
 
 
+@pytest.mark.parametrize("quantum", [16, 1])
+def test_a_point_keeps_its_bits_alone_in_pairs_and_in_the_batch(disk_chart, rng,
+                                                                 monkeypatch, quantum):
+    # 37 collar points, the chains of C4's near pole: each point's values swept
+    # alone, in consecutive pairs and all together.  With the panel sums padded
+    # to 16 points every point keeps its bits; unpadded (the control), BLAS sums
+    # the last points of a panel by another path, and 60 of the 74 values swept
+    # alone move (54 in pairs), by up to 4.6e-16 relative
+    monkeypatch.setattr(flow_module, "_SUM_QUANTUM", quantum)
+    chart = disk_chart
+    pts = np.exp(-chart.rate * rng.uniform(0.0, CUTOFF_END, 37)
+                 + 2j * np.pi * rng.uniform(size=37))
+    h = Holo1.inverse_power(0.9, 0.75)
+    chains = [(cutoff_times(chart, h), 2), (cr_reduction(h, chart), 1)]
+    sweep = lambda p: np.stack(antideriv_chains(chart, chains, p, support=CUTOFF_END))
+    whole = sweep(pts)
+    alone = np.concatenate([sweep(pts[i:i + 1]) for i in range(len(pts))], axis=1)
+    pairs = np.concatenate([sweep(pts[i:i + 2]) for i in range(0, len(pts), 2)], axis=1)
+    assert np.all(whole != 0)
+    kept = (np.array_equal(whole, alone), np.array_equal(whole, pairs))
+    assert kept == ((True, True) if quantum == 16 else (False, False))
+
+
 def test_blocked_sweeps_equal_the_sweeps_of_two_halves(disk_chart, rng):
     # C4's 96 x 192 doubling grid, 18,432 points in 33 blocks, and C2's ratio
     # grid, 1,152 points in three: each equals its two halves swept apart, bit for bit
@@ -663,7 +686,7 @@ def test_blocked_sweeps_equal_the_sweeps_of_two_halves(disk_chart, rng):
     chains = [(cr, 1), (zh, 1), (cr, 2), (zh, 2)]
     sweep = lambda p: antideriv_chains(chart, chains, p, support=CUTOFF_END)
     grid = collar_ratio_grid(chart, n_r=24, n_th=48)[0]
-    moments = [(mu, _seeded_masked(chart, rng)) for mu in (0, 1) for _ in range(3)]
+    moments = list(zip([0] * 3 + [1] * 3, _seeded_masked(chart, rng, 6)))
     majorants = lambda p: flow_moment_apply(chart, moments, p, support=CUTOFF_END)
     for run, points in ((sweep, pts), (majorants, grid)):
         whole = run(points)
@@ -769,7 +792,8 @@ def test_cutoff_end_bound_is_exact(disk, annulus, kind, resolution, rng):
     pts = points_at_hit_times(chart, SUPPORT_TIMES, rng)
     h = Holo1.from_coeffs([0.3, 1.0, 0.5j])
     zh = cutoff_times(chart, h)
-    carried = [_transverse_of_cutoff_times(chart, Poly2.random(rng, degree=3)), zh,
+    member = Poly2Family([Poly2.random(rng, degree=3)]).members[0]
+    carried = [_transverse_of_cutoff_times(chart, member), zh,
                zh.rotation_applied()]
     if kind == "disk":
         carried.append(cr_reduction(h, chart))

@@ -6,8 +6,8 @@ import pytest
 from numpy.polynomial import polynomial as P
 
 from bergsmooth.bergman import CoefficientVector, build_basis, synthesize
-from bergsmooth.functions import (Holo1, Poly2, _psi, _smoothstep_pair, apply_field,
-                                  smoothstep)
+from bergsmooth.functions import (Holo1, Poly2, Poly2Family, _psi, _Shared, _smoothstep_pair,
+                                  apply_field, smoothstep)
 from bergsmooth.geometry import canonical_fields
 
 
@@ -115,6 +115,27 @@ def test_poly2_values_and_first_partials_match_polyval2d(rng, points):
         for beta in ((0, 0), (1, 0), (0, 1)):
             ref = P.polyval2d(points.real, points.imag, _der_matrix(w.coeffs, beta))
             assert np.array_equal(w.partial(beta, points), ref)
+
+
+@pytest.mark.parametrize("points", [PLANE_POINTS, PLANE_POINTS.reshape(2, 3), SCALAR_POINT],
+                         ids=["array", "2d", "scalar"])
+def test_family_values_and_first_partials_match_each_poly2(rng, points):
+    # one family of degrees 0-3 and a rectangular 2 x 4 matrix, read against one
+    # table of the monomials x^i y^j of degree up to 3 in each: every member
+    # within rounding of its own Poly2, in the shape of the points
+    polys = _poly2_cases(rng)
+    family = Poly2Family(polys)
+    shared = _Shared()
+    for w, member in zip(polys, family.members):
+        assert np.shape(member(points)) == np.shape(points)
+        assert _close(member(points), w(points), 1e-15)
+        for beta in ((0, 0), (1, 0), (0, 1)):
+            ref = w.partial(beta, points)
+            assert _close(member.partial(beta, points), ref, 1e-15)
+            assert np.array_equal(member.partial(beta, points, shared),
+                                  member.partial(beta, points))
+    # all of them read the one table of the points
+    assert list(shared.values) == [(family, "monomials")]
 
 
 def test_poly2_second_partials_match_polyval2d(rng):

@@ -15,7 +15,7 @@ import bergsmooth.flow as flow_module
 import bergsmooth.scenarios as scenarios_module
 from bergsmooth.bergman import CoefficientVector
 from bergsmooth.flow import CollarChart
-from bergsmooth.functions import Holo1
+from bergsmooth.functions import Holo1, Poly2Family
 from bergsmooth.scenarios import (ScenarioConfig, check_conj_annulus, check_conj_disk,
                                   check_decomposition, check_duality, check_ftc,
                                   check_hardy, check_partial_smoothing, check_reproduction)
@@ -58,6 +58,26 @@ def test_decomposition_residuals_fail_with_a_shifted_cutoff_rate(monkeypatch):
     verdicts = _verdicts(checks)
     for k in (1, 2):
         assert not verdicts[f"decomposition residual at order {k}"]
+
+
+def test_ftc_fails_with_a_wrong_falling_factor_in_the_family_y_partials(monkeypatch):
+    # the d/dy matrix of C1's seeded family brings j + 1 down from y^j in place of
+    # j: the field applied to each polynomial is off, so the transverse derivative
+    # no longer integrates back to cutoff * w, and the sup-defect reads 0.43
+    # against 1e-6
+    matrix = Poly2Family._matrix
+
+    def wrong(self, beta):
+        m = matrix(self, beta)
+        if beta != (0, 1):
+            return m
+        # the column of x^i y^j' holds the coefficients of x^i y^(j' + 1)
+        j = np.arange(m.shape[1]) % self.coeffs.shape[2] + 1
+        return m * ((j + 1) / j)
+    monkeypatch.setattr(Poly2Family, "_matrix", wrong)
+    checks, _ = check_ftc(ScenarioConfig("ftc"))
+    assert not _verdicts(checks)["flow reproduction sup-defect, 10 seeded cutoff functions "
+                                 "on disk and annulus"]
 
 
 def _multipliers_one_step_short(chart, radii, s_values):

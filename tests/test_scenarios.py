@@ -110,6 +110,28 @@ def test_emit_report_replaces_its_files_only(tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (foreign.st_ino, foreign.st_mtime_ns)
 
 
+def _format_cell_by_isinstance(x):
+    """The CSV cell formatter as it was written before its lookup by type."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return f"{float(x):.17g}"
+    return str(x)
+
+
+def test_cells_are_written_as_by_isinstance():
+    # the report cells' types, their edge values, and types outside the lookup
+    cells = [True, False, np.bool_(True), np.bool_(False), 0, -3, 2**70, np.int64(-7),
+             np.int64(2**62), 0.1, 1 / 3, np.float64(-2.5e-300), float("nan"),
+             np.float64("nan"), float("inf"), float("-inf"), np.float64("-inf"), -0.0,
+             np.float64(-0.0), 5e-324, np.float64(5e-324), "", "pole_0.9", "a,b",
+             np.int32(4), np.uint8(255), np.float32(0.1), np.str_("z"), None]
+    for cell in cells:
+        assert scenarios._format_cell(cell) == _format_cell_by_isinstance(cell), repr(cell)
+
+
 def test_duality_scenario_table_schema(tmp_path):
     cfg = ScenarioConfig.from_dict({"scenario": "duality", "n_r": 16, "n_theta": 32,
                                     "basis_size": 16})

@@ -42,6 +42,10 @@ UNREACHED = {
     "flow.hitting_time": "benchmark",
     "flow.trajectories": "benchmark",
     "functions.AngularFamily.__call__": "oracle",
+    "functions.Poly2.__call__": "benchmark",
+    "functions.Poly2._derivative": "benchmark",
+    "functions.Poly2.partial": "oracle",
+    "functions.apply_field": "oracle",
     "geometry.Domain.volume": "oracle",
     "geometry.VectorField.applied_to_defining": "oracle",
     "geometry.boundary_samples": "oracle",
@@ -194,8 +198,11 @@ def test_one_rk4_step_for_sweeps_and_hitting_times():
 
 def test_one_partial_dispatch():
     # a function's cartesian partials come through functions._partial: the tracked
-    # ones of a SmoothFunction, or finite differences of any other callable
-    assert _callers("partial") == {"functions._partial"}
+    # ones of a SmoothFunction, or finite differences of any other callable.  A
+    # Poly2Family member's value and the field applied to it read its tracked
+    # partials through the table of their points, where no choice is made
+    assert _callers("partial") == {"functions._partial", "functions._Member._value",
+                                   "functions._FieldApplied._value"}
     assert _callers("partial_callable") == {"finitediff.partial_callable",
                                             "functions.SmoothFunction.partial",
                                             "functions._partial"}
@@ -226,8 +233,10 @@ def test_one_polynomial_evaluator():
 
 
 def test_one_field_formula():
-    # a df/dz + b df/dzbar is formed in one place, for apply_field and the jets
-    assert _callers("_field_formula") == {"functions.apply_field", "operators._field_jet"}
+    # a df/dz + b df/dzbar is formed in one place, for apply_field, the jets and
+    # the field applied to a Poly2Family member
+    assert _callers("_field_formula") == {"functions.apply_field", "operators._field_jet",
+                                          "functions._FieldApplied._value"}
 
 
 def test_one_shared_factor_table_without_read_sets():
@@ -235,7 +244,8 @@ def test_one_shared_factor_table_without_read_sets():
     # what it computes, and no evaluation declares its reads or releases them
     assert not _definers("_keys") | _definers("release")
     assert _callers("_Shared") == {"flow._collar_quadrature", "functions.RadialHolo.__call__",
-                                   "functions.Holo1.__call__", "functions.Holo1.partial"}
+                                   "functions.Holo1.__call__", "functions.Holo1.partial",
+                                   "functions._Tracked.__call__", "functions._Member.partial"}
 
 
 def test_only_build_chart_takes_the_trajectory_resolution():

@@ -5,11 +5,12 @@ below are summed over the blocks, so they do not depend on how many there
 are), a sweep makes each panel's tables and takes its hit times once, an
 operator expression sweeps each distinct kernel request once per apply_op
 call, each factor the integrands of a panel share is evaluated once per panel
-(the derivatives of an input once while its integrands follow one another), a
-hitting time steps each point once up to its crossing, projection evaluates no
-basis element, and the Sobolev norms of a family take every derivative order
-from one power table.  Guards on memory: C3's and C4's peaks stay near the ones
-their bounded sweep blocks hold, the power-expansion identity's near the one its
+(the derivatives of an input once while its integrands follow one another, and
+one table of a polynomial family's monomials for all its members), a hitting
+time steps each point once up to its crossing, projection evaluates no basis
+element, and the Sobolev norms of a family take every derivative order from one
+power table.  Guards on memory: C1's to C4's peaks stay near the ones their
+bounded sweep blocks hold, the power-expansion identity's near the one its
 per-entry kernel sums hold, and C6's and C8's near the ones their chunked power
 tables hold."""
 
@@ -28,7 +29,7 @@ from bergsmooth.bergman import PlanarMonomial
 from bergsmooth.decompose import (component_values, cr_reduction, cutoff_times, decompose,
                                   reproduction_residual)
 from bergsmooth.flow import CUTOFF_END, CollarChart, antideriv_chains, build_chart
-from bergsmooth.functions import Holo1, Poly2, _ThetaDerivative
+from bergsmooth.functions import Holo1, Poly2, Poly2Family, _ThetaDerivative
 from bergsmooth.geometry import VectorField, make_domain, polar_eval_grid
 from bergsmooth.norms import sobolev_norm
 from bergsmooth.operators import apply_op, compose, field_op, kernel_op, op_sum
@@ -211,16 +212,15 @@ C4_POLE_POINTS = {(0.9, 1.0): 274_888, (0.9, 0.75): 1_194_376, (0.99, 0.75): 274
 
 
 def test_no_sweep_holds_more_than_its_budget(c4_work):
-    # C2's grid and C4's point sets, their swept points (hit time below 1) split
-    # into the fewest blocks of at most 2**16 node-point pairs, 512 points, of
-    # nearly equal size: each but the last holds the swept points over the
-    # number of blocks, rounded up
+    # C2's grid and C4's point sets, their swept points (hit time below the
+    # cutoff's end, where their sweeps' support ends) split into the fewest blocks
+    # of at most 2**14 node-point pairs, 128 points, of nearly equal size: each
+    # but the last holds the swept points over the number of blocks, rounded up
     hardy = _work(lambda: check_hardy(ScenarioConfig("hardy")))
     blocks = [swept.blocks for swept in hardy.sets + c4_work.sets]
-    assert flow_module._SWEEP_PAIRS == 2**16
+    assert flow_module._SWEEP_PAIRS == 2**14
     assert all(size * 4 * 32 <= flow_module._SWEEP_PAIRS for sizes in blocks for size in sizes)
-    assert blocks == [[368] * 3, [512] * 8 + [504], [363, 363, 362], [470] * 8 + [464],
-                      [512] * 33]
+    assert blocks == [[114] * 8, [127] * 29 + [117], [120] * 8, [128] * 27, [128] * 108]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -321,6 +321,37 @@ def test_seeded_cutoff_products_take_one_hit_time_per_panel_position(monkeypatch
     assert sum(seen) <= points
 
 
+def test_ftc_chains_read_one_monomial_table_per_block(monkeypatch, chart):
+    # C1's disk sweep: its ten seeded polynomials, one family, each read at the
+    # live pairs of a block through one table of the family's monomials there,
+    # built once per block (39,936 live pairs in all); each chain reads its
+    # member's value and first partials as three products against it, and no
+    # Poly2 runs Horner's rule (140 Horner calls on 2,413,440 points across C1
+    # before)
+    tables, reads, blocks, horner = [], Counter(), [], []
+    monomials, read, cut = Poly2Family._monomials, Poly2Family._read, flow_module._blocks
+    derivative = Poly2._derivative
+    monkeypatch.setattr(Poly2Family, "_monomials",
+                        lambda self, z: tables.append(np.size(z)) or monomials(self, z))
+    monkeypatch.setattr(Poly2Family, "_read", lambda self, i, beta, z, shared: reads.update(
+        [beta]) or read(self, i, beta, z, shared))
+    monkeypatch.setattr(Poly2, "_derivative", lambda *args: horner.append(1) or derivative(*args))
+
+    def counted(chart, n):
+        slices = cut(chart, n)
+        blocks.extend(slices)
+        return slices
+    monkeypatch.setattr(flow_module, "_blocks", counted)
+    pts = polar_eval_grid(chart.domain, 24, 48, r_inner=0.3).nodes().ravel()
+    ws = scenarios_module._seeded_polynomials(np.random.default_rng(1), 10)
+    antideriv_chains(chart, [(scenarios_module._transverse_of_cutoff_times(chart, w), 1)
+                             for w in ws], pts, support=CUTOFF_END)
+    assert len(tables) == len(blocks) == 6
+    assert sum(tables) == 39_936
+    assert reads == {(0, 0): 60, (1, 0): 60, (0, 1): 60}
+    assert horner == []
+
+
 def test_reproduction_check_evaluates_each_derivative_once_per_panel(monkeypatch):
     # C3 lists its chains input by input, and a panel's table keeps the
     # derivatives of one input while its integrands follow one another: 25
@@ -384,17 +415,18 @@ def test_blocks_share_one_table_per_panel_and_one_hit_time_pass(monkeypatch, cha
 
 # tracemalloc peaks, with Python 3.11.7 and numpy 2.4.6, of one default-config
 # check_decomposition with the sweeps of pointwise integrands in blocks of at most
-# 2**16 node-point pairs: 11.2e6 bytes (40.9e6 in blocks of 2**19, 113.6e6 when
-# the doubling study's 18,432 points were swept in one call, 175.3e6 before the
-# panels shared their factors); of one check_reproduction: 10.1e6 bytes (24.3e6
-# in blocks of 2**19); and of the order-2 power-expansion identity at its twelve
+# 2**14 node-point pairs: 7.3e6 bytes (11.2e6 in blocks of 2**16, 40.9e6 in
+# blocks of 2**19, 113.6e6 when the doubling study's 18,432 points were swept in
+# one call, 175.3e6 before the panels shared their factors); of one
+# check_reproduction: 4.4e6 bytes (10.1e6 in blocks of 2**16, 24.3e6 in blocks
+# of 2**19); and of the order-2 power-expansion identity at its twelve
 # points, with each kernel panel's derivative entries summed one at a time
 # through one nodes x points buffer and every jet filled in place, and each
 # kernel swept only below its support bound: 7.1e6 to 7.8e6 bytes (15.6e6 when
 # every kernel swept the whole collar, 22.9e6 with one 128 x 1,035 x 6 buffer of
 # every entry, and stacked copies of the leaf jets)
-PARENT_C4_PEAK_BYTES = 12.5e6
-PARENT_C3_PEAK_BYTES = 11.5e6
+PARENT_C4_PEAK_BYTES = 8.5e6
+PARENT_C3_PEAK_BYTES = 5.5e6
 IDENTITY_PEAK_BYTES = 9e6
 FAMILY_PEAK_BYTES = 6e6
 
@@ -419,6 +451,22 @@ def test_decomposition_check_holds_no_more_memory_than_before():
 def test_reproduction_check_holds_no_more_memory_than_before():
     assert (_traced_peak(lambda: check_reproduction(ScenarioConfig("decomposition")))
             <= PARENT_C3_PEAK_BYTES)
+
+
+# tracemalloc peaks of one default-config check_ftc and check_hardy, the seeded
+# polynomials of each read through their family's monomial table in blocks of at
+# most 2**14 node-point pairs: 5.4e6 bytes for C1 with its grids built (4.0e6
+# once they are) and 3.6e6 for C2, against 8.5e6 (7.1e6) and 5.4e6 when each
+# polynomial went by Horner's rule in blocks of 2**16
+SEEDED_C1_PEAK_BYTES = 6e6
+SEEDED_C2_PEAK_BYTES = 4.5e6
+
+
+@pytest.mark.parametrize("check, scenario, bound", [
+    (check_ftc, "ftc", SEEDED_C1_PEAK_BYTES), (check_hardy, "hardy", SEEDED_C2_PEAK_BYTES)],
+    ids=["C1", "C2"])
+def test_seeded_families_hold_no_more_memory_than_before(check, scenario, bound):
+    assert _traced_peak(lambda: check(ScenarioConfig(scenario))) <= bound
 
 
 def test_order_two_identity_holds_no_node_point_entry_array(chart, rng):
